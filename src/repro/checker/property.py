@@ -67,8 +67,8 @@ class Eventually:
     A counterexample is a *lasso* — a finite stem followed by a cycle (or a
     terminal state, interpreted under stutter-extension semantics as an
     infinite self-loop) along which the goal predicate never holds.  The
-    nested-DFS engines (:func:`repro.checker.search.ndfs_search` and its
-    packed twin) search for exactly those accepting cycles.
+    nested DFS (:func:`repro.checker.search.ndfs_search`, over object or
+    packed states) searches for exactly those accepting cycles.
 
     Attributes:
         name: Human-readable property name (e.g. ``"eventually-done"``).

@@ -13,24 +13,41 @@ A *reducer* is a callable that picks the subset of enabled executions to
 explore in a state (the stubborn set).  The search hands it a
 :class:`ReductionContext` exposing the successor function and the current
 DFS stack so the reducer can apply the cycle (stack) proviso.
+
+Every loop here is written once, over the
+:class:`~repro.checker.stategraph.StateGraph` seam: ``run_dfs`` /
+``run_bfs`` / ``run_ndfs`` take a graph, and the ``*_search`` entry points
+(and :mod:`repro.fastpath.search`'s ``fast_*_search``) only choose which
+graph — interned objects or packed words — the loop runs over.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable, List, Optional
 
-from ..engine.events import PROGRESS_INTERVAL, Observer, emit
+from ..engine.events import PROGRESS_INTERVAL, Observer, emit, maybe_span
 from ..mp.protocol import Protocol
-from ..mp.semantics import SuccessorEngine
-from ..mp.state import GlobalState
-from ..mp.transition import Execution
 from .counterexample import Counterexample, Step
 from .property import Invariant
 from .result import SearchStatistics
-from .statestore import StateStore, make_state_store
+from .stategraph import ReductionContext, Reducer, StateGraph, make_graph
+from .statestore import NullStateStore
+
+__all__ = [
+    "ReductionContext",
+    "Reducer",
+    "SearchConfig",
+    "SearchOutcome",
+    "bfs_search",
+    "dfs_search",
+    "ndfs_search",
+    "run_bfs",
+    "run_dfs",
+    "run_ndfs",
+]
 
 
 @dataclass
@@ -55,13 +72,12 @@ class SearchConfig:
             enabled-set and successor caches in stateless searches; ``None``
             keeps them unbounded (appropriate when the reachable set fits in
             memory, which holds for all bundled instances).
-        successor_engine: ``"object"`` runs the interned-object
-            :class:`~repro.mp.semantics.SuccessorEngine`; ``"fast"``
-            delegates to the packed table-compiled fast path
-            (:mod:`repro.fastpath`) with identical verdicts and visited
-            counts — the drop-in spelling for direct ``dfs_search`` /
-            ``bfs_search`` callers (plan users select it via the
-            ``successors`` axis instead).
+        successor_engine: Which :class:`~repro.checker.stategraph.StateGraph`
+            the loop runs over: ``"object"`` is the interned-object
+            :class:`~repro.mp.semantics.SuccessorEngine`, ``"fast"`` the
+            packed table-compiled one (:mod:`repro.fastpath`), with
+            identical verdicts and visited counts (plan users select it
+            via the ``successors`` axis).
         fastpath_memo_capacity: LRU bound for the packed fast path's
             per-transition guard/action memo tables and its property-verdict
             memo (per table; the fast-path analogue of
@@ -105,34 +121,6 @@ class SearchConfig:
 
 
 @dataclass
-class ReductionContext:
-    """Information a reducer may use when choosing the explored subset.
-
-    Attributes:
-        state: The state being expanded.
-        enabled: All enabled executions in ``state``.
-        protocol: The protocol under verification.
-        successor: Function computing the successor of an execution; results
-            are cached by the successor engine so calling it is cheap.
-        on_stack: True for states currently on the DFS stack; used for the
-            cycle (stack) proviso.
-        engine: The successor engine driving the search; reducers may
-            consult its enabled-execution and successor caches directly.
-    """
-
-    state: GlobalState
-    enabled: Tuple[Execution, ...]
-    protocol: Protocol
-    successor: Callable[[Execution], GlobalState]
-    on_stack: Callable[[GlobalState], bool]
-    engine: Optional[SuccessorEngine] = None
-
-
-#: A reducer maps a reduction context to the subset of executions to explore.
-Reducer = Callable[[ReductionContext], Tuple[Execution, ...]]
-
-
-@dataclass
 class SearchOutcome:
     """Raw outcome of a search, converted to a CheckResult by the facade.
 
@@ -150,68 +138,38 @@ class SearchOutcome:
     incomplete_reason: Optional[str] = None
 
 
-@dataclass
 class _Frame:
-    """One entry of the explicit DFS stack."""
+    """One entry of an explicit DFS stack, over any graph's states.
 
-    state: GlobalState
-    pending: Tuple[Execution, ...]
-    next_index: int = 0
-    via: Optional[Execution] = None
-    successors: dict = field(default_factory=dict)
-
-
-def _memoised_successor(engine: SuccessorEngine, frame: _Frame) -> Callable[[Execution], GlobalState]:
-    """Per-frame successor memo, freed when the frame is popped.
-
-    Keeps the proviso-check -> expansion reuse without retaining every edge
-    for the whole search, which matters when the engine itself runs with
-    its global caches disabled (stateful searches, see
-    :meth:`SuccessorEngine.for_search`).
+    ``successors`` is the frame's execution -> successor memo: allocated
+    only when a reducer expands the frame (it fills it with the successors
+    the proviso check computed, so expansion reuses them) and freed with
+    the frame.
     """
 
-    def compute(execution: Execution) -> GlobalState:
-        cached = frame.successors.get(execution)
-        if cached is None:
-            cached = engine.successor(frame.state, execution)
-            frame.successors[execution] = cached
-        return cached
+    __slots__ = ("state", "via", "pending", "next_index", "successors")
 
-    return compute
+    def __init__(self, state, via=None, pending=()) -> None:
+        self.state = state
+        self.via = via
+        self.pending = pending
+        self.next_index = 0
+        self.successors = None
 
 
-def _path_from_stack(stack: List[_Frame], final: Optional[Tuple[Execution, GlobalState]],
-                     property_name: str) -> Counterexample:
-    """Rebuild the violating path from the DFS stack (plus the final step)."""
-    initial = stack[0].state
-    steps = []
-    for frame in stack[1:]:
-        steps.append(Step(execution=frame.via, state=frame.state))
+def _path_from_stack(graph: StateGraph, stack: List[_Frame], final,
+                     property_name: str, extra: Iterable[_Frame] = (),
+                     cycle_start: Optional[int] = None) -> Counterexample:
+    """Decode the path along the DFS stack (+ ``extra`` frames + the final
+    ``(execution, state)`` step, when given) into a counterexample."""
+    decode, execution_of = graph.decode, graph.execution_of
+    steps = [Step(execution=execution_of(frame.via), state=decode(frame.state))
+             for frame in chain(stack[1:], extra)]
     if final is not None:
         execution, state = final
-        steps.append(Step(execution=execution, state=state))
-    return Counterexample(initial_state=initial, steps=tuple(steps),
-                          property_name=property_name)
-
-
-def _fastpath_requested(
-    config: SearchConfig, engine: Optional[SuccessorEngine], target: str
-) -> bool:
-    """Validate the ``successor_engine`` knob; True when the packed fast
-    path (:mod:`repro.fastpath`) should run instead of this module."""
-    if config.successor_engine == "object":
-        return False
-    if config.successor_engine != "fast":
-        raise ValueError(
-            f"unknown successor_engine {config.successor_engine!r} "
-            "(expected 'object' or 'fast')"
-        )
-    if engine is not None:
-        raise ValueError(
-            "successor_engine='fast' compiles its own engine; pass a "
-            f"FastSuccessorEngine to repro.fastpath.{target} instead"
-        )
-    return True
+        steps.append(Step(execution=execution_of(execution), state=decode(state)))
+    return Counterexample(initial_state=decode(stack[0].state), steps=tuple(steps),
+                          property_name=property_name, cycle_start=cycle_start)
 
 
 def _reject_checkpoint_knobs(config: SearchConfig, engine_name: str) -> None:
@@ -225,24 +183,12 @@ def _reject_checkpoint_knobs(config: SearchConfig, engine_name: str) -> None:
         )
 
 
-def _maybe_span(telemetry, name: str, **attrs):
-    """Phase span when telemetry is attached, else a no-op context.
-
-    Local twin of :func:`repro.obs.telemetry.maybe_span`: the search
-    engines must not import :mod:`repro.obs` at module scope (the engine
-    package imports this module while initialising).
-    """
-    if telemetry is None:
-        return nullcontext()
-    return telemetry.span(name, **attrs)
-
-
 def dfs_search(
     protocol: Protocol,
     invariant: Invariant,
     config: Optional[SearchConfig] = None,
     reducer: Optional[Reducer] = None,
-    engine: Optional[SuccessorEngine] = None,
+    engine=None,
     observer: Optional[Observer] = None,
     telemetry=None,
 ) -> SearchOutcome:
@@ -254,8 +200,9 @@ def dfs_search(
         config: Search configuration; defaults to exhaustive stateful search.
         reducer: Optional partial-order reducer; ``None`` explores every
             enabled execution (unreduced search).
-        engine: Optional pre-built successor engine (e.g. to share caches
-            across several searches of the same protocol).
+        engine: Optional pre-built successor engine of the kind
+            ``config.successor_engine`` names (e.g. to share caches across
+            several searches of the same protocol).
         observer: Optional event observer; receives periodic ``progress``
             ticks and ``violation-found`` events.
         telemetry: Optional :class:`~repro.obs.telemetry.RunTelemetry`;
@@ -266,27 +213,37 @@ def dfs_search(
         A :class:`SearchOutcome` with verdict, counterexample and statistics.
     """
     config = config or SearchConfig()
-    _reject_checkpoint_knobs(config, "dfs_search")
-    if _fastpath_requested(config, engine, "fast_dfs_search"):
-        # Imported lazily: repro.fastpath builds on this module.
-        from ..fastpath.search import fast_dfs_search
+    graph = make_graph(protocol, config, engine, telemetry, stateful=config.stateful)
+    return run_dfs(graph, invariant, config, reducer, observer, telemetry)
 
-        return fast_dfs_search(protocol, invariant, config, reducer=reducer,
-                               observer=observer, telemetry=telemetry)
+
+def run_dfs(
+    graph: StateGraph,
+    invariant: Invariant,
+    config: SearchConfig,
+    reducer: Optional[Reducer] = None,
+    observer: Optional[Observer] = None,
+    telemetry=None,
+) -> SearchOutcome:
+    """The depth-first loop of :func:`dfs_search`, over any graph."""
+    _reject_checkpoint_knobs(config, "dfs_search")
     statistics = SearchStatistics()
     start_time = time.perf_counter()
 
-    if engine is not None and engine.protocol is not protocol:
-        raise ValueError("successor engine was built for a different protocol")
-    engine = engine or SuccessorEngine.for_search(
-        protocol, config.stateful, max_cache_entries=config.engine_cache_capacity
+    stateful = config.stateful
+    store = (
+        graph.make_store(config.state_store, config.state_store_shards)
+        if stateful else NullStateStore()
     )
-    store: StateStore = make_state_store(
-        config.state_store if config.stateful else "none",
-        shards=config.state_store_shards,
+    holds = graph.invariant_checker(invariant)
+    enabled_of, successor_of, key = graph.enabled, graph.successor, graph.exact_key
+    store_add = store.add
+    max_seconds, max_states, max_depth = (
+        config.max_seconds, config.max_states, config.max_depth
     )
-    initial = engine.initial_state()
-    store.add(initial)
+
+    initial = graph.initial
+    store_add(initial)
     statistics.states_visited = 1
 
     counterexample: Optional[Counterexample] = None
@@ -294,73 +251,78 @@ def dfs_search(
     complete = True
     deadlock_states = 0
 
-    if not invariant.holds_in(initial, protocol):
-        counterexample = Counterexample(initial_state=initial, steps=(),
+    def finish() -> SearchOutcome:
+        statistics.elapsed_seconds = time.perf_counter() - start_time
+        if telemetry is not None:
+            telemetry.record_store(store)
+            graph.record(telemetry)
+        return SearchOutcome(
+            verified=verified,
+            complete=complete and verified if config.stop_at_first_violation else complete,
+            counterexample=counterexample,
+            statistics=statistics,
+            deadlock_states=deadlock_states,
+        )
+
+    if not holds(initial):
+        counterexample = Counterexample(initial_state=graph.decode(initial), steps=(),
                                         property_name=invariant.name)
         verified = False
         emit(observer, "violation-found", states_visited=1, depth=0)
         if config.stop_at_first_violation:
-            statistics.elapsed_seconds = time.perf_counter() - start_time
-            if telemetry is not None:
-                telemetry.record_store(store)
-            return SearchOutcome(False, False, counterexample, statistics)
+            return finish()
 
-    on_stack_states = {initial}
+    on_stack = {key(initial)}
+    reduce = None if reducer is None else graph.make_reduce(reducer, on_stack)
 
-    def expand(frame_state: GlobalState, frame: _Frame) -> Tuple[Execution, ...]:
-        """Compute the (possibly reduced) executions to explore from a state."""
-        enabled = engine.enabled(frame_state)
+    def expand(frame: _Frame) -> None:
+        """Set the (possibly reduced) executions to explore from a frame."""
+        enabled = enabled_of(frame.state)
         statistics.enabled_set_computations += 1
         if config.check_deadlocks and not enabled:
             nonlocal deadlock_states
             deadlock_states += 1
-        if reducer is None or len(enabled) <= 1:
+        if reduce is None or len(enabled) <= 1:
             statistics.full_expansions += 1
-            return enabled
-        context = ReductionContext(
-            state=frame_state,
-            enabled=enabled,
-            protocol=protocol,
-            successor=_memoised_successor(engine, frame),
-            on_stack=lambda state: state in on_stack_states,
-            engine=engine,
-        )
-        reduced = reducer(context)
-        if len(reduced) < len(enabled):
+            frame.pending = enabled
+            return
+        frame.successors = {}
+        frame.pending = reduce(frame.state, enabled, frame.successors)
+        if len(frame.pending) < len(enabled):
             statistics.reduced_expansions += 1
         else:
             statistics.full_expansions += 1
-        return reduced
 
-    root = _Frame(state=initial, pending=())
-    root.pending = expand(initial, root)
+    root = _Frame(initial)
+    expand(root)
     stack: List[_Frame] = [root]
 
     while stack:
-        if config.max_seconds is not None:
-            if time.perf_counter() - start_time > config.max_seconds:
+        if max_seconds is not None:
+            if time.perf_counter() - start_time > max_seconds:
                 complete = False
                 break
         frame = stack[-1]
         if frame.next_index >= len(frame.pending):
             stack.pop()
-            on_stack_states.discard(frame.state)
+            on_stack.discard(key(frame.state))
             continue
         execution = frame.pending[frame.next_index]
         frame.next_index += 1
 
-        successor = frame.successors.get(execution)
+        memo = frame.successors
+        successor = memo.get(execution) if memo else None
         if successor is None:
-            successor = engine.successor(frame.state, execution)
+            successor = successor_of(frame.state, execution)
         statistics.transitions_executed += 1
 
-        if config.stateful:
-            if not store.add(successor):
+        if stateful:
+            if not store_add(successor):
                 statistics.revisits += 1
                 continue
             statistics.states_visited = len(store)
         else:
-            if successor in on_stack_states:
+            if key(successor) in on_stack:
                 statistics.revisits += 1
                 continue
             statistics.states_visited += 1
@@ -368,45 +330,37 @@ def dfs_search(
             emit(observer, "progress", states_visited=statistics.states_visited,
                  transitions_executed=statistics.transitions_executed)
 
-        if not invariant.holds_in(successor, protocol):
+        if not holds(successor):
             verified = False
-            counterexample = _path_from_stack(stack, (execution, successor), invariant.name)
+            counterexample = _path_from_stack(graph, stack, (execution, successor),
+                                              invariant.name)
             emit(observer, "violation-found",
                  states_visited=statistics.states_visited, depth=len(stack))
             if config.stop_at_first_violation:
                 complete = False
                 break
 
-        if config.max_states is not None and statistics.states_visited >= config.max_states:
+        if max_states is not None and statistics.states_visited >= max_states:
             complete = False
             break
-        if config.max_depth is not None and len(stack) > config.max_depth:
+        if max_depth is not None and len(stack) > max_depth:
             complete = False
             continue
 
-        child = _Frame(state=successor, pending=(), via=execution)
-        child.pending = expand(successor, child)
+        child = _Frame(successor, execution)
+        expand(child)
         stack.append(child)
-        on_stack_states.add(successor)
+        on_stack.add(key(successor))
         statistics.max_depth = max(statistics.max_depth, len(stack) - 1)
 
-    statistics.elapsed_seconds = time.perf_counter() - start_time
-    if telemetry is not None:
-        telemetry.record_store(store)
-    return SearchOutcome(
-        verified=verified,
-        complete=complete and verified if config.stop_at_first_violation else complete,
-        counterexample=counterexample,
-        statistics=statistics,
-        deadlock_states=deadlock_states,
-    )
+    return finish()
 
 
 def bfs_search(
     protocol: Protocol,
     invariant: Invariant,
     config: Optional[SearchConfig] = None,
-    engine: Optional[SuccessorEngine] = None,
+    engine=None,
     observer: Optional[Observer] = None,
     telemetry=None,
 ) -> SearchOutcome:
@@ -419,61 +373,68 @@ def bfs_search(
     plus ``violation-found`` events.
     """
     config = config or SearchConfig()
-    if _fastpath_requested(config, engine, "fast_bfs_search"):
-        if config.checkpoint_dir is not None or config.resume_from is not None:
-            raise ValueError(
-                "checkpoint/resume is not supported by the packed fast "
-                "path; run with successors='object'"
-            )
-        # Imported lazily: repro.fastpath builds on this module.
-        from ..fastpath.search import fast_bfs_search
+    graph = make_graph(protocol, config, engine, telemetry)
+    return run_bfs(graph, invariant, config, observer, telemetry)
 
-        return fast_bfs_search(protocol, invariant, config, observer=observer,
-                               telemetry=telemetry)
+
+def run_bfs(
+    graph: StateGraph,
+    invariant: Invariant,
+    config: SearchConfig,
+    observer: Optional[Observer] = None,
+    telemetry=None,
+) -> SearchOutcome:
+    """The breadth-first loop of :func:`bfs_search`, over any graph.
+
+    Checkpoints are written in the graph-neutral format of
+    :mod:`repro.checker.checkpoint` (object states + execution-index
+    edges, through ``graph.decode`` / ``graph.encode``), so a run may be
+    resumed over a different graph than the one that wrote it.
+    """
     statistics = SearchStatistics()
     start_time = time.perf_counter()
 
-    if engine is not None and engine.protocol is not protocol:
-        raise ValueError("successor engine was built for a different protocol")
-    engine = engine or SuccessorEngine.for_search(protocol, stateful=True)
-    initial = engine.initial_state()
-    store = make_state_store(config.state_store, shards=config.state_store_shards)
+    store = graph.make_store(config.state_store, config.state_store_shards)
+    holds = graph.invariant_checker(invariant)
+    enabled_of, successor_of, key = graph.enabled, graph.successor, graph.exact_key
+    decode = graph.decode
+    store_add = store.add
+    initial = graph.initial
+    checkpointing = config.checkpoint_dir is not None
 
-    # Parent edges: state -> None (initial) or (predecessor, execution,
-    # exec_index).  The execution slot is None for edges restored from a
-    # checkpoint; ``rebuild`` recomputes it from the index on demand
-    # (enabled order is deterministic), so executions never need pickling.
+    # Parent edges: exact key -> None (initial) or (predecessor state,
+    # index of the execution in the predecessor's enabled order).  Enabled
+    # order is deterministic, so ``rebuild`` recomputes the execution on
+    # demand and executions never need storing or pickling.
     if config.resume_from is not None:
         from .checkpoint import CheckpointError, load_checkpoint
 
         resumed = load_checkpoint(config.resume_from)
-        states = resumed.states
-        if not states or states[0] != initial:
+        if not resumed.states or resumed.states[0] != decode(initial):
             raise CheckpointError(
                 f"cannot resume from {config.resume_from!r}: its initial "
                 "state does not match the protocol under check (was the "
                 "checkpoint written for a different model?)"
             )
-        for state in states:
-            store.add(state)
+        discovered = [graph.encode(state) for state in resumed.states]
         parents = {}
-        for index, edge in enumerate(resumed.edges):
-            if edge is None:
-                parents[states[index]] = None
-            else:
-                parent_index, exec_index = edge
-                parents[states[index]] = (states[parent_index], None, exec_index)
+        for state, edge in zip(discovered, resumed.edges):
+            store_add(state)
+            parents[key(state)] = (
+                None if edge is None else (discovered[edge[0]], edge[1])
+            )
         statistics = resumed.statistics
         statistics.states_visited = len(store)
-        frontier = [states[index] for index in resumed.frontier]
+        frontier = [discovered[index] for index in resumed.frontier]
         depth = resumed.depth
         # Shift the clock back so elapsed/budget accounting spans the
         # whole run, not just the resumed leg.
         start_time = time.perf_counter() - statistics.elapsed_seconds
     else:
-        store.add(initial)
+        store_add(initial)
         statistics.states_visited = 1
-        parents = {initial: None}
+        discovered = [initial]
+        parents = {key(initial): None}
         frontier = [initial]
         depth = 0
 
@@ -486,24 +447,19 @@ def bfs_search(
     def write_level_checkpoint() -> None:
         from .checkpoint import Checkpoint, write_checkpoint
 
-        states = list(parents.keys())
-        index_of = {state: index for index, state in enumerate(states)}
+        index_of = {key(state): index for index, state in enumerate(discovered)}
         edges = []
-        for state in states:
-            edge = parents[state]
-            if edge is None:
-                edges.append(None)
-            else:
-                predecessor, _execution, exec_index = edge
-                edges.append((index_of[predecessor], exec_index))
+        for state in discovered:
+            edge = parents[key(state)]
+            edges.append(None if edge is None else (index_of[key(edge[0])], edge[1]))
         statistics.elapsed_seconds = time.perf_counter() - start_time
         path = write_checkpoint(
             Checkpoint(
                 depth=depth,
                 statistics=statistics,
-                states=states,
+                states=[decode(state) for state in discovered],
                 edges=edges,
-                frontier=[index_of[state] for state in frontier],
+                frontier=[index_of[key(state)] for state in frontier],
                 meta={"property": invariant.name, "engine": "bfs"},
             ),
             config.checkpoint_dir,
@@ -511,32 +467,35 @@ def bfs_search(
         emit(observer, "checkpoint-written", depth=depth,
              states_visited=statistics.states_visited, path=path)
 
-    def record_telemetry() -> None:
-        if telemetry is None:
-            return
-        telemetry.record_store(store)
-        telemetry.metrics.gauge(
-            "frontier_peak", "largest BFS frontier level"
-        ).set(peak_frontier)
+    def finish() -> SearchOutcome:
+        statistics.elapsed_seconds = time.perf_counter() - start_time
+        if telemetry is not None:
+            telemetry.record_store(store)
+            graph.record(telemetry)
+            telemetry.metrics.gauge(
+                "frontier_peak", "largest BFS frontier level"
+            ).set(peak_frontier)
+        return SearchOutcome(verified=verified, complete=complete,
+                             counterexample=counterexample, statistics=statistics)
 
-    def rebuild(state: GlobalState) -> Counterexample:
+    def rebuild(state) -> Counterexample:
         steps = []
         cursor = state
-        while parents[cursor] is not None:
-            predecessor, execution, exec_index = parents[cursor]
-            if execution is None:  # edge restored from a checkpoint
-                execution = engine.enabled(predecessor)[exec_index]
-            steps.append(Step(execution=execution, state=cursor))
+        while parents[key(cursor)] is not None:
+            predecessor, exec_index = parents[key(cursor)]
+            execution = enabled_of(predecessor)[exec_index]
+            steps.append(Step(execution=graph.execution_of(execution),
+                              state=decode(cursor)))
             cursor = predecessor
         steps.reverse()
-        return Counterexample(initial_state=initial, steps=tuple(steps),
+        return Counterexample(initial_state=decode(initial), steps=tuple(steps),
                               property_name=invariant.name)
 
-    if config.resume_from is None and not invariant.holds_in(initial, protocol):
+    if config.resume_from is None and not holds(initial):
         emit(observer, "violation-found", states_visited=1, depth=0)
-        statistics.elapsed_seconds = time.perf_counter() - start_time
-        record_telemetry()
-        return SearchOutcome(False, False, rebuild(initial), statistics)
+        verified = complete = False
+        counterexample = rebuild(initial)
+        return finish()
 
     while frontier:
         if config.max_seconds is not None:
@@ -548,26 +507,25 @@ def bfs_search(
             break
         next_frontier = []
         for state in frontier:
-            enabled = engine.enabled(state)
+            enabled = enabled_of(state)
             statistics.enabled_set_computations += 1
             statistics.full_expansions += 1
             for exec_index, execution in enumerate(enabled):
-                successor = engine.successor(state, execution)
+                successor = successor_of(state, execution)
                 statistics.transitions_executed += 1
-                if not store.add(successor):
+                if not store_add(successor):
                     statistics.revisits += 1
                     continue
                 statistics.states_visited = len(store)
-                parents[successor] = (state, execution, exec_index)
-                if not invariant.holds_in(successor, protocol):
+                parents[key(successor)] = (state, exec_index)
+                if not holds(successor):
                     verified = False
                     counterexample = rebuild(successor)
                     emit(observer, "violation-found",
                          states_visited=statistics.states_visited, depth=depth + 1)
                     if config.stop_at_first_violation:
-                        statistics.elapsed_seconds = time.perf_counter() - start_time
-                        record_telemetry()
-                        return SearchOutcome(False, False, counterexample, statistics)
+                        complete = False
+                        return finish()
                 if config.max_states is not None and statistics.states_visited >= config.max_states:
                     complete = False
                     next_frontier = []
@@ -588,13 +546,14 @@ def bfs_search(
             emit(observer, "level-completed", depth=depth,
                  new_states=len(frontier),
                  states_visited=statistics.states_visited)
-            if config.checkpoint_dir is not None and depth % checkpoint_interval == 0:
-                write_level_checkpoint()
+            if checkpointing:
+                # Discovery order is level order, so the checkpoint's state
+                # list costs one extend per level, nothing per state.
+                discovered.extend(frontier)
+                if depth % checkpoint_interval == 0:
+                    write_level_checkpoint()
 
-    statistics.elapsed_seconds = time.perf_counter() - start_time
-    record_telemetry()
-    return SearchOutcome(verified=verified, complete=complete,
-                         counterexample=counterexample, statistics=statistics)
+    return finish()
 
 
 def ndfs_search(
@@ -602,7 +561,7 @@ def ndfs_search(
     prop,
     config: Optional[SearchConfig] = None,
     reducer: Optional[Reducer] = None,
-    engine: Optional[SuccessorEngine] = None,
+    engine=None,
     observer: Optional[Observer] = None,
     telemetry=None,
 ) -> SearchOutcome:
@@ -639,7 +598,6 @@ def ndfs_search(
     ``stop_at_first_violation=False`` does not change that).
     """
     config = config or SearchConfig()
-    _reject_checkpoint_knobs(config, "ndfs_search")
     if reducer is not None:
         raise ValueError(
             "nested DFS does not support partial-order reduction: the "
@@ -647,6 +605,24 @@ def ndfs_search(
             "stack, which the nested search does not have; run the "
             "liveness check unreduced"
         )
+    graph = make_graph(protocol, config, engine, telemetry)
+    return run_ndfs(graph, prop, config, observer, telemetry)
+
+
+def run_ndfs(
+    graph: StateGraph,
+    prop,
+    config: SearchConfig,
+    observer: Optional[Observer] = None,
+    telemetry=None,
+) -> SearchOutcome:
+    """The nested-DFS loops of :func:`ndfs_search`, over any graph.
+
+    The blue/cyan/red marks are kept over ``graph.exact_key`` for the
+    ``"full"`` store and ``graph.fingerprint`` for the fingerprint kinds;
+    only the violating lasso is decoded.
+    """
+    _reject_checkpoint_knobs(config, "ndfs_search")
     if not config.stateful:
         raise ValueError(
             "nested DFS is stateful by construction (the blue/red marks "
@@ -657,86 +633,66 @@ def ndfs_search(
             f"nested DFS needs a real visited-state store, got "
             f"state_store={config.state_store!r}"
         )
-    if _fastpath_requested(config, engine, "fast_ndfs_search"):
-        # Imported lazily: repro.fastpath builds on this module.
-        from ..fastpath.search import fast_ndfs_search
-
-        return fast_ndfs_search(protocol, prop, config, observer=observer,
-                                telemetry=telemetry)
-
     statistics = SearchStatistics()
     start_time = time.perf_counter()
 
-    if engine is not None and engine.protocol is not protocol:
-        raise ValueError("successor engine was built for a different protocol")
-    engine = engine or SuccessorEngine.for_search(
-        protocol, config.stateful, max_cache_entries=config.engine_cache_capacity
+    protocol = graph.protocol
+    network_sensitive = getattr(prop, "network_sensitive", True)
+    prunes = graph.predicate(
+        lambda state: prop.prunes(state, protocol), network_sensitive
     )
+    accepting = graph.predicate(
+        lambda state: prop.accepting(state, protocol), network_sensitive
+    )
+    key = graph.exact_key if config.state_store == "full" else graph.fingerprint
+    enabled_of, successor_of = graph.enabled, graph.successor
 
-    exact = config.state_store == "full"
-
-    def key(state: GlobalState):
-        return state if exact else state.fingerprint()
-
-    def prunes(state: GlobalState) -> bool:
-        return bool(prop.prunes(state, protocol))
-
-    def accepting(state: GlobalState) -> bool:
-        return bool(prop.accepting(state, protocol))
-
-    def expand(state: GlobalState) -> Tuple[Execution, ...]:
-        enabled = engine.enabled(state)
+    def expand(state):
+        enabled = enabled_of(state)
         statistics.enabled_set_computations += 1
         statistics.full_expansions += 1
         return enabled
 
-    initial = engine.initial_state()
+    initial = graph.initial
     discovered = {key(initial)}
     statistics.states_visited = 1
-
-    if prunes(initial):
-        # The goal already holds initially; every run satisfies it.
-        statistics.elapsed_seconds = time.perf_counter() - start_time
-        return SearchOutcome(True, True, None, statistics)
-
     cyan = {key(initial)}
     blue = set()
     red = set()
     complete = True
 
-    def lasso(stack: List[_Frame], final: Tuple[Execution, GlobalState],
-              extra: List[_Frame], cycle_key) -> Counterexample:
+    def finish(verified: bool, is_complete: bool,
+               counterexample: Optional[Counterexample]) -> SearchOutcome:
+        statistics.elapsed_seconds = time.perf_counter() - start_time
+        if telemetry is not None:
+            graph.record(telemetry)
+            telemetry.metrics.gauge(
+                "state_store_size", "visited states/fingerprints held"
+            ).set(len(discovered))
+            telemetry.metrics.gauge(
+                "ndfs_red_states", "states marked red by the nested search"
+            ).set(len(red))
+        return SearchOutcome(verified, is_complete, counterexample, statistics)
+
+    if prunes(initial):
+        # The goal already holds initially; every run satisfies it.
+        return finish(True, True, None)
+
+    def lasso(stack: List[_Frame], final, extra: List[_Frame],
+              cycle_key) -> Counterexample:
         """Build a lasso counterexample: blue-stack stem (+ optional red-path
         frames) + the closing edge; the cycle starts where ``cycle_key``
         first appears on the blue stack."""
-        steps = [Step(execution=frame.via, state=frame.state)
-                 for frame in stack[1:]]
-        steps.extend(Step(execution=frame.via, state=frame.state)
-                     for frame in extra)
-        execution, state = final
-        steps.append(Step(execution=execution, state=state))
-        path_states = [stack[0].state] + [frame.state for frame in stack[1:]]
         cycle_start = next(
-            index for index, path_state in enumerate(path_states)
-            if key(path_state) == cycle_key
+            index for index, frame in enumerate(stack)
+            if key(frame.state) == cycle_key
         )
-        return Counterexample(
-            initial_state=stack[0].state, steps=tuple(steps),
-            property_name=prop.name, cycle_start=cycle_start,
-        )
+        return _path_from_stack(graph, stack, final, prop.name, extra, cycle_start)
 
-    def stutter(stack: List[_Frame],
-                final: Optional[Tuple[Execution, GlobalState]]) -> Counterexample:
+    def stutter(stack: List[_Frame], final) -> Counterexample:
         """A terminal accepting state: a lasso with an empty cycle."""
-        steps = [Step(execution=frame.via, state=frame.state)
-                 for frame in stack[1:]]
-        if final is not None:
-            execution, state = final
-            steps.append(Step(execution=execution, state=state))
-        return Counterexample(
-            initial_state=stack[0].state, steps=tuple(steps),
-            property_name=prop.name, cycle_start=len(steps),
-        )
+        length = len(stack) - 1 + (final is not None)
+        return _path_from_stack(graph, stack, final, prop.name, cycle_start=length)
 
     def red_search(stack: List[_Frame]) -> Optional[Counterexample]:
         """Red DFS from the accepting seed at the top of the blue stack,
@@ -744,7 +700,7 @@ def ndfs_search(
         stack).  Red marks persist across seeds, keeping the nested search
         linear overall."""
         seed = stack[-1]
-        red_stack = [_Frame(state=seed.state, pending=expand(seed.state))]
+        red_stack = [_Frame(seed.state, pending=expand(seed.state))]
         while red_stack:
             if config.max_seconds is not None:
                 if time.perf_counter() - start_time > config.max_seconds:
@@ -755,7 +711,7 @@ def ndfs_search(
                 continue
             execution = frame.pending[frame.next_index]
             frame.next_index += 1
-            successor = engine.successor(frame.state, execution)
+            successor = successor_of(frame.state, execution)
             statistics.transitions_executed += 1
             skey = key(successor)
             if skey in cyan:
@@ -766,30 +722,17 @@ def ndfs_search(
             if skey not in discovered:
                 discovered.add(skey)
                 statistics.states_visited = len(discovered)
+            red.add(skey)
             if prunes(successor):
                 # Dead monitor: no accepting run continues through here.
-                red.add(skey)
                 continue
-            red.add(skey)
-            child = _Frame(state=successor, pending=expand(successor),
-                           via=execution)
-            red_stack.append(child)
+            red_stack.append(
+                _Frame(successor, execution, pending=expand(successor))
+            )
         red.add(key(seed.state))
         return None
 
-    def finish(verified: bool, is_complete: bool,
-               counterexample: Optional[Counterexample]) -> SearchOutcome:
-        statistics.elapsed_seconds = time.perf_counter() - start_time
-        if telemetry is not None:
-            telemetry.metrics.gauge(
-                "state_store_size", "visited states/fingerprints held"
-            ).set(len(discovered))
-            telemetry.metrics.gauge(
-                "ndfs_red_states", "states marked red by the nested search"
-            ).set(len(red))
-        return SearchOutcome(verified, is_complete, counterexample, statistics)
-
-    root = _Frame(state=initial, pending=expand(initial))
+    root = _Frame(initial, pending=expand(initial))
     stack: List[_Frame] = [root]
     if not root.pending and accepting(initial):
         emit(observer, "violation-found", states_visited=1, depth=0)
@@ -802,7 +745,7 @@ def ndfs_search(
         frame = stack[-1]
         if frame.next_index >= len(frame.pending):
             if accepting(frame.state):
-                with _maybe_span(telemetry, "red-phase", stack_depth=len(stack)):
+                with maybe_span(telemetry, "red-phase", stack_depth=len(stack)):
                     counterexample = red_search(stack)
                 if counterexample is not None:
                     emit(observer, "violation-found",
@@ -819,7 +762,7 @@ def ndfs_search(
         execution = frame.pending[frame.next_index]
         frame.next_index += 1
 
-        successor = engine.successor(frame.state, execution)
+        successor = successor_of(frame.state, execution)
         statistics.transitions_executed += 1
         skey = key(successor)
 
@@ -850,8 +793,7 @@ def ndfs_search(
             complete = False
             continue
 
-        child = _Frame(state=successor, pending=(), via=execution)
-        child.pending = expand(successor)
+        child = _Frame(successor, execution, pending=expand(successor))
         if not child.pending and accepting(successor):
             # Terminal state that never reached the goal: under
             # stutter-extension semantics the run loops here forever.

@@ -1,0 +1,273 @@
+"""The ``StateGraph`` seam between the search loops and a state representation.
+
+The paper's checker is *one* stateful DFS that stays the same while the
+transition semantics and the reduction vary underneath it.  This module is
+that boundary: a :class:`StateGraph` answers everything a search loop asks
+of a state — what is enabled, where an execution leads, what identifies the
+state, whether a property holds in it, how it reads as an object-graph
+:class:`~repro.mp.state.GlobalState` — and the loops in
+:mod:`repro.checker.search` (and the walker in :mod:`repro.swarm.search`)
+are written once over it.
+
+Two graphs ship:
+
+* :class:`ObjectGraph` over the interned-object
+  :class:`~repro.mp.semantics.SuccessorEngine` — states *are*
+  ``GlobalState`` objects, so ``decode`` / ``encode`` / ``execution_of`` /
+  ``exact_key`` are the identity;
+* :class:`PackedGraph` over the table-compiled
+  :class:`~repro.fastpath.compiler.FastSuccessorEngine` — states are packed
+  word tuples, materialised as objects only for property-memo misses, the
+  reducer bridge and counterexamples.
+
+Both produce enabled executions in the same deterministic order, so an
+execution-index path (:func:`replay_path`) and a checkpoint mean the same
+thing on either.  The hot members (``enabled``, ``successor``, ``exact_key``,
+``fingerprint``) are plain attributes holding the engine's own bound methods
+or C-level item getters: a loop that binds them to locals pays no extra
+Python call per transition for going through the seam.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, List, Optional, Sequence, Tuple
+
+from ..engine.events import maybe_span
+from ..mp.protocol import Protocol
+from ..mp.semantics import SuccessorEngine
+from ..mp.state import GlobalState
+from ..mp.transition import Execution
+from .counterexample import Counterexample, Step
+from .statestore import make_state_store
+
+
+@dataclass
+class ReductionContext:
+    """Information a reducer may use when choosing the explored subset.
+
+    Attributes:
+        state: The state being expanded.
+        enabled: All enabled executions in ``state``.
+        protocol: The protocol under verification.
+        successor: Function computing the successor of an execution; results
+            are cached by the successor engine so calling it is cheap.
+        on_stack: True for states currently on the DFS stack; used for the
+            cycle (stack) proviso.
+        engine: The successor engine driving the search; reducers may
+            consult its enabled-execution and successor caches directly.
+    """
+
+    state: GlobalState
+    enabled: Tuple[Execution, ...]
+    protocol: Protocol
+    successor: Callable[[Execution], GlobalState]
+    on_stack: Callable[[GlobalState], bool]
+    engine: Optional[SuccessorEngine] = None
+
+
+#: A reducer maps a reduction context to the subset of executions to explore.
+Reducer = Callable[[ReductionContext], Tuple[Execution, ...]]
+
+
+def _identity(value):
+    return value
+
+
+class StateGraph:
+    """What a search loop needs from one state representation.
+
+    Attributes (bind them to locals in a hot loop):
+        protocol: The protocol under verification.
+        engine: The successor engine underneath.
+        initial: The initial state, in this graph's representation.
+        enabled: ``state -> tuple of executions``, deterministic order.
+        successor: ``(state, execution) -> state``.
+        exact_key: ``state -> hashable`` identifying the state exactly
+            (stack membership, exact stores, parent maps).
+        fingerprint: ``state -> int``; equal across graphs for equal states.
+        decode / encode: To and from the object-graph ``GlobalState``.
+        execution_of: This graph's execution as an object-graph
+            :class:`~repro.mp.transition.Execution`.
+    """
+
+    protocol: Protocol
+
+    def predicate(self, evaluate: Callable[[GlobalState], object],
+                  network_sensitive: bool = True) -> Callable[[object], object]:
+        """Lift an object-state predicate onto this graph's states.
+
+        ``network_sensitive=False`` promises ``evaluate`` reads process
+        states only, which lets a graph memoise verdicts per locals vector.
+        """
+        raise NotImplementedError
+
+    def invariant_checker(self, prop) -> Callable[[object], object]:
+        """``state -> prop.holds_in(state, protocol)`` over this graph."""
+        protocol = self.protocol
+        return self.predicate(
+            lambda state: prop.holds_in(state, protocol),
+            getattr(prop, "network_sensitive", True),
+        )
+
+    def make_store(self, kind: str, shards: int):
+        """A visited-state store (``add`` / ``len``) over this graph's states."""
+        raise NotImplementedError
+
+    def make_reduce(self, reducer: Reducer, on_stack: set):
+        """Adapt an object-graph reducer to ``reduce(state, enabled, memo)``.
+
+        ``on_stack`` is the loop's live set of ``exact_key`` values on the
+        DFS stack (the cycle proviso's input); ``memo`` is the expanding
+        frame's execution -> successor dict, filled with whatever the
+        reducer computes so the loop does not recompute it.
+        """
+        raise NotImplementedError
+
+    def record(self, telemetry) -> None:
+        """Record engine-specific end-of-run metrics (default: none)."""
+
+
+class ObjectGraph(StateGraph):
+    """The graph of interned ``GlobalState`` objects.
+
+    ``stateful`` picks the engine's memory model the way
+    :meth:`SuccessorEngine.for_search` does: a stateful search expands each
+    state once and gets a pass-through engine, a stateless search (or a
+    random walker) revisits constantly and gets the caching one, bounded by
+    ``cache_capacity``.
+    """
+
+    decode = encode = execution_of = exact_key = staticmethod(_identity)
+    fingerprint = staticmethod(GlobalState.fingerprint)
+    make_store = staticmethod(make_state_store)
+
+    def __init__(self, protocol: Protocol, engine: Optional[SuccessorEngine] = None,
+                 stateful: bool = True, cache_capacity: Optional[int] = None) -> None:
+        if engine is not None and engine.protocol is not protocol:
+            raise ValueError("successor engine was built for a different protocol")
+        self.protocol = protocol
+        self.engine = engine or SuccessorEngine.for_search(
+            protocol, stateful, max_cache_entries=cache_capacity
+        )
+        self.initial = self.engine.initial_state()
+        self.enabled = self.engine.enabled
+        self.successor = self.engine.successor
+
+    def predicate(self, evaluate, network_sensitive=True):
+        return evaluate
+
+    def make_reduce(self, reducer, on_stack):
+        engine, protocol = self.engine, self.protocol
+        is_on_stack = on_stack.__contains__
+
+        def reduce(state, enabled, memo):
+            # Per-frame successor memo: keeps the proviso-check ->
+            # expansion reuse without retaining every edge for the whole
+            # search (a stateful search's engine caches nothing).
+            def successor(execution):
+                cached = memo.get(execution)
+                if cached is None:
+                    cached = memo[execution] = engine.successor(state, execution)
+                return cached
+
+            return reducer(ReductionContext(
+                state=state, enabled=enabled, protocol=protocol,
+                successor=successor, on_stack=is_on_stack, engine=engine,
+            ))
+
+        return reduce
+
+
+class PackedGraph(StateGraph):
+    """The graph of packed word tuples (:mod:`repro.fastpath`).
+
+    Compiles the protocol under a ``compile`` span unless handed a
+    ``FastSuccessorEngine``; ``memo_capacity`` LRU-bounds the engine's memo
+    tables and every predicate memo alike.
+    """
+
+    exact_key = itemgetter(0)
+    fingerprint = itemgetter(3)
+
+    def __init__(self, protocol: Protocol, engine=None,
+                 memo_capacity: Optional[int] = None, telemetry=None) -> None:
+        # Imported lazily: repro.fastpath builds on the checker package.
+        from ..fastpath.compiler import FastSuccessorEngine
+
+        if engine is None:
+            with maybe_span(telemetry, "compile", protocol=protocol.name):
+                engine = FastSuccessorEngine(protocol, memo_capacity=memo_capacity)
+        elif not isinstance(engine, FastSuccessorEngine):
+            raise ValueError(
+                "the packed graph runs over a FastSuccessorEngine (or "
+                f"compiles its own); got {type(engine).__name__}"
+            )
+        elif engine.protocol is not protocol:
+            raise ValueError("fast successor engine was built for a different protocol")
+        self.protocol = protocol
+        self.engine = engine
+        self.memo_capacity = memo_capacity
+        self.initial = engine.initial_packed()
+        self.enabled = engine.enabled_packed
+        self.successor = engine.successor_packed
+        self.decode = engine.decode
+        self.encode = engine.encode
+        self.execution_of = engine.execution_of
+
+    def predicate(self, evaluate, network_sensitive=True):
+        from ..fastpath.search import _memoised_predicate
+
+        return _memoised_predicate(
+            self.engine, evaluate, network_sensitive, self.memo_capacity
+        )
+
+    def make_store(self, kind, shards):
+        from ..fastpath.search import _PackedStore
+
+        return _PackedStore(kind, shards)
+
+    def make_reduce(self, reducer, on_stack):
+        from ..fastpath.search import make_reduction_bridge, words_on_stack_factory
+
+        return make_reduction_bridge(
+            self.engine, self.protocol, reducer,
+            words_on_stack_factory(self.engine, on_stack),
+        )
+
+    def record(self, telemetry) -> None:
+        telemetry.record_fastpath(self.engine)
+
+
+def make_graph(protocol: Protocol, config, engine=None, telemetry=None,
+               stateful: bool = True) -> StateGraph:
+    """The graph ``config.successor_engine`` names, over ``engine`` if given."""
+    kind = config.successor_engine
+    if kind == "object":
+        return ObjectGraph(protocol, engine, stateful, config.engine_cache_capacity)
+    if kind == "fast":
+        return PackedGraph(protocol, engine, config.fastpath_memo_capacity, telemetry)
+    raise ValueError(
+        f"unknown successor_engine {kind!r} (expected 'object' or 'fast')"
+    )
+
+
+def replay_path(graph: StateGraph, path: Sequence[int],
+                property_name: str) -> Counterexample:
+    """Rebuild a counterexample from an execution-index path.
+
+    Every enabled set is recomputed in the graph's deterministic order —
+    the rebuild currency of the parallel engines, the random walkers and
+    the checkpoints — so nothing unpicklable ever has to be stored or
+    shipped, and a path that does not reproduce fails loudly here.
+    """
+    cursor = graph.initial
+    steps: List[Step] = []
+    for index in path:
+        execution = graph.enabled(cursor)[index]
+        cursor = graph.successor(cursor, execution)
+        steps.append(Step(execution=graph.execution_of(execution),
+                          state=graph.decode(cursor)))
+    return Counterexample(initial_state=graph.decode(graph.initial),
+                          steps=tuple(steps), property_name=property_name)

@@ -19,9 +19,6 @@ from .engines import (
     DporEngine,
     Engine,
     FastFrontierBfsEngine,
-    FastSerialBfsEngine,
-    FastSerialDfsEngine,
-    FastSerialNdfsEngine,
     FastWorkstealDfsEngine,
     FrontierBfsEngine,
     SerialBfsEngine,
@@ -71,9 +68,6 @@ __all__ = [
     "EngineEvent",
     "EngineRegistry",
     "FastFrontierBfsEngine",
-    "FastSerialBfsEngine",
-    "FastSerialDfsEngine",
-    "FastSerialNdfsEngine",
     "FastWorkstealDfsEngine",
     "FrontierBfsEngine",
     "GOALS",

@@ -119,7 +119,7 @@ class Engine:
 
 class SerialDfsEngine(Engine):
     """Single-process depth-first search, stateful or stateless, with or
-    without a stubborn-set reduction."""
+    without a stubborn-set reduction, over object or packed states."""
 
     name = "serial-dfs"
     description = "serial DFS; supports the stubborn-set reductions and stateless mode"
@@ -129,6 +129,7 @@ class SerialDfsEngine(Engine):
         backends=("serial",),
         stores=("full", "fingerprint", "sharded-fingerprint", "none"),
         statefulness=(True, False),
+        successor_modes=("object", "fast"),
         min_workers=1,
         max_workers=1,
         notes={
@@ -159,6 +160,7 @@ class SerialBfsEngine(Engine):
         backends=("serial",),
         stores=_STATEFUL_STORES,
         statefulness=(True,),
+        successor_modes=("object", "fast"),
         min_workers=1,
         max_workers=1,
         notes={
@@ -269,74 +271,6 @@ _FAST_NOTE = (
     "the packed fast path is an explicit opt-in (successors='fast'); "
     "verdicts and visited counts are identical to the object engine"
 )
-
-
-class FastSerialDfsEngine(Engine):
-    """Packed-state serial DFS (the table-compiled fast path)."""
-
-    name = "serial-dfs-fast"
-    description = ("packed serial DFS; table-compiled transitions, "
-                   "object-identical counts, several-fold faster per state")
-    capabilities = Capabilities(
-        shapes=("dfs",),
-        reductions=("none", "spor", "spor-net"),
-        backends=("serial",),
-        stores=("full", "fingerprint", "sharded-fingerprint", "none"),
-        statefulness=(True, False),
-        successor_modes=("fast",),
-        min_workers=1,
-        max_workers=1,
-        notes={
-            "successors": _FAST_NOTE,
-            "workers": "the packed serial DFS runs in-process; request the "
-            "worksteal backend (or backend='auto') for workers > 1",
-        },
-    )
-
-    def run(self, protocol, invariant, plan, observer=None, telemetry=None):
-        # Imported lazily: repro.fastpath builds on the checker package.
-        from ..fastpath.search import fast_dfs_search
-
-        return fast_dfs_search(
-            protocol,
-            invariant,
-            plan.search_config(),
-            reducer=make_reducer(protocol, plan),
-            observer=observer,
-            telemetry=telemetry,
-        )
-
-
-class FastSerialBfsEngine(Engine):
-    """Packed-state serial BFS (shortest counterexamples, fast path)."""
-
-    name = "serial-bfs-fast"
-    description = "packed serial BFS; stateful only, shortest counterexamples"
-    capabilities = Capabilities(
-        shapes=("bfs",),
-        reductions=("none",),
-        backends=("serial",),
-        stores=_STATEFUL_STORES,
-        statefulness=(True,),
-        successor_modes=("fast",),
-        min_workers=1,
-        max_workers=1,
-        notes={
-            "successors": _FAST_NOTE,
-            "reduction": "the stubborn-set cycle proviso needs a DFS stack, "
-            "so breadth-first search runs unreduced",
-            "stateful": "breadth-first search deduplicates per level and is "
-            "inherently stateful",
-        },
-    )
-
-    def run(self, protocol, invariant, plan, observer=None, telemetry=None):
-        from ..fastpath.search import fast_bfs_search
-
-        return fast_bfs_search(
-            protocol, invariant, plan.search_config(), observer=observer,
-            telemetry=telemetry
-        )
 
 
 class FastFrontierBfsEngine(Engine):
@@ -485,8 +419,8 @@ _NDFS_NOTES = {
 
 
 class SerialNdfsEngine(Engine):
-    """Nested-DFS acceptance-cycle detection over the object graph (CVWY
-    with Schwoon–Esparza early detection); lasso counterexamples."""
+    """Nested-DFS acceptance-cycle detection (CVWY with Schwoon–Esparza
+    early detection) over object or packed states; lasso counterexamples."""
 
     name = "serial-ndfs"
     description = ("serial nested DFS for liveness goals; lasso (stem + "
@@ -498,6 +432,7 @@ class SerialNdfsEngine(Engine):
         stores=_STATEFUL_STORES,
         goals=("liveness",),
         statefulness=(True,),
+        successor_modes=("object", "fast"),
         min_workers=1,
         max_workers=1,
         notes=_NDFS_NOTES,
@@ -505,36 +440,6 @@ class SerialNdfsEngine(Engine):
 
     def run(self, protocol, invariant, plan, observer=None, telemetry=None):
         return ndfs_search(
-            protocol, invariant, plan.search_config(), observer=observer,
-            telemetry=telemetry
-        )
-
-
-class FastSerialNdfsEngine(Engine):
-    """Fingerprint-native nested DFS over packed words; identical verdicts
-    and trace lengths to the object-graph nested DFS."""
-
-    name = "serial-ndfs-fast"
-    description = ("packed nested DFS for liveness goals; blue/red marks "
-                   "over packed keys, object-identical lassos")
-    capabilities = Capabilities(
-        shapes=("dfs",),
-        reductions=("none",),
-        backends=("serial",),
-        stores=_STATEFUL_STORES,
-        goals=("liveness",),
-        statefulness=(True,),
-        successor_modes=("fast",),
-        min_workers=1,
-        max_workers=1,
-        notes=dict(_NDFS_NOTES, successors=_FAST_NOTE),
-    )
-
-    def run(self, protocol, invariant, plan, observer=None, telemetry=None):
-        # Imported lazily: repro.fastpath builds on the checker package.
-        from ..fastpath.search import fast_ndfs_search
-
-        return fast_ndfs_search(
             protocol, invariant, plan.search_config(), observer=observer,
             telemetry=telemetry
         )
@@ -635,9 +540,12 @@ class ParallelSwarmEngine(Engine):
 def builtin_engines():
     """Fresh instances of every built-in engine, registration order.
 
-    The object-graph engines come first, the packed fast-path engines after
-    them; the ``successors`` axis keeps the two families disjoint, so the
-    order only affects which family's engine explains a near-miss.
+    The serial and sampling engines run one loop over either state graph
+    (``successor_modes=("object", "fast")``), so ``successors`` is not an
+    engine identity for them.  The parallel engines still come in an
+    object and a packed (``-fast``) flavour, disjoint on the ``successors``
+    axis; the object ones are registered first, which only affects which
+    flavour explains a near-miss.
     """
     return (
         SerialDfsEngine(),
@@ -646,11 +554,8 @@ def builtin_engines():
         WorkstealDfsEngine(),
         DporEngine(),
         SerialNdfsEngine(),
-        FastSerialDfsEngine(),
-        FastSerialBfsEngine(),
         FastFrontierBfsEngine(),
         FastWorkstealDfsEngine(),
-        FastSerialNdfsEngine(),
         SwarmEngine(),
         ParallelSwarmEngine(),
     )

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
@@ -289,3 +290,21 @@ def emit(observer: Optional[Observer], kind: str, **payload) -> None:
                 stacklevel=2,
             )
     observer.on_event(EngineEvent(kind=kind, payload=payload))
+
+
+def maybe_span(telemetry, name: str, **attrs):
+    """``telemetry.span(...)`` when telemetry is attached, else a no-op.
+
+    The span twin of :func:`emit`'s ``observer=None`` tolerance; keeps the
+    zero-overhead contract at call sites::
+
+        with maybe_span(telemetry, "compile", protocol=protocol.name):
+            engine = FastSuccessorEngine(protocol)
+
+    Defined here rather than in :mod:`repro.obs.telemetry` (which
+    re-exports it) because the search modules are imported while
+    :mod:`repro.obs` — which builds on this module — is still initialising.
+    """
+    if telemetry is None:
+        return nullcontext()
+    return telemetry.span(name, **attrs)

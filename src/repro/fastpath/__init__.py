@@ -3,7 +3,7 @@
 This package is the per-state-constant answer to the ROADMAP's "the
 per-state cost is the bottleneck again once search is parallel" item: a
 protocol *compiler* that runs once per check and lowers the object-graph
-model into table-driven form, plus search loops that operate on the lowered
+model into table-driven form, so searches can run on the lowered
 representation end to end.
 
 * :class:`FastSuccessorEngine` (:mod:`repro.fastpath.compiler`) interns
@@ -12,18 +12,24 @@ representation end to end.
   into memo tables over those ids, and maintains the PR-1 incremental XOR
   fingerprint directly over words — packed fingerprints are bit-identical
   to :meth:`repro.mp.state.GlobalState.fingerprint`.
-* :mod:`repro.fastpath.search` holds the serial fingerprint-native DFS/BFS
-  loops; object-graph states are materialised only for counterexample
-  replay, invariant-memo misses and the stubborn-set reducer bridge — never
-  on the hot successor path.
+* :mod:`repro.fastpath.search` holds no loop of its own: it supplies what
+  :class:`~repro.checker.stategraph.PackedGraph` is made of (the packed
+  store, the memoised property predicates, the stubborn-set reducer
+  bridge) and the ``fast_dfs_search`` / ``fast_bfs_search`` /
+  ``fast_ndfs_search`` entry points, which run the one serial loop of
+  :mod:`repro.checker.search` over that graph.  Object-graph states are
+  materialised only for counterexamples, property-memo misses and the
+  reducer bridge — never on the hot successor path.
 * :mod:`repro.fastpath.parallel` holds the parallel variants: a
   work-stealing DFS whose stolen frames are pure int-tuples (thieves replay
   the execution-index path through the warm memo tables) and a
   fingerprint-native frontier BFS whose level deltas are int 4-tuples.
 
-The engines are registered as ``serial-dfs-fast`` / ``serial-bfs-fast`` /
-``frontier-bfs-fast`` / ``worksteal-dfs-fast`` behind the plan layer's
-``successors="fast"`` axis (see :mod:`repro.engine.engines`).
+Behind the plan layer's ``successors="fast"`` axis the serial engines
+(``serial-dfs`` / ``serial-bfs`` / ``serial-ndfs``) and the swarm walkers
+pick the packed graph; only the parallel backends have engines of their
+own, ``frontier-bfs-fast`` / ``worksteal-dfs-fast`` (see
+:mod:`repro.engine.engines`).
 """
 
 from .compiler import FastSuccessorEngine, PackedState

@@ -39,12 +39,13 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..checker.counterexample import Counterexample, Step
+from ..checker.counterexample import Counterexample
 from ..checker.property import Invariant
 from ..checker.result import SearchStatistics
-from ..checker.search import Reducer, SearchConfig, SearchOutcome, _maybe_span
+from ..checker.search import Reducer, SearchConfig, SearchOutcome
+from ..checker.stategraph import PackedGraph, replay_path
 from ..checker.statestore import ShardedFingerprintStore, shard_of
-from ..engine.events import PROGRESS_INTERVAL, Observer, emit
+from ..engine.events import PROGRESS_INTERVAL, Observer, emit, maybe_span
 from ..mp.protocol import Protocol
 from ..parallel.bfs import default_mp_context
 from ..parallel.worker import collect_replies, shutdown_processes
@@ -111,25 +112,6 @@ class _FastLocalFrame:
         self.next_index = 0
         self.path = path
         self.successors: Dict[PackedExecution, PackedState] = {}
-
-
-def replay_counterexample(
-    engine: FastSuccessorEngine, invariant: Invariant, path: Tuple[int, ...]
-) -> Counterexample:
-    """Decode an execution-index path into a counterexample."""
-    cursor = engine.initial_packed()
-    initial = engine.decode(cursor)
-    steps: List[Step] = []
-    for index in path:
-        execution = engine.enabled_packed(cursor)[index]
-        cursor = engine.successor_packed(cursor, execution)
-        steps.append(
-            Step(execution=engine.execution_of(execution),
-                 state=engine.decode(cursor))
-        )
-    return Counterexample(
-        initial_state=initial, steps=tuple(steps), property_name=invariant.name
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -378,7 +360,7 @@ def fast_parallel_dfs_search(
 
     # Compile before forking so every worker inherits the warm tables.
     if engine is None:
-        with _maybe_span(telemetry, "compile", protocol=protocol.name):
+        with maybe_span(telemetry, "compile", protocol=protocol.name):
             engine = FastSuccessorEngine(
                 protocol, memo_capacity=config.fastpath_memo_capacity
             )
@@ -512,8 +494,10 @@ def fast_parallel_dfs_search(
             best = min(violations, key=lambda path: (len(path), path))
             emit(observer, "violation-found",
                  states_visited=statistics.states_visited, depth=len(best))
-            with _maybe_span(telemetry, "ce-replay", path_length=len(best)):
-                counterexample = replay_counterexample(engine, invariant, best)
+            with maybe_span(telemetry, "ce-replay", path_length=len(best)):
+                counterexample = replay_path(
+                    PackedGraph(protocol, engine), best, invariant.name
+                )
         if truncated or (not verified and config.stop_at_first_violation):
             complete = False
     finally:
@@ -666,7 +650,7 @@ def fast_parallel_bfs_search(
     start_time = time.perf_counter()
 
     if engine is None:
-        with _maybe_span(telemetry, "compile", protocol=protocol.name):
+        with maybe_span(telemetry, "compile", protocol=protocol.name):
             engine = FastSuccessorEngine(
                 protocol, memo_capacity=config.fastpath_memo_capacity
             )
@@ -712,7 +696,7 @@ def fast_parallel_bfs_search(
             path.append(exec_index)
             cursor = parent_fp
         path.reverse()
-        return replay_counterexample(engine, invariant, tuple(path))
+        return replay_path(PackedGraph(protocol, engine), path, invariant.name)
 
     verified = True
     complete = True

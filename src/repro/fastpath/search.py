@@ -1,46 +1,47 @@
-"""Serial fingerprint-native search loops over packed states.
+"""The packed side of the ``StateGraph`` seam, and its serial entry points.
 
-These mirror :func:`repro.checker.search.dfs_search` and
-:func:`~repro.checker.search.bfs_search` decision for decision — same
-statistics semantics, same budget handling, same observer events, same
-counterexamples — but the currency of the loop is the packed
-:data:`~repro.fastpath.compiler.PackedState` word tuple.  Object-graph
-states are materialised in exactly three places, all off the hot path:
+No search loop lives here: :func:`fast_dfs_search`, :func:`fast_bfs_search`
+and :func:`fast_ndfs_search` build a
+:class:`~repro.checker.stategraph.PackedGraph` and run the one loop of
+:mod:`repro.checker.search` over it — same statistics, budget handling,
+observer events, counterexamples and checkpoints as over object states, by
+construction.  What this module holds is what that graph is made of, the
+three places where object-graph states are materialised, all off the hot
+path:
 
-* **invariant evaluation misses** — verdicts of invariants declared
-  ``network_sensitive=False`` (all bundled properties) are memoised per
-  local-state word vector, which is tiny compared to the state count; a
-  network-sensitive invariant is evaluated per state via ``decode`` and
-  stays correct, just slower;
-* **the reducer bridge** — the stubborn-set reducers are object-graph
-  functions, so when a reduction is configured the expanded state and its
-  executions are decoded for the reducer's benefit while dedup, successor
-  application and hashing stay packed;
-* **counterexample replay** — only the violating path is decoded.
+* **property evaluation misses** (:func:`make_invariant_checker`) —
+  verdicts of properties declared ``network_sensitive=False`` (all bundled
+  ones) are memoised per local-state word vector, which is tiny compared to
+  the state count; a network-sensitive property is evaluated per state via
+  ``decode`` and stays correct, just slower;
+* **the reducer bridge** (:func:`make_reduction_bridge`) — the stubborn-set
+  reducers are object-graph functions, so when a reduction is configured
+  the expanded state and its executions are decoded for the reducer's
+  benefit; dedup, successor application and hashing stay packed;
+* **counterexamples** — only the violating path is decoded (by the loop,
+  through ``graph.decode``).
 
-Store semantics match the object engine's: ``"full"`` deduplicates exact
-packed words (interning is injective, so word equality is state equality),
-the fingerprint kinds deduplicate the packed fingerprint, which is
-bit-identical to ``GlobalState.fingerprint()``.
+Store semantics (:class:`_PackedStore`) match the object engine's:
+``"full"`` deduplicates exact packed words (interning is injective, so word
+equality is state equality), the fingerprint kinds deduplicate the packed
+fingerprint, which is bit-identical to ``GlobalState.fingerprint()``.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
-from ..checker.counterexample import Counterexample, Step
 from ..checker.property import Invariant
-from ..checker.result import SearchStatistics
 from ..checker.search import (
-    ReductionContext,
-    Reducer,
     SearchConfig,
     SearchOutcome,
-    _maybe_span,
+    run_bfs,
+    run_dfs,
+    run_ndfs,
 )
+from ..checker.stategraph import PackedGraph, ReductionContext, Reducer
 from ..checker.statestore import ShardedFingerprintStore
-from ..engine.events import PROGRESS_INTERVAL, Observer, emit
+from ..engine.events import Observer
 from ..mp.protocol import Protocol
 from ..mp.state import GlobalState
 from .compiler import FastSuccessorEngine, PackedExecution, PackedState
@@ -149,19 +150,6 @@ def make_invariant_checker(
     )
 
 
-class _FastFrame:
-    """One entry of the packed DFS stack."""
-
-    __slots__ = ("packed", "pending", "next_index", "via", "successors")
-
-    def __init__(self, packed: PackedState, via: Optional[PackedExecution]) -> None:
-        self.packed = packed
-        self.pending: Tuple[PackedExecution, ...] = ()
-        self.next_index = 0
-        self.via = via
-        self.successors: Dict[PackedExecution, PackedState] = {}
-
-
 def make_reduction_bridge(
     engine: FastSuccessorEngine,
     protocol: Protocol,
@@ -180,7 +168,7 @@ def make_reduction_bridge(
 
     ``make_on_stack`` builds the cycle-proviso predicate; it receives the
     bridge's decoded-state -> packed-words map (filled as the reducer asks
-    for successors) so word-exact callers can avoid re-encoding, while the
+    for successors) so word-exact callers can avoid re-encoding; the
     fingerprint-based work-stealing caller ignores it.
     """
 
@@ -242,30 +230,6 @@ def words_on_stack_factory(
     return make_on_stack
 
 
-def _path_from_stack(
-    engine: FastSuccessorEngine,
-    stack: List[_FastFrame],
-    final: Optional[Tuple[PackedExecution, PackedState]],
-    property_name: str,
-) -> Counterexample:
-    """Decode the violating path from the packed DFS stack."""
-    initial = engine.decode(stack[0].packed)
-    steps = []
-    for frame in stack[1:]:
-        steps.append(
-            Step(execution=engine.execution_of(frame.via),
-                 state=engine.decode(frame.packed))
-        )
-    if final is not None:
-        execution, packed = final
-        steps.append(
-            Step(execution=engine.execution_of(execution),
-                 state=engine.decode(packed))
-        )
-    return Counterexample(initial_state=initial, steps=tuple(steps),
-                          property_name=property_name)
-
-
 def fast_dfs_search(
     protocol: Protocol,
     invariant: Invariant,
@@ -275,147 +239,10 @@ def fast_dfs_search(
     engine: Optional[FastSuccessorEngine] = None,
     telemetry=None,
 ) -> SearchOutcome:
-    """Packed-state depth-first search; semantics of ``dfs_search`` exactly."""
+    """``dfs_search`` over the packed graph, whatever ``config.successor_engine`` says."""
     config = config or SearchConfig()
-    statistics = SearchStatistics()
-    start_time = time.perf_counter()
-
-    if engine is not None and engine.protocol is not protocol:
-        raise ValueError("fast successor engine was built for a different protocol")
-    if engine is None:
-        with _maybe_span(telemetry, "compile", protocol=protocol.name):
-            engine = FastSuccessorEngine(
-                protocol, memo_capacity=config.fastpath_memo_capacity
-            )
-    holds = make_invariant_checker(engine, invariant, protocol,
-                                   capacity=config.fastpath_memo_capacity)
-
-    def record_telemetry() -> None:
-        if telemetry is None:
-            return
-        telemetry.record_store(store)
-        telemetry.record_fastpath(engine)
-
-    store: Optional[_PackedStore] = None
-    if config.stateful:
-        store = _PackedStore(config.state_store, config.state_store_shards)
-
-    initial = engine.initial_packed()
-    if store is not None:
-        store.add(initial)
-    statistics.states_visited = 1
-
-    counterexample: Optional[Counterexample] = None
-    verified = True
-    complete = True
-    deadlock_states = 0
-
-    if not holds(initial):
-        counterexample = Counterexample(
-            initial_state=engine.decode(initial), steps=(),
-            property_name=invariant.name,
-        )
-        verified = False
-        emit(observer, "violation-found", states_visited=1, depth=0)
-        if config.stop_at_first_violation:
-            statistics.elapsed_seconds = time.perf_counter() - start_time
-            record_telemetry()
-            return SearchOutcome(False, False, counterexample, statistics)
-
-    on_stack_words: Set[Tuple[int, ...]] = {initial[0]}
-    bridge = None
-    if reducer is not None:
-        bridge = make_reduction_bridge(
-            engine, protocol, reducer,
-            words_on_stack_factory(engine, on_stack_words),
-        )
-
-    def expand(frame: _FastFrame) -> None:
-        nonlocal deadlock_states
-        enabled = engine.enabled_packed(frame.packed)
-        statistics.enabled_set_computations += 1
-        if config.check_deadlocks and not enabled:
-            deadlock_states += 1
-        if bridge is None or len(enabled) <= 1:
-            statistics.full_expansions += 1
-            frame.pending = enabled
-            return
-        reduced = bridge(frame.packed, enabled, frame.successors)
-        if len(reduced) < len(enabled):
-            statistics.reduced_expansions += 1
-        else:
-            statistics.full_expansions += 1
-        frame.pending = reduced
-
-    root = _FastFrame(initial, via=None)
-    expand(root)
-    stack: List[_FastFrame] = [root]
-
-    while stack:
-        if config.max_seconds is not None:
-            if time.perf_counter() - start_time > config.max_seconds:
-                complete = False
-                break
-        frame = stack[-1]
-        if frame.next_index >= len(frame.pending):
-            stack.pop()
-            on_stack_words.discard(frame.packed[0])
-            continue
-        execution = frame.pending[frame.next_index]
-        frame.next_index += 1
-
-        successor = frame.successors.get(execution)
-        if successor is None:
-            successor = engine.successor_packed(frame.packed, execution)
-        statistics.transitions_executed += 1
-
-        if store is not None:
-            if not store.add(successor):
-                statistics.revisits += 1
-                continue
-            statistics.states_visited = len(store)
-        else:
-            if successor[0] in on_stack_words:
-                statistics.revisits += 1
-                continue
-            statistics.states_visited += 1
-        if observer is not None and statistics.states_visited % PROGRESS_INTERVAL == 0:
-            emit(observer, "progress", states_visited=statistics.states_visited,
-                 transitions_executed=statistics.transitions_executed)
-
-        if not holds(successor):
-            verified = False
-            counterexample = _path_from_stack(
-                engine, stack, (execution, successor), invariant.name
-            )
-            emit(observer, "violation-found",
-                 states_visited=statistics.states_visited, depth=len(stack))
-            if config.stop_at_first_violation:
-                complete = False
-                break
-
-        if config.max_states is not None and statistics.states_visited >= config.max_states:
-            complete = False
-            break
-        if config.max_depth is not None and len(stack) > config.max_depth:
-            complete = False
-            continue
-
-        child = _FastFrame(successor, via=execution)
-        expand(child)
-        stack.append(child)
-        on_stack_words.add(successor[0])
-        statistics.max_depth = max(statistics.max_depth, len(stack) - 1)
-
-    statistics.elapsed_seconds = time.perf_counter() - start_time
-    record_telemetry()
-    return SearchOutcome(
-        verified=verified,
-        complete=complete and verified if config.stop_at_first_violation else complete,
-        counterexample=counterexample,
-        statistics=statistics,
-        deadlock_states=deadlock_states,
-    )
+    graph = PackedGraph(protocol, engine, config.fastpath_memo_capacity, telemetry)
+    return run_dfs(graph, invariant, config, reducer, observer, telemetry)
 
 
 def fast_bfs_search(
@@ -426,118 +253,10 @@ def fast_bfs_search(
     engine: Optional[FastSuccessorEngine] = None,
     telemetry=None,
 ) -> SearchOutcome:
-    """Packed-state breadth-first search; semantics of ``bfs_search`` exactly."""
+    """``bfs_search`` over the packed graph, whatever ``config.successor_engine`` says."""
     config = config or SearchConfig()
-    statistics = SearchStatistics()
-    start_time = time.perf_counter()
-
-    if engine is not None and engine.protocol is not protocol:
-        raise ValueError("fast successor engine was built for a different protocol")
-    if engine is None:
-        with _maybe_span(telemetry, "compile", protocol=protocol.name):
-            engine = FastSuccessorEngine(
-                protocol, memo_capacity=config.fastpath_memo_capacity
-            )
-    holds = make_invariant_checker(engine, invariant, protocol,
-                                   capacity=config.fastpath_memo_capacity)
-
-    initial = engine.initial_packed()
-    store = _PackedStore(config.state_store, config.state_store_shards)
-    store.add(initial)
-    statistics.states_visited = 1
-    peak_frontier = 1
-
-    def record_telemetry() -> None:
-        if telemetry is None:
-            return
-        telemetry.record_store(store)
-        telemetry.record_fastpath(engine)
-        telemetry.metrics.gauge(
-            "frontier_peak", "largest BFS frontier level"
-        ).set(peak_frontier)
-
-    #: words -> None (initial) or (parent packed, packed execution).
-    parents: Dict[Tuple[int, ...], Optional[Tuple[PackedState, PackedExecution]]] = {
-        initial[0]: None
-    }
-    counterexample: Optional[Counterexample] = None
-    verified = True
-    complete = True
-
-    def rebuild(packed: PackedState) -> Counterexample:
-        steps = []
-        cursor = packed
-        while parents[cursor[0]] is not None:
-            predecessor, execution = parents[cursor[0]]
-            steps.append(
-                Step(execution=engine.execution_of(execution),
-                     state=engine.decode(cursor))
-            )
-            cursor = predecessor
-        steps.reverse()
-        return Counterexample(initial_state=engine.decode(initial),
-                              steps=tuple(steps), property_name=invariant.name)
-
-    if not holds(initial):
-        emit(observer, "violation-found", states_visited=1, depth=0)
-        statistics.elapsed_seconds = time.perf_counter() - start_time
-        record_telemetry()
-        return SearchOutcome(False, False, rebuild(initial), statistics)
-
-    frontier = [initial]
-    depth = 0
-    while frontier:
-        if config.max_seconds is not None:
-            if time.perf_counter() - start_time > config.max_seconds:
-                complete = False
-                break
-        if config.max_depth is not None and depth >= config.max_depth:
-            complete = False
-            break
-        next_frontier = []
-        for packed in frontier:
-            enabled = engine.enabled_packed(packed)
-            statistics.enabled_set_computations += 1
-            statistics.full_expansions += 1
-            for execution in enabled:
-                successor = engine.successor_packed(packed, execution)
-                statistics.transitions_executed += 1
-                if not store.add(successor):
-                    statistics.revisits += 1
-                    continue
-                statistics.states_visited = len(store)
-                parents[successor[0]] = (packed, execution)
-                if not holds(successor):
-                    verified = False
-                    counterexample = rebuild(successor)
-                    emit(observer, "violation-found",
-                         states_visited=statistics.states_visited, depth=depth + 1)
-                    if config.stop_at_first_violation:
-                        statistics.elapsed_seconds = time.perf_counter() - start_time
-                        record_telemetry()
-                        return SearchOutcome(False, False, counterexample, statistics)
-                if config.max_states is not None and statistics.states_visited >= config.max_states:
-                    complete = False
-                    next_frontier = []
-                    statistics.max_depth = max(statistics.max_depth, depth + 1)
-                    break
-                next_frontier.append(successor)
-            else:
-                continue
-            break
-        frontier = next_frontier
-        peak_frontier = max(peak_frontier, len(frontier))
-        depth += 1
-        if frontier:
-            statistics.max_depth = max(statistics.max_depth, depth)
-            emit(observer, "level-completed", depth=depth,
-                 new_states=len(frontier),
-                 states_visited=statistics.states_visited)
-
-    statistics.elapsed_seconds = time.perf_counter() - start_time
-    record_telemetry()
-    return SearchOutcome(verified=verified, complete=complete,
-                         counterexample=counterexample, statistics=statistics)
+    graph = PackedGraph(protocol, engine, config.fastpath_memo_capacity, telemetry)
+    return run_bfs(graph, invariant, config, observer, telemetry)
 
 
 def fast_ndfs_search(
@@ -548,227 +267,7 @@ def fast_ndfs_search(
     engine: Optional[FastSuccessorEngine] = None,
     telemetry=None,
 ) -> SearchOutcome:
-    """Packed-state nested DFS; mirrors
-    :func:`repro.checker.search.ndfs_search` decision for decision.
-
-    The blue/cyan/red marks are kept over packed keys — exact word tuples
-    for the ``"full"`` store, fingerprints for the fingerprint kinds — and
-    only the violating lasso is decoded.  Verdicts, visited counts and
-    trace lengths are identical to the object-graph nested DFS.
-    """
+    """``ndfs_search`` over the packed graph, whatever ``config.successor_engine`` says."""
     config = config or SearchConfig()
-    if not config.stateful:
-        raise ValueError(
-            "nested DFS is stateful by construction (the blue/red marks "
-            "are the algorithm); config.stateful must be True"
-        )
-    if config.state_store not in ("full", "fingerprint", "sharded-fingerprint"):
-        raise ValueError(
-            f"nested DFS needs a real visited-state store, got "
-            f"state_store={config.state_store!r}"
-        )
-    statistics = SearchStatistics()
-    start_time = time.perf_counter()
-
-    if engine is not None and engine.protocol is not protocol:
-        raise ValueError("fast successor engine was built for a different protocol")
-    if engine is None:
-        with _maybe_span(telemetry, "compile", protocol=protocol.name):
-            engine = FastSuccessorEngine(
-                protocol, memo_capacity=config.fastpath_memo_capacity
-            )
-    network_sensitive = getattr(prop, "network_sensitive", True)
-    prunes = _memoised_predicate(
-        engine, lambda state: prop.prunes(state, protocol),
-        network_sensitive, config.fastpath_memo_capacity,
-    )
-    accepting = _memoised_predicate(
-        engine, lambda state: prop.accepting(state, protocol),
-        network_sensitive, config.fastpath_memo_capacity,
-    )
-
-    exact = config.state_store == "full"
-
-    def key(packed: PackedState):
-        return packed[0] if exact else packed[3]
-
-    def expand(packed: PackedState) -> Tuple[PackedExecution, ...]:
-        enabled = engine.enabled_packed(packed)
-        statistics.enabled_set_computations += 1
-        statistics.full_expansions += 1
-        return enabled
-
-    initial = engine.initial_packed()
-    discovered = {key(initial)}
-    statistics.states_visited = 1
-
-    if prunes(initial):
-        statistics.elapsed_seconds = time.perf_counter() - start_time
-        return SearchOutcome(True, True, None, statistics)
-
-    cyan = {key(initial)}
-    blue = set()
-    red = set()
-    complete = True
-
-    def lasso(stack: List[_FastFrame],
-              final: Tuple[PackedExecution, PackedState],
-              extra: List[_FastFrame], cycle_key) -> Counterexample:
-        steps = [
-            Step(execution=engine.execution_of(frame.via),
-                 state=engine.decode(frame.packed))
-            for frame in stack[1:]
-        ]
-        steps.extend(
-            Step(execution=engine.execution_of(frame.via),
-                 state=engine.decode(frame.packed))
-            for frame in extra
-        )
-        execution, packed = final
-        steps.append(Step(execution=engine.execution_of(execution),
-                          state=engine.decode(packed)))
-        path_packed = [stack[0].packed] + [frame.packed for frame in stack[1:]]
-        cycle_start = next(
-            index for index, entry in enumerate(path_packed)
-            if key(entry) == cycle_key
-        )
-        return Counterexample(
-            initial_state=engine.decode(stack[0].packed), steps=tuple(steps),
-            property_name=prop.name, cycle_start=cycle_start,
-        )
-
-    def stutter(stack: List[_FastFrame],
-                final: Optional[Tuple[PackedExecution, PackedState]]) -> Counterexample:
-        steps = [
-            Step(execution=engine.execution_of(frame.via),
-                 state=engine.decode(frame.packed))
-            for frame in stack[1:]
-        ]
-        if final is not None:
-            execution, packed = final
-            steps.append(Step(execution=engine.execution_of(execution),
-                              state=engine.decode(packed)))
-        return Counterexample(
-            initial_state=engine.decode(stack[0].packed), steps=tuple(steps),
-            property_name=prop.name, cycle_start=len(steps),
-        )
-
-    def red_search(stack: List[_FastFrame]) -> Optional[Counterexample]:
-        seed = stack[-1]
-        root = _FastFrame(seed.packed, via=None)
-        root.pending = expand(seed.packed)
-        red_stack = [root]
-        while red_stack:
-            if config.max_seconds is not None:
-                if time.perf_counter() - start_time > config.max_seconds:
-                    return None
-            frame = red_stack[-1]
-            if frame.next_index >= len(frame.pending):
-                red_stack.pop()
-                continue
-            execution = frame.pending[frame.next_index]
-            frame.next_index += 1
-            successor = engine.successor_packed(frame.packed, execution)
-            statistics.transitions_executed += 1
-            skey = key(successor)
-            if skey in cyan:
-                return lasso(stack, (execution, successor),
-                             red_stack[1:], skey)
-            if skey in red:
-                continue
-            if skey not in discovered:
-                discovered.add(skey)
-                statistics.states_visited = len(discovered)
-            if prunes(successor):
-                red.add(skey)
-                continue
-            red.add(skey)
-            child = _FastFrame(successor, via=execution)
-            child.pending = expand(successor)
-            red_stack.append(child)
-        red.add(key(seed.packed))
-        return None
-
-    def finish(verified: bool, is_complete: bool,
-               counterexample: Optional[Counterexample]) -> SearchOutcome:
-        statistics.elapsed_seconds = time.perf_counter() - start_time
-        if telemetry is not None:
-            telemetry.record_fastpath(engine)
-            telemetry.metrics.gauge(
-                "state_store_size", "visited states/fingerprints held"
-            ).set(len(discovered))
-            telemetry.metrics.gauge(
-                "ndfs_red_states", "states marked red by the nested search"
-            ).set(len(red))
-        return SearchOutcome(verified, is_complete, counterexample, statistics)
-
-    root = _FastFrame(initial, via=None)
-    root.pending = expand(initial)
-    stack: List[_FastFrame] = [root]
-    if not root.pending and accepting(initial):
-        emit(observer, "violation-found", states_visited=1, depth=0)
-        return finish(False, False, stutter(stack, None))
-
-    while stack:
-        if config.max_seconds is not None:
-            if time.perf_counter() - start_time > config.max_seconds:
-                return finish(True, False, None)
-        frame = stack[-1]
-        if frame.next_index >= len(frame.pending):
-            if accepting(frame.packed):
-                with _maybe_span(telemetry, "red-phase", stack_depth=len(stack)):
-                    counterexample = red_search(stack)
-                if counterexample is not None:
-                    emit(observer, "violation-found",
-                         states_visited=statistics.states_visited,
-                         depth=len(stack))
-                    return finish(False, False, counterexample)
-                if config.max_seconds is not None:
-                    if time.perf_counter() - start_time > config.max_seconds:
-                        return finish(True, False, None)
-            stack.pop()
-            cyan.discard(key(frame.packed))
-            blue.add(key(frame.packed))
-            continue
-        execution = frame.pending[frame.next_index]
-        frame.next_index += 1
-
-        successor = engine.successor_packed(frame.packed, execution)
-        statistics.transitions_executed += 1
-        skey = key(successor)
-
-        if skey in cyan and (accepting(frame.packed) or accepting(successor)):
-            emit(observer, "violation-found",
-                 states_visited=statistics.states_visited, depth=len(stack))
-            return finish(False, False,
-                          lasso(stack, (execution, successor), [], skey))
-        if skey in blue or skey in cyan:
-            statistics.revisits += 1
-            continue
-        if skey not in discovered:
-            discovered.add(skey)
-            statistics.states_visited = len(discovered)
-            if observer is not None and statistics.states_visited % PROGRESS_INTERVAL == 0:
-                emit(observer, "progress",
-                     states_visited=statistics.states_visited,
-                     transitions_executed=statistics.transitions_executed)
-        if prunes(successor):
-            blue.add(skey)
-            continue
-        if config.max_states is not None and statistics.states_visited >= config.max_states:
-            return finish(True, False, None)
-        if config.max_depth is not None and len(stack) > config.max_depth:
-            complete = False
-            continue
-
-        child = _FastFrame(successor, via=execution)
-        child.pending = expand(successor)
-        if not child.pending and accepting(successor):
-            emit(observer, "violation-found",
-                 states_visited=statistics.states_visited, depth=len(stack))
-            return finish(False, False, stutter(stack, (execution, successor)))
-        stack.append(child)
-        cyan.add(skey)
-        statistics.max_depth = max(statistics.max_depth, len(stack) - 1)
-
-    return finish(True, complete, None)
+    graph = PackedGraph(protocol, engine, config.fastpath_memo_capacity, telemetry)
+    return run_ndfs(graph, prop, config, observer, telemetry)

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import sys
 import time
-from contextlib import nullcontext
 from typing import Dict, Optional
 
+from ..engine.events import maybe_span
 from .metrics import MetricsRegistry
 from .spans import SpanTracer
 
@@ -200,16 +200,3 @@ class RunTelemetry:
         except ImportError:
             pass
         return report
-
-
-def maybe_span(telemetry: Optional[RunTelemetry], name: str, **attrs):
-    """``telemetry.span(...)`` when telemetry is attached, else a no-op.
-
-    Keeps the zero-overhead contract at call sites::
-
-        with maybe_span(telemetry, "compile", protocol=protocol.name):
-            engine = FastSuccessorEngine(protocol)
-    """
-    if telemetry is None:
-        return nullcontext()
-    return telemetry.span(name, **attrs)

@@ -65,7 +65,7 @@ import traceback
 import warnings
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..checker.counterexample import Counterexample, Step
+from ..checker.counterexample import Counterexample
 from ..checker.property import Invariant
 from ..checker.result import SearchStatistics
 from ..checker.search import (
@@ -73,11 +73,11 @@ from ..checker.search import (
     Reducer,
     SearchConfig,
     SearchOutcome,
-    _maybe_span,
     dfs_search,
 )
+from ..checker.stategraph import ObjectGraph, replay_path
 from ..checker.statestore import ShardedFingerprintStore
-from ..engine.events import PROGRESS_INTERVAL, Observer, emit
+from ..engine.events import PROGRESS_INTERVAL, Observer, emit, maybe_span
 from ..mp.protocol import Protocol
 from ..mp.semantics import SuccessorEngine
 from ..mp.state import GlobalState
@@ -343,28 +343,6 @@ def _worksteal_worker(
         result_queue.put(("error", worker_id, traceback.format_exc()))
 
 
-def _replay_counterexample(
-    protocol: Protocol, invariant: Invariant, path: Tuple[int, ...]
-) -> Counterexample:
-    """Rebuild a counterexample from an execution-index path.
-
-    Executions are recomputed from the deterministic enabled order in the
-    coordinator process — the same rebuild currency the frontier-parallel
-    BFS uses — so nothing unpicklable ever crossed a process boundary.
-    """
-    engine = SuccessorEngine.for_search(protocol, stateful=True)
-    cursor = engine.initial_state()
-    initial = cursor
-    steps: List[Step] = []
-    for index in path:
-        execution = engine.enabled(cursor)[index]
-        cursor = engine.successor(cursor, execution)
-        steps.append(Step(execution=execution, state=cursor))
-    return Counterexample(
-        initial_state=initial, steps=tuple(steps), property_name=invariant.name
-    )
-
-
 def parallel_dfs_search(
     protocol: Protocol,
     invariant: Invariant,
@@ -582,8 +560,10 @@ def parallel_dfs_search(
             best = min(violations, key=lambda path: (len(path), path))
             emit(observer, "violation-found",
                  states_visited=statistics.states_visited, depth=len(best))
-            with _maybe_span(telemetry, "ce-replay", path_length=len(best)):
-                counterexample = _replay_counterexample(protocol, invariant, best)
+            with maybe_span(telemetry, "ce-replay", path_length=len(best)):
+                counterexample = replay_path(
+                    ObjectGraph(protocol), best, invariant.name
+                )
         if truncated or (not verified and config.stop_at_first_violation):
             complete = False
     finally:

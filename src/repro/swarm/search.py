@@ -9,11 +9,14 @@ partition — worker ``w`` of ``W`` runs walks ``w, w+W, w+2W, ...`` — and
 finds exactly the violations the serial walker would, on exactly the same
 walk indices.
 
-Violations rebuild a first-class :class:`Counterexample` by replaying the
-exec-index path through the object successor engine (the same rebuild
-currency the parallel exhaustive engines use), so a swarm counterexample is
-verified by construction: the replay recomputes every enabled set and fails
-loudly if the path does not reproduce.
+The walker runs over the :class:`~repro.checker.stategraph.StateGraph`
+seam, so ``successors="object"`` and ``"fast"`` are the same code.
+Violations rebuild a first-class
+:class:`~repro.checker.counterexample.Counterexample` by replaying the
+exec-index path over the same graph (the rebuild currency the parallel
+exhaustive engines use), so a swarm counterexample is verified by
+construction: the replay recomputes every enabled set and fails loudly if
+the path does not reproduce.
 
 Honesty contract: a violation yields ``verified=False, complete=False``
 (conclusive "violated"); a clean exhausted budget yields ``verified=True,
@@ -28,12 +31,11 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..checker.counterexample import Counterexample, Step
 from ..checker.result import SearchStatistics
-from ..checker.search import SearchConfig, SearchOutcome, _maybe_span
-from ..engine.events import PROGRESS_INTERVAL, Observer, emit
+from ..checker.search import SearchConfig, SearchOutcome
+from ..checker.stategraph import StateGraph, make_graph, replay_path
+from ..engine.events import PROGRESS_INTERVAL, Observer, emit, maybe_span
 from ..mp.protocol import Protocol
-from ..mp.semantics import SuccessorEngine
 from ..checker.property import Invariant
 from .filter import SwarmFilter
 from .seeds import walk_rng
@@ -83,80 +85,15 @@ class SwarmOutcomeStats:
         return cls(**payload)
 
 
-class _ObjectWalkGraph:
-    """Walk adapter over the interned-object successor engine."""
-
-    def __init__(self, protocol: Protocol, invariant: Invariant,
-                 config: SearchConfig) -> None:
-        # Walks revisit states along every interleaving, which is exactly
-        # the access pattern the engine's caches exist for.
-        self.engine = SuccessorEngine.for_search(
-            protocol, stateful=False,
-            max_cache_entries=config.engine_cache_capacity,
-        )
-        self.protocol = protocol
-        self.invariant = invariant
-        self.initial = self.engine.initial_state()
-
-    def enabled(self, state):
-        return self.engine.enabled(state)
-
-    def step(self, state, execution):
-        return self.engine.successor(state, execution)
-
-    def fingerprint(self, state) -> int:
-        return state.fingerprint()
-
-    def holds(self, state) -> bool:
-        return self.invariant.holds_in(state, self.protocol)
-
-    def record_fastpath(self, telemetry) -> None:
-        pass
-
-
-class _FastWalkGraph:
-    """Walk adapter over the packed fast path (fingerprint-native)."""
-
-    def __init__(self, protocol: Protocol, invariant: Invariant,
-                 config: SearchConfig, telemetry=None) -> None:
-        from ..fastpath.compiler import FastSuccessorEngine
-        from ..fastpath.search import make_invariant_checker
-
-        with _maybe_span(telemetry, "compile", protocol=protocol.name):
-            self.engine = FastSuccessorEngine(
-                protocol, memo_capacity=config.fastpath_memo_capacity
-            )
-        self._holds = make_invariant_checker(
-            self.engine, invariant, protocol,
-            capacity=config.fastpath_memo_capacity,
-        )
-        self.initial = self.engine.initial_packed()
-
-    def enabled(self, packed):
-        return self.engine.enabled_packed(packed)
-
-    def step(self, packed, execution):
-        return self.engine.successor_packed(packed, execution)
-
-    def fingerprint(self, packed) -> int:
-        return self.engine.fingerprint(packed)
-
-    def holds(self, packed) -> bool:
-        return self._holds(packed)
-
-    def record_fastpath(self, telemetry) -> None:
-        telemetry.record_fastpath(self.engine)
-
-
-def _make_graph(protocol: Protocol, invariant: Invariant,
-                config: SearchConfig, telemetry=None):
-    if config.successor_engine == "fast":
-        return _FastWalkGraph(protocol, invariant, config, telemetry)
-    return _ObjectWalkGraph(protocol, invariant, config)
+def _walk_graph(protocol: Protocol, config: SearchConfig,
+                telemetry=None) -> StateGraph:
+    # Walks revisit states along every interleaving, which is exactly the
+    # access pattern the object engine's caches exist for: stateful=False.
+    return make_graph(protocol, config, telemetry=telemetry, stateful=False)
 
 
 def _run_one_walk(
-    graph, walk_index: int, walk_seed: int, max_depth: int,
+    graph: StateGraph, holds, walk_index: int, walk_seed: int, max_depth: int,
     visited: SwarmFilter, stats: SwarmOutcomeStats,
 ) -> Optional[Tuple[int, ...]]:
     """Walk ``walk_index``; the violating exec-index path, or ``None``.
@@ -174,39 +111,17 @@ def _run_one_walk(
             stats.dead_ends += 1
             break
         choice = rng.choose(len(enabled))
-        state = graph.step(state, enabled[choice])
+        state = graph.successor(state, enabled[choice])
         path.append(choice)
         stats.steps += 1
         if visited.add(graph.fingerprint(state)):
             stats.unique_fingerprints += 1
-        if not graph.holds(state):
+        if not holds(state):
             stats.deepest_walk = max(stats.deepest_walk, len(path))
             stats.violations += 1
             return tuple(path)
     stats.deepest_walk = max(stats.deepest_walk, len(path))
     return None
-
-
-def _replay_counterexample(
-    protocol: Protocol, invariant: Invariant, path: Tuple[int, ...]
-) -> Counterexample:
-    """Rebuild the counterexample from a walk's execution-index path.
-
-    Replayed through the object successor engine's deterministic enabled
-    order (index-interchangeable with the packed engine), so the result is
-    a first-class counterexample regardless of which walker found it.
-    """
-    engine = SuccessorEngine.for_search(protocol, stateful=True)
-    cursor = engine.initial_state()
-    initial = cursor
-    steps: List[Step] = []
-    for index in path:
-        execution = engine.enabled(cursor)[index]
-        cursor = engine.successor(cursor, execution)
-        steps.append(Step(execution=execution, state=cursor))
-    return Counterexample(
-        initial_state=initial, steps=tuple(steps), property_name=invariant.name
-    )
 
 
 def _statistics_of(stats: SwarmOutcomeStats, elapsed: float) -> SearchStatistics:
@@ -241,7 +156,7 @@ def _record_swarm_telemetry(telemetry, graph, stats: SwarmOutcomeStats,
         "swarm_unique_fingerprints",
         "Distinct-state estimate from the shared visited filter",
     ).set(stats.unique_fingerprints)
-    graph.record_fastpath(telemetry)
+    graph.record(telemetry)
 
 
 def _budget_exhausted(config: SearchConfig, stats: SwarmOutcomeStats,
@@ -265,25 +180,16 @@ def _emit_walk_progress(observer, stats: SwarmOutcomeStats) -> None:
 
 
 def _finish(
-    protocol, invariant, graph, stats, violation, observer, telemetry,
+    invariant, graph, stats, violation, observer, telemetry,
     start_time, incomplete_reason: Optional[str] = None,
 ) -> SearchOutcome:
     """Shared epilogue: replay, telemetry, honest outcome assembly."""
     counterexample = None
     if violation is not None:
         walk_index, path = violation
-        if path:
-            with _maybe_span(telemetry, "ce-replay", path_length=len(path),
-                             walk_index=walk_index):
-                counterexample = _replay_counterexample(protocol, invariant, path)
-        else:
-            counterexample = Counterexample(
-                initial_state=(
-                    graph.initial if isinstance(graph, _ObjectWalkGraph)
-                    else graph.engine.decode(graph.initial)
-                ),
-                steps=(), property_name=invariant.name,
-            )
+        with maybe_span(telemetry, "ce-replay", path_length=len(path),
+                        walk_index=walk_index):
+            counterexample = replay_path(graph, path, invariant.name)
     elapsed = time.perf_counter() - start_time
     _record_swarm_telemetry(telemetry, graph, stats, elapsed)
     # Never complete: sampling exhausted its budget, not the state space.
@@ -317,34 +223,36 @@ def swarm_search(
     max_depth = config.max_depth or 256
     start_time = time.perf_counter()
     stats = SwarmOutcomeStats()
-    graph = _make_graph(protocol, invariant, config, telemetry)
+    graph = _walk_graph(protocol, config, telemetry)
+    holds = graph.invariant_checker(invariant)
     visited = visited_filter or SwarmFilter()
 
     if visited.add(graph.fingerprint(graph.initial)):
         stats.unique_fingerprints += 1
-    if not graph.holds(graph.initial):
+    if not holds(graph.initial):
         stats.violations += 1
         emit(observer, "violation-found", states_visited=1, depth=0,
              walk_index=0)
-        return _finish(protocol, invariant, graph, stats, (0, ()),
-                       observer, telemetry, start_time)
+        return _finish(invariant, graph, stats, (0, ()), observer,
+                       telemetry, start_time)
 
     next_progress = PROGRESS_INTERVAL
     walk_index = 0
     while walk_index < walks:
         batch_end = min(walk_index + WALK_BATCH, walks)
-        with _maybe_span(telemetry, "walk-batch", batch_start=walk_index,
-                         batch_size=batch_end - walk_index):
+        with maybe_span(telemetry, "walk-batch", batch_start=walk_index,
+                        batch_size=batch_end - walk_index):
             while walk_index < batch_end:
                 path = _run_one_walk(
-                    graph, walk_index, walk_seed, max_depth, visited, stats
+                    graph, holds, walk_index, walk_seed, max_depth, visited,
+                    stats,
                 )
                 stats.walks_completed += 1
                 if path is not None:
                     emit(observer, "violation-found",
                          states_visited=stats.unique_fingerprints,
                          depth=len(path), walk_index=walk_index)
-                    return _finish(protocol, invariant, graph, stats,
+                    return _finish(invariant, graph, stats,
                                    (walk_index, path), observer, telemetry,
                                    start_time)
                 walk_index += 1
@@ -352,9 +260,9 @@ def swarm_search(
                     next_progress += PROGRESS_INTERVAL
                     _emit_walk_progress(observer, stats)
                 if _budget_exhausted(config, stats, start_time):
-                    return _finish(protocol, invariant, graph, stats, None,
+                    return _finish(invariant, graph, stats, None,
                                    observer, telemetry, start_time)
-    return _finish(protocol, invariant, graph, stats, None, observer,
+    return _finish(invariant, graph, stats, None, observer,
                    telemetry, start_time)
 
 
@@ -398,7 +306,8 @@ def _swarm_worker(
 
         hook = chaos_hook_for_worker(chaos, worker_id, workers)
         stats = SwarmOutcomeStats()
-        graph = _make_graph(protocol, invariant, config)
+        graph = _walk_graph(protocol, config)
+        holds = graph.invariant_checker(invariant)
         max_depth = config.max_depth or 256
         start_time = time.perf_counter()
         violations: List[Tuple[int, Tuple[int, ...]]] = []
@@ -420,7 +329,7 @@ def _swarm_worker(
             if hook is not None:
                 hook.on_command("walk")
             path = _run_one_walk(
-                graph, walk_index, walk_seed, max_depth, visited, stats
+                graph, holds, walk_index, walk_seed, max_depth, visited, stats
             )
             stats.walks_completed += 1
             unflushed += 1
@@ -498,17 +407,18 @@ def parallel_swarm_search(
         )
     start_time = time.perf_counter()
     stats = SwarmOutcomeStats()
-    graph = _make_graph(protocol, invariant, config, telemetry)
+    graph = _walk_graph(protocol, config, telemetry)
+    holds = graph.invariant_checker(invariant)
     visited = SwarmFilter.shared(context)
 
     if visited.add(graph.fingerprint(graph.initial)):
         stats.unique_fingerprints += 1
-    if not graph.holds(graph.initial):
+    if not holds(graph.initial):
         stats.violations += 1
         emit(observer, "violation-found", states_visited=1, depth=0,
              walk_index=0)
-        return _finish(protocol, invariant, graph, stats, (0, ()),
-                       observer, telemetry, start_time)
+        return _finish(invariant, graph, stats, (0, ()), observer,
+                       telemetry, start_time)
 
     stop_event = context.Event()
     best_violation = context.Value("l", walks)  # sentinel: no violation yet
@@ -530,8 +440,8 @@ def parallel_swarm_search(
         return process
 
     try:
-        with _maybe_span(telemetry, "walk-batch", batch_start=0,
-                         batch_size=walks, workers=workers):
+        with maybe_span(telemetry, "walk-batch", batch_start=0,
+                        batch_size=walks, workers=workers):
             for worker_id in range(workers):
                 processes.append(spawn(worker_id, config.chaos))
 
@@ -621,5 +531,5 @@ def parallel_swarm_search(
         shutdown_processes(processes, queues=[result_queue],
                            telemetry=telemetry)
 
-    return _finish(protocol, invariant, graph, stats, violation, observer,
+    return _finish(invariant, graph, stats, violation, observer,
                    telemetry, start_time, incomplete_reason=incomplete_reason)

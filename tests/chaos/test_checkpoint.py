@@ -5,7 +5,9 @@ that wrote it: resuming completes with the same verdict and the same
 visited/transition counts as the uninterrupted run — including resuming a
 parallel checkpoint at a *different* worker count, since states (not
 fingerprints) are serialised and the shard partition is recomputed at
-load time.
+load time — and, since the one BFS loop writes object states through the
+``StateGraph`` seam, over a *different state graph*: a checkpoint written
+by ``successors="fast"`` resumes under ``"object"`` and vice versa.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.checker.checkpoint import (
 from repro.checker.search import SearchConfig, bfs_search, dfs_search, ndfs_search
 from repro.engine.events import CollectingObserver
 from repro.parallel import parallel_bfs_search
-from repro.protocols.catalog import storage_entry
+from repro.protocols.catalog import paxos_entry, storage_entry
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -37,6 +39,21 @@ needs_fork = pytest.mark.skipif(
 def cell():
     entry = storage_entry(3, 1)
     return entry.single_model(), entry.invariant
+
+
+#: (writer, resumer) state graphs of the cross-graph resume tests.
+GRAPH_PAIRS = [
+    pytest.param(writer, resumer, id=f"{writer}-to-{resumer}")
+    for writer in ("object", "fast") for resumer in ("object", "fast")
+]
+
+#: Resume cells: (entry, model, checkpoint_every, pinned (states, transitions)
+#: of the uninterrupted run, or None to compare against the writer's run only).
+RESUME_CELLS = [
+    pytest.param(storage_entry(3, 1), "single", None, None, id="storage-3-1"),
+    pytest.param(paxos_entry(3, 2, 1), "quorum", 4, (3241, 8508),
+                 id="paxos-3-2-1-every-4"),
+]
 
 
 class TestCheckpointFiles:
@@ -113,14 +130,27 @@ class TestCheckpointFiles:
 
 
 class TestSerialResume:
-    def test_resume_from_every_checkpoint_matches(self, cell, tmp_path):
-        protocol, invariant = cell
+    @pytest.mark.parametrize("writer, resumer", GRAPH_PAIRS)
+    @pytest.mark.parametrize("entry, model, every, pinned", RESUME_CELLS)
+    def test_resume_from_every_checkpoint_matches(
+        self, entry, model, every, pinned, writer, resumer, tmp_path
+    ):
+        protocol = entry.quorum_model() if model == "quorum" else entry.single_model()
+        invariant = entry.invariant
         base = bfs_search(
-            protocol, invariant, SearchConfig(checkpoint_dir=str(tmp_path))
+            protocol, invariant,
+            SearchConfig(checkpoint_dir=str(tmp_path), checkpoint_every=every,
+                         successor_engine=writer),
         )
-        for path in sorted(tmp_path.iterdir()):
+        if pinned is not None:
+            assert (base.statistics.states_visited,
+                    base.statistics.transitions_executed) == pinned
+        checkpoints = sorted(tmp_path.iterdir())
+        assert checkpoints
+        for path in checkpoints:
             resumed = bfs_search(
-                protocol, invariant, SearchConfig(resume_from=str(path))
+                protocol, invariant,
+                SearchConfig(resume_from=str(path), successor_engine=resumer),
             )
             assert resumed.verified == base.verified
             assert resumed.complete
@@ -152,7 +182,9 @@ class TestSerialResume:
                 other, invariant, SearchConfig(resume_from=str(tmp_path))
             )
 
-    def test_truncated_run_resumes_to_completion(self, cell, tmp_path):
+    @pytest.mark.parametrize("writer, resumer", GRAPH_PAIRS)
+    def test_truncated_run_resumes_to_completion(self, cell, tmp_path,
+                                                 writer, resumer):
         # The kill→resume story in miniature: a budget-truncated run
         # stands in for a killed process (same on-disk state), and the
         # resumed run must land on the uninterrupted totals.
@@ -160,11 +192,13 @@ class TestSerialResume:
         base = bfs_search(protocol, invariant)
         truncated = bfs_search(
             protocol, invariant,
-            SearchConfig(checkpoint_dir=str(tmp_path), max_states=500),
+            SearchConfig(checkpoint_dir=str(tmp_path), max_states=500,
+                         successor_engine=writer),
         )
         assert truncated.complete is False
         resumed = bfs_search(
-            protocol, invariant, SearchConfig(resume_from=str(tmp_path))
+            protocol, invariant,
+            SearchConfig(resume_from=str(tmp_path), successor_engine=resumer),
         )
         assert resumed.complete
         assert resumed.statistics.states_visited == base.statistics.states_visited
@@ -194,10 +228,13 @@ class TestParallelResume:
                 == base.statistics.states_visited
             )
 
-    def test_serial_checkpoint_resumes_in_parallel_and_back(self, cell, tmp_path):
+    @pytest.mark.parametrize("writer", ["object", "fast"])
+    def test_serial_checkpoint_resumes_in_parallel_and_back(self, cell, tmp_path,
+                                                            writer):
         protocol, invariant = cell
         base = bfs_search(
-            protocol, invariant, SearchConfig(checkpoint_dir=str(tmp_path))
+            protocol, invariant,
+            SearchConfig(checkpoint_dir=str(tmp_path), successor_engine=writer),
         )
         middle = sorted(tmp_path.iterdir())[len(list(tmp_path.iterdir())) // 2]
         crossed = parallel_bfs_search(

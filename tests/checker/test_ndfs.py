@@ -25,6 +25,7 @@ from repro.engine.events import CollectingObserver
 from repro.fastpath.search import fast_ndfs_search
 from repro.mp import ActionContext, LporAnnotation, ProtocolBuilder, SendSpec
 from repro.mp.process import LocalState
+from repro.obs.telemetry import RunTelemetry
 
 pytestmark = pytest.mark.liveness
 
@@ -187,9 +188,16 @@ class TestNdfsVerdicts:
     @pytest.mark.parametrize("search", [ndfs_search, fast_ndfs_search])
     def test_goal_holding_initially_short_circuits(self, search):
         prop = Eventually(name="already", predicate=lambda state, protocol: True)
-        outcome = search(build_toggle(), prop)
+        telemetry = RunTelemetry()
+        outcome = search(build_toggle(), prop, telemetry=telemetry)
         assert outcome.verified
         assert outcome.statistics.states_visited == 1
+        # Regression: the trivial exit used to return before the end-of-run
+        # recorders, leaving this run's snapshot without its gauges.
+        metrics = telemetry.snapshot()["metrics"]
+        assert metrics["state_store_size"]["values"][0]["value"] == 1
+        assert metrics["ndfs_red_states"]["values"][0]["value"] == 0
+        assert ("fastpath_memo_misses" in metrics) == (search is fast_ndfs_search)
 
     @pytest.mark.parametrize("search", [ndfs_search, fast_ndfs_search])
     def test_terminal_accepting_state_is_a_stutter_violation(self, search, ping_pong):

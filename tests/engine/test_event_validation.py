@@ -90,7 +90,7 @@ class TestProgressPrinterRendering:
         # dropping the successors and goal axes added by later plans.
         output = self.render(
             "search-started",
-            engine="serial-ndfs-fast",
+            engine="serial-ndfs",
             protocol="crash-recovery-2-1",
             plan={
                 "shape": "dfs", "reduction": "none", "store": "fingerprint",
@@ -99,7 +99,7 @@ class TestProgressPrinterRendering:
             },
         )
         assert "dfs/none/fingerprint/serial/fast/liveness" in output
-        assert "[serial-ndfs-fast]" in output
+        assert "[serial-ndfs]" in output
         assert "crash-recovery-2-1" in output
 
     def test_search_started_appends_worker_multiplicity(self):

@@ -22,8 +22,7 @@ class TestRegistryBasics:
         assert names == [
             "serial-dfs", "serial-bfs", "frontier-bfs", "worksteal-dfs", "dpor",
             "serial-ndfs",
-            "serial-dfs-fast", "serial-bfs-fast", "frontier-bfs-fast",
-            "worksteal-dfs-fast", "serial-ndfs-fast",
+            "frontier-bfs-fast", "worksteal-dfs-fast",
             "swarm", "swarm-parallel",
         ]
 

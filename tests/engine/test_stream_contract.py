@@ -76,7 +76,6 @@ class TestStreamOrdering:
     @pytest.mark.parametrize("plan", ALL_FAMILY_PLANS)
     def test_progress_ticks_are_monotonic(self, plan, monkeypatch):
         monkeypatch.setattr("repro.checker.search.PROGRESS_INTERVAL", 8)
-        monkeypatch.setattr("repro.fastpath.search.PROGRESS_INTERVAL", 8)
         result, observer = run_with_stream(VERIFIED, plan)
         ticks = [e.payload["states_visited"] for e in observer.events
                  if e.kind == "progress"]

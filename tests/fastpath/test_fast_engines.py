@@ -1,4 +1,6 @@
-"""The fast engines behind the plan layer: resolution, downgrades, CLI."""
+"""The ``successors="fast"`` axis behind the plan layer: resolution,
+downgrades, CLI.  Serial plans run the one loop of the un-suffixed engine
+over the packed graph; only the parallel backends have ``-fast`` engines."""
 
 from __future__ import annotations
 
@@ -14,10 +16,10 @@ from repro.protocols.catalog import multicast_entry
 
 FORK = "fork" in multiprocessing.get_all_start_methods()
 
-FAST_NAMES = {
-    "serial-dfs-fast", "serial-bfs-fast", "frontier-bfs-fast",
-    "worksteal-dfs-fast",
-}
+#: Engines that run packed states only / either graph / objects only.
+FAST_NAMES = {"frontier-bfs-fast", "worksteal-dfs-fast"}
+SERIAL_NAMES = {"serial-dfs", "serial-bfs"}
+OBJECT_ONLY_NAMES = {"frontier-bfs", "worksteal-dfs", "dpor"}
 
 
 class TestResolution:
@@ -25,9 +27,10 @@ class TestResolution:
         assert SUCCESSOR_MODES == ("object", "fast")
 
     @pytest.mark.parametrize("plan,expected", [
-        (CheckPlan(successors="fast"), "serial-dfs-fast"),
-        (CheckPlan(successors="fast", reduction="spor"), "serial-dfs-fast"),
-        (CheckPlan(successors="fast", shape="bfs"), "serial-bfs-fast"),
+        (CheckPlan(successors="fast"), "serial-dfs"),
+        (CheckPlan(successors="fast", reduction="spor"), "serial-dfs"),
+        (CheckPlan(successors="fast", shape="bfs"), "serial-bfs"),
+        (CheckPlan(successors="fast", goal="liveness"), "serial-ndfs"),
         (
             CheckPlan(successors="fast", shape="bfs", workers=4,
                       store="fingerprint"),
@@ -43,6 +46,7 @@ class TestResolution:
         engine, resolved = default_registry().resolve(plan)
         assert engine.name == expected
         assert resolved.backend != "auto"
+        assert resolved.successors == "fast"
 
     def test_object_plans_never_reach_fast_engines(self):
         for engine, plan in default_registry().supported_plans():
@@ -54,9 +58,12 @@ class TestResolution:
             stores=("full", "fingerprint"),
             successor_modes=("fast",),
         )
-        names = {engine.name for engine, _plan in grid}
-        assert names
-        assert names <= FAST_NAMES
+        names = set()
+        for engine, plan in grid:
+            assert plan.successors == "fast"
+            names.add(engine.name)
+        assert names == FAST_NAMES | SERIAL_NAMES
+        assert not names & OBJECT_ONLY_NAMES
 
     def test_unknown_successor_mode_suggests_the_vocabulary(self):
         with pytest.raises(UnsupportedPlanError) as excinfo:
@@ -71,7 +78,7 @@ class TestResolution:
         # The structured alternative is runnable and names a real engine.
         assert isinstance(error.alternative, CheckPlan)
         engine, _ = default_registry().resolve(error.alternative)
-        assert engine.name in FAST_NAMES | {"dpor"}
+        assert engine.name in FAST_NAMES | SERIAL_NAMES | {"dpor"}
 
     def test_fast_frontier_full_store_alternative_keeps_fast(self):
         plan = CheckPlan(successors="fast", shape="bfs", workers=4,
@@ -92,7 +99,7 @@ class TestRunPlan:
                         CheckPlan())
         fast = run_plan(self.ENTRY.quorum_model(), self.ENTRY.invariant,
                         CheckPlan(successors="fast"))
-        assert fast.engine == "serial-dfs-fast"
+        assert fast.engine == slow.engine == "serial-dfs"
         assert fast.verified == slow.verified
         assert (
             fast.statistics.states_visited == slow.statistics.states_visited
@@ -116,8 +123,13 @@ class TestCli:
         stream = io.StringIO()
         assert main(["engines"], stream=stream) == 0
         output = stream.getvalue()
-        assert "serial-dfs-fast" in output
+        assert "worksteal-dfs-fast" in output
         assert "successors=fast" in output
+        rows = {line.split()[0]: line for line in output.splitlines()
+                if line and not line.startswith(" ")}
+        assert len(rows) == 10
+        for name in ("serial-dfs", "serial-bfs", "serial-ndfs"):
+            assert "successors=object|fast" in rows[name]
 
     def test_engines_plan_dry_run_resolves(self):
         stream = io.StringIO()
@@ -160,6 +172,7 @@ class TestLegacyShimCarriesTheFastPath:
     (regression: the shim must not silently downgrade to the object engine)."""
 
     def test_strategy_shim_resolves_to_the_fast_engine(self):
+        # "The fast engine" is the serial engine over the packed graph.
         from repro.checker import CheckerOptions, ModelChecker, SearchConfig, Strategy
 
         entry = multicast_entry(2, 1, 0, 1)
@@ -169,7 +182,7 @@ class TestLegacyShimCarriesTheFastPath:
         result = ModelChecker(
             entry.quorum_model(), entry.invariant, options
         ).run(Strategy.DFS)
-        assert result.engine == "serial-dfs-fast"
+        assert result.engine == "serial-dfs"
         assert result.plan.successors == "fast"
 
     def test_plan_for_strategy_maps_the_knob_to_the_axis(self):

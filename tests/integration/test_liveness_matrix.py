@@ -60,10 +60,14 @@ class TestEngineParity:
             assert slow.counterexample.cycle_start == fast.counterexample.cycle_start
             assert slow.counterexample.is_lasso
 
+    @pytest.mark.parametrize("successors", ["object", "fast"])
     @pytest.mark.parametrize("entry", CYCLIC_CELLS)
-    def test_liveness_plans_route_through_the_registry(self, entry):
+    def test_liveness_plans_route_through_the_registry(self, entry, successors):
         protocol = entry.quorum_model()
-        result = run_plan(protocol, entry.liveness, CheckPlan(goal="liveness"))
+        result = run_plan(protocol, entry.liveness,
+                          CheckPlan(goal="liveness", successors=successors))
+        assert result.engine == "serial-ndfs"
+        assert result.plan.successors == successors
         assert result.verified == (not entry.expect_liveness_violation)
 
 
@@ -180,7 +184,8 @@ class TestSupportedPlansGrid:
         ]
         assert liveness
         names = {engine.name for engine, _ in liveness}
-        assert names == {"serial-ndfs", "serial-ndfs-fast"}
+        assert names == {"serial-ndfs"}
+        assert {plan.successors for _, plan in liveness} == {"object", "fast"}
         for _, plan in liveness:
             assert plan.shape == "dfs"
             assert plan.reduction == "none"

@@ -241,14 +241,16 @@ class TestFastpathTwinConformance:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("entry", VERIFIED_CELLS)
     def test_fast_dfs_counts_identical_to_pinned_closure(self, entry, workers):
-        # workers=1 resolves to serial-dfs-fast, above to worksteal-dfs-fast.
+        # workers=1 resolves to serial-dfs (over the packed graph), above to
+        # worksteal-dfs-fast.
         result = run_plan(
             entry.quorum_model(), entry.invariant,
             CheckPlan(successors="fast", workers=workers),
         )
         assert result.engine == (
-            "serial-dfs-fast" if workers == 1 else "worksteal-dfs-fast"
+            "serial-dfs" if workers == 1 else "worksteal-dfs-fast"
         )
+        assert result.plan.successors == "fast"
         assert result.verified
         assert result.complete
         assert result.statistics.states_visited == EXPECTED_STATES[entry.key]
@@ -256,7 +258,7 @@ class TestFastpathTwinConformance:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("entry", VERIFIED_CELLS)
     def test_fast_bfs_counts_identical_to_pinned_closure(self, entry, workers):
-        # workers=1 resolves to serial-bfs-fast, above to frontier-bfs-fast
+        # workers=1 resolves to serial-bfs, above to frontier-bfs-fast
         # (fingerprint store — collision-free on these cells, so the
         # fingerprint closure equals the exact closure).
         result = run_plan(
@@ -265,8 +267,9 @@ class TestFastpathTwinConformance:
                       successors="fast", workers=workers),
         )
         assert result.engine == (
-            "serial-bfs-fast" if workers == 1 else "frontier-bfs-fast"
+            "serial-bfs" if workers == 1 else "frontier-bfs-fast"
         )
+        assert result.plan.successors == "fast"
         assert result.verified
         assert result.statistics.states_visited == EXPECTED_STATES[entry.key]
 

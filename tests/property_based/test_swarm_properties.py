@@ -20,18 +20,17 @@ from repro.protocols.multicast import (
     build_multicast_quorum,
 )
 from repro.swarm.filter import SwarmFilter
-from repro.swarm.search import SwarmOutcomeStats, _make_graph, _run_one_walk
+from repro.swarm.search import SwarmOutcomeStats, _run_one_walk, _walk_graph
 from repro.swarm.seeds import walk_stream_seed
 
 MAX_DEPTH = 64
 
 
 def make_graph(config, mode):
+    """The walker's ``(graph, holds)`` pair, built the way swarm_search does."""
     plan = CheckPlan(backend="swarm", successors=mode)
-    return _make_graph(
-        build_multicast_quorum(config), agreement_invariant(),
-        plan.search_config(),
-    )
+    graph = _walk_graph(build_multicast_quorum(config), plan.search_config())
+    return graph, graph.invariant_checker(agreement_invariant())
 
 
 # Graphs are built once: walks mutate only the filter and stats they are
@@ -50,7 +49,7 @@ def walk(graph, root_seed, walk_index, visited=None):
     stats = SwarmOutcomeStats()
     if visited is None:
         visited = SwarmFilter(bits_log2=14)
-    path = _run_one_walk(graph, walk_index, root_seed, MAX_DEPTH, visited, stats)
+    path = _run_one_walk(*graph, walk_index, root_seed, MAX_DEPTH, visited, stats)
     return path, stats.steps
 
 
