@@ -44,6 +44,7 @@ __all__ = [
     "bfs_search",
     "dfs_search",
     "ndfs_search",
+    "reject_checkpoint_knobs",
     "run_bfs",
     "run_dfs",
     "run_ndfs",
@@ -172,7 +173,7 @@ def _path_from_stack(graph: StateGraph, stack: List[_Frame], final,
                           property_name=property_name, cycle_start=cycle_start)
 
 
-def _reject_checkpoint_knobs(config: SearchConfig, engine_name: str) -> None:
+def reject_checkpoint_knobs(config: SearchConfig, engine_name: str) -> None:
     """Depth-first engines have no level barrier to serialise; reject the
     checkpoint knobs loudly instead of silently not checkpointing."""
     if config.checkpoint_dir is not None or config.resume_from is not None:
@@ -226,7 +227,7 @@ def run_dfs(
     telemetry=None,
 ) -> SearchOutcome:
     """The depth-first loop of :func:`dfs_search`, over any graph."""
-    _reject_checkpoint_knobs(config, "dfs_search")
+    reject_checkpoint_knobs(config, "dfs_search")
     statistics = SearchStatistics()
     start_time = time.perf_counter()
 
@@ -622,7 +623,7 @@ def run_ndfs(
     ``"full"`` store and ``graph.fingerprint`` for the fingerprint kinds;
     only the violating lasso is decoded.
     """
-    _reject_checkpoint_knobs(config, "ndfs_search")
+    reject_checkpoint_knobs(config, "ndfs_search")
     if not config.stateful:
         raise ValueError(
             "nested DFS is stateful by construction (the blue/red marks "

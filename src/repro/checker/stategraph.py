@@ -75,6 +75,14 @@ def _identity(value):
     return value
 
 
+def _fingerprint_in(fingerprints: set) -> Callable[[GlobalState], bool]:
+    """The cycle proviso's ``on_stack`` over a live set of fingerprints."""
+    def on_stack(state: GlobalState) -> bool:
+        return state.fingerprint() in fingerprints
+
+    return on_stack
+
+
 class StateGraph:
     """What a search loop needs from one state representation.
 
@@ -115,13 +123,17 @@ class StateGraph:
         """A visited-state store (``add`` / ``len``) over this graph's states."""
         raise NotImplementedError
 
-    def make_reduce(self, reducer: Reducer, on_stack: set):
+    def make_reduce(self, reducer: Reducer, on_stack: set,
+                    by_fingerprint: bool = False):
         """Adapt an object-graph reducer to ``reduce(state, enabled, memo)``.
 
         ``on_stack`` is the loop's live set of ``exact_key`` values on the
-        DFS stack (the cycle proviso's input); ``memo`` is the expanding
-        frame's execution -> successor dict, filled with whatever the
-        reducer computes so the loop does not recompute it.
+        DFS stack (the cycle proviso's input) — or, ``by_fingerprint``, of
+        fingerprints: the form a work-stealing worker can keep, its stack
+        being its own frames plus the stolen frame's ancestor
+        fingerprints.  ``memo`` is the expanding frame's execution ->
+        successor dict, filled with whatever the reducer computes so the
+        loop does not recompute it.
         """
         raise NotImplementedError
 
@@ -158,9 +170,9 @@ class ObjectGraph(StateGraph):
     def predicate(self, evaluate, network_sensitive=True):
         return evaluate
 
-    def make_reduce(self, reducer, on_stack):
+    def make_reduce(self, reducer, on_stack, by_fingerprint=False):
         engine, protocol = self.engine, self.protocol
-        is_on_stack = on_stack.__contains__
+        is_on_stack = _fingerprint_in(on_stack) if by_fingerprint else on_stack.__contains__
 
         def reduce(state, enabled, memo):
             # Per-frame successor memo: keeps the proviso-check ->
@@ -228,13 +240,17 @@ class PackedGraph(StateGraph):
 
         return _PackedStore(kind, shards)
 
-    def make_reduce(self, reducer, on_stack):
+    def make_reduce(self, reducer, on_stack, by_fingerprint=False):
         from ..fastpath.search import make_reduction_bridge, words_on_stack_factory
 
-        return make_reduction_bridge(
-            self.engine, self.protocol, reducer,
-            words_on_stack_factory(self.engine, on_stack),
-        )
+        if by_fingerprint:
+            is_on_stack = _fingerprint_in(on_stack)
+
+            def make_on_stack(_words_of):  # candidates arrive decoded
+                return is_on_stack
+        else:
+            make_on_stack = words_on_stack_factory(self.engine, on_stack)
+        return make_reduction_bridge(self.engine, self.protocol, reducer, make_on_stack)
 
     def record(self, telemetry) -> None:
         telemetry.record_fastpath(self.engine)

@@ -18,8 +18,6 @@ from .capabilities import REQUIREMENT_TOKENS, Capabilities, platform_requirement
 from .engines import (
     DporEngine,
     Engine,
-    FastFrontierBfsEngine,
-    FastWorkstealDfsEngine,
     FrontierBfsEngine,
     SerialBfsEngine,
     SerialDfsEngine,
@@ -67,8 +65,6 @@ __all__ = [
     "Engine",
     "EngineEvent",
     "EngineRegistry",
-    "FastFrontierBfsEngine",
-    "FastWorkstealDfsEngine",
     "FrontierBfsEngine",
     "GOALS",
     "MultiObserver",

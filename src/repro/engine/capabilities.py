@@ -67,9 +67,11 @@ class Capabilities:
             ``("liveness",)``.
         statefulness: Supported values of the ``stateful`` axis.
         successor_modes: Supported values of the ``successors`` axis; the
-            default keeps pre-existing engines object-graph-only, the fast
-            engines declare ``("fast",)``.  No engine family matches the
-            other's plans, so the successor choice is never downgraded.
+            default is object-graph-only, engines whose loop runs over a
+            :class:`~repro.checker.stategraph.StateGraph` declare
+            ``("object", "fast")``.  An engine that does not list the
+            requested mode never matches, so the successor choice is never
+            downgraded.
         min_workers / max_workers: Inclusive worker-count range
             (``max_workers=None`` means unbounded).
         requirements: Platform features the engine needs at run time

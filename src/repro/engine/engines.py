@@ -179,8 +179,9 @@ class SerialBfsEngine(Engine):
 
 
 class FrontierBfsEngine(Engine):
-    """Level-synchronous frontier-parallel BFS (PR 2): shard-owning workers,
-    visited counts exactly equal to serial BFS."""
+    """Level-synchronous frontier-parallel BFS: shard-owning workers, int
+    deltas, visited counts exactly equal to serial BFS, over object or
+    packed states."""
 
     name = "frontier-bfs"
     description = "frontier-parallel BFS; shard-owning workers, serial-exact counts"
@@ -190,6 +191,7 @@ class FrontierBfsEngine(Engine):
         backends=("frontier",),
         stores=_STATEFUL_STORES,
         statefulness=(True,),
+        successor_modes=("object", "fast"),
         min_workers=2,
         max_workers=None,
         requirements=("fork",),
@@ -216,8 +218,8 @@ class FrontierBfsEngine(Engine):
 
 
 class WorkstealDfsEngine(Engine):
-    """Work-stealing parallel DFS (PR 3): per-worker deques, a lock-striped
-    shared claim table, subtree donation."""
+    """Work-stealing parallel DFS: per-worker deques, a lock-striped shared
+    claim table, subtree donation, over object or packed states."""
 
     name = "worksteal-dfs"
     description = ("work-stealing parallel DFS; drives the stubborn-set "
@@ -228,6 +230,7 @@ class WorkstealDfsEngine(Engine):
         backends=("worksteal",),
         stores=_STATEFUL_STORES,
         statefulness=(True,),
+        successor_modes=("object", "fast"),
         min_workers=2,
         max_workers=None,
         requirements=("fork",),
@@ -256,111 +259,6 @@ class WorkstealDfsEngine(Engine):
         from ..parallel.dfs import parallel_dfs_search
 
         return parallel_dfs_search(
-            protocol,
-            invariant,
-            plan.search_config(),
-            workers=plan.workers,
-            reducer=make_reducer(protocol, plan),
-            observer=observer,
-            telemetry=telemetry,
-        )
-
-
-#: Shared phrasing for the fast engines' successor-axis note.
-_FAST_NOTE = (
-    "the packed fast path is an explicit opt-in (successors='fast'); "
-    "verdicts and visited counts are identical to the object engine"
-)
-
-
-class FastFrontierBfsEngine(Engine):
-    """Fingerprint-native frontier-parallel BFS: level deltas are int
-    4-tuples, packed children never cross a process boundary."""
-
-    name = "frontier-bfs-fast"
-    description = ("packed frontier-parallel BFS; int-tuple deltas, "
-                   "fingerprint stores only, serial-exact counts")
-    capabilities = Capabilities(
-        shapes=("bfs",),
-        reductions=("none",),
-        backends=("frontier",),
-        stores=("fingerprint", "sharded-fingerprint"),
-        statefulness=(True,),
-        successor_modes=("fast",),
-        min_workers=2,
-        max_workers=None,
-        requirements=("fork",),
-        notes={
-            "successors": _FAST_NOTE,
-            "store": "the packed frontier exchanges fingerprints, not "
-            "states, so the exact 'full' store has no fast analogue; use "
-            "the object frontier engine (successors='object') for "
-            "exact-store level-parallel BFS",
-            "reduction": "the stubborn-set cycle proviso needs a DFS stack, "
-            "so breadth-first search runs unreduced",
-            "workers": "one worker has no frontier to share; backend='auto' "
-            "picks the packed serial BFS instead",
-        },
-    )
-
-    def run(self, protocol, invariant, plan, observer=None, telemetry=None):
-        # Imported lazily: repro.fastpath builds on the checker package.
-        from ..fastpath.parallel import fast_parallel_bfs_search
-
-        return fast_parallel_bfs_search(
-            protocol,
-            invariant,
-            plan.search_config(),
-            workers=plan.workers,
-            observer=observer,
-            telemetry=telemetry,
-        )
-
-
-class FastWorkstealDfsEngine(Engine):
-    """Packed work-stealing parallel DFS: stolen frames are pure
-    int-tuples (path + pending indices), thieves replay paths through the
-    warm memo tables."""
-
-    name = "worksteal-dfs-fast"
-    description = ("packed work-stealing DFS; int-tuple stolen frames, "
-                   "drives the stubborn-set reductions")
-    capabilities = Capabilities(
-        shapes=("dfs",),
-        reductions=("none", "spor", "spor-net"),
-        backends=("worksteal",),
-        stores=_STATEFUL_STORES,
-        statefulness=(True,),
-        successor_modes=("fast",),
-        min_workers=2,
-        max_workers=None,
-        requirements=("fork",),
-        notes={
-            "successors": _FAST_NOTE,
-            "store": "the shared claim table arbitrating worker expansions "
-            "is fingerprint-based regardless of the store kind (the exact "
-            "store has no shared-memory analogue), so store='full' keeps "
-            "the legacy semantics but carries the standard bit-state "
-            "collision trade-off; run workers=1 for exact-store dedup",
-            "stateful": "the work-stealing DFS deduplicates via a shared "
-            "claim table, which has no stateless mode; run stateless "
-            "searches with workers=1",
-            "reduction": "dynamic POR mutates backtrack sets up the serial "
-            "DFS stack, so its subtrees cannot be donated to other workers; "
-            "stubborn-set reductions are additionally refused on protocols "
-            "declaring cyclic_state_graph=True (the cross-worker ignoring "
-            "problem) — explore those unreduced or serially",
-            "workers": "one worker has nothing to steal from; backend='auto' "
-            "picks the packed serial DFS instead",
-        },
-    )
-
-    def run(self, protocol, invariant, plan, observer=None, telemetry=None):
-        _reject_cyclic_worksteal_reduction(protocol, plan)
-        # Imported lazily: repro.fastpath builds on the checker package.
-        from ..fastpath.parallel import fast_parallel_dfs_search
-
-        return fast_parallel_dfs_search(
             protocol,
             invariant,
             plan.search_config(),
@@ -540,12 +438,10 @@ class ParallelSwarmEngine(Engine):
 def builtin_engines():
     """Fresh instances of every built-in engine, registration order.
 
-    The serial and sampling engines run one loop over either state graph
-    (``successor_modes=("object", "fast")``), so ``successors`` is not an
-    engine identity for them.  The parallel engines still come in an
-    object and a packed (``-fast``) flavour, disjoint on the ``successors``
-    axis; the object ones are registered first, which only affects which
-    flavour explains a near-miss.
+    Every exhaustive search loop — serial, frontier, work-stealing — and
+    the samplers run over either state graph (``successor_modes=("object",
+    "fast")``), so ``successors`` is never an engine identity; only DPOR,
+    whose search is its own object-graph loop, is object-only.
     """
     return (
         SerialDfsEngine(),
@@ -554,8 +450,6 @@ def builtin_engines():
         WorkstealDfsEngine(),
         DporEngine(),
         SerialNdfsEngine(),
-        FastFrontierBfsEngine(),
-        FastWorkstealDfsEngine(),
         SwarmEngine(),
         ParallelSwarmEngine(),
     )

@@ -20,20 +20,17 @@ representation end to end.
   :mod:`repro.checker.search` over that graph.  Object-graph states are
   materialised only for counterexamples, property-memo misses and the
   reducer bridge — never on the hot successor path.
-* :mod:`repro.fastpath.parallel` holds the parallel variants: a
-  work-stealing DFS whose stolen frames are pure int-tuples (thieves replay
-  the execution-index path through the warm memo tables) and a
-  fingerprint-native frontier BFS whose level deltas are int 4-tuples.
 
-Behind the plan layer's ``successors="fast"`` axis the serial engines
-(``serial-dfs`` / ``serial-bfs`` / ``serial-ndfs``) and the swarm walkers
-pick the packed graph; only the parallel backends have engines of their
-own, ``frontier-bfs-fast`` / ``worksteal-dfs-fast`` (see
-:mod:`repro.engine.engines`).
+There is no parallel module: behind the plan layer's ``successors="fast"``
+axis every engine that has a loop — ``serial-dfs`` / ``serial-bfs`` /
+``serial-ndfs``, ``frontier-bfs`` / ``worksteal-dfs`` (:mod:`repro.parallel`)
+and the swarm walkers — runs that one loop over the packed graph.  The
+parallel loops never ship packed words: interned ids are handed out lazily,
+per process, so what crosses a process boundary is integers or
+``decode``d object-form states.
 """
 
 from .compiler import FastSuccessorEngine, PackedState
-from .parallel import fast_parallel_bfs_search, fast_parallel_dfs_search
 from .search import fast_bfs_search, fast_dfs_search
 
 __all__ = [
@@ -41,6 +38,4 @@ __all__ = [
     "PackedState",
     "fast_bfs_search",
     "fast_dfs_search",
-    "fast_parallel_bfs_search",
-    "fast_parallel_dfs_search",
 ]

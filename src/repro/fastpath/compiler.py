@@ -28,8 +28,11 @@ and replaces the per-state work with dictionary lookups on int keys:
 Enabled executions are produced in *exactly* the object engine's
 deterministic order (transition declaration order, candidates by message
 sort key, the same combination enumeration), so execution indices are
-interchangeable between the two engines — the parallel fast engines rely on
-this to ship pure int-tuples across process boundaries.
+interchangeable between the two engines — execution-index paths,
+checkpoints and the parallel loops' int deltas mean the same on either.
+The interned ids themselves are *not* portable: ``_intern_local`` /
+``_intern_message`` hand them out lazily, per process, so packed words must
+never cross a process boundary (ship ``decode``d states instead).
 """
 
 from __future__ import annotations
@@ -571,19 +574,6 @@ class FastSuccessorEngine:
             )
             self._exec_memo[execution] = cached
         return cached
-
-    def replay_path(self, path: Tuple[int, ...]) -> PackedState:
-        """Walk an execution-index path from the initial state.
-
-        The currency of the parallel fast engines: a frame or delta names
-        states by the indices (into the deterministic enabled orders) of
-        the executions reaching them, and any process replays the path
-        through its warm memo tables.
-        """
-        cursor = self.initial_packed()
-        for index in path:
-            cursor = self.successor_packed(cursor, self.enabled_packed(cursor)[index])
-        return cursor
 
     # Convenience mirrors of the object engine's API (tests, exploration).
     def initial_state(self) -> GlobalState:

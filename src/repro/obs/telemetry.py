@@ -174,7 +174,7 @@ class RunTelemetry:
 
     def record_worker(self, worker: int, stats: Dict) -> None:
         """Record one worker's final report as labelled series."""
-        for key in ("claimed", "transitions_executed", "revisits"):
+        for key in ("claimed", "expansions", "transitions_executed", "revisits"):
             if key in stats:
                 self.metrics.counter(
                     f"worker_{key}", f"per-worker {key.replace('_', ' ')}"

@@ -4,12 +4,12 @@ Three orthogonal axes of parallelism for the paper's sweep-shaped
 evaluation:
 
 * :func:`parallel_bfs_search` — one Table-I cell explored breadth-first by
-  several ``multiprocessing`` workers.  Each worker owns one shard of a
-  sharded fingerprint store (:mod:`repro.checker.statestore`), runs a local
-  :class:`~repro.mp.semantics.SuccessorEngine` over its share of the
-  frontier, and exchanges ``(fingerprint, serialized state)`` deltas at
-  level barriers, so the visited set — and therefore the visited-state
-  count — is exactly the serial breadth-first one.
+  several ``multiprocessing`` workers.  Each worker owns one shard of the
+  fingerprint partition (:func:`~repro.checker.statestore.shard_of`),
+  expands the states it discovered, and exchanges int deltas ``(source,
+  key, parent fingerprint, execution index, holds)`` at level barriers, so
+  the visited set — and therefore the visited-state count — is exactly the
+  serial breadth-first one.
 
 * :func:`parallel_dfs_search` — one cell explored depth-first by a
   work-stealing pool: each worker runs its own DFS, donates unexplored
@@ -17,6 +17,11 @@ evaluation:
   of the busiest victim; a lock-striped shared claim table arbitrates which
   worker expands a state.  This is the engine that parallelises the
   *reduced* (stubborn-set) searches, which have no levels to barrier on.
+
+Both loops are written once over the
+:class:`~repro.checker.stategraph.StateGraph` seam and run over object or
+packed states alike; on either graph only integers and object-form states
+ever cross a process boundary.
 
 * :func:`run_cells` — many independent Table-I cells farmed across a
   process pool.  Cells are described by picklable :class:`CellSpec` records

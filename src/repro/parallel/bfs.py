@@ -1,12 +1,29 @@
 """Frontier-parallel breadth-first search (the coordinator side).
 
 The search is level-synchronous: all workers expand their share of level
-*d* before any state of level *d+1* is expanded.  Within a level each
-worker owns one shard of the fingerprint partition and deduplicates exactly
-the successors routed to it, so the set of states discovered at every level
-— and therefore the visited-state count — is identical to the serial
+*d* before any state of level *d+1* is expanded.  It is written once, over
+the :class:`~repro.checker.stategraph.StateGraph` seam
+(``make_graph(protocol, config)``), so ``successors="fast"`` only swaps
+the graph the workers run over.  Within a level each worker owns one shard
+of the fingerprint partition and deduplicates exactly the keys routed to
+it, so the set of states discovered at every level — and therefore the
+visited-state count — is identical to the serial
 :func:`repro.checker.search.bfs_search` closure.  What parallelism changes
 is only *who* expands a state, never *whether* it is expanded.
+
+A level is three barriers.  *Expand*: every worker expands its frontier,
+keeps the children in its graph's own representation, and ships one int
+delta ``(source, key, parent fingerprint, execution index, holds)`` per
+transition, ``key`` being the child's fingerprint (its object-form state
+under ``store="full"``).  *Absorb*: the coordinator routes the deltas to
+their owner shards, which reply with the positions they accepted.
+*Adopt*: the accepted keys go back to the workers that discovered them and
+become their next frontier — a state never crosses a process boundary to
+be expanded, and expansion is not redistributed (on a narrow graph one
+worker may expand everything while the others only deduplicate).  The
+coordinator's only table is ``fingerprint -> (parent fingerprint,
+execution index)``; counterexamples come from
+:func:`~repro.checker.stategraph.replay_path`.
 
 Guarantees relative to serial BFS:
 
@@ -17,33 +34,36 @@ Guarantees relative to serial BFS:
   level barriers, so a run stopped mid-search may count the remainder of
   the level the serial search would have abandoned mid-way through.
 
-Fault tolerance: the coordinator supervises its pool.  A worker that dies
-without replying (SIGKILL, the OOM killer, an injected :mod:`repro.chaos`
-crash) is detected by the liveness poll inside
+Fault tolerance, on either graph: the coordinator supervises its pool.  A
+worker that dies without replying (SIGKILL, the OOM killer, an injected
+:mod:`repro.chaos` crash) is detected through its process sentinel inside
 :func:`~repro.parallel.worker.collect_replies`; under supervision (the
-default) the coordinator restarts it on a fresh queue, replays exactly the
-states the dead worker owned (every absorb reply carries them, so the
-level barrier doubles as the recovery log), re-issues the lost barrier
-command, and resumes the collection with the surviving workers' replies
-intact — visited and transition counts are provably identical to an
-uncrashed run because re-absorbing from the pre-barrier shard is the same
-deterministic computation.  With supervision off (or the restart budget
-exhausted) the crash surfaces as a structured
-:class:`~repro.parallel.worker.WorkerCrashError` and the search returns an
-honest incomplete outcome with partial statistics, never a hang or a bare
-traceback.
+default) the coordinator restarts it on a fresh queue and sends it the
+same ``restore`` message a checkpoint resume sends — its shard keys from
+the coordinator's table, its frontier as object-form states the
+coordinator rebuilds by replaying their paths over its own graph —
+re-issues the lost barrier command (the routed deltas of the open level
+are retained for exactly that), and resumes the collection with the
+surviving workers' replies intact.  Visited and transition counts are
+identical to an uncrashed run because every barrier is a deterministic
+function of the restored state.  (Under ``store="full"`` the rebuilt shard
+is exact up to a 64-bit fingerprint collision in the coordinator's table.)
+With supervision off (or the restart budget exhausted) the crash surfaces
+as a structured :class:`~repro.parallel.worker.WorkerCrashError` and the
+search returns an honest incomplete outcome with partial statistics, never
+a hang or a bare traceback.
 
 Checkpointing rides the same barrier: with ``config.checkpoint_dir`` set
-(and parent tracking on), the coordinator serialises the visited set,
-parent edges and frontier every ``config.checkpoint_every`` levels; a
-killed run resumes via ``config.resume_from`` with verdict and visited
-count identical to an uninterrupted run.
+— and only then — workers ship their adopted frontier to the coordinator
+in object form, and every ``config.checkpoint_every`` levels it writes the
+graph-neutral :mod:`repro.checker.checkpoint` file (object states +
+execution-index edges).  A killed run resumes via ``config.resume_from``,
+at any worker count and over either graph, with verdict and visited count
+identical to an uninterrupted run.
 
-The workers inherit the protocol via the ``fork`` start method (transition
-guards and actions are closures and never pickle); only global states and
-fingerprints cross process boundaries, using the compact pickling of
-:class:`repro.mp.state.GlobalState`.  On platforms without ``fork`` the
-function transparently falls back to the serial search.
+The workers inherit the graph via the ``fork`` start method (transition
+guards and actions are closures and never pickle).  On platforms without
+``fork`` the function transparently falls back to the serial search.
 """
 
 from __future__ import annotations
@@ -51,16 +71,16 @@ from __future__ import annotations
 import multiprocessing
 import time
 import warnings
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..checker.counterexample import Counterexample, Step
+from ..checker.counterexample import Counterexample
 from ..checker.property import Invariant
 from ..checker.result import SearchStatistics
 from ..checker.search import SearchConfig, SearchOutcome, bfs_search
+from ..checker.stategraph import make_graph, replay_path
 from ..checker.statestore import shard_of
 from ..engine.events import Observer, emit
 from ..mp.protocol import Protocol
-from ..mp.semantics import enabled_executions
 from ..mp.state import GlobalState
 from .worker import (
     WorkerCrashError,
@@ -93,7 +113,6 @@ def parallel_bfs_search(
     config: Optional[SearchConfig] = None,
     workers: int = 2,
     mp_context=None,
-    track_parents: bool = True,
     worker_timeout: Optional[float] = None,
     observer: Optional[Observer] = None,
     telemetry=None,
@@ -103,27 +122,22 @@ def parallel_bfs_search(
     Args:
         protocol: The protocol instance to explore.
         invariant: The invariant to check in every reachable state.
-        config: Search configuration; ``state_store == "full"`` dedups
-            shards by exact states, every other kind by fingerprints.  The
-            ``chaos`` / ``supervise`` / ``checkpoint_dir`` /
-            ``checkpoint_every`` / ``resume_from`` knobs drive the fault
-            tolerance documented in the module docstring.
+        config: Search configuration; ``successor_engine`` picks the state
+            graph, ``state_store == "full"`` dedups shards by exact states,
+            every other kind by fingerprints.  The ``chaos`` /
+            ``supervise`` / ``checkpoint_dir`` / ``checkpoint_every`` /
+            ``resume_from`` knobs drive the fault tolerance documented in
+            the module docstring.
         workers: Worker process count (= shard count).  ``workers <= 1``
             delegates to the serial :func:`bfs_search`.
         mp_context: Multiprocessing context; defaults to ``fork``.  Without
             a fork-capable platform the search falls back to serial.
-        track_parents: Keep the parent edge of every discovered state so a
-            violation can be rebuilt into a counterexample.  Disabling this
-            drops the coordinator-side state table — the memory profile then
-            matches the sharded fingerprint store — at the price of
-            ``counterexample=None`` on violations (and no checkpointing,
-            which needs that table).
         worker_timeout: Optional hard cap per level barrier.  By default the
             coordinator waits for as long as every worker process is alive
             (an arbitrarily long level is progress, not a hang; crashed
-            workers are detected by liveness polling), so large cells never
-            abort spuriously.  Prefer ``config.max_seconds`` for budgeting
-            the search as a whole.
+            workers are detected through their process sentinels), so large
+            cells never abort spuriously.  Prefer ``config.max_seconds`` for
+            budgeting the search as a whole.
         observer: Optional coordinator-side event observer; receives one
             ``level-completed`` event per level barrier (including the
             exchanged delta count), one ``worker-telemetry`` event per
@@ -133,8 +147,8 @@ def parallel_bfs_search(
             ``worker-crashed`` / ``worker-restarted`` /
             ``checkpoint-written``.
         telemetry: Optional :class:`~repro.obs.telemetry.RunTelemetry`;
-            receives frontier-peak and per-worker transition counters at
-            the end of the run, plus crash/restart counters.
+            receives frontier-peak and per-worker expansion/transition
+            counters at the end of the run, plus crash/restart counters.
 
     Returns:
         A :class:`SearchOutcome`, shaped exactly like the serial one.
@@ -153,51 +167,99 @@ def parallel_bfs_search(
         )
         return bfs_search(protocol, invariant, config, observer=observer,
                           telemetry=telemetry)
-    if config.checkpoint_dir is not None and not track_parents:
-        raise ValueError(
-            "checkpointing the frontier search requires track_parents=True: "
-            "the checkpoint serialises the coordinator's state table"
-        )
 
     statistics = SearchStatistics()
     start_time = time.perf_counter()
-    supervise = config.supervise
+    exact = config.state_store == "full"
+    checkpointing = config.checkpoint_dir is not None
 
-    initial = protocol.initial_state()
+    # Built before forking: every worker inherits the graph (and, packed,
+    # its compiled tables) instead of building its own.
+    graph = make_graph(protocol, config, telemetry=telemetry)
+    enabled_of, successor_of, decode = graph.enabled, graph.successor, graph.decode
+    initial = graph.initial
+    initial_fp = graph.fingerprint(initial)
 
-    resumed = None
+    #: fingerprint -> None (initial) or (parent fingerprint, exec index).
+    parents: Dict[int, Optional[Tuple[int, int]]] = {initial_fp: None}
+    #: Fingerprints of the frontier each worker holds.
+    frontier_fps: List[List[int]] = [[] for _ in range(workers)]
+    #: Every visited state in discovery order; kept only while checkpointing.
+    discovered: List[GlobalState] = []
+    #: fingerprint -> object-form state while a loaded checkpoint's states
+    #: are in hand (until they have been handed to the workers).
+    known: Optional[Dict[int, GlobalState]] = None
+
+    def object_states(fingerprints) -> List[GlobalState]:
+        """Object-form states of table entries: a loaded checkpoint's own,
+        else rebuilt over the coordinator's graph by replaying their paths
+        (a shared prefix is replayed once per call)."""
+        if known is not None:
+            return [known[fingerprint] for fingerprint in fingerprints]
+        states = {initial_fp: initial}
+        rebuilt = []
+        for cursor in fingerprints:
+            missing = []
+            while cursor not in states:
+                missing.append(cursor)
+                cursor = parents[cursor][0]
+            state = states[cursor]
+            while missing:
+                cursor = missing.pop()
+                state = states[cursor] = successor_of(
+                    state, enabled_of(state)[parents[cursor][1]]
+                )
+            rebuilt.append(decode(state))
+        return rebuilt
+
     if config.resume_from is not None:
         from ..checker.checkpoint import CheckpointError, load_checkpoint
 
-        if not track_parents:
-            raise ValueError(
-                "resuming the frontier search requires track_parents=True"
-            )
         resumed = load_checkpoint(config.resume_from)
-        if not resumed.states or resumed.states[0] != initial:
+        if not resumed.states or resumed.states[0] != decode(initial):
             raise CheckpointError(
                 f"cannot resume from {config.resume_from!r}: its initial "
                 "state does not match the protocol under check (was the "
                 "checkpoint written for a different model?)"
             )
-
-    if resumed is None:
+        # Fingerprints are recomputed here: they are per-process values, and
+        # equal across graphs, so the file fits any graph and worker count.
+        fingerprints = [state.fingerprint() for state in resumed.states]
+        known = dict(zip(fingerprints, resumed.states))
+        for fingerprint, edge in zip(fingerprints, resumed.edges):
+            if edge is not None:
+                parents[fingerprint] = (fingerprints[edge[0]], edge[1])
+        for index in resumed.frontier:
+            fingerprint = fingerprints[index]
+            frontier_fps[shard_of(fingerprint, workers)].append(fingerprint)
+        if checkpointing:
+            discovered = list(resumed.states)
+        statistics = resumed.statistics
+        statistics.states_visited = len(resumed.states)
+        depth = resumed.depth
+        start_time = time.perf_counter() - statistics.elapsed_seconds
+        del resumed
+    else:
         statistics.states_visited = 1
-        if not invariant.holds_in(initial, protocol):
+        if not graph.invariant_checker(invariant)(initial):
             emit(observer, "violation-found", states_visited=1, depth=0)
             statistics.elapsed_seconds = time.perf_counter() - start_time
             counterexample = Counterexample(
-                initial_state=initial, steps=(), property_name=invariant.name
+                initial_state=decode(initial), steps=(),
+                property_name=invariant.name,
             )
             return SearchOutcome(False, False, counterexample, statistics)
+        frontier_fps[shard_of(initial_fp, workers)].append(initial_fp)
+        if checkpointing:
+            discovered = [decode(initial)]
+        depth = 0
+    frontier_total = sum(map(len, frontier_fps))
 
-    exact = config.state_store == "full"
-    # Workers ship accepted-state records back whenever the coordinator
-    # needs them: for counterexamples (track_parents) or as the recovery
-    # log supervision replays into a restarted worker.
-    worker_records = track_parents or supervise
     task_queues = [context.Queue() for _ in range(workers)]
-    result_queue = context.Queue()
+    # No feeder thread on the reply side: a worker writes its reply itself,
+    # so a crash injected between two commands can never die holding the
+    # queue's write lock and wedge the survivors' replies behind it.
+    result_queue = context.SimpleQueue()
 
     def spawn_worker(worker_id: int, chaos: Optional[str]):
         process = context.Process(
@@ -205,10 +267,10 @@ def parallel_bfs_search(
             args=(
                 worker_id,
                 workers,
-                protocol,
+                graph,
                 invariant,
                 exact,
-                worker_records,
+                checkpointing,
                 task_queues[worker_id],
                 result_queue,
                 chaos,
@@ -218,82 +280,48 @@ def parallel_bfs_search(
         process.start()
         return process
 
-    parents = {} if track_parents else None
-    states_by_fp = {} if track_parents else None
-    # Per-worker recovery log: every state the worker's shard accepted, and
-    # its current local frontier.  Only the references are duplicated.
-    owned_states: List[List[GlobalState]] = [[] for _ in range(workers)]
-    worker_frontier: List[List[GlobalState]] = [[] for _ in range(workers)]
-
-    if resumed is not None:
-        states = resumed.states
-        fingerprints = [state.fingerprint() for state in states]
-        for index, edge in enumerate(resumed.edges):
-            if edge is None:
-                parents[fingerprints[index]] = None
-            else:
-                parent_index, exec_index = edge
-                parents[fingerprints[index]] = (fingerprints[parent_index], exec_index)
-            states_by_fp[fingerprints[index]] = states[index]
-        for index, state in enumerate(states):
-            owned_states[shard_of(fingerprints[index], workers)].append(state)
-        frontier_states = [states[index] for index in resumed.frontier]
-        for state in frontier_states:
-            worker_frontier[shard_of(state.fingerprint(), workers)].append(state)
-        statistics = resumed.statistics
-        statistics.states_visited = len(states)
-        depth = resumed.depth
-        frontier_total = len(frontier_states)
-        start_time = time.perf_counter() - statistics.elapsed_seconds
-    else:
-        if track_parents:
-            parents[initial.fingerprint()] = None
-            states_by_fp[initial.fingerprint()] = initial
-        owner = shard_of(initial.fingerprint(), workers)
-        owned_states[owner].append(initial)
-        worker_frontier[owner].append(initial)
-        depth = 0
-        frontier_total = 1
+    def restore(worker_id: int, expanded: bool = False) -> List[GlobalState]:
+        """Send ``worker_id`` its whole state as the table has it: the keys
+        of its shard and the frontier it holds, in object form."""
+        owned = [fp for fp in parents if shard_of(fp, workers) == worker_id]
+        frontier = object_states(frontier_fps[worker_id])
+        task_queues[worker_id].put((
+            "restore",
+            (object_states(owned) if exact else owned, frontier, expanded),
+        ))
+        return frontier
 
     def rebuild(violating_fp: int) -> Counterexample:
-        """Walk the parent chain back to the initial state.
-
-        Executions are not shipped across processes (transition closures do
-        not pickle); they are recomputed here from the deterministic enabled
-        order, which is identical in every process.
-        """
-        steps: List[Step] = []
+        """Replay the parent chain; executions never cross a process
+        boundary, the deterministic enabled order recomputes them."""
+        path: List[int] = []
         cursor = violating_fp
         while parents[cursor] is not None:
-            parent_fp, exec_index = parents[cursor]
-            parent_state = states_by_fp[parent_fp]
-            execution = enabled_executions(parent_state, protocol)[exec_index]
-            steps.append(Step(execution=execution, state=states_by_fp[cursor]))
-            cursor = parent_fp
-        steps.reverse()
-        return Counterexample(
-            initial_state=initial, steps=tuple(steps), property_name=invariant.name
-        )
+            cursor, exec_index = parents[cursor]
+            path.append(exec_index)
+        path.reverse()
+        return replay_path(graph, path, invariant.name)
 
     checkpoint_interval = max(1, config.checkpoint_every or 1)
 
-    def write_level_checkpoint(level_frontier: List[GlobalState]) -> None:
+    def write_level_checkpoint() -> None:
         from ..checker.checkpoint import Checkpoint, write_checkpoint
 
-        fps = list(states_by_fp.keys())
-        index_of = {fp: index for index, fp in enumerate(fps)}
+        index_of = {
+            state.fingerprint(): index for index, state in enumerate(discovered)
+        }
         edges = []
-        for fp in fps:
-            edge = parents[fp]
+        for state in discovered:
+            edge = parents[state.fingerprint()]
             edges.append(None if edge is None else (index_of[edge[0]], edge[1]))
         statistics.elapsed_seconds = time.perf_counter() - start_time
         path = write_checkpoint(
             Checkpoint(
                 depth=depth + 1,
                 statistics=statistics,
-                states=[states_by_fp[fp] for fp in fps],
+                states=discovered,
                 edges=edges,
-                frontier=[index_of[state.fingerprint()] for state in level_frontier],
+                frontier=[index_of[fp] for held in frontier_fps for fp in held],
                 meta={"property": invariant.name, "engine": "frontier-bfs",
                       "workers": workers},
             ),
@@ -314,12 +342,14 @@ def parallel_bfs_search(
 
     processes = [spawn_worker(worker_id, config.chaos) for worker_id in range(workers)]
 
-    def supervised_collect(phase: str, resend):
+    def supervised_collect(phase: str, recover):
         """Collect a barrier, restarting crashed workers under supervision.
 
-        ``resend(worker_id)`` re-enqueues the lost barrier command after the
-        restore; surviving workers' replies carry over between attempts via
-        the partial-reply list on the crash error.
+        ``recover(worker_id)`` restores the replacement to the state the
+        lost command found and re-enqueues that command — or returns the
+        reply itself when restoring already did the command's work;
+        surviving workers' replies carry over between attempts via the
+        partial-reply list on the crash error.
         """
         nonlocal restarts_used
         replies = None
@@ -336,7 +366,7 @@ def parallel_bfs_search(
                     if crash_counter is not None:
                         crash_counter.inc()
                 if (
-                    not supervise
+                    not config.supervise
                     or restarts_used + len(crash.workers) > MAX_WORKER_RESTARTS
                 ):
                     crash.attempts = restarts_used
@@ -352,15 +382,25 @@ def parallel_bfs_search(
                     # describes faults of the original incarnation, and
                     # re-arming it would crash every replacement too.
                     processes[worker_id] = spawn_worker(worker_id, None)
-                    task_queues[worker_id].put(
-                        ("restore",
-                         (owned_states[worker_id], worker_frontier[worker_id]))
-                    )
-                    resend(worker_id)
+                    replies[worker_id] = recover(worker_id)
                     emit(observer, "worker-restarted", worker=worker_id,
                          attempt=restarts_used)
                     if restart_counter is not None:
                         restart_counter.inc()
+
+    def redo_expand(worker_id: int) -> None:
+        restore(worker_id)
+        task_queues[worker_id].put(("expand", None))
+
+    def redo_absorb(worker_id: int) -> None:
+        # The dead worker held the children it had discovered this level.
+        restore(worker_id, expanded=True)
+        task_queues[worker_id].put(("absorb", routed[worker_id]))
+
+    def redo_adopt(worker_id: int):
+        # The table already holds the level: restoring *is* adopting.
+        frontier = restore(worker_id)
+        return (worker_id, frontier if checkpointing else None)
 
     verified = True
     complete = True
@@ -369,15 +409,9 @@ def parallel_bfs_search(
     peak_frontier = max(1, frontier_total)
     worker_totals = [[0, 0] for _ in range(workers)]  # expansions, transitions
     try:
-        if resumed is None:
-            for queue in task_queues:
-                queue.put(("seed", initial))
-        else:
-            for worker_id, queue in enumerate(task_queues):
-                queue.put(
-                    ("restore",
-                     (owned_states[worker_id], worker_frontier[worker_id]))
-                )
+        for worker_id in range(workers):
+            restore(worker_id)
+        known = None  # handed out; from here on states are rebuilt by replay
 
         while frontier_total:
             if config.max_seconds is not None:
@@ -388,12 +422,10 @@ def parallel_bfs_search(
                 complete = False
                 break
 
-            # Expand: every worker walks its local frontier.
+            # Expand: every worker walks the frontier it holds.
             for queue in task_queues:
                 queue.put(("expand", None))
-            expanded = supervised_collect(
-                "expanded", lambda worker_id: task_queues[worker_id].put(("expand", None))
-            )
+            expanded = supervised_collect("expanded", redo_expand)
             for reply_worker, outgoing, expansions, transitions in expanded:
                 statistics.enabled_set_computations += expansions
                 statistics.full_expansions += expansions
@@ -405,49 +437,42 @@ def parallel_bfs_search(
                     emit(observer, "worker-telemetry", worker=reply_worker,
                          expansions=totals[0], transitions_executed=totals[1])
 
-            # Exchange deltas: candidates routed to each owner shard, in
-            # worker-id order so the absorb order is deterministic.  The
-            # routed lists are retained for the level so a worker that
-            # crashes mid-absorb can be re-fed its exact candidates.
-            level_deltas = 0
+            # Absorb: deltas routed to each owner shard, in worker-id order
+            # so the absorb order is deterministic.  The routed lists are
+            # retained for the level, so a worker that crashes mid-absorb is
+            # re-fed its exact deltas, and the owners answer in positions.
+            # They send the two fingerprints along so that what the table
+            # keeps alive are integers of that small reply, not of the
+            # level-wide expanded replies, whose memory would otherwise
+            # stay pinned behind them (+8 % coordinator peak RSS).
             routed: List[list] = []
             for destination in range(workers):
-                candidates = []
+                deltas = []
                 for _worker_id, outgoing, _expansions, _transitions in expanded:
-                    candidates.extend(outgoing[destination])
-                level_deltas += len(candidates)
-                routed.append(candidates)
-                task_queues[destination].put(("absorb", candidates))
-            absorbed = supervised_collect(
-                "absorbed",
-                lambda worker_id: task_queues[worker_id].put(("absorb", routed[worker_id])),
-            )
+                    deltas.extend(outgoing[destination])
+                routed.append(deltas)
+                task_queues[destination].put(("absorb", deltas))
+            absorbed = supervised_collect("absorbed", redo_absorb)
 
             level_new = 0
-            level_frontier: List[GlobalState] = []
             level_violations: List[int] = []
-            for reply_worker, new_count, revisits, violations, new_records in absorbed:
-                level_new += new_count
+            adopted_keys: List[list] = [[] for _ in range(workers)]
+            for owner, accepted, revisits in absorbed:
+                level_new += len(accepted)
                 statistics.revisits += revisits
-                level_violations.extend(violations)
-                if new_records:
-                    accepted = [record[1] for record in new_records]
-                    if worker_records:
-                        owned_states[reply_worker].extend(accepted)
-                        worker_frontier[reply_worker] = accepted
-                        level_frontier.extend(accepted)
-                    if track_parents:
-                        for fingerprint, successor, parent_fp, exec_index in new_records:
-                            parents[fingerprint] = (parent_fp, exec_index)
-                            states_by_fp[fingerprint] = successor
-                elif worker_records:
-                    worker_frontier[reply_worker] = []
+                deltas = routed[owner]
+                for position, fingerprint, parent_fp in accepted:
+                    source, key, _parent_fp, exec_index, holds = deltas[position]
+                    parents[fingerprint] = (parent_fp, exec_index)
+                    adopted_keys[source].append(key if exact else fingerprint)
+                    if not holds:
+                        level_violations.append(fingerprint)
+            level_deltas = sum(map(len, routed))
             statistics.states_visited += level_new
 
             if level_violations:
                 verified = False
-                if track_parents:
-                    counterexample = rebuild(level_violations[0])
+                counterexample = rebuild(level_violations[0])
                 emit(observer, "violation-found",
                      states_visited=statistics.states_visited, depth=depth + 1)
                 if config.stop_at_first_violation:
@@ -463,6 +488,13 @@ def parallel_bfs_search(
                 break
 
             if level_new:
+                # Adopt: the accepted keys return to their discoverers.
+                frontier_fps = adopted_keys if not exact else [
+                    [key.fingerprint() for key in keys] for keys in adopted_keys
+                ]
+                for worker_id, keys in enumerate(adopted_keys):
+                    task_queues[worker_id].put(("adopt", keys))
+                adopted = supervised_collect("adopted", redo_adopt)
                 # Mirror the serial engine's stream: only levels the search
                 # carries forward are observable — a level that ends the run
                 # (violation stop, truncation) or discovers nothing is
@@ -471,11 +503,11 @@ def parallel_bfs_search(
                 emit(observer, "level-completed", depth=depth + 1,
                      new_states=level_new, deltas=level_deltas,
                      states_visited=statistics.states_visited)
-                if (
-                    config.checkpoint_dir is not None
-                    and (depth + 1) % checkpoint_interval == 0
-                ):
-                    write_level_checkpoint(level_frontier)
+                if checkpointing:
+                    for _worker_id, states in adopted:
+                        discovered.extend(states)
+                    if (depth + 1) % checkpoint_interval == 0:
+                        write_level_checkpoint()
             frontier_total = level_new
             peak_frontier = max(peak_frontier, frontier_total)
             depth += 1
@@ -495,19 +527,20 @@ def parallel_bfs_search(
                 queue.put(("stop", None))
             except Exception:  # pragma: no cover - queue already broken
                 pass
-        shutdown_processes(processes, queues=[result_queue] + task_queues,
-                           telemetry=telemetry)
+        shutdown_processes(processes, queues=task_queues, telemetry=telemetry)
+        result_queue.close()
 
     statistics.elapsed_seconds = time.perf_counter() - start_time
     if telemetry is not None:
         telemetry.metrics.gauge(
             "frontier_peak", "widest BFS level explored"
         ).set(peak_frontier)
-        if parents is not None:
-            telemetry.record_store(parents)
-        for worker_id, (_expansions, transitions) in enumerate(worker_totals):
-            telemetry.record_worker(worker_id,
-                                    {"transitions_executed": transitions})
+        telemetry.record_store(parents)
+        graph.record(telemetry)
+        for worker_id, (expansions, transitions) in enumerate(worker_totals):
+            telemetry.record_worker(worker_id, {
+                "expansions": expansions, "transitions_executed": transitions,
+            })
     return SearchOutcome(
         verified=verified,
         complete=complete,

@@ -52,10 +52,27 @@ Equivalence to the serial search:
   checker rejects ``workers > 1`` for DPOR with a diagnostic instead of
   silently degrading.
 
-Workers inherit the protocol (and the pre-built reducer) via the ``fork``
+The loop is written once, over the
+:class:`~repro.checker.stategraph.StateGraph` seam
+(``make_graph(protocol, config)``): the invariant check, the reducer
+adapter and its fingerprint-based cycle proviso all come from the graph, so
+``successors="fast"`` only swaps the representation a worker's private
+stack holds.  What crosses a process boundary is the same on either graph
+— integers (pending indices, the path, ancestor fingerprints) and the
+frame's state in *object form* (``graph.decode`` on donation,
+``graph.encode`` by the thief): packed words hold interned ids private to
+the process that interned them, and encoding a stolen state is cheaper
+than replaying its path.
+
+Workers inherit the graph (and the pre-built reducer) via the ``fork``
 start method — transition guards and actions are closures and never pickle.
 Platforms without ``fork`` transparently fall back to the serial search,
 mirroring :func:`~repro.parallel.bfs.parallel_bfs_search`.
+
+Not fault tolerant yet: ``config.chaos`` is *not* injected into these
+workers and a worker that dies fails the run (supervised recovery of a
+work-stealing pool is ROADMAP item 5); ``config.checkpoint_dir`` /
+``config.resume_from`` are rejected, as by every depth-first engine.
 """
 
 from __future__ import annotations
@@ -63,24 +80,22 @@ from __future__ import annotations
 import time
 import traceback
 import warnings
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..checker.counterexample import Counterexample
 from ..checker.property import Invariant
 from ..checker.result import SearchStatistics
 from ..checker.search import (
-    ReductionContext,
     Reducer,
     SearchConfig,
     SearchOutcome,
+    reject_checkpoint_knobs,
     dfs_search,
 )
-from ..checker.stategraph import ObjectGraph, replay_path
+from ..checker.stategraph import StateGraph, make_graph, replay_path
 from ..checker.statestore import ShardedFingerprintStore
 from ..engine.events import PROGRESS_INTERVAL, Observer, emit, maybe_span
 from ..mp.protocol import Protocol
-from ..mp.semantics import SuccessorEngine
-from ..mp.state import GlobalState
 from .bfs import default_mp_context
 from .worker import collect_replies, shutdown_processes
 from .worksteal import (
@@ -110,23 +125,24 @@ _STAT_KEYS = (
 
 
 class _LocalFrame:
-    """One entry of a worker's private DFS stack."""
+    """One entry of a worker's private DFS stack (``state`` is in the
+    graph's own representation; ``successors`` is the reducer's memo)."""
 
     __slots__ = ("state", "fingerprint", "enabled", "pending", "next_index", "path", "successors")
 
-    def __init__(self, state: GlobalState, fingerprint: int, path: Tuple[int, ...]) -> None:
+    def __init__(self, state, fingerprint: int, path: Tuple[int, ...]) -> None:
         self.state = state
         self.fingerprint = fingerprint
         self.enabled: Tuple = ()
         self.pending: Tuple[int, ...] = ()
         self.next_index = 0
         self.path = path
-        self.successors: Dict = {}
+        self.successors = None
 
 
 def _worksteal_worker(
     worker_id: int,
-    protocol: Protocol,
+    graph: StateGraph,
     invariant: Invariant,
     reducer: Optional[Reducer],
     config: SearchConfig,
@@ -149,7 +165,15 @@ def _worksteal_worker(
     flow the same batched way through ``channel``.
     """
     try:
-        engine = SuccessorEngine.for_search(protocol, stateful=True)
+        holds = graph.invariant_checker(invariant)
+        enabled_of, successor_of = graph.enabled, graph.successor
+        fingerprint_of = graph.fingerprint
+        # Cycle-proviso input: the running frame's ancestor fingerprints
+        # plus this worker's own stack — exactly the serial DFS stack.
+        on_stack: Set[int] = set()
+        reduce = None if reducer is None else graph.make_reduce(
+            reducer, on_stack, by_fingerprint=True
+        )
         # Local claim cache: fingerprints this worker has already routed
         # through the shared table (won or lost) are revisits, lock-free.
         seen = ShardedFingerprintStore(num_shards=8)
@@ -168,37 +192,19 @@ def _worksteal_worker(
                     stats["revisits"],
                 )
 
-        def expand(frame: _LocalFrame, ancestor_fps: frozenset, stack_fps: Set[int]) -> None:
+        def expand(frame: _LocalFrame) -> None:
             """Compute a fresh frame's (possibly reduced) pending indices."""
-            enabled = engine.enabled(frame.state)
+            enabled = enabled_of(frame.state)
             stats["enabled_set_computations"] += 1
             frame.enabled = enabled
             if config.check_deadlocks and not enabled:
                 stats["deadlock_states"] += 1
-            if reducer is None or len(enabled) <= 1:
+            if reduce is None or len(enabled) <= 1:
                 stats["full_expansions"] += 1
                 frame.pending = tuple(range(len(enabled)))
                 return
-
-            def successor_of(execution) -> GlobalState:
-                cached = frame.successors.get(execution)
-                if cached is None:
-                    cached = engine.successor(frame.state, execution)
-                    frame.successors[execution] = cached
-                return cached
-
-            context = ReductionContext(
-                state=frame.state,
-                enabled=enabled,
-                protocol=protocol,
-                successor=successor_of,
-                on_stack=lambda state: (
-                    state.fingerprint() in stack_fps
-                    or state.fingerprint() in ancestor_fps
-                ),
-                engine=engine,
-            )
-            reduced = reducer(context)
+            frame.successors = {}
+            reduced = reduce(frame.state, enabled, frame.successors)
             if len(reduced) < len(enabled):
                 stats["reduced_expansions"] += 1
             else:
@@ -238,7 +244,7 @@ def _worksteal_worker(
                 deques.publish(
                     worker_id,
                     StolenFrame(
-                        state=frame.state,
+                        state=graph.decode(frame.state),
                         pending=donated,
                         path=frame.path,
                         ancestors=ancestors,
@@ -248,20 +254,21 @@ def _worksteal_worker(
 
         def run_task(task: StolenFrame) -> None:
             nonlocal truncated, beats
-            ancestor_fps = frozenset(task.ancestors)
-            root = _LocalFrame(task.state, task.state.fingerprint(), task.path)
+            on_stack.clear()
+            on_stack.update(task.ancestors)
+            state = graph.encode(task.state)
+            root = _LocalFrame(state, fingerprint_of(state), task.path)
             stack = [root]
-            stack_fps: Set[int] = set()
             donate_floor = [0]
             if task.pending is None:
                 # The seed frame of the whole search: expand like serial.
-                expand(root, ancestor_fps, stack_fps)
+                expand(root)
             else:
                 # A donated frame: resume exactly the victim's pending set.
-                root.enabled = engine.enabled(root.state)
+                root.enabled = enabled_of(root.state)
                 stats["enabled_set_computations"] += 1
                 root.pending = task.pending
-            stack_fps.add(root.fingerprint)
+            on_stack.add(root.fingerprint)
 
             while stack:
                 if deques.stop.is_set():
@@ -278,17 +285,18 @@ def _worksteal_worker(
                 frame = stack[-1]
                 if frame.next_index >= len(frame.pending):
                     stack.pop()
-                    stack_fps.discard(frame.fingerprint)
+                    on_stack.discard(frame.fingerprint)
                     continue
                 index = frame.pending[frame.next_index]
                 frame.next_index += 1
                 execution = frame.enabled[index]
-                successor = frame.successors.get(execution)
+                memo = frame.successors
+                successor = memo.get(execution) if memo else None
                 if successor is None:
-                    successor = engine.successor(frame.state, execution)
+                    successor = successor_of(frame.state, execution)
                 stats["transitions_executed"] += 1
 
-                fingerprint = successor.fingerprint()
+                fingerprint = fingerprint_of(successor)
                 if seen.contains_fingerprint(fingerprint):
                     stats["revisits"] += 1
                     continue
@@ -299,7 +307,7 @@ def _worksteal_worker(
                 stats["claimed"] += 1
                 claims.increment()
 
-                if not invariant.holds_in(successor, protocol):
+                if not holds(successor):
                     violations.append(frame.path + (index,))
                     if config.stop_at_first_violation:
                         deques.stop.set()
@@ -313,9 +321,9 @@ def _worksteal_worker(
                     continue
 
                 child = _LocalFrame(successor, fingerprint, frame.path + (index,))
-                expand(child, ancestor_fps, stack_fps)
+                expand(child)
                 stack.append(child)
-                stack_fps.add(fingerprint)
+                on_stack.add(fingerprint)
                 if len(child.path) > stats["max_depth"]:
                     stats["max_depth"] = len(child.path)
 
@@ -361,9 +369,12 @@ def parallel_dfs_search(
     Args:
         protocol: The protocol instance to explore.
         invariant: The invariant to check in every claimed state.
-        config: Search configuration.  The parallel engine is always
-            stateful and deduplicates by fingerprint (``state_store`` is not
-            consulted; the exact-store option has no shared-memory analogue).
+        config: Search configuration; ``successor_engine`` picks the state
+            graph.  The parallel engine is always stateful and deduplicates
+            by fingerprint (``state_store`` is not consulted; the
+            exact-store option has no shared-memory analogue).  ``chaos``
+            is not injected here, and ``checkpoint_dir`` / ``resume_from``
+            raise :class:`ValueError` (see the module docstring).
         workers: Worker process count.  ``workers <= 1`` delegates to the
             serial :func:`~repro.checker.search.dfs_search` with the same
             reducer, so worker sweeps include an exact serial baseline.
@@ -398,6 +409,7 @@ def parallel_dfs_search(
         discovered violations.
     """
     config = config or SearchConfig()
+    reject_checkpoint_knobs(config, "parallel_dfs_search")
     if workers <= 1:
         return dfs_search(protocol, invariant, config, reducer=reducer,
                           observer=observer, telemetry=telemetry)
@@ -415,13 +427,18 @@ def parallel_dfs_search(
     statistics = SearchStatistics()
     start_time = time.perf_counter()
 
-    initial = protocol.initial_state()
+    # Built before forking: every worker inherits the graph (and, packed,
+    # its compiled tables) instead of building its own.
+    graph = make_graph(protocol, config, telemetry=telemetry)
+    initial = graph.initial
+    initial_fp = graph.fingerprint(initial)
     statistics.states_visited = 1
-    if not invariant.holds_in(initial, protocol):
+    if not graph.invariant_checker(invariant)(initial):
         emit(observer, "violation-found", states_visited=1, depth=0)
         statistics.elapsed_seconds = time.perf_counter() - start_time
         counterexample = Counterexample(
-            initial_state=initial, steps=(), property_name=invariant.name
+            initial_state=graph.decode(initial), steps=(),
+            property_name=invariant.name,
         )
         return SearchOutcome(False, False, counterexample, statistics)
 
@@ -432,7 +449,7 @@ def parallel_dfs_search(
             capacity = max(capacity, 4 * config.max_states)
     stripes = claim_stripes if claim_stripes is not None else max(16, 4 * workers)
     table = StripedClaimTable(capacity=capacity, stripes=stripes, mp_context=context)
-    table.add_fingerprint(initial.fingerprint())
+    table.add_fingerprint(initial_fp)
 
     verified = True
     complete = True
@@ -456,10 +473,10 @@ def parallel_dfs_search(
         deques.publish(
             0,
             StolenFrame(
-                state=initial,
+                state=graph.decode(initial),
                 pending=None,
                 path=(),
-                ancestors=(initial.fingerprint(),),
+                ancestors=(initial_fp,),
             ),
         )
         result_queue = context.Queue()
@@ -468,7 +485,7 @@ def parallel_dfs_search(
                 target=_worksteal_worker,
                 args=(
                     worker_id,
-                    protocol,
+                    graph,
                     invariant,
                     reducer,
                     config,
@@ -554,6 +571,7 @@ def parallel_dfs_search(
                 publishes=deques.publish_count(),
                 claim_table=table,
             )
+            graph.record(telemetry)
 
         if violations:
             verified = False
@@ -561,9 +579,7 @@ def parallel_dfs_search(
             emit(observer, "violation-found",
                  states_visited=statistics.states_visited, depth=len(best))
             with maybe_span(telemetry, "ce-replay", path_length=len(best)):
-                counterexample = replay_path(
-                    ObjectGraph(protocol), best, invariant.name
-                )
+                counterexample = replay_path(graph, best, invariant.name)
         if truncated or (not verified and config.stop_at_first_violation):
             complete = False
     finally:

@@ -1,34 +1,44 @@
 """Worker-process side of the frontier-parallel breadth-first search.
 
 One worker owns exactly one shard of the search's fingerprint partition
-(:func:`repro.checker.statestore.shard_of`): every global state whose
-fingerprint routes to shard *i* is deduplicated, stored and expanded by
-worker *i* and by nobody else.  Because ownership is a pure function of the
-fingerprint, no locks are needed — the only synchronisation is the level
-barrier at which candidate successors are exchanged.
+(:func:`repro.checker.statestore.shard_of`): every key routed to shard *i*
+is deduplicated by worker *i* and by nobody else.  Ownership governs
+*deduplication* only — the worker that discovered a state keeps it, in its
+graph's own representation, and expands it once the owner accepts its key.
+Because ownership is a pure function of the fingerprint, no locks are
+needed; the only synchronisation is the level barrier.
+
+One rule decides what crosses a process boundary, on either
+:class:`~repro.checker.stategraph.StateGraph`: integers (fingerprints,
+execution indices) or object-form states (``graph.decode`` out,
+``graph.encode`` in) — never a graph-native state.  Packed words hold
+lazily interned ids that are private to the process that interned them.
 
 The coordinator drives workers through a tiny command protocol (one command
 queue per worker, one shared result queue):
 
-``("seed", state)``
-    Start of the search.  The worker claims the initial state if it owns
-    its shard, making it the worker's level-0 frontier.
+``("restore", (shard_keys, frontier_states, expanded))``
+    Set the worker's whole state: the shard becomes ``shard_keys``, the
+    frontier the (object-form) ``frontier_states``; with ``expanded`` the
+    frontier is expanded again, silently, so the children it discovered
+    are held once more.  Starts every run (a fresh search is the restore
+    of a one-state table), every resume from a checkpoint, and every
+    restarted worker.  No reply — commands are processed in queue order,
+    so the next barrier command acknowledges it.
 ``("expand", None)``
-    Expand the local frontier with a local
-    :class:`~repro.mp.semantics.SuccessorEngine`: compute every enabled
-    execution and successor, evaluate the invariant, and reply with the
-    successors routed per destination shard (the *delta* of this level).
-``("absorb", candidates)``
-    Deduplicate the candidates routed to this worker's shard against the
-    owned fingerprint set; the newly added states become the next local
-    frontier.  Replies with the new/revisit counts and any violations.
-``("restore", (owned_states, frontier_states))``
-    Recovery/resume seeding: rebuild the shard set from ``owned_states``
-    and adopt ``frontier_states`` as the local frontier.  Sent to a
-    freshly restarted worker by the supervisor (replaying exactly the
-    states the dead worker had accepted) and to every worker when a run
-    resumes from a checkpoint.  No reply — commands are processed in
-    queue order, so the next barrier command acknowledges it.
+    Expand the frontier: keep every child, evaluate the invariant, and
+    reply with one delta ``(source, key, parent fingerprint, execution
+    index, holds)`` per transition, routed per owner shard.  ``key`` is
+    the child's fingerprint, or its object-form state when the shard
+    deduplicates exactly (``store="full"``).
+``("absorb", deltas)``
+    Deduplicate the deltas routed to this shard.  Replies with ``(position
+    in deltas, fingerprint, parent fingerprint)`` per accepted one and the
+    revisit count.
+``("adopt", keys)``
+    The owners accepted ``keys`` among this worker's children: they become
+    its next frontier, everything else it discovered is dropped.  Replies
+    with the new frontier in object form when the run checkpoints.
 ``("stop", None)``
     Terminate the worker loop.
 
@@ -36,8 +46,8 @@ All replies carry the worker id so the coordinator can collect one reply
 per worker per phase.  Any exception is reported as an ``("error", ...)``
 reply instead of silently killing the process.  A *hard* death — SIGKILL,
 the OOM killer, or an injected ``os._exit`` from :mod:`repro.chaos` —
-never reaches the error path; the coordinator detects it via liveness
-polling and gets a structured :class:`WorkerCrashError`.
+never reaches the error path; the coordinator sees the process sentinel
+fire and gets a structured :class:`WorkerCrashError`.
 """
 
 from __future__ import annotations
@@ -47,14 +57,12 @@ import traceback
 from typing import List, Optional, Sequence, Tuple
 
 from ..checker.property import Invariant
+from ..checker.stategraph import StateGraph
 from ..checker.statestore import shard_of
-from ..mp.protocol import Protocol
-from ..mp.semantics import SuccessorEngine
-from ..mp.state import GlobalState
 
-#: A candidate successor crossing the level barrier:
-#: ``(successor state, invariant holds, parent fingerprint, execution index)``.
-Candidate = Tuple[GlobalState, bool, int, int]
+#: A delta crossing the level barrier: ``(discovering worker, key, parent
+#: fingerprint, execution index, invariant holds)``.
+Delta = Tuple[int, object, int, int, bool]
 
 
 class WorkerCrashError(RuntimeError):
@@ -95,10 +103,10 @@ class WorkerCrashError(RuntimeError):
 def frontier_worker(
     worker_id: int,
     num_workers: int,
-    protocol: Protocol,
+    graph: StateGraph,
     invariant: Invariant,
     exact: bool,
-    track_parents: bool,
+    checkpointing: bool,
     task_queue,
     result_queue,
     chaos: Optional[str] = None,
@@ -108,13 +116,14 @@ def frontier_worker(
     Args:
         worker_id: Index of this worker; also the shard it owns.
         num_workers: Total worker count (= shard count of the partition).
-        protocol: The protocol under verification (inherited via ``fork``,
-            so transition closures never need to pickle).
+        graph: The state graph to explore, built by the coordinator and
+            inherited via ``fork`` (transition closures and compiled tables
+            never need to pickle).
         invariant: The invariant checked in every discovered state.
-        exact: Own the shard as a set of *states* (exact, mirrors the serial
-            full store) instead of a set of fingerprints.
-        track_parents: Include the successor state and its parent edge in
-            the absorb reply so the coordinator can rebuild counterexamples.
+        exact: Own the shard as a set of object-form *states* (exact,
+            mirrors the serial full store) instead of a set of fingerprints.
+        checkpointing: Reply to ``adopt`` with the new frontier in object
+            form, for the coordinator's checkpoint.
         task_queue: This worker's command queue.
         result_queue: The shared reply queue.
         chaos: Optional :class:`repro.chaos.FaultPlan` spec; falls back to
@@ -125,73 +134,72 @@ def frontier_worker(
         from ..chaos import chaos_hook_for_worker
 
         hook = chaos_hook_for_worker(chaos, worker_id, num_workers)
-        engine = SuccessorEngine.for_search(protocol, stateful=True)
-        shard = set()
-        local_frontier: List[GlobalState] = []
+        holds = graph.invariant_checker(invariant)
+        enabled_of, successor_of = graph.enabled, graph.successor
+        fingerprint, decode = graph.fingerprint, graph.decode
+        shard: set = set()
+        frontier: list = []
+        #: key -> child discovered this level, in the graph's representation.
+        children: dict = {}
+
+        def expand():
+            outgoing: List[List[Delta]] = [[] for _ in range(num_workers)]
+            children.clear()
+            transitions = 0
+            for state in frontier:
+                parent_fp = fingerprint(state)
+                for index, execution in enumerate(enabled_of(state)):
+                    successor = successor_of(state, execution)
+                    transitions += 1
+                    child_fp = fingerprint(successor)
+                    key = decode(successor) if exact else child_fp
+                    children.setdefault(key, successor)
+                    outgoing[shard_of(child_fp, num_workers)].append(
+                        (worker_id, key, parent_fp, index, holds(successor))
+                    )
+            return outgoing, len(frontier), transitions
+
         while True:
             command, payload = task_queue.get()
             if hook is not None:
                 hook.on_command(command)
             if command == "stop":
                 return
-            if command == "seed":
-                state: GlobalState = payload
-                if shard_of(state.fingerprint(), num_workers) == worker_id:
-                    shard.add(state if exact else state.fingerprint())
-                    local_frontier = [state]
-                else:
-                    local_frontier = []
-            elif command == "restore":
-                owned_states, frontier_states = payload
-                shard = set(
-                    state if exact else state.fingerprint()
-                    for state in owned_states
-                )
-                local_frontier = list(frontier_states)
+            if command == "restore":
+                shard_keys, frontier_states, expanded = payload
+                shard = set(shard_keys)
+                frontier = [graph.encode(state) for state in frontier_states]
+                children.clear()
+                if expanded:
+                    expand()
             elif command == "expand":
-                outgoing: List[List[Candidate]] = [[] for _ in range(num_workers)]
-                expansions = 0
-                transitions = 0
-                for state in local_frontier:
-                    enabled = engine.enabled(state)
-                    expansions += 1
-                    parent_fp = state.fingerprint()
-                    for index, execution in enumerate(enabled):
-                        successor = engine.successor(state, execution)
-                        transitions += 1
-                        holds = invariant.holds_in(successor, protocol)
-                        destination = shard_of(successor.fingerprint(), num_workers)
-                        outgoing[destination].append((successor, holds, parent_fp, index))
-                result_queue.put(("expanded", worker_id, outgoing, expansions, transitions))
+                result_queue.put(("expanded", worker_id) + expand())
             elif command == "absorb":
-                candidates: List[Candidate] = payload
-                new_states: List[GlobalState] = []
-                new_records = [] if track_parents else None
-                violations: List[int] = []
-                revisits = 0
-                for successor, holds, parent_fp, exec_index in candidates:
-                    key = successor if exact else successor.fingerprint()
-                    if key in shard:
-                        revisits += 1
-                        continue
-                    shard.add(key)
-                    new_states.append(successor)
-                    fingerprint = successor.fingerprint()
-                    if not holds:
-                        violations.append(fingerprint)
-                    if new_records is not None:
-                        new_records.append((fingerprint, successor, parent_fp, exec_index))
-                local_frontier = new_states
+                accepted: List[Tuple[int, int, int]] = []
+                for position, (_source, key, parent_fp, _index, _holds) in enumerate(payload):
+                    if key not in shard:
+                        shard.add(key)
+                        accepted.append(
+                            (position, key.fingerprint() if exact else key, parent_fp)
+                        )
                 result_queue.put(
-                    ("absorbed", worker_id, len(new_states), revisits, violations, new_records)
+                    ("absorbed", worker_id, accepted, len(payload) - len(accepted))
                 )
+            elif command == "adopt":
+                frontier = [children[key] for key in payload]
+                children.clear()
+                result_queue.put((
+                    "adopted", worker_id,
+                    [decode(state) for state in frontier] if checkpointing else None,
+                ))
             else:  # pragma: no cover - protocol error, not reachable from bfs.py
                 raise ValueError(f"unknown worker command: {command!r}")
     except BaseException:
         result_queue.put(("error", worker_id, traceback.format_exc()))
 
 
-#: How often the collector wakes up to check worker liveness, in seconds.
+#: Fallback wake-up of the collector, in seconds.  Crashes do not wait for
+#: it: the collector blocks on the workers' process sentinels as well.
 _LIVENESS_POLL_SECONDS = 2.0
 
 
@@ -207,12 +215,13 @@ def collect_replies(
 
     Waits as long as every *outstanding* worker process is alive (a long
     level is progress, not a hang); ``timeout`` is an optional hard cap on
-    top.  Liveness is polled every few seconds so a crashed worker (e.g.
-    killed by the OOM killer, which never reaches the error-reply path)
-    fails the search promptly instead of blocking forever.  Workers that
-    already replied may exit freely — the work-stealing search winds its
-    workers down as each finishes its final report, so only a death
-    *before* replying is a crash.
+    top.  The wait covers the reply pipe and the outstanding workers'
+    process sentinels together, so a crashed worker (e.g. killed by the
+    OOM killer, which never reaches the error-reply path) fails the search
+    the moment it dies instead of at the next poll.  Workers that already
+    replied may exit freely — the work-stealing search winds its workers
+    down as each finishes its final report, so only a death *before*
+    replying is a crash.
 
     Args:
         processes: Worker processes, indexed by worker id (so liveness can
@@ -230,41 +239,37 @@ def collect_replies(
         RuntimeError: A worker reported an error, an unexpected phase
             arrived, or the hard timeout elapsed.
     """
-    import queue as queue_module
+    # Imported here: the module is on ``import repro``'s path, the socket
+    # and selector machinery behind ``wait`` need not be.
+    from multiprocessing.connection import wait
 
     deadline = None if timeout is None else time.monotonic() + timeout
     if replies is None:
         replies = [None] * num_workers
     collected = sum(1 for reply in replies if reply is not None)
-
-    def dead_outstanding() -> List[int]:
-        return [
-            index
-            for index, process in enumerate(processes)
-            if index < num_workers
-            and replies[index] is None
-            and not process.is_alive()
-        ]
+    reader = result_queue._reader
 
     while collected < num_workers:
-        try:
-            reply = result_queue.get(timeout=_LIVENESS_POLL_SECONDS)
-        except queue_module.Empty:
-            if dead_outstanding():
-                # One last drain: the dying worker's reply may still be in
-                # the queue's feeder pipe.
-                try:
-                    reply = result_queue.get(timeout=_LIVENESS_POLL_SECONDS)
-                except queue_module.Empty:
-                    raise WorkerCrashError(
-                        phase, dead_outstanding(), replies
-                    ) from None
-            elif deadline is not None and time.monotonic() > deadline:
-                raise RuntimeError(
-                    f"parallel search: timed out waiting for {phase!r} replies"
-                ) from None
-            else:
-                continue
+        sentinels = {
+            process.sentinel: index
+            for index, process in enumerate(processes[:num_workers])
+            if replies[index] is None
+        }
+        ready = wait([reader, *sentinels], _LIVENESS_POLL_SECONDS)
+        # A sentinel fired and the pipe looked empty: poll once more, a
+        # reply the dying worker wrote between the two may have just landed.
+        if reader in ready or (ready and reader.poll()):
+            reply = result_queue.get()
+        elif ready:
+            raise WorkerCrashError(
+                phase, sorted(sentinels[sentinel] for sentinel in ready), replies
+            )
+        elif deadline is not None and time.monotonic() > deadline:
+            raise RuntimeError(
+                f"parallel search: timed out waiting for {phase!r} replies"
+            )
+        else:
+            continue
         if reply[0] == "error":
             raise RuntimeError(
                 f"parallel search worker {reply[1]} failed:\n{reply[2]}"

@@ -3,10 +3,11 @@
 Three pieces, shared by :mod:`repro.parallel.dfs`:
 
 * :class:`StolenFrame` — the unit of stealable work: a partially expanded
-  DFS frame (state + the enabled-order indices of its still-unexplored
-  executions) plus the provenance needed to resume it anywhere (the
-  execution-index path from the initial state, for counterexample
-  rebuilds, and the ancestor fingerprints, for the cycle proviso).
+  DFS frame (state, in object form on either state graph, + the
+  enabled-order indices of its still-unexplored executions) plus the
+  provenance needed to resume it anywhere (the execution-index path from
+  the initial state, for counterexample rebuilds, and the ancestor
+  fingerprints, for the cycle proviso).
   Executions themselves never cross a process boundary — transition
   guards and actions are closures and do not pickle — so frames carry
   *indices into the deterministic enabled order* and the thief recomputes
@@ -76,10 +77,9 @@ WORKER_TELEMETRY_FIELDS = ("claimed", "transitions_executed", "revisits")
 class BatchedCounter:
     """Batches increments to a shared ``multiprocessing.Value`` counter.
 
-    The work-stealing coordinators (object-graph and fast-path) poll the
-    counter for in-flight ``progress`` events; batching keeps the per-claim
-    cost to one local integer add, with one lock acquisition per ``batch``
-    claims.  Callers flush explicitly at idle transitions and before the
+    The work-stealing coordinator polls the counter for in-flight
+    ``progress`` events; batching keeps the per-claim cost to one local
+    integer add, with one lock acquisition per ``batch`` claims.  Callers flush explicitly at idle transitions and before the
     final report so the coordinator's last reading is exact.
     """
 
@@ -109,7 +109,8 @@ class StolenFrame:
     """A stealable unit of depth-first work.
 
     Attributes:
-        state: The already-claimed state whose subtree this frame explores.
+        state: The already-claimed state whose subtree this frame explores,
+            in object form (the thief ``graph.encode``s it).
         pending: Indices (into the deterministic enabled order of ``state``)
             of the executions still to explore, or ``None`` for a frame that
             has not been expanded yet (the seed frame of the whole search):

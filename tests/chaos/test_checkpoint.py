@@ -5,13 +5,15 @@ that wrote it: resuming completes with the same verdict and the same
 visited/transition counts as the uninterrupted run — including resuming a
 parallel checkpoint at a *different* worker count, since states (not
 fingerprints) are serialised and the shard partition is recomputed at
-load time — and, since the one BFS loop writes object states through the
-``StateGraph`` seam, over a *different state graph*: a checkpoint written
-by ``successors="fast"`` resumes under ``"object"`` and vice versa.
+load time — and, since the serial and the frontier BFS loop both write
+object states through the ``StateGraph`` seam, over a *different state
+graph*: a checkpoint written by ``successors="fast"`` resumes under
+``"object"`` and vice versa.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 
@@ -26,7 +28,7 @@ from repro.checker.checkpoint import (
 )
 from repro.checker.search import SearchConfig, bfs_search, dfs_search, ndfs_search
 from repro.engine.events import CollectingObserver
-from repro.parallel import parallel_bfs_search
+from repro.parallel import parallel_bfs_search, parallel_dfs_search
 from repro.protocols.catalog import paxos_entry, storage_entry
 
 needs_fork = pytest.mark.skipif(
@@ -54,6 +56,20 @@ RESUME_CELLS = [
     pytest.param(paxos_entry(3, 2, 1), "quorum", 4, (3241, 8508),
                  id="paxos-3-2-1-every-4"),
 ]
+
+
+def assert_same_counts(outcome, base):
+    assert (
+        outcome.statistics.states_visited,
+        outcome.statistics.transitions_executed,
+        outcome.statistics.revisits,
+        outcome.statistics.max_depth,
+    ) == (
+        base.statistics.states_visited,
+        base.statistics.transitions_executed,
+        base.statistics.revisits,
+        base.statistics.max_depth,
+    )
 
 
 class TestCheckpointFiles:
@@ -206,27 +222,60 @@ class TestSerialResume:
 
 @needs_fork
 class TestParallelResume:
-    def test_parallel_checkpoint_resumes_at_any_worker_count(self, cell, tmp_path):
+    @pytest.mark.parametrize("writer, resumer", GRAPH_PAIRS)
+    def test_parallel_checkpoint_resumes_at_any_worker_count(
+        self, cell, tmp_path, writer, resumer
+    ):
         protocol, invariant = cell
         base = bfs_search(protocol, invariant)
         full = parallel_bfs_search(
             protocol, invariant,
-            SearchConfig(checkpoint_dir=str(tmp_path), checkpoint_every=2),
+            SearchConfig(checkpoint_dir=str(tmp_path), checkpoint_every=2,
+                         successor_engine=writer),
             workers=4,
         )
         assert full.statistics.states_visited == base.statistics.states_visited
         first = sorted(tmp_path.iterdir())[0]
+        assert load_checkpoint(str(first)).meta["engine"] == "frontier-bfs"
         for workers in (1, 2, 3):
             resumed = parallel_bfs_search(
                 protocol, invariant,
-                SearchConfig(resume_from=str(first)), workers=workers,
+                SearchConfig(resume_from=str(first), successor_engine=resumer),
+                workers=workers,
             )
             assert resumed.verified == base.verified
             assert resumed.complete
-            assert (
-                resumed.statistics.states_visited
-                == base.statistics.states_visited
-            )
+            assert_same_counts(resumed, base)
+
+    @pytest.mark.parametrize("graph", ["object", "fast"])
+    @pytest.mark.parametrize("store", ["full", "sharded-fingerprint"])
+    def test_resume_from_every_parallel_checkpoint_matches(
+        self, cell, tmp_path, graph, store
+    ):
+        # ... and a resumed run that then loses a worker still lands on the
+        # uninterrupted totals: restart and resume share one restore path.
+        protocol, invariant = cell
+        base = bfs_search(protocol, invariant)
+        config = SearchConfig(state_store=store, successor_engine=graph)
+        parallel_bfs_search(
+            protocol, invariant,
+            dataclasses.replace(config, checkpoint_dir=str(tmp_path),
+                                checkpoint_every=3),
+            workers=2,
+        )
+        checkpoints = sorted(tmp_path.iterdir())
+        assert len(checkpoints) > 1
+        for path in checkpoints:
+            for chaos in (None, "crash:1@3"):
+                observer = CollectingObserver()
+                resumed = parallel_bfs_search(
+                    protocol, invariant,
+                    dataclasses.replace(config, resume_from=str(path), chaos=chaos),
+                    workers=3, observer=observer,
+                )
+                assert resumed.complete
+                assert_same_counts(resumed, base)
+                assert observer.counts().get("worker-restarted", 0) == (chaos is not None)
 
     @pytest.mark.parametrize("writer", ["object", "fast"])
     def test_serial_checkpoint_resumes_in_parallel_and_back(self, cell, tmp_path,
@@ -240,16 +289,35 @@ class TestParallelResume:
         crossed = parallel_bfs_search(
             protocol, invariant, SearchConfig(resume_from=str(middle)), workers=2
         )
-        assert crossed.statistics.states_visited == base.statistics.states_visited
+        assert_same_counts(crossed, base)
+        back = tmp_path / "back"
+        parallel_bfs_search(
+            protocol, invariant,
+            SearchConfig(checkpoint_dir=str(back), checkpoint_every=4,
+                         successor_engine=writer),
+            workers=2,
+        )
+        serial = bfs_search(
+            protocol, invariant, SearchConfig(resume_from=str(back))
+        )
+        assert_same_counts(serial, base)
 
-    def test_checkpointing_requires_parent_tracking(self, cell, tmp_path):
+    def test_fast_frontier_plan_writes_version_1_files(self, cell, tmp_path):
+        # Fails at the parent: the packed frontier ignored checkpoint_dir.
+        import pickle
+
+        from repro.engine import CheckPlan, run_plan
+
         protocol, invariant = cell
-        with pytest.raises(ValueError, match="track_parents"):
-            parallel_bfs_search(
-                protocol, invariant,
-                SearchConfig(checkpoint_dir=str(tmp_path)),
-                workers=2, track_parents=False,
-            )
+        run_plan(protocol, invariant, CheckPlan(
+            shape="bfs", backend="frontier", workers=2, successors="fast",
+            checkpoint_dir=str(tmp_path), checkpoint_every=4,
+        ))
+        files = sorted(tmp_path.iterdir())
+        assert files
+        for path in files:
+            with open(path, "rb") as handle:
+                assert pickle.load(handle)["version"] == CHECKPOINT_VERSION == 1
 
 
 class TestCheckpointKnobRejection:
@@ -263,6 +331,21 @@ class TestCheckpointKnobRejection:
         protocol, invariant = cell
         with pytest.raises(ValueError, match="checkpoint"):
             dfs_search(protocol, invariant, SearchConfig(**knob))
+
+    @needs_fork
+    @pytest.mark.parametrize("graph", ["object", "fast"])
+    @pytest.mark.parametrize("knob", [
+        {"checkpoint_dir": "/tmp/nope"},
+        {"resume_from": "/tmp/nope"},
+    ])
+    def test_worksteal_rejects(self, cell, knob, graph):
+        # Fails at the parent: both work-stealing twins ignored the knobs.
+        protocol, invariant = cell
+        with pytest.raises(ValueError, match="checkpoint"):
+            parallel_dfs_search(
+                protocol, invariant,
+                SearchConfig(successor_engine=graph, **knob), workers=2,
+            )
 
     def test_ndfs_rejects(self, cell):
         protocol, invariant = cell

@@ -14,6 +14,7 @@ The contract under test, at both ends of the supervision switch:
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 
@@ -37,11 +38,19 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _reply_then_exit(result_queue, worker_id):
+def _reply_then_exit(result_queue, worker_id, replied=None):
     result_queue.put(("expanded", worker_id, [], 0, 0))
+    if replied is not None:
+        result_queue.close()
+        result_queue.join_thread()  # the reply is in the pipe
+        replied.release()
 
 
-def _die_silently():
+def _die_silently(replied, survivors):
+    # Crashes are noticed the moment they happen, so die only once the
+    # survivors' replies are there to be preserved.
+    for _ in range(survivors):
+        replied.acquire()
     os._exit(1)
 
 
@@ -49,17 +58,30 @@ class TestCollectReplies:
     """The collector itself, driven with real processes at 2 and 4 workers."""
 
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_crashed_worker_raises_structured_error(self, workers):
+    def test_crashed_worker_raises_structured_error(self, workers, monkeypatch):
+        # The collector blocks on the workers' process sentinels, so the
+        # crash surfaces at once — not after a liveness poll (or two, as it
+        # used to: one to notice, one "last drain").
+        import time
+
+        import repro.parallel.worker as worker_module
+
+        monkeypatch.setattr(worker_module, "_LIVENESS_POLL_SECONDS", 30.0)
+        started = time.monotonic()
         context = default_mp_context()
         result_queue = context.Queue()
+        replied = context.Semaphore(0)
         processes = []
         # Worker 0 dies without replying; everyone else replies then exits.
         for worker_id in range(workers):
             if worker_id == 0:
-                process = context.Process(target=_die_silently)
+                process = context.Process(
+                    target=_die_silently, args=(replied, workers - 1)
+                )
             else:
                 process = context.Process(
-                    target=_reply_then_exit, args=(result_queue, worker_id)
+                    target=_reply_then_exit,
+                    args=(result_queue, worker_id, replied),
                 )
             process.start()
             processes.append(process)
@@ -78,6 +100,7 @@ class TestCollectReplies:
             for worker_id in range(1, workers):
                 assert crash.replies[worker_id] is not None
             assert "worker(s) 0" in str(crash)
+            assert time.monotonic() - started < 5.0
         finally:
             shutdown_processes(processes, queues=[result_queue])
 
@@ -143,72 +166,127 @@ def _sleep_forever():
         time.sleep(60)
 
 
+GRAPHS = ["object", "fast"]
+
+#: Worker commands are ``restore`` then, per level, ``expand`` / ``absorb``
+#: / ``adopt`` — so the first level's three barriers are commands 2, 3, 4.
+BARRIER_PHASES = [
+    pytest.param(2, "expanded", id="expand"),
+    pytest.param(3, "absorbed", id="absorb"),
+    pytest.param(4, "adopted", id="adopt"),
+]
+
+
+def assert_same_statistics(recovered, serial):
+    slow = dataclasses.replace(serial.statistics, elapsed_seconds=0.0)
+    fast = dataclasses.replace(recovered.statistics, elapsed_seconds=0.0)
+    assert dataclasses.astuple(fast) == dataclasses.astuple(slow)
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
 class TestFrontierRecovery:
-    """Chaos-injected crashes against the frontier-parallel BFS."""
+    """Chaos-injected crashes against the frontier-parallel BFS, over the
+    object and the packed graph (whose frontier ignored ``chaos`` before the
+    loops were unified)."""
 
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_supervised_run_matches_serial_exactly(self, workers):
+    def test_supervised_run_matches_serial_exactly(self, workers, graph):
         entry = storage_entry(3, 1)
         serial = bfs_search(entry.single_model(), entry.invariant)
         observer = CollectingObserver()
         telemetry = RunTelemetry()
         recovered = parallel_bfs_search(
             entry.single_model(), entry.invariant,
-            SearchConfig(chaos="crash:1@3"),
+            SearchConfig(chaos="crash:1@3", successor_engine=graph),
             workers=workers, observer=observer, telemetry=telemetry,
         )
         assert recovered.verified == serial.verified
         assert recovered.complete
         assert recovered.incomplete_reason is None
-        assert (
-            recovered.statistics.states_visited
-            == serial.statistics.states_visited
-        )
-        assert (
-            recovered.statistics.transitions_executed
-            == serial.statistics.transitions_executed
-        )
+        assert_same_statistics(recovered, serial)
         counts = observer.counts()
         assert counts.get("worker-crashed") == 1
         assert counts.get("worker-restarted") == 1
         assert telemetry.metrics.counter("worker_crashes").total() == 1
         assert telemetry.metrics.counter("worker_restarts").total() == 1
 
-    def test_crash_at_expand_barrier_recovers(self):
-        # Command 2 is the first expand: the worker dies before sending
-        # any expanded reply, exercising the expand-phase resend path.
+    @pytest.mark.parametrize("store", ["full", "fingerprint"])
+    @pytest.mark.parametrize("command, phase", BARRIER_PHASES)
+    def test_crash_in_each_barrier_phase_recovers(self, command, phase,
+                                                  store, graph):
+        # At the first level and again deeper in, where the dead worker
+        # held a frontier, a shard and children of its own.
         entry = storage_entry(3, 1)
         serial = bfs_search(entry.single_model(), entry.invariant)
-        recovered = parallel_bfs_search(
-            entry.single_model(), entry.invariant,
-            SearchConfig(chaos="crash:0@2"), workers=4,
-        )
-        assert recovered.complete
-        assert (
-            recovered.statistics.states_visited
-            == serial.statistics.states_visited
-        )
+        for worker, at in ((0, command), (1, command + 9)):
+            observer = CollectingObserver()
+            recovered = parallel_bfs_search(
+                entry.single_model(), entry.invariant,
+                SearchConfig(chaos=f"crash:{worker}@{at}", state_store=store,
+                             successor_engine=graph),
+                workers=2, observer=observer,
+            )
+            assert recovered.complete
+            assert_same_statistics(recovered, serial)
+            crashes = [event.payload for event in observer.events
+                       if event.kind == "worker-crashed"]
+            assert crashes == [{"worker": worker, "phase": phase}]
+            assert observer.counts().get("worker-restarted") == 1
 
-    def test_violating_cell_verdict_survives_crash(self):
-        entry = multicast_entry(2, 1, 2, 1)
-        baseline = parallel_bfs_search(
-            entry.quorum_model(), entry.invariant, workers=4
+    def test_plan_level_crash_is_injected_and_recovered(self, graph):
+        # The ledger's recover.crashed op in miniature; under
+        # successors="fast" the parent never crashed at all.
+        from repro.engine import CheckPlan, run_plan
+
+        entry = storage_entry(3, 1)
+        serial = bfs_search(entry.single_model(), entry.invariant)
+        observer = CollectingObserver()
+        result = run_plan(
+            entry.single_model(), entry.invariant,
+            CheckPlan(shape="bfs", backend="frontier", workers=2,
+                      successors=graph, chaos="crash:1@3"),
+            observer=observer,
         )
-        recovered = parallel_bfs_search(
-            entry.quorum_model(), entry.invariant,
-            SearchConfig(chaos="crash:1@3"), workers=4,
+        assert result.engine == "frontier-bfs"
+        assert result.complete
+        assert_same_statistics(result, serial)
+        counts = observer.counts()
+        assert counts.get("worker-crashed") == 1
+        assert counts.get("worker-restarted") == 1
+
+    @pytest.mark.parametrize("phase_offset", [-1, 0], ids=["expand", "absorb"])
+    def test_crash_on_the_violating_level(self, phase_offset, graph):
+        entry = multicast_entry(2, 1, 2, 1)
+        protocol = entry.quorum_model()
+        config = SearchConfig(state_store="fingerprint", successor_engine=graph)
+        baseline = parallel_bfs_search(
+            protocol, entry.invariant, config, workers=2
         )
         assert baseline.verified is False
-        assert recovered.verified is False
-        assert recovered.counterexample is not None
+        # Level d's absorb barrier is command 3 * d of every worker.
+        level = len(baseline.counterexample.steps)
+        for worker in (0, 1):
+            observer = CollectingObserver()
+            recovered = parallel_bfs_search(
+                protocol, entry.invariant,
+                dataclasses.replace(
+                    config, chaos=f"crash:{worker}@{3 * level + phase_offset}"),
+                workers=2, observer=observer,
+            )
+            assert observer.counts().get("worker-restarted") == 1
+            assert recovered.verified is False
+            assert_same_statistics(recovered, baseline)
+            assert len(recovered.counterexample.steps) == level
+            recovered.counterexample.replay(protocol)
 
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_unsupervised_run_fails_honestly(self, workers):
+    def test_unsupervised_run_fails_honestly(self, workers, graph):
         entry = storage_entry(3, 1)
         observer = CollectingObserver()
         outcome = parallel_bfs_search(
             entry.single_model(), entry.invariant,
-            SearchConfig(chaos="crash:1@3", supervise=False),
+            SearchConfig(chaos="crash:1@3", supervise=False,
+                         successor_engine=graph),
             workers=workers, observer=observer,
         )
         assert outcome.complete is False
@@ -217,7 +295,7 @@ class TestFrontierRecovery:
         assert observer.counts().get("worker-crashed") == 1
         assert "worker-restarted" not in observer.counts()
 
-    def test_restart_budget_exhaustion_gives_up(self):
+    def test_restart_budget_exhaustion_gives_up(self, graph):
         # More planned crashes than MAX_WORKER_RESTARTS allows: the
         # supervisor must stop restarting and report honestly.  Each
         # restarted worker gets chaos=None, so distinct workers must crash
@@ -230,7 +308,8 @@ class TestFrontierRecovery:
         )
         outcome = parallel_bfs_search(
             entry.single_model(), entry.invariant,
-            SearchConfig(chaos=spec), workers=MAX_WORKER_RESTARTS + 1,
+            SearchConfig(chaos=spec, successor_engine=graph),
+            workers=MAX_WORKER_RESTARTS + 1,
         )
         assert outcome.complete is False
         assert outcome.incomplete_reason == "worker crash"

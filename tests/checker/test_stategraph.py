@@ -7,12 +7,15 @@ successors, same fingerprints, same property verdicts, lossless
 ``encode``/``decode``.  Second, run by run: the one DFS / BFS / nested-DFS
 loop must produce identical statistics and counterexample lengths over
 either graph, for every store kind, reduction and statefulness the loop
-accepts.
+accepts.  Third, the same run by run for the two parallel loops — frontier
+BFS and work-stealing DFS — at 1, 2 and 4 workers, against the serial run.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import multiprocessing
 import random
 
 import pytest
@@ -31,6 +34,7 @@ from repro.checker.stategraph import (
 )
 from repro.engine.engines import make_reducer
 from repro.engine.plan import CheckPlan
+from repro.parallel import parallel_bfs_search, parallel_dfs_search
 from repro.protocols.catalog import (
     default_catalog,
     multicast_entry,
@@ -202,3 +206,117 @@ class TestOneLoopTwoGraphs:
             slow, fast = run_twice(entry, run, config)
             assert not slow.verified
             assert_identical(slow, fast)
+
+
+# --------------------------------------------------------------------------- #
+# One frontier loop, one worksteal loop, two graphs: identical to serial
+# --------------------------------------------------------------------------- #
+WORKERS = (1, 2, 4)
+#: Cells whose violating level is > 20k transitions wide: 10 s per frontier
+#: run under the exact store (every delta an object state), 1.5 s under a
+#: fingerprint one.  The frontier grid runs them once; worksteal always.
+HEAVY_LEVELS = ("faulty-paxos-2-3-1", "multicast-2-1-2-1-lossy")
+FRONTIER_GRID = [
+    pytest.param(entry, workers, store, id=f"{entry.key}-{workers}w-{store}")
+    for entry in default_catalog("small") for workers in WORKERS for store in STORES
+    if entry.key not in HEAVY_LEVELS or (workers, store) == (2, "fingerprint")
+]
+WORKSTEAL_GRID = [
+    pytest.param(entry, workers, store, id=f"{entry.key}-{workers}w-{store}")
+    for entry in default_catalog("small") for workers in WORKERS for store in STORES
+]
+#: The work-stealing proviso is per access path: cyclic graphs are refused
+#: at the engine layer (``_reject_cyclic_worksteal_reduction``).
+REDUCED_GRID = [
+    pytest.param(entry, workers, reduction, id=f"{entry.key}-{workers}w-{reduction}")
+    for entry in default_catalog("small")
+    if not entry.quorum_model().metadata.get("cyclic_state_graph")
+    for workers in (2, 4) for reduction in ("spor", "spor-net")
+]
+
+
+@functools.lru_cache(maxsize=None)
+def serial_run(key, shape, store):
+    """The serial object-graph run every parallel run is compared against."""
+    entry = next(e for e in default_catalog("small") if e.key == key)
+    config = SearchConfig(state_store=store)
+    run = run_bfs if shape == "bfs" else run_dfs
+    return run(ObjectGraph(entry.quorum_model()), entry.invariant, config)
+
+
+def counters(outcome, skip=()):
+    statistics = dataclasses.replace(outcome.statistics, elapsed_seconds=0.0)
+    return {name: value for name, value in dataclasses.asdict(statistics).items()
+            if name not in skip}
+
+
+def assert_ends_in_a_violation(entry, outcome):
+    assert outcome.counterexample is not None
+    final = outcome.counterexample.steps[-1].state
+    assert not entry.invariant.holds_in(final, entry.quorum_model())
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the parallel loops require the fork start method",
+)
+class TestParallelLoopsTwoGraphs:
+    @pytest.mark.parametrize("entry, workers, store", FRONTIER_GRID)
+    def test_frontier(self, entry, workers, store):
+        serial = serial_run(entry.key, "bfs", store)
+        slow, fast = (
+            parallel_bfs_search(
+                entry.quorum_model(), entry.invariant,
+                SearchConfig(state_store=store, successor_engine=kind),
+                workers=workers,
+            )
+            for kind in ("object", "fast")
+        )
+        # Level-synchronous: the whole run is a function of the model alone.
+        assert_identical(slow, fast)
+        assert (fast.verified, fast.complete) == (serial.verified, serial.complete)
+        if serial.verified:
+            assert counters(fast) == counters(serial)
+        else:
+            # Serial BFS stops mid-level; the counterexample depth is minimal
+            # either way.
+            assert len(fast.counterexample.steps) == len(serial.counterexample.steps)
+            assert_ends_in_a_violation(entry, fast)
+
+    @pytest.mark.parametrize("entry, workers, store", WORKSTEAL_GRID)
+    def test_worksteal(self, entry, workers, store):
+        serial = serial_run(entry.key, "dfs", store)
+        for kind in ("object", "fast"):
+            outcome = parallel_dfs_search(
+                entry.quorum_model(), entry.invariant,
+                SearchConfig(state_store=store, successor_engine=kind),
+                workers=workers,
+            )
+            assert (outcome.verified, outcome.complete) == (
+                serial.verified, serial.complete)
+            if serial.verified:
+                # A thief recomputes the enabled set of the frame it resumes.
+                skip = ("enabled_set_computations",)
+                assert counters(outcome, skip) == counters(serial, skip)
+                assert (outcome.statistics.enabled_set_computations
+                        >= serial.statistics.enabled_set_computations)
+            else:
+                assert_ends_in_a_violation(entry, outcome)
+
+    @pytest.mark.parametrize("entry, workers, reduction", REDUCED_GRID)
+    def test_reduced_worksteal_misses_no_violation(self, entry, workers, reduction):
+        unreduced = serial_run(entry.key, "dfs", "full")
+        for kind in ("object", "fast"):
+            protocol = entry.quorum_model()
+            outcome = parallel_dfs_search(
+                protocol, entry.invariant,
+                SearchConfig(successor_engine=kind), workers=workers,
+                reducer=make_reducer(protocol, CheckPlan(reduction=reduction)),
+            )
+            assert outcome.verified == unreduced.verified
+            if unreduced.verified:
+                assert outcome.complete
+                assert (outcome.statistics.states_visited
+                        <= unreduced.statistics.states_visited)
+            else:
+                assert_ends_in_a_violation(entry, outcome)

@@ -22,7 +22,6 @@ class TestRegistryBasics:
         assert names == [
             "serial-dfs", "serial-bfs", "frontier-bfs", "worksteal-dfs", "dpor",
             "serial-ndfs",
-            "frontier-bfs-fast", "worksteal-dfs-fast",
             "swarm", "swarm-parallel",
         ]
 

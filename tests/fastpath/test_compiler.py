@@ -91,20 +91,6 @@ class TestTables:
         assert 0 < sizes["locals"]
         assert 0 < sizes["messages"]
 
-    def test_replay_path_reaches_the_same_state(self):
-        protocol = multicast_entry(2, 1, 0, 1).quorum_model()
-        fast = FastSuccessorEngine(protocol)
-        cursor = fast.initial_packed()
-        path = []
-        for _ in range(4):
-            enabled = fast.enabled_packed(cursor)
-            if not enabled:
-                break
-            index = len(enabled) - 1
-            path.append(index)
-            cursor = fast.successor_packed(cursor, enabled[index])
-        assert fast.replay_path(tuple(path)) == cursor
-
     def test_encode_rejects_foreign_layout(self):
         fast = FastSuccessorEngine(multicast_entry(2, 1, 0, 1).quorum_model())
         other = storage_entry(3, 1).quorum_model().initial_state()

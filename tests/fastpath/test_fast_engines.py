@@ -1,11 +1,13 @@
 """The ``successors="fast"`` axis behind the plan layer: resolution,
-downgrades, CLI.  Serial plans run the one loop of the un-suffixed engine
-over the packed graph; only the parallel backends have ``-fast`` engines."""
+downgrades, CLI.  A fast plan runs the one loop of the un-suffixed engine
+over the packed graph — serial, frontier or work-stealing; no engine is
+named for its state graph."""
 
 from __future__ import annotations
 
 import io
 import multiprocessing
+from dataclasses import replace
 
 import pytest
 
@@ -16,10 +18,9 @@ from repro.protocols.catalog import multicast_entry
 
 FORK = "fork" in multiprocessing.get_all_start_methods()
 
-#: Engines that run packed states only / either graph / objects only.
-FAST_NAMES = {"frontier-bfs-fast", "worksteal-dfs-fast"}
-SERIAL_NAMES = {"serial-dfs", "serial-bfs"}
-OBJECT_ONLY_NAMES = {"frontier-bfs", "worksteal-dfs", "dpor"}
+#: Invariant-checking engines that run over either graph / objects only.
+EITHER_GRAPH_NAMES = {"serial-dfs", "serial-bfs", "frontier-bfs", "worksteal-dfs"}
+OBJECT_ONLY_NAMES = {"dpor"}
 
 
 class TestResolution:
@@ -34,26 +35,30 @@ class TestResolution:
         (
             CheckPlan(successors="fast", shape="bfs", workers=4,
                       store="fingerprint"),
-            "frontier-bfs-fast",
+            "frontier-bfs",
         ),
-        (CheckPlan(successors="fast", workers=4), "worksteal-dfs-fast"),
+        (
+            CheckPlan(successors="fast", shape="bfs", workers=4, store="full"),
+            "frontier-bfs",
+        ),
+        (CheckPlan(successors="fast", workers=4), "worksteal-dfs"),
         (
             CheckPlan(successors="fast", reduction="spor-net", workers=2),
-            "worksteal-dfs-fast",
+            "worksteal-dfs",
         ),
     ])
-    def test_fast_plans_resolve_to_fast_engines(self, plan, expected):
+    def test_fast_plans_resolve_to_the_unsuffixed_engines(self, plan, expected):
         engine, resolved = default_registry().resolve(plan)
         assert engine.name == expected
         assert resolved.backend != "auto"
         assert resolved.successors == "fast"
 
-    def test_object_plans_never_reach_fast_engines(self):
-        for engine, plan in default_registry().supported_plans():
-            assert plan.successors == "object"
-            assert engine.name not in FAST_NAMES
+    def test_no_engine_is_named_for_its_state_graph(self):
+        names = {engine.name for engine in default_registry().engines()}
+        assert len(names) == 8
+        assert not [name for name in names if name.endswith("-fast")]
 
-    def test_fast_plans_never_reach_object_engines(self):
+    def test_fast_plans_never_reach_object_only_engines(self):
         grid = default_registry().supported_plans(
             stores=("full", "fingerprint"),
             successor_modes=("fast",),
@@ -62,7 +67,7 @@ class TestResolution:
         for engine, plan in grid:
             assert plan.successors == "fast"
             names.add(engine.name)
-        assert names == FAST_NAMES | SERIAL_NAMES
+        assert names == EITHER_GRAPH_NAMES
         assert not names & OBJECT_ONLY_NAMES
 
     def test_unknown_successor_mode_suggests_the_vocabulary(self):
@@ -78,17 +83,7 @@ class TestResolution:
         # The structured alternative is runnable and names a real engine.
         assert isinstance(error.alternative, CheckPlan)
         engine, _ = default_registry().resolve(error.alternative)
-        assert engine.name in FAST_NAMES | SERIAL_NAMES | {"dpor"}
-
-    def test_fast_frontier_full_store_alternative_keeps_fast(self):
-        plan = CheckPlan(successors="fast", shape="bfs", workers=4,
-                         store="full")
-        with pytest.raises(UnsupportedPlanError) as excinfo:
-            default_registry().resolve(plan)
-        error = excinfo.value
-        assert error.axis == "store"
-        assert error.alternative.successors == "fast"
-        assert error.alternative.store in ("fingerprint", "sharded-fingerprint")
+        assert engine.name in EITHER_GRAPH_NAMES | {"dpor"}
 
 
 class TestRunPlan:
@@ -112,10 +107,23 @@ class TestRunPlan:
                         CheckPlan(workers=2))
         fast = run_plan(self.ENTRY.quorum_model(), self.ENTRY.invariant,
                         CheckPlan(successors="fast", workers=2))
-        assert fast.engine == "worksteal-dfs-fast"
+        assert fast.engine == slow.engine == "worksteal-dfs"
+        assert fast.plan.successors == "fast"
         assert (
             fast.statistics.states_visited == slow.statistics.states_visited
         )
+
+    @pytest.mark.skipif(not FORK, reason="parallel engines need fork")
+    def test_fast_frontier_full_store_is_accepted_and_count_identical(self):
+        plan = CheckPlan(shape="bfs", workers=2, store="full")
+        slow = run_plan(self.ENTRY.quorum_model(), self.ENTRY.invariant, plan)
+        fast = run_plan(self.ENTRY.quorum_model(), self.ENTRY.invariant,
+                        replace(plan, successors="fast"))
+        assert fast.engine == slow.engine == "frontier-bfs"
+        assert fast.plan.successors == "fast"
+        slow_stats = replace(slow.statistics, elapsed_seconds=0.0)
+        fast_stats = replace(fast.statistics, elapsed_seconds=0.0)
+        assert fast_stats == slow_stats
 
 
 class TestCli:
@@ -123,13 +131,14 @@ class TestCli:
         stream = io.StringIO()
         assert main(["engines"], stream=stream) == 0
         output = stream.getvalue()
-        assert "worksteal-dfs-fast" in output
-        assert "successors=fast" in output
+        assert "-fast" not in output
         rows = {line.split()[0]: line for line in output.splitlines()
                 if line and not line.startswith(" ")}
-        assert len(rows) == 10
-        for name in ("serial-dfs", "serial-bfs", "serial-ndfs"):
+        assert len(rows) == 8
+        for name in ("serial-dfs", "serial-bfs", "serial-ndfs",
+                     "frontier-bfs", "worksteal-dfs"):
             assert "successors=object|fast" in rows[name]
+        assert "successors=object " in rows["dpor"]
 
     def test_engines_plan_dry_run_resolves(self):
         stream = io.StringIO()
@@ -140,20 +149,21 @@ class TestCli:
         )
         assert code == 0
         output = stream.getvalue()
-        assert "worksteal-dfs-fast" in output
+        assert "worksteal-dfs" in output
+        assert "-fast" not in output
         assert "backend worksteal" in output
 
     def test_engines_plan_dry_run_reports_unsupported(self):
         stream = io.StringIO()
         code = main(
-            ["engines", "--plan", "--shape", "bfs", "--workers", "4",
-             "--store", "full", "--successors", "fast"],
+            ["engines", "--plan", "--shape", "dfs", "--reduction", "dpor",
+             "--successors", "fast"],
             stream=stream,
         )
         assert code == 2
         output = stream.getvalue()
         assert "unsupported" in output
-        assert "axis: store" in output
+        assert "axis: successors" in output
         assert "alternative" in output
 
     def test_check_accepts_successors_fast(self):

@@ -1,4 +1,11 @@
-"""Parallel fast-path engines against their twins (fork platforms only)."""
+"""The parallel loops over the packed graph: their coordinator-side event
+stream (fork platforms only).
+
+Statistics identity against the serial run and the object graph — every
+store, 1/2/4 workers, reduced and unreduced — lives in the parallel axis of
+``tests/checker/test_stategraph.py``; crash recovery and checkpointing over
+either graph in ``tests/chaos``.
+"""
 
 from __future__ import annotations
 
@@ -6,173 +13,39 @@ import multiprocessing
 
 import pytest
 
-from repro.checker.search import SearchConfig, bfs_search
-from repro.engine.engines import make_reducer
+from repro.checker.search import SearchConfig
 from repro.engine.events import CollectingObserver
-from repro.engine.plan import CheckPlan
-from repro.fastpath.parallel import (
-    FastStolenFrame,
-    fast_parallel_bfs_search,
-    fast_parallel_dfs_search,
-)
-from repro.fastpath.search import fast_dfs_search
-from repro.parallel.bfs import parallel_bfs_search
-from repro.protocols.catalog import multicast_entry, paxos_entry, storage_entry
+from repro.obs.telemetry import RunTelemetry
+from repro.parallel import parallel_bfs_search, parallel_dfs_search
+from repro.protocols.catalog import multicast_entry, storage_entry
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the parallel engines require the fork start method",
 )
 
-VERIFIED = [
-    pytest.param(paxos_entry(2, 2, 1), id="paxos-2-2-1"),
-    pytest.param(multicast_entry(2, 1, 0, 1), id="multicast-2-1-0-1"),
-]
-VIOLATING = [pytest.param(multicast_entry(2, 1, 2, 1), id="multicast-2-1-2-1")]
+FAST = SearchConfig(state_store="fingerprint", successor_engine="fast")
 
 
 class TestFastWorksteal:
-    @pytest.mark.parametrize("entry", VERIFIED)
-    def test_unreduced_counts_equal_serial(self, entry):
-        serial = fast_dfs_search(entry.quorum_model(), entry.invariant)
-        parallel = fast_parallel_dfs_search(
-            entry.quorum_model(), entry.invariant, workers=2
-        )
-        assert parallel.verified
-        assert (
-            parallel.statistics.states_visited
-            == serial.statistics.states_visited
-        )
-        assert parallel.statistics.max_depth == serial.statistics.max_depth
-
-    @pytest.mark.parametrize("entry", VERIFIED)
-    def test_spor_verdicts_agree_and_stay_bounded(self, entry):
-        serial = fast_dfs_search(entry.quorum_model(), entry.invariant)
-        plan = CheckPlan(shape="dfs", reduction="spor")
-        protocol = entry.quorum_model()
-        reduced = fast_parallel_dfs_search(
-            protocol, entry.invariant, workers=2,
-            reducer=make_reducer(protocol, plan),
-        )
-        assert reduced.verified
-        assert (
-            reduced.statistics.states_visited <= serial.statistics.states_visited
-        )
-
-    @pytest.mark.parametrize("entry", VIOLATING)
-    def test_violations_replay_to_counterexamples(self, entry):
-        outcome = fast_parallel_dfs_search(
-            entry.quorum_model(), entry.invariant, workers=2
-        )
-        assert not outcome.verified
-        assert outcome.counterexample is not None
-        assert len(outcome.counterexample.steps) > 0
-        # The replayed trace really ends in a violating state.
-        final = outcome.counterexample.steps[-1].state
-        assert not entry.invariant.holds_in(final, entry.quorum_model())
-
-    def test_one_worker_delegates_to_the_serial_fast_dfs(self):
-        entry = multicast_entry(2, 1, 0, 1)
-        serial = fast_dfs_search(entry.quorum_model(), entry.invariant)
-        delegated = fast_parallel_dfs_search(
-            entry.quorum_model(), entry.invariant, workers=1
-        )
-        assert (
-            delegated.statistics.states_visited
-            == serial.statistics.states_visited
-        )
-
-    def test_stolen_frames_are_pure_int_tuples(self):
-        frame = FastStolenFrame(pending=(0, 2), path=(1, 0), ancestors=(7, 9))
-        flat = (frame.pending or ()) + frame.path + frame.ancestors
-        assert all(isinstance(value, int) for value in flat)
-        import pickle
-
-        assert len(pickle.dumps(frame)) < 200
-
     def test_worker_reports_arrive_through_the_observer(self):
         entry = storage_entry(3, 1)
         events = CollectingObserver()
-        fast_parallel_dfs_search(
-            entry.quorum_model(), entry.invariant, workers=2, observer=events
-        )
-        assert events.counts().get("worker-report") == 2
-
-
-class TestFastFrontier:
-    @pytest.mark.parametrize("entry", VERIFIED)
-    @pytest.mark.parametrize("workers", (2, 3))
-    def test_counts_equal_serial_fingerprint_bfs(self, entry, workers):
-        config = SearchConfig(state_store="fingerprint")
-        serial = bfs_search(entry.quorum_model(), entry.invariant,
-                            config=SearchConfig(state_store="fingerprint"))
-        parallel = fast_parallel_bfs_search(
-            entry.quorum_model(), entry.invariant, config=config, workers=workers
-        )
-        assert parallel.verified == serial.verified
-        assert (
-            parallel.statistics.states_visited
-            == serial.statistics.states_visited
-        )
-        assert parallel.statistics.max_depth == serial.statistics.max_depth
-        assert (
-            parallel.statistics.transitions_executed
-            == serial.statistics.transitions_executed
-        )
-
-    @pytest.mark.parametrize("entry", VIOLATING)
-    def test_violating_cells_match_the_object_frontier(self, entry):
-        config = SearchConfig(state_store="fingerprint")
-        fast = fast_parallel_bfs_search(
-            entry.quorum_model(), entry.invariant, config=config, workers=2
-        )
-        slow = parallel_bfs_search(
-            entry.quorum_model(), entry.invariant,
-            config=SearchConfig(state_store="fingerprint"), workers=2,
-        )
-        assert not fast.verified
-        # Level-synchronous engines count the whole violating level.
-        assert fast.statistics.states_visited == slow.statistics.states_visited
-        assert fast.counterexample is not None
-        assert len(fast.counterexample.steps) == len(slow.counterexample.steps)
-        final = fast.counterexample.steps[-1].state
-        assert not entry.invariant.holds_in(final, entry.quorum_model())
-
-    def test_level_events_report_int_deltas(self):
-        entry = multicast_entry(2, 1, 0, 1)
-        events = CollectingObserver()
-        fast_parallel_bfs_search(
-            entry.quorum_model(), entry.invariant,
-            config=SearchConfig(state_store="fingerprint"), workers=2,
+        parallel_dfs_search(
+            entry.quorum_model(), entry.invariant, FAST, workers=2,
             observer=events,
         )
-        levels = [e for e in events.events if e.kind == "level-completed"]
-        assert levels
-        assert all(event.payload["deltas"] >= event.payload["new_states"]
-                   for event in levels)
-
-    def test_one_worker_delegates_to_the_serial_fast_bfs(self):
-        entry = multicast_entry(2, 1, 0, 1)
-        config = SearchConfig(state_store="fingerprint")
-        serial = bfs_search(entry.quorum_model(), entry.invariant,
-                            config=SearchConfig(state_store="fingerprint"))
-        delegated = fast_parallel_bfs_search(
-            entry.quorum_model(), entry.invariant, config=config, workers=1
-        )
-        assert (
-            delegated.statistics.states_visited
-            == serial.statistics.states_visited
-        )
+        assert events.counts().get("worker-report") == 2
 
 
 class TestLiveProgress:
     def test_fast_worksteal_emits_in_flight_progress_ticks(self):
         entry = storage_entry(3, 2, wrong_specification=True)
         events = CollectingObserver()
-        outcome = fast_parallel_dfs_search(
+        outcome = parallel_dfs_search(
             entry.quorum_model(),
             entry.invariant,
-            config=SearchConfig(stop_at_first_violation=False),
+            SearchConfig(stop_at_first_violation=False, successor_engine="fast"),
             workers=2,
             observer=events,
         )
@@ -180,3 +53,36 @@ class TestLiveProgress:
         kinds = events.kinds()
         assert "progress" in kinds
         assert kinds.index("progress") < kinds.index("worker-report")
+
+
+class TestFastFrontier:
+    def test_level_events_report_int_deltas(self):
+        entry = multicast_entry(2, 1, 0, 1)
+        events = CollectingObserver()
+        parallel_bfs_search(
+            entry.quorum_model(), entry.invariant, FAST, workers=2,
+            observer=events,
+        )
+        levels = [e for e in events.events if e.kind == "level-completed"]
+        assert levels
+        assert all(event.payload["deltas"] >= event.payload["new_states"]
+                   for event in levels)
+
+    @pytest.mark.parametrize("graph", ["object", "fast"])
+    def test_per_worker_expansions_are_recorded(self, graph):
+        # Who expanded what is in the run's artefacts.  The discoverer keeps
+        # its children, so the split is whatever the graph's shape makes it
+        # (often everything on one worker); only the sum is a contract.
+        entry = storage_entry(3, 1)
+        telemetry = RunTelemetry()
+        outcome = parallel_bfs_search(
+            entry.quorum_model(), entry.invariant,
+            SearchConfig(successor_engine=graph), workers=2,
+            telemetry=telemetry,
+        )
+        metrics = telemetry.snapshot()["metrics"]
+        expansions = metrics["worker_expansions"]
+        assert {row["labels"]["worker"] for row in expansions["values"]} == {"0", "1"}
+        assert expansions["total"] == outcome.statistics.enabled_set_computations
+        assert (metrics["worker_transitions_executed"]["total"]
+                == outcome.statistics.transitions_executed)

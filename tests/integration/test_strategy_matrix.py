@@ -229,7 +229,7 @@ class TestPlanApiConformance:
 
 
 class TestFastpathTwinConformance:
-    """Every fast-path engine variant against its object-graph twin.
+    """Every engine over the packed graph against its run over objects.
 
     The ISSUE-5 acceptance contract: byte-identical verdicts and
     visited-state counts across the conformance matrix for workers 1, 2
@@ -241,14 +241,14 @@ class TestFastpathTwinConformance:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("entry", VERIFIED_CELLS)
     def test_fast_dfs_counts_identical_to_pinned_closure(self, entry, workers):
-        # workers=1 resolves to serial-dfs (over the packed graph), above to
-        # worksteal-dfs-fast.
+        # The same un-suffixed engines as the object plan, over the packed
+        # graph: serial-dfs at workers=1, worksteal-dfs above.
         result = run_plan(
             entry.quorum_model(), entry.invariant,
             CheckPlan(successors="fast", workers=workers),
         )
         assert result.engine == (
-            "serial-dfs" if workers == 1 else "worksteal-dfs-fast"
+            "serial-dfs" if workers == 1 else "worksteal-dfs"
         )
         assert result.plan.successors == "fast"
         assert result.verified
@@ -258,16 +258,15 @@ class TestFastpathTwinConformance:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("entry", VERIFIED_CELLS)
     def test_fast_bfs_counts_identical_to_pinned_closure(self, entry, workers):
-        # workers=1 resolves to serial-bfs, above to frontier-bfs-fast
-        # (fingerprint store — collision-free on these cells, so the
-        # fingerprint closure equals the exact closure).
+        # workers=1 resolves to serial-bfs, above to frontier-bfs — under
+        # the exact store too, which the packed frontier used to refuse.
         result = run_plan(
             entry.quorum_model(), entry.invariant,
-            CheckPlan(shape="bfs", store="fingerprint",
+            CheckPlan(shape="bfs", store="full",
                       successors="fast", workers=workers),
         )
         assert result.engine == (
-            "serial-bfs" if workers == 1 else "frontier-bfs-fast"
+            "serial-bfs" if workers == 1 else "frontier-bfs"
         )
         assert result.plan.successors == "fast"
         assert result.verified
@@ -302,7 +301,7 @@ class TestFastpathTwinConformance:
         registry = default_registry()
         fast_grid = list(registry.supported_plans(
             worker_counts=WORKER_COUNTS,
-            stores=("fingerprint",),
+            stores=("full", "fingerprint"),
             successor_modes=("fast",),
         ))
         assert fast_grid

@@ -121,14 +121,6 @@ class TestViolatingCellParity:
             assert cursor == step.state
         assert not entry.invariant.holds_in(cursor, protocol)
 
-    def test_track_parents_disabled_still_detects_violation(self):
-        entry = multicast_entry(2, 1, 2, 1)
-        outcome = parallel_bfs_search(
-            entry.quorum_model(), entry.invariant, workers=2, track_parents=False
-        )
-        assert not outcome.verified
-        assert outcome.counterexample is None
-
     def test_violated_initial_state_short_circuits(self, ping_pong):
         from repro.checker.property import Invariant
 
