@@ -17,8 +17,8 @@ Two graphs ship:
   ``exact_key`` are the identity;
 * :class:`PackedGraph` over the table-compiled
   :class:`~repro.fastpath.compiler.FastSuccessorEngine` — states are packed
-  word tuples, materialised as objects only for property-memo misses, the
-  reducer bridge and counterexamples.
+  word tuples, materialised as objects only for property-memo misses and
+  counterexamples.
 
 Both produce enabled executions in the same deterministic order, so an
 execution-index path (:func:`replay_path`) and a checkpoint mean the same
@@ -47,40 +47,42 @@ from .statestore import make_state_store
 class ReductionContext:
     """Information a reducer may use when choosing the explored subset.
 
+    States and executions are *graph-native* — objects over an
+    :class:`ObjectGraph`, packed tuples over a :class:`PackedGraph` — and
+    the reducer returns a subset of ``enabled`` in that same form.  A
+    reducer that wants objects pays for them itself:
+    ``context.graph.decode(context.state)``,
+    ``context.graph.execution_of(execution)``.
+
     Attributes:
         state: The state being expanded.
         enabled: All enabled executions in ``state``.
         protocol: The protocol under verification.
-        successor: Function computing the successor of an execution; results
-            are cached by the successor engine so calling it is cheap.
+        successor: Function computing the successor of an execution; the
+            results are kept in the expanding frame's memo, so the search
+            does not recompute them.
         on_stack: True for states currently on the DFS stack; used for the
             cycle (stack) proviso.
-        engine: The successor engine driving the search; reducers may
-            consult its enabled-execution and successor caches directly.
+        engine: The successor engine driving the search.
+        graph: The graph ``state`` and ``enabled`` belong to; a context
+            built without one is an object-state context.
     """
 
-    state: GlobalState
-    enabled: Tuple[Execution, ...]
+    state: object
+    enabled: Tuple
     protocol: Protocol
-    successor: Callable[[Execution], GlobalState]
-    on_stack: Callable[[GlobalState], bool]
-    engine: Optional[SuccessorEngine] = None
+    successor: Callable
+    on_stack: Callable[[object], bool]
+    engine: object = None
+    graph: Optional["StateGraph"] = None
 
 
 #: A reducer maps a reduction context to the subset of executions to explore.
-Reducer = Callable[[ReductionContext], Tuple[Execution, ...]]
+Reducer = Callable[[ReductionContext], Tuple]
 
 
 def _identity(value):
     return value
-
-
-def _fingerprint_in(fingerprints: set) -> Callable[[GlobalState], bool]:
-    """The cycle proviso's ``on_stack`` over a live set of fingerprints."""
-    def on_stack(state: GlobalState) -> bool:
-        return state.fingerprint() in fingerprints
-
-    return on_stack
 
 
 class StateGraph:
@@ -98,6 +100,11 @@ class StateGraph:
         decode / encode: To and from the object-graph ``GlobalState``.
         execution_of: This graph's execution as an object-graph
             :class:`~repro.mp.transition.Execution`.
+        transition_index: ``execution -> int``, the position of its
+            transition in ``protocol.transitions``.
+        pending_senders: ``(state, transition index) -> int``, the senders
+            (a bitmask over ``protocol.sender_index`` positions) of the
+            pending messages that transition could consume.
     """
 
     protocol: Protocol
@@ -125,7 +132,7 @@ class StateGraph:
 
     def make_reduce(self, reducer: Reducer, on_stack: set,
                     by_fingerprint: bool = False):
-        """Adapt an object-graph reducer to ``reduce(state, enabled, memo)``.
+        """Adapt a reducer to the loops' ``reduce(state, enabled, memo)``.
 
         ``on_stack`` is the loop's live set of ``exact_key`` values on the
         DFS stack (the cycle proviso's input) — or, ``by_fingerprint``, of
@@ -135,7 +142,26 @@ class StateGraph:
         successor dict, filled with whatever the reducer computes so the
         loop does not recompute it.
         """
-        raise NotImplementedError
+        protocol, engine, successor_of = self.protocol, self.engine, self.successor
+        identify = self.fingerprint if by_fingerprint else self.exact_key
+
+        def is_on_stack(state) -> bool:
+            return identify(state) in on_stack
+
+        def reduce(state, enabled, memo):
+            def successor(execution):
+                cached = memo.get(execution)
+                if cached is None:
+                    cached = memo[execution] = successor_of(state, execution)
+                return cached
+
+            return reducer(ReductionContext(
+                state=state, enabled=enabled, protocol=protocol,
+                successor=successor, on_stack=is_on_stack, engine=engine,
+                graph=self,
+            ))
+
+        return reduce
 
     def record(self, telemetry) -> None:
         """Record engine-specific end-of-run metrics (default: none)."""
@@ -166,30 +192,24 @@ class ObjectGraph(StateGraph):
         self.initial = self.engine.initial_state()
         self.enabled = self.engine.enabled
         self.successor = self.engine.successor
+        self._index_of = {t.name: index for index, t in enumerate(protocol.transitions)}
 
     def predicate(self, evaluate, network_sensitive=True):
         return evaluate
 
-    def make_reduce(self, reducer, on_stack, by_fingerprint=False):
-        engine, protocol = self.engine, self.protocol
-        is_on_stack = _fingerprint_in(on_stack) if by_fingerprint else on_stack.__contains__
+    def transition_index(self, execution: Execution) -> int:
+        return self._index_of[execution.transition.name]
 
-        def reduce(state, enabled, memo):
-            # Per-frame successor memo: keeps the proviso-check ->
-            # expansion reuse without retaining every edge for the whole
-            # search (a stateful search's engine caches nothing).
-            def successor(execution):
-                cached = memo.get(execution)
-                if cached is None:
-                    cached = memo[execution] = engine.successor(state, execution)
-                return cached
-
-            return reducer(ReductionContext(
-                state=state, enabled=enabled, protocol=protocol,
-                successor=successor, on_stack=is_on_stack, engine=engine,
-            ))
-
-        return reduce
+    def pending_senders(self, state: GlobalState, index: int) -> int:
+        transition = self.protocol.transitions[index]
+        senders = transition.effective_senders()
+        sender_index = self.protocol.sender_index
+        mask = 0
+        for message in state.network.pending_for(
+                transition.process_id, mtype=transition.message_type):
+            if senders is None or message.sender in senders:
+                mask |= 1 << sender_index[message.sender]
+        return mask
 
 
 class PackedGraph(StateGraph):
@@ -200,7 +220,7 @@ class PackedGraph(StateGraph):
     tables and every predicate memo alike.
     """
 
-    exact_key = itemgetter(0)
+    exact_key = transition_index = itemgetter(0)
     fingerprint = itemgetter(3)
 
     def __init__(self, protocol: Protocol, engine=None,
@@ -227,6 +247,7 @@ class PackedGraph(StateGraph):
         self.decode = engine.decode
         self.encode = engine.encode
         self.execution_of = engine.execution_of
+        self.pending_senders = engine.pending_senders
 
     def predicate(self, evaluate, network_sensitive=True):
         from ..fastpath.search import _memoised_predicate
@@ -239,18 +260,6 @@ class PackedGraph(StateGraph):
         from ..fastpath.search import _PackedStore
 
         return _PackedStore(kind, shards)
-
-    def make_reduce(self, reducer, on_stack, by_fingerprint=False):
-        from ..fastpath.search import make_reduction_bridge, words_on_stack_factory
-
-        if by_fingerprint:
-            is_on_stack = _fingerprint_in(on_stack)
-
-            def make_on_stack(_words_of):  # candidates arrive decoded
-                return is_on_stack
-        else:
-            make_on_stack = words_on_stack_factory(self.engine, on_stack)
-        return make_reduction_bridge(self.engine, self.protocol, reducer, make_on_stack)
 
     def record(self, telemetry) -> None:
         telemetry.record_fastpath(self.engine)

@@ -78,7 +78,7 @@ def make_reducer(protocol: Protocol, plan: CheckPlan) -> Optional[Reducer]:
     from ..por.stubborn import StubbornSetProvider
 
     dependence = DependenceRelation.precompute(protocol)
-    heuristic = make_seed_heuristic(plan.seed_heuristic)
+    heuristic = make_seed_heuristic(plan.seed_heuristic, dependence=dependence)
     provider = StubbornSetProvider(
         protocol=protocol,
         dependence=dependence,

@@ -57,6 +57,10 @@ DEFAULT_WALK_DEPTH = 256
 #: on the other.
 SUCCESSOR_MODES = ("object", "fast")
 
+#: Seed-transition heuristics of the stubborn-set reductions; a literal like
+#: ``STORES``, pinned to ``repro.por.seed.SEED_HEURISTICS`` by test_plan.py.
+SEED_HEURISTICS = ("opposite-transaction", "transaction", "first", "fewest-dependents")
+
 #: Checking goals: ``"invariant"`` (a predicate must hold in every reachable
 #: state) or ``"liveness"`` (an :class:`~repro.checker.property.Eventually`
 #: goal must be reached on every maximal run; violations are accepting
@@ -217,6 +221,8 @@ class CheckPlan:
             raise _unknown_axis_value("backend", self.backend, BACKENDS)
         if self.successors not in SUCCESSOR_MODES:
             raise _unknown_axis_value("successors", self.successors, SUCCESSOR_MODES)
+        if self.seed_heuristic not in SEED_HEURISTICS:
+            raise _unknown_axis_value("seed_heuristic", self.seed_heuristic, SEED_HEURISTICS)
         if not isinstance(self.workers, int) or self.workers < 1:
             raise UnsupportedPlanError(
                 "workers",

@@ -14,12 +14,11 @@ representation end to end.
   to :meth:`repro.mp.state.GlobalState.fingerprint`.
 * :mod:`repro.fastpath.search` holds no loop of its own: it supplies what
   :class:`~repro.checker.stategraph.PackedGraph` is made of (the packed
-  store, the memoised property predicates, the stubborn-set reducer
-  bridge) and the ``fast_dfs_search`` / ``fast_bfs_search`` /
-  ``fast_ndfs_search`` entry points, which run the one serial loop of
-  :mod:`repro.checker.search` over that graph.  Object-graph states are
-  materialised only for counterexamples, property-memo misses and the
-  reducer bridge — never on the hot successor path.
+  store, the memoised property predicates) and the ``fast_dfs_search`` /
+  ``fast_bfs_search`` / ``fast_ndfs_search`` entry points, which run the
+  one serial loop of :mod:`repro.checker.search` over that graph.
+  Object-graph states are materialised only for counterexamples and
+  property-memo misses — never on the hot successor path, reduced or not.
 
 There is no parallel module: behind the plan layer's ``successors="fast"``
 axis every engine that has a loop — ``serial-dfs`` / ``serial-bfs`` /

@@ -108,9 +108,10 @@ class CompiledTransition:
         self.enabled_memo: "OrderedDict[Tuple, Tuple[Tuple[int, ...], ...]]" = OrderedDict()
         #: ``(local id, consumed ids, spec ids) -> (new local id, outbox)``.
         self.action_memo: "OrderedDict[Tuple, Tuple[int, Tuple[int, ...]]]" = OrderedDict()
-        #: Per message id: is the message a consumption candidate?  Grown
-        #: lazily in lockstep with the engine's message table.
-        self.candidate_flags: List[bool] = []
+        #: Per message id: 0, or — the message being a consumption candidate
+        #: — its sender's ``protocol.sender_index`` bit.  Grown lazily in
+        #: lockstep with the engine's message table.
+        self.candidate_flags: List[int] = []
 
 
 class FastSuccessorEngine:
@@ -120,8 +121,8 @@ class FastSuccessorEngine:
     monotonically as the search discovers new local states and messages.
     The packed API (``initial_packed`` / ``enabled_packed`` /
     ``successor_packed``) is the hot path; ``encode`` / ``decode`` /
-    ``execution_of`` bridge to the object graph for counterexample replay,
-    reducers and invariants.
+    ``execution_of`` bridge to the object graph for counterexample replay
+    and invariants.
 
     The engine is purely an optimisation: enabled executions, their order
     and the successor states are identical to the object engine's, and
@@ -211,6 +212,7 @@ class FastSuccessorEngine:
     def _intern_message(self, message: Message) -> int:
         message_id = self._msg_ids.get(message)
         if message_id is None:
+            sender_bit = 1 << self.protocol.sender_index[message.sender]
             message_id = len(self._msgs)
             self._msg_ids[message] = message_id
             self._msgs.append(message)
@@ -225,7 +227,7 @@ class FastSuccessorEngine:
                         or message.sender in transition.senders
                     )
                 )
-                transition.candidate_flags.append(candidate)
+                transition.candidate_flags.append(sender_bit if candidate else 0)
                 if candidate:
                     consumers.append(transition)
             self._consumers.append(tuple(consumers))
@@ -312,9 +314,9 @@ class FastSuccessorEngine:
     def decode(self, packed: PackedState) -> GlobalState:
         """Materialise the object-graph state of a packed state.
 
-        Off the hot path by design: used for counterexample replay,
-        invariant-memo misses and the reducer bridge.  The precomputed
-        accumulators are reattached, so nothing is rehashed.
+        Off the hot path by design: used for counterexample replay and
+        invariant-memo misses.  The precomputed accumulators are
+        reattached, so nothing is rehashed.
         """
         words, lhash, nethash, _fp = packed
         count = self._num_processes
@@ -383,6 +385,16 @@ class FastSuccessorEngine:
             for consumed in executions:
                 result.append((index, consumed))
         return tuple(result)
+
+    def pending_senders(self, packed: PackedState, index: int) -> int:
+        """Sender bitmask (``protocol.sender_index`` positions) of the pending
+        messages transition ``index`` could consume — the packed answer to
+        :attr:`repro.checker.stategraph.StateGraph.pending_senders`."""
+        flags = self._transitions[index].candidate_flags
+        mask = 0
+        for message_id in packed[0][self._num_processes::2]:
+            mask |= flags[message_id]
+        return mask
 
     def _sorted_by_message(self, ids) -> List[int]:
         sort_keys = self._msg_sort

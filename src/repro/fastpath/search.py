@@ -6,18 +6,14 @@ and :func:`fast_ndfs_search` build a
 :mod:`repro.checker.search` over it — same statistics, budget handling,
 observer events, counterexamples and checkpoints as over object states, by
 construction.  What this module holds is what that graph is made of, the
-three places where object-graph states are materialised, all off the hot
-path:
+two places where object-graph states are materialised (a stubborn-set
+reduction adds none), both off the hot path:
 
 * **property evaluation misses** (:func:`make_invariant_checker`) —
   verdicts of properties declared ``network_sensitive=False`` (all bundled
   ones) are memoised per local-state word vector, which is tiny compared to
   the state count; a network-sensitive property is evaluated per state via
   ``decode`` and stays correct, just slower;
-* **the reducer bridge** (:func:`make_reduction_bridge`) — the stubborn-set
-  reducers are object-graph functions, so when a reduction is configured
-  the expanded state and its executions are decoded for the reducer's
-  benefit; dedup, successor application and hashing stay packed;
 * **counterexamples** — only the violating path is decoded (by the loop,
   through ``graph.decode``).
 
@@ -29,7 +25,7 @@ fingerprint, which is bit-identical to ``GlobalState.fingerprint()``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Optional, Set, Tuple
 
 from ..checker.property import Invariant
 from ..checker.search import (
@@ -39,12 +35,12 @@ from ..checker.search import (
     run_dfs,
     run_ndfs,
 )
-from ..checker.stategraph import PackedGraph, ReductionContext, Reducer
+from ..checker.stategraph import PackedGraph, Reducer
 from ..checker.statestore import ShardedFingerprintStore
 from ..engine.events import Observer
 from ..mp.protocol import Protocol
 from ..mp.state import GlobalState
-from .compiler import FastSuccessorEngine, PackedExecution, PackedState
+from .compiler import FastSuccessorEngine, PackedState
 
 
 class _PackedStore:
@@ -148,86 +144,6 @@ def make_invariant_checker(
         getattr(invariant, "network_sensitive", True),
         capacity,
     )
-
-
-def make_reduction_bridge(
-    engine: FastSuccessorEngine,
-    protocol: Protocol,
-    reducer: Reducer,
-    make_on_stack: Callable[
-        [Dict[GlobalState, Tuple[int, ...]]], Callable[[GlobalState], bool]
-    ],
-):
-    """Adapter running an object-graph reducer over a packed frame.
-
-    Returns ``bridge(packed, enabled, successor_memo) -> reduced packed
-    executions``.  The expanded state and its executions are decoded once;
-    proviso successors computed for the reducer are kept in the frame's
-    packed memo so the search reuses them on expansion, mirroring the
-    object engine's per-frame memoisation.
-
-    ``make_on_stack`` builds the cycle-proviso predicate; it receives the
-    bridge's decoded-state -> packed-words map (filled as the reducer asks
-    for successors) so word-exact callers can avoid re-encoding; the
-    fingerprint-based work-stealing caller ignores it.
-    """
-
-    def bridge(
-        packed: PackedState,
-        enabled: Tuple[PackedExecution, ...],
-        successor_memo: Dict[PackedExecution, PackedState],
-    ) -> Tuple[PackedExecution, ...]:
-        state = engine.decode(packed)
-        executions = tuple(engine.execution_of(p) for p in enabled)
-        packed_of = dict(zip(executions, enabled))
-        decoded: Dict[PackedExecution, GlobalState] = {}
-        words_of: Dict[GlobalState, Tuple[int, ...]] = {}
-
-        def successor_fn(execution):
-            target = packed_of[execution]
-            packed_successor = successor_memo.get(target)
-            if packed_successor is None:
-                packed_successor = engine.successor_packed(packed, target)
-                successor_memo[target] = packed_successor
-            child = decoded.get(target)
-            if child is None:
-                child = engine.decode(packed_successor)
-                decoded[target] = child
-                words_of[child] = packed_successor[0]
-            return child
-
-        context = ReductionContext(
-            state=state,
-            enabled=executions,
-            protocol=protocol,
-            successor=successor_fn,
-            on_stack=make_on_stack(words_of),
-            engine=None,
-        )
-        reduced = reducer(context)
-        if reduced is executions or len(reduced) == len(executions):
-            return enabled
-        return tuple(packed_of[execution] for execution in reduced)
-
-    return bridge
-
-
-def words_on_stack_factory(
-    engine: FastSuccessorEngine, on_stack_words: Set[Tuple[int, ...]]
-):
-    """Word-exact cycle-proviso predicate for :func:`make_reduction_bridge`
-    (the serial DFS: membership in the live packed-words stack set)."""
-
-    def make_on_stack(words_of: Dict[GlobalState, Tuple[int, ...]]):
-        def on_stack(candidate: GlobalState) -> bool:
-            words = words_of.get(candidate)
-            if words is None:
-                words = engine.encode(candidate)[0]
-            return words in on_stack_words
-
-        return on_stack
-
-    return make_on_stack
 
 
 def fast_dfs_search(

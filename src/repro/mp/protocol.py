@@ -36,6 +36,10 @@ class Protocol:
             counts, fault configuration, model variant).
         process_index: Shared ``pid -> position`` dictionary (set during
             validation); every global state of this protocol reuses it.
+        sender_index: ``sender -> position`` (the bit layout of sender
+            bitmasks) of everything that can send: each process at its
+            ``process_index``, :data:`DRIVER` one past the last, then any
+            other sender of a driver message.
     """
 
     name: str
@@ -56,6 +60,12 @@ class Protocol:
             self,
             "process_index",
             MappingProxyType({pid: position for position, pid in enumerate(pids)}),
+        )
+        extra = {message.sender for message in self.driver_messages} - pid_set - {DRIVER}
+        senders = pids + [DRIVER] + sorted(extra)
+        object.__setattr__(
+            self, "sender_index",
+            MappingProxyType({sender: position for position, sender in enumerate(senders)}),
         )
         names = [transition.name for transition in self.transitions]
         if len(set(names)) != len(names):

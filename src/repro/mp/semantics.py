@@ -34,12 +34,12 @@ from .state import GlobalState, StateInterner
 from .transition import ActionContext, Execution, QuorumKind, TransitionSpec
 
 
-def _candidate_messages(state: GlobalState, transition: TransitionSpec) -> Tuple[Message, ...]:
-    """Pending messages this transition could consume, in deterministic order."""
-    pending = state.network.pending_for(transition.process_id, mtype=transition.message_type)
+def _candidate_messages(pending: Iterable[Message], transition: TransitionSpec) -> Tuple[Message, ...]:
+    """Those of the messages pending for the transition's ``(process,
+    message type)`` it could consume, in deterministic order."""
     senders = transition.effective_senders()
     if senders is not None:
-        pending = tuple(message for message in pending if message.sender in senders)
+        pending = [message for message in pending if message.sender in senders]
     return tuple(sorted(pending, key=Message.sort_key))
 
 
@@ -94,20 +94,27 @@ def _exact_quorum_executions(
     return executions
 
 
+def _enabled_among(
+    state: GlobalState, transition: TransitionSpec, pending: Iterable[Message]
+) -> List[Execution]:
+    """The transition's enabled executions, given the messages pending for
+    its ``(process, message type)``."""
+    candidates = _candidate_messages(pending, transition)
+    if not candidates:
+        return []
+    if transition.quorum.kind is QuorumKind.SINGLE:
+        return _single_message_executions(state, transition, candidates)
+    if len(candidates) < transition.quorum.size:
+        return []
+    return _exact_quorum_executions(state, transition, candidates)
+
+
 def enabled_executions_for(
     state: GlobalState, transition: TransitionSpec
 ) -> Tuple[Execution, ...]:
     """Return all enabled executions of a single transition in ``state``."""
-    candidates = _candidate_messages(state, transition)
-    if not candidates:
-        return ()
-    if transition.quorum.kind is QuorumKind.SINGLE:
-        executions = _single_message_executions(state, transition, candidates)
-    else:
-        if len(candidates) < transition.quorum.size:
-            return ()
-        executions = _exact_quorum_executions(state, transition, candidates)
-    return tuple(executions)
+    pending = state.network.pending_for(transition.process_id, mtype=transition.message_type)
+    return tuple(_enabled_among(state, transition, pending))
 
 
 def enabled_executions(
@@ -123,10 +130,16 @@ def enabled_executions(
         transitions: Optional subset of transitions to restrict to; used by
             the partial-order reduction to expand stubborn sets lazily.
     """
-    specs = protocol.transitions if transitions is None else tuple(transitions)
+    specs = protocol.transitions if transitions is None else transitions
+    # One network scan for all transitions: ``pending_for`` by (recipient, mtype).
+    buckets: Dict[Tuple[str, str], List[Message]] = {}
+    for message, _count in state.network.items:
+        buckets.setdefault((message.recipient, message.mtype), []).append(message)
     result: List[Execution] = []
     for transition in specs:
-        result.extend(enabled_executions_for(state, transition))
+        pending = buckets.get((transition.process_id, transition.message_type))
+        if pending:
+            result.extend(_enabled_among(state, transition, pending))
     return tuple(result)
 
 

@@ -27,6 +27,14 @@ Three relations are exposed:
 
 The relation deliberately errs on the side of dependence whenever an
 annotation leaves senders or recipients unknown.
+
+Every table exists twice: keyed by transition *name* (for DPOR, tests and
+humans) and as **int bitmasks** (for the stubborn-set closure).  Bit ``i``
+of a mask stands for ``protocol.transitions[i]`` and the mask tables are
+tuples indexed by that same position, so a closure step is ``closure |=
+table[i]``; the per-sender table is further indexed by
+``protocol.sender_index`` position, the layout of the pending-sender masks
+a :class:`~repro.checker.stategraph.StateGraph` reports.
 """
 
 from __future__ import annotations
@@ -132,6 +140,14 @@ class DependenceRelation:
             sets of the stubborn-set construction are assembled from this.
         dependent_pairs: Symmetric set of dependent transition-name pairs
             (interference or enabling in either direction); used by DPOR.
+        interference_masks / enabler_masks: ``interference`` / ``enablers``
+            as one bitmask per transition position.
+        coarse_masks: Per transition position, ``interference`` united with
+            ``coarse_enablers`` — what a disabled member drags in when the
+            per-state reasoning does not apply.
+        sender_enabler_masks: ``enablers_by_sender`` as
+            ``[transition position][sender position] -> bitmask``.
+        visible_mask: The property-visible transitions.
     """
 
     interference: Dict[str, Tuple[str, ...]]
@@ -140,6 +156,11 @@ class DependenceRelation:
     enables: Dict[str, Tuple[str, ...]]
     enablers_by_sender: Dict[str, Dict[str, Tuple[str, ...]]]
     dependent_pairs: FrozenSet[Tuple[str, str]]
+    interference_masks: Tuple[int, ...]
+    enabler_masks: Tuple[int, ...]
+    coarse_masks: Tuple[int, ...]
+    sender_enabler_masks: Tuple[Tuple[int, ...], ...]
+    visible_mask: int
 
     @classmethod
     def precompute(cls, protocol: Protocol) -> "DependenceRelation":
@@ -167,7 +188,21 @@ class DependenceRelation:
                 if first.name < second.name and are_dependent(first, second):
                     dependent.add((first.name, second.name))
 
+        bit = {t.name: 1 << position for position, t in enumerate(transitions)}
+        names = [t.name for t in transitions]
+
+        def mask(members) -> int:
+            return sum(bit[name] for name in members)
+
         return cls(
+            interference_masks=tuple(mask(interference[n]) for n in names),
+            enabler_masks=tuple(mask(enablers[n]) for n in names),
+            coarse_masks=tuple(mask(interference[n] + coarse[n]) for n in names),
+            sender_enabler_masks=tuple(
+                tuple(mask(by_sender[n].get(sender, ())) for sender in protocol.sender_index)
+                for n in names
+            ),
+            visible_mask=mask(t.name for t in transitions if t.annotation.visible),
             interference={name: tuple(values) for name, values in interference.items()},
             enablers={name: tuple(values) for name, values in enablers.items()},
             coarse_enablers={name: tuple(values) for name, values in coarse.items()},

@@ -16,6 +16,8 @@ from typing import Callable, Sequence, Tuple
 from ..mp.transition import Execution
 
 #: A heuristic orders the candidate executions; the first one seeds the set.
+#: It must be a function of the enabled *transitions*, never of the message
+#: sets: the stubborn-set provider consults it once per distinct set of them.
 SeedHeuristic = Callable[[Sequence[Execution]], Execution]
 
 
@@ -92,6 +94,9 @@ _NAMED_HEURISTICS = {
     "first": first_enabled_seed,
 }
 
+#: Every name :func:`make_seed_heuristic` accepts.
+SEED_HEURISTICS = tuple(_NAMED_HEURISTICS) + ("fewest-dependents",)
+
 
 def make_seed_heuristic(name: str, dependence=None) -> SeedHeuristic:
     """Return a seed heuristic by name.
@@ -109,6 +114,5 @@ def make_seed_heuristic(name: str, dependence=None) -> SeedHeuristic:
         return _NAMED_HEURISTICS[name]
     except KeyError:
         raise ValueError(
-            f"unknown seed heuristic {name!r}; expected one of "
-            f"{sorted(_NAMED_HEURISTICS) + ['fewest-dependents']}"
+            f"unknown seed heuristic {name!r}; expected one of {sorted(SEED_HEURISTICS)}"
         ) from None

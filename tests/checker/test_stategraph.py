@@ -130,7 +130,8 @@ class TestGraphsAgreeStateByState:
 # --------------------------------------------------------------------------- #
 STORES = ("full", "fingerprint", "sharded-fingerprint")
 #: Stateful DFS grid: every store unreduced and under SPOR-NET (the paper's
-#: headline reduction); plain SPOR shares the reducer bridge, once is enough.
+#: headline reduction); plain SPOR is the same reducer minus the per-state
+#: enabling sets, once is enough.
 DFS_GRID = [(store, reduction) for store in STORES
             for reduction in ("none", "spor-net")] + [("full", "spor")]
 SMALL_CELLS = [pytest.param(entry, id=entry.key) for entry in default_catalog("small")]

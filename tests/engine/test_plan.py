@@ -11,6 +11,7 @@ from repro.engine.plan import (
     GOALS,
     PLAN_AXES,
     REDUCTIONS,
+    SEED_HEURISTICS,
     SHAPES,
     STORES,
     CheckPlan,
@@ -34,6 +35,11 @@ class TestVocabularies:
         from repro.checker.statestore import STORE_KINDS
 
         assert set(STORES) == set(STORE_KINDS)
+
+    def test_seed_heuristic_vocabulary_stays_in_lockstep_with_the_factory(self):
+        from repro.por import seed
+
+        assert set(SEED_HEURISTICS) == set(seed.SEED_HEURISTICS)
 
     def test_plan_axes_cover_the_capability_surface(self):
         assert set(PLAN_AXES) == {
@@ -64,6 +70,7 @@ class TestConstruction:
         ("store", "cloud"),
         ("backend", "gpu"),
         ("goal", "fairness"),
+        ("seed_heuristic", "luckiest"),
     ])
     def test_unknown_axis_values_raise_structured_errors(self, axis, value):
         with pytest.raises(UnsupportedPlanError) as excinfo:
@@ -78,6 +85,9 @@ class TestConstruction:
         with pytest.raises(UnsupportedPlanError) as excinfo:
             CheckPlan(reduction="spor-nett")
         assert excinfo.value.alternative == "spor-net"
+        with pytest.raises(UnsupportedPlanError) as excinfo:
+            CheckPlan(seed_heuristic="fewest-dependants")
+        assert excinfo.value.alternative == "fewest-dependents"
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_non_positive_workers_rejected(self, workers):

@@ -1,5 +1,6 @@
 """Unit tests for the operational semantics (enabled sets and successors)."""
 
+import random
 from dataclasses import dataclass
 
 import pytest
@@ -104,6 +105,38 @@ class TestSingleMessageEnabledness:
         data_executions = enabled_executions_for(state, protocol.transition("DATA@sink"))
         assert len(data_executions) == 1
         assert data_executions[0].messages[0]["origin"] == "s1"
+
+
+class TestOneNetworkScanPerState:
+    def test_bucketed_enabled_set_equals_the_per_transition_scan(self):
+        # ``enabled_executions`` buckets the network once for all
+        # transitions; ``enabled_executions_for`` still scans it per
+        # transition.  Same executions, same order, along random walks.
+        from repro.protocols.paxos import PaxosConfig, build_paxos_quorum
+
+        protocol = build_paxos_quorum(PaxosConfig(2, 3, 1))
+        rng = random.Random(7)
+        checked = 0
+        for _ in range(10):
+            state = protocol.initial_state()
+            while True:
+                whole = enabled_executions(state, protocol)
+                assert whole == tuple(
+                    execution for transition in protocol.transitions
+                    for execution in enabled_executions_for(state, transition))
+                checked += 1
+                if not whole:
+                    break
+                state = apply_execution(state, rng.choice(whole))
+        assert checked > 100
+
+    def test_transition_subset_is_honoured(self, ping_pong):
+        state = ping_pong.initial_state()
+        start = ping_pong.transition("START@ping")
+        assert enabled_executions(state, ping_pong, transitions=[start]) == (
+            enabled_executions_for(state, start))
+        assert enabled_executions(
+            state, ping_pong, transitions=iter([ping_pong.transition("PONG@ping")])) == ()
 
 
 class TestQuorumEnabledness:

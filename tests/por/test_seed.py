@@ -2,16 +2,18 @@
 
 import pytest
 
+from repro import CheckPlan, run_plan
 from repro.mp.semantics import enabled_executions
 from repro.por.dependence import DependenceRelation
 from repro.por.seed import (
+    SEED_HEURISTICS,
     first_enabled_seed,
     make_fewest_dependents_seed,
     make_seed_heuristic,
     opposite_transaction_seed,
     transaction_seed,
 )
-from repro.protocols.paxos import PaxosConfig, build_paxos_quorum
+from repro.protocols.paxos import PaxosConfig, build_paxos_quorum, consensus_invariant
 
 from ..conftest import build_vote_collection
 
@@ -91,3 +93,26 @@ class TestFactory:
     def test_unknown_heuristic_rejected(self):
         with pytest.raises(ValueError):
             make_seed_heuristic("bogus")
+
+
+class TestThroughRunPlan:
+    """``fewest-dependents`` needs the dependence relation the engine layer
+    builds; a plan naming it used to die inside ``make_reducer``."""
+
+    @pytest.mark.parametrize("name", SEED_HEURISTICS)
+    def test_every_named_heuristic_runs_alike_on_both_graphs(self, name):
+        counts = set()
+        for successors in ("object", "fast"):
+            protocol = build_paxos_quorum(PaxosConfig(2, 2, 1))
+            unreduced = run_plan(protocol, consensus_invariant(),
+                                 CheckPlan(successors=successors))
+            result = run_plan(
+                protocol, consensus_invariant(),
+                CheckPlan(reduction="spor-net", seed_heuristic=name, successors=successors),
+            )
+            assert result.verified and result.complete
+            assert result.statistics.reduced_expansions > 0
+            assert result.statistics.states_visited < unreduced.statistics.states_visited
+            counts.add((result.statistics.states_visited,
+                        result.statistics.transitions_executed))
+        assert len(counts) == 1

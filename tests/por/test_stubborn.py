@@ -6,6 +6,7 @@ from repro.checker.search import SearchConfig, dfs_search
 from repro.mp.semantics import apply_execution, enabled_executions
 from repro.por.dependence import DependenceRelation
 from repro.por.stubborn import StubbornSetProvider
+from repro.protocols.catalog import crash_recovery_entry
 from repro.protocols.paxos import PaxosConfig, build_paxos_quorum, consensus_invariant
 
 from ..conftest import build_ping_pong, build_vote_collection
@@ -61,10 +62,11 @@ class TestClosure:
         coarse_closure = without_net.stubborn_names(state, "READ_REPL@proposer1", enabled_names)
         assert net_closure <= coarse_closure
         # The per-state necessary enabling set must not contain acceptor1's
-        # READ: its reply is already pending.
-        assert "READ@acceptor1" not in with_net._necessary_enabling_set(
-            state, protocol.transition("READ_REPL@proposer1")
-        )
+        # READ — its reply is already pending — and nothing else drags it
+        # in; the coarse handling adds every potential enabler.
+        assert "READ@acceptor1" not in net_closure
+        assert "READ@acceptor1" in coarse_closure
+        assert {"READ@acceptor2", "READ@acceptor3"} <= net_closure
 
 
 class TestReducer:
@@ -107,6 +109,25 @@ class TestReducer:
         provider = StubbornSetProvider(protocol)
         dfs_search(protocol, always_true(), reducer=provider.reduce)
         assert provider.reduced_states + provider.fallback_states > 0
+
+    def test_fallbacks_are_counted_by_reason(self):
+        # paxos-2-3-2's second learner makes LEARN visible; the crash/recover
+        # loop closes cycles onto the stack; every cell has states whose
+        # closure covers the whole enabled set.
+        paxos = build_paxos_quorum(PaxosConfig(2, 2, 2))
+        cyclic = crash_recovery_entry(2, 1)
+        for protocol, invariant, reason in (
+            (paxos, consensus_invariant(), "visible"),
+            (cyclic.quorum_model(), cyclic.invariant, "proviso"),
+            (paxos, consensus_invariant(), "all-enabled"),
+        ):
+            provider = StubbornSetProvider(protocol)
+            outcome = dfs_search(protocol, invariant, reducer=provider.reduce)
+            assert set(provider.fallbacks) == {"all-enabled", "visible", "proviso"}
+            assert provider.fallbacks[reason] > 0, reason
+            assert provider.fallback_states == sum(provider.fallbacks.values())
+            assert provider.reduced_states == outcome.statistics.reduced_expansions
+            assert provider.fallback_states <= outcome.statistics.full_expansions
 
 
 class TestSoundnessCrossChecks:
