@@ -8,10 +8,14 @@ representation end to end.
 
 * :class:`FastSuccessorEngine` (:mod:`repro.fastpath.compiler`) interns
   local states and messages to small integers, packs a global state into a
-  flat tuple of machine words, specialises every transition's guard/action
-  into memo tables over those ids, and maintains the PR-1 incremental XOR
-  fingerprint directly over words — packed fingerprints are bit-identical
-  to :meth:`repro.mp.state.GlobalState.fingerprint`.
+  flat tuple of machine words (one local id per process, then one
+  ``message id << 32 | count`` word per distinct pending message, sorted),
+  specialises every transition's guard/action into memo tables over those
+  ids (the action memo holds the *effect* of an application, so a successor
+  is a list copy plus one ``bisect`` per changed entry), and maintains the
+  PR-1 incremental XOR fingerprint directly over words — packed
+  fingerprints are bit-identical to
+  :meth:`repro.mp.state.GlobalState.fingerprint`.
 * :mod:`repro.fastpath.search` holds no loop of its own: it supplies what
   :class:`~repro.checker.stategraph.PackedGraph` is made of (the packed
   store, the memoised property predicates) and the ``fast_dfs_search`` /

@@ -14,16 +14,20 @@ and replaces the per-state work with dictionary lookups on int keys:
   dicts).  Per message id the compiler precomputes the sort key and, per
   transition, whether the message is a consumption candidate.
 * **Packed states.**  A global state becomes a flat tuple of machine words:
-  one local-state id per process followed by the network as ``(message id,
-  count)`` pairs sorted by id.  Alongside the words the engine carries the
-  two XOR accumulators of the PR-1 incremental hash — the locals
-  accumulator and the network accumulator — maintained word-incrementally,
-  and the combined fingerprint, which is *bit-identical* to
-  :meth:`repro.mp.state.GlobalState.fingerprint` of the decoded state.
+  one local-state id per process, then one ``message id << 32 | count`` word
+  per distinct pending message, sorted (hence sorted by id), so applying an
+  execution is a list copy plus one ``bisect`` per changed entry.  Alongside
+  the words the engine carries the two XOR accumulators of the PR-1
+  incremental hash — the locals accumulator and the network accumulator —
+  maintained word-incrementally, and the combined fingerprint, which is
+  *bit-identical* to :meth:`repro.mp.state.GlobalState.fingerprint` of the
+  decoded state.
 * **Table-compiled transitions.**  Enabled-set computation is memoised per
   ``(local id, candidate ids)`` and action application per ``(local id,
   consumed ids, spec-read ids)``; a guard or action closure runs at most
-  once per distinct input and every revisit is a dict hit.
+  once per distinct input and every revisit is a dict hit.  The action memo
+  holds the *effect* — new local id, locals-hash change and the net count
+  change per message word — not the outbox, so a hit sorts and nets nothing.
 
 Enabled executions are produced in *exactly* the object engine's
 deterministic order (transition declaration order, candidates by message
@@ -38,7 +42,9 @@ never cross a process boundary (ship ``decode``d states instead).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import OrderedDict
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..mp.channel import Network, item_hash
@@ -50,15 +56,23 @@ from ..mp.transition import ActionContext, Execution, QuorumKind, TransitionSpec
 
 #: A packed global state: ``(words, locals accumulator, network accumulator,
 #: fingerprint)``.  ``words`` is the flat word tuple — one local-state id
-#: per process, then the network as ``(message id, count)`` pairs sorted by
-#: id — and is the identity of the state (two packed states are equal iff
-#: their words are equal).  The fingerprint equals the decoded state's
-#: ``GlobalState.fingerprint()`` bit for bit.
+#: per process, then one ``message id << 32 | count`` word per distinct
+#: pending message, sorted — and is the identity of the state (two packed
+#: states are equal iff their words are equal).  The fingerprint equals the
+#: decoded state's ``GlobalState.fingerprint()`` bit for bit.
 PackedState = Tuple[Tuple[int, ...], int, int, int]
+
+#: Largest multiplicity a network word can hold beside its message id.
+_COUNT_MASK = (1 << 32) - 1
 
 #: A packed execution: ``(transition index, consumed message ids)`` with the
 #: ids in the object engine's message order (sorted by message sort key).
 PackedExecution = Tuple[int, Tuple[int, ...]]
+
+#: What one action application does to a packed state: ``(new local id, XOR
+#: of the old and new local's entry hashes, sorted ``(message id << 32, net
+#: count change)`` pairs with zero changes dropped)``.
+ActionEffect = Tuple[int, int, Tuple[Tuple[int, int], ...]]
 
 
 class CompiledTransition:
@@ -77,6 +91,7 @@ class CompiledTransition:
         "peers",
         "spec_positions",
         "spec_pids",
+        "spec_key",
         "spec_reads",
         "guard",
         "action",
@@ -99,19 +114,35 @@ class CompiledTransition:
         self.peers = spec.quorum_peers
         self.spec_positions = spec_positions
         self.spec_pids = spec_pids
+        #: ``words -> the spec-read local id(s)``, the action memo's third
+        #: key part; ``None`` for the common transition that reads none.
+        self.spec_key = itemgetter(*spec_positions) if spec_positions else None
         self.spec_reads = spec.annotation.spec_reads
         self.guard = spec.guard
         self.action = spec.action
-        #: ``(local id, candidate ids) -> tuple of consumed-id tuples``.
+        #: ``(local id, candidate ids) -> ready packed executions``.
         #: An ``OrderedDict`` so the engine can run it as an LRU when a
         #: ``memo_capacity`` is configured (plain-dict cost when unbounded).
-        self.enabled_memo: "OrderedDict[Tuple, Tuple[Tuple[int, ...], ...]]" = OrderedDict()
-        #: ``(local id, consumed ids, spec ids) -> (new local id, outbox)``.
-        self.action_memo: "OrderedDict[Tuple, Tuple[int, Tuple[int, ...]]]" = OrderedDict()
+        self.enabled_memo: "OrderedDict[Tuple, Tuple[PackedExecution, ...]]" = OrderedDict()
+        #: ``(local id, consumed ids, spec ids) -> effect``.
+        self.action_memo: "OrderedDict[Tuple, ActionEffect]" = OrderedDict()
         #: Per message id: 0, or — the message being a consumption candidate
         #: — its sender's ``protocol.sender_index`` bit.  Grown lazily in
         #: lockstep with the engine's message table.
         self.candidate_flags: List[int] = []
+
+
+class _NetContribs(dict):
+    """``network word -> item_hash(message, count)``, filled on first use."""
+
+    __slots__ = ("_msgs",)
+
+    def __init__(self, msgs: List[Message]) -> None:
+        self._msgs = msgs
+
+    def __missing__(self, word: int) -> int:
+        value = self[word] = item_hash(self._msgs[word >> 32], word & _COUNT_MASK)
+        return value
 
 
 class FastSuccessorEngine:
@@ -187,14 +218,13 @@ class FastSuccessorEngine:
         self._msg_ids: Dict[Message, int] = {}
         self._msgs: List[Message] = []
         self._msg_sort: List[Tuple] = []
-        #: Per message id: the transitions that may consume it.
-        self._consumers: List[Tuple[CompiledTransition, ...]] = []
+        #: Per message id: the indices of the transitions that may consume it.
+        self._consumers: List[Tuple[int, ...]] = []
         #: Per process position: ``local id -> hash((position, pid, local))``.
         self._entry_hash_memo: Tuple[Dict[int, int], ...] = tuple(
             {} for _ in self._pids
         )
-        #: ``(message id, count) -> item_hash(message, count)``.
-        self._net_contrib_memo: Dict[Tuple[int, int], int] = {}
+        self._net_contrib_memo = _NetContribs(self._msgs)
         #: Packed execution -> object-graph :class:`Execution`.
         self._exec_memo: Dict[PackedExecution, Execution] = {}
 
@@ -229,7 +259,7 @@ class FastSuccessorEngine:
                 )
                 transition.candidate_flags.append(sender_bit if candidate else 0)
                 if candidate:
-                    consumers.append(transition)
+                    consumers.append(transition.index)
             self._consumers.append(tuple(consumers))
         return message_id
 
@@ -239,14 +269,6 @@ class FastSuccessorEngine:
         if value is None:
             value = _entry_hash(position, self._pids[position], self._locals[local_id])
             memo[local_id] = value
-        return value
-
-    def _net_contrib(self, message_id: int, count: int) -> int:
-        key = (message_id, count)
-        value = self._net_contrib_memo.get(key)
-        if value is None:
-            value = item_hash(self._msgs[message_id], count)
-            self._net_contrib_memo[key] = value
         return value
 
     def table_sizes(self) -> Dict[str, int]:
@@ -299,17 +321,16 @@ class FastSuccessorEngine:
             local_id = self._intern_local(local)
             local_words.append(local_id)
             lhash ^= self._entry_hash(position, local_id)
-        net = sorted(
-            (self._intern_message(message), count)
-            for message, count in state.network.items
-        )
         nethash = 0
-        words = local_words
-        for message_id, count in net:
-            nethash ^= self._net_contrib(message_id, count)
-            words.append(message_id)
-            words.append(count)
-        return tuple(words), lhash, nethash, combine_state_hash(lhash, nethash)
+        net = []
+        for message, count in state.network.items:
+            if count > _COUNT_MASK:
+                raise MPError(f"{count} copies of a message do not fit a network word")
+            word = self._intern_message(message) << 32 | count
+            net.append(word)
+            nethash ^= self._net_contrib_memo[word]
+        words = tuple(local_words + sorted(net))
+        return words, lhash, nethash, combine_state_hash(lhash, nethash)
 
     def decode(self, packed: PackedState) -> GlobalState:
         """Materialise the object-graph state of a packed state.
@@ -326,9 +347,7 @@ class FastSuccessorEngine:
             for position, pid in enumerate(self._pids)
         )
         msgs = self._msgs
-        items = [
-            (msgs[words[i]], words[i + 1]) for i in range(count, len(words), 2)
-        ]
+        items = [(msgs[word >> 32], word & _COUNT_MASK) for word in words[count:]]
         items.sort(key=lambda item: item[0].sort_key())
         network = Network._from_canonical(tuple(items), nethash)
         return GlobalState._derive(pairs, network, self._index, lhash)
@@ -347,29 +366,30 @@ class FastSuccessorEngine:
     def enabled_packed(self, packed: PackedState) -> Tuple[PackedExecution, ...]:
         """All enabled executions, in the object engine's exact order."""
         words = packed[0]
-        count = self._num_processes
         consumers = self._consumers
         buckets: Dict[int, List[int]] = {}
-        for i in range(count, len(words), 2):
-            message_id = words[i]
-            for transition in consumers[message_id]:
-                bucket = buckets.get(transition.index)
+        for word in words[self._num_processes:]:
+            message_id = word >> 32
+            for index in consumers[message_id]:
+                bucket = buckets.get(index)
                 if bucket is None:
-                    buckets[transition.index] = [message_id]
+                    buckets[index] = [message_id]
                 else:
                     bucket.append(message_id)
         if not buckets:
             return ()
+        transitions = self._transitions
         result: List[PackedExecution] = []
-        for transition in self._transitions:
-            candidate_ids = buckets.get(transition.index)
-            if candidate_ids is None:
-                continue
-            key = (words[transition.position], tuple(candidate_ids))
+        for index in sorted(buckets):
+            transition = transitions[index]
+            key = (words[transition.position], tuple(buckets[index]))
             executions = transition.enabled_memo.get(key)
             if executions is None:
                 self.memo_misses += 1
-                executions = self._compute_enabled(transition, key[0], key[1])
+                executions = tuple(
+                    (index, consumed)
+                    for consumed in self._compute_enabled(transition, key[0], key[1])
+                )
                 transition.enabled_memo[key] = executions
                 if (
                     self.memo_capacity is not None
@@ -381,9 +401,7 @@ class FastSuccessorEngine:
                 self.memo_hits += 1
                 if self.memo_capacity is not None:
                     transition.enabled_memo.move_to_end(key)
-            index = transition.index
-            for consumed in executions:
-                result.append((index, consumed))
+            result += executions
         return tuple(result)
 
     def pending_senders(self, packed: PackedState, index: int) -> int:
@@ -392,8 +410,8 @@ class FastSuccessorEngine:
         :attr:`repro.checker.stategraph.StateGraph.pending_senders`."""
         flags = self._transitions[index].candidate_flags
         mask = 0
-        for message_id in packed[0][self._num_processes::2]:
-            mask |= flags[message_id]
+        for word in packed[0][self._num_processes:]:
+            mask |= flags[word >> 32]
         return mask
 
     def _sorted_by_message(self, ids) -> List[int]:
@@ -458,16 +476,14 @@ class FastSuccessorEngine:
         """Apply a packed execution; pure word/accumulator arithmetic."""
         words, lhash, nethash, _fp = packed
         transition = self._transitions[execution[0]]
-        consumed = execution[1]
         position = transition.position
-        local_id = words[position]
-        spec_ids = tuple(words[pos] for pos in transition.spec_positions)
-        key = (local_id, consumed, spec_ids)
-        cached = transition.action_memo.get(key)
-        if cached is None:
+        spec_key = transition.spec_key
+        key = (words[position], execution[1], spec_key(words) if spec_key else ())
+        effect = transition.action_memo.get(key)
+        if effect is None:
             self.memo_misses += 1
-            cached = self._apply_action(transition, local_id, consumed, spec_ids)
-            transition.action_memo[key] = cached
+            effect = self._apply_action(transition, words, execution[1])
+            transition.action_memo[key] = effect
             if (
                 self.memo_capacity is not None
                 and len(transition.action_memo) > self.memo_capacity
@@ -478,81 +494,56 @@ class FastSuccessorEngine:
             self.memo_hits += 1
             if self.memo_capacity is not None:
                 transition.action_memo.move_to_end(key)
-        new_local_id, outbox = cached
+        new_local_id, lhash_change, changes = effect
 
+        out = list(words)
+        out[position] = new_local_id
+        lhash ^= lhash_change
         count = self._num_processes
-        if new_local_id != local_id:
-            lhash ^= self._entry_hash(position, local_id) ^ self._entry_hash(
-                position, new_local_id
-            )
-            locals_part = (
-                words[:position] + (new_local_id,) + words[position + 1:count]
-            )
-        else:
-            locals_part = words[:count]
-
-        delta: Dict[int, int] = {}
-        for message_id in consumed:
-            delta[message_id] = delta.get(message_id, 0) - 1
-        for message_id in outbox:
-            delta[message_id] = delta.get(message_id, 0) + 1
-        delta = {message_id: d for message_id, d in delta.items() if d}
-        if not delta:
-            new_words = locals_part + words[count:]
-            return new_words, lhash, nethash, combine_state_hash(lhash, nethash)
-
-        contrib = self._net_contrib
-        delta_ids = sorted(delta)
-        out = list(locals_part)
-        di = 0
-        nd = len(delta_ids)
-        i = count
-        n = len(words)
-        while i < n or di < nd:
-            if di < nd and (i >= n or delta_ids[di] < words[i]):
-                message_id = delta_ids[di]
-                change = delta[message_id]
-                if change < 0:
-                    raise TransitionExecutionError(
-                        f"transition {transition.spec.name} consumed a message "
-                        "not present in the network"
-                    )
-                out.append(message_id)
-                out.append(change)
-                nethash ^= contrib(message_id, change)
-                di += 1
-            elif di < nd and delta_ids[di] == words[i]:
-                message_id = words[i]
-                old_count = words[i + 1]
-                new_count = old_count + delta[message_id]
-                if new_count < 0:
+        contrib = self._net_contrib_memo
+        for base, change in changes:
+            i = bisect_left(out, base, count)
+            word = out[i] if i < len(out) else -1
+            if word >> 32 == base >> 32:
+                nethash ^= contrib[word]
+                word += change
+                if word < base:
                     raise TransitionExecutionError(
                         f"transition {transition.spec.name} consumed more copies "
                         "of a message than the network holds"
                     )
-                nethash ^= contrib(message_id, old_count)
-                if new_count:
-                    out.append(message_id)
-                    out.append(new_count)
-                    nethash ^= contrib(message_id, new_count)
-                di += 1
-                i += 2
+                if word - base > _COUNT_MASK:
+                    raise MPError(
+                        f"transition {transition.spec.name} sent more copies of a "
+                        "message than a network word holds"
+                    )
+                if word == base:
+                    del out[i]
+                    continue
+                out[i] = word
+            elif change < 0:
+                raise TransitionExecutionError(
+                    f"transition {transition.spec.name} consumed a message "
+                    "not present in the network"
+                )
             else:
-                out.append(words[i])
-                out.append(words[i + 1])
-                i += 2
+                word = base + change
+                out.insert(i, word)
+            nethash ^= contrib[word]
         return tuple(out), lhash, nethash, combine_state_hash(lhash, nethash)
 
     def _apply_action(
-        self, transition: CompiledTransition, local_id: int,
-        consumed: Tuple[int, ...], spec_ids: Tuple[int, ...],
-    ) -> Tuple[int, Tuple[int, ...]]:
-        """Memo-miss path: run the real action once, intern its results."""
+        self, transition: CompiledTransition, words: Tuple[int, ...],
+        consumed: Tuple[int, ...],
+    ) -> ActionEffect:
+        """Memo-miss path: run the real action once, intern its effect."""
+        position = transition.position
+        local_id = words[position]
         local = self._locals[local_id]
         messages = tuple(self._msgs[message_id] for message_id in consumed)
         spec_view = {
-            pid: self._locals[spec_id]
-            for pid, spec_id in zip(transition.spec_pids, spec_ids)
+            pid: self._locals[words[spec]]
+            for pid, spec in zip(transition.spec_pids, transition.spec_positions)
         }
         context = ActionContext(
             process_id=transition.pid,
@@ -568,10 +559,18 @@ class FastSuccessorEngine:
             raise TransitionExecutionError(
                 f"transition {transition.spec.name} produced an unhashable local state"
             ) from exc
-        outbox = tuple(
-            self._intern_message(message) for message in context.outbox
+        delta: Dict[int, int] = {}
+        for message_id in consumed:
+            delta[message_id] = delta.get(message_id, 0) - 1
+        for message in context.outbox:
+            message_id = self._intern_message(message)
+            delta[message_id] = delta.get(message_id, 0) + 1
+        changes = sorted((mid << 32, change) for mid, change in delta.items() if change)
+        new_local_id = self._intern_local(new_local)
+        lhash_change = self._entry_hash(position, local_id) ^ self._entry_hash(
+            position, new_local_id
         )
-        return self._intern_local(new_local), outbox
+        return new_local_id, lhash_change, tuple(changes)
 
     # ------------------------------------------------------------------ #
     # Object-graph bridges

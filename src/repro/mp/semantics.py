@@ -36,11 +36,13 @@ from .transition import ActionContext, Execution, QuorumKind, TransitionSpec
 
 def _candidate_messages(pending: Iterable[Message], transition: TransitionSpec) -> Tuple[Message, ...]:
     """Those of the messages pending for the transition's ``(process,
-    message type)`` it could consume, in deterministic order."""
+    message type)`` it could consume, in deterministic order: ``pending`` is
+    a subsequence of the canonical ``Network.items``, which is already in
+    ``Message.sort_key`` order, so filtering keeps it sorted."""
     senders = transition.effective_senders()
     if senders is not None:
-        pending = [message for message in pending if message.sender in senders]
-    return tuple(sorted(pending, key=Message.sort_key))
+        return tuple([message for message in pending if message.sender in senders])
+    return tuple(pending)
 
 
 def _single_message_executions(

@@ -298,6 +298,13 @@ class TestParallelLoopsTwoGraphs:
             if serial.verified:
                 # A thief recomputes the enabled set of the frame it resumes.
                 skip = ("enabled_set_computations",)
+                if entry.quorum_model().metadata.get("cyclic_state_graph"):
+                    # Not graded: the depth a state is first claimed at
+                    # depends on which worker's path gets there first.
+                    skip += ("max_depth",)
+                    shortest = serial_run(entry.key, "bfs", store).statistics.max_depth
+                    assert (shortest <= outcome.statistics.max_depth
+                            < outcome.statistics.states_visited)
                 assert counters(outcome, skip) == counters(serial, skip)
                 assert (outcome.statistics.enabled_set_computations
                         >= serial.statistics.enabled_set_computations)

@@ -130,6 +130,36 @@ class TestOneNetworkScanPerState:
                 state = apply_execution(state, rng.choice(whole))
         assert checked > 100
 
+    @pytest.mark.parametrize("key", [
+        "paxos-2-2-1", "storage-3-1", "multicast-2-1-2-1-lossy", "crashrecovery-2-1",
+    ])
+    def test_candidates_come_out_sorted_without_sorting(self, key):
+        # ``_candidate_messages`` filters the canonical network and does not
+        # re-sort: on sampled reachable states of one cell per family (one
+        # of them lossy) the candidates are their own ``sort_key`` sort.
+        from repro.mp.message import Message
+        from repro.mp.semantics import _candidate_messages
+        from repro.protocols.catalog import entry_by_key
+
+        checked = 0
+        for protocol in (entry_by_key(key).quorum_model(), entry_by_key(key).single_model()):
+            rng = random.Random(7)
+            for _ in range(20):
+                state = protocol.initial_state()
+                for _ in range(40):
+                    for transition in protocol.transitions:
+                        pending = state.network.pending_for(
+                            transition.process_id, mtype=transition.message_type)
+                        candidates = _candidate_messages(pending, transition)
+                        assert candidates == tuple(
+                            sorted(candidates, key=Message.sort_key))
+                        checked += len(candidates) > 1
+                    enabled = enabled_executions(state, protocol)
+                    if not enabled:
+                        break
+                    state = apply_execution(state, rng.choice(enabled))
+        assert checked > 20
+
     def test_transition_subset_is_honoured(self, ping_pong):
         state = ping_pong.initial_state()
         start = ping_pong.transition("START@ping")

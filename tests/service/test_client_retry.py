@@ -90,21 +90,21 @@ class _FlakyServer(threading.Thread):
         while connections < 3:
             conn, _addr = listener.accept()
             connections += 1
-            file = conn.makefile("rwb")
-            line = file.readline()
-            if not line:
-                conn.close()
-                continue
-            self.requests_seen += 1
-            if connections == 1:
-                # First connection: drop without answering.
-                conn.close()
-                continue
-            file.write(
-                (json.dumps({"ok": True, "pong": "test"}) + "\n").encode()
-            )
-            file.flush()
-            conn.close()
+            # The file object keeps the socket open: it must close first
+            # (``with`` exits right to left), or the peer gets no EOF and
+            # waits out its timeout.
+            with conn, conn.makefile("rwb") as file:
+                line = file.readline()
+                if not line:
+                    continue
+                self.requests_seen += 1
+                if connections == 1:
+                    # First connection: drop without answering.
+                    continue
+                file.write(
+                    (json.dumps({"ok": True, "pong": "test"}) + "\n").encode()
+                )
+                file.flush()
         listener.close()
 
     def wait_ready(self):
@@ -118,7 +118,7 @@ class TestRequestRetry:
         server.start()
         port = server.wait_ready()
         client = ServiceClient(
-            host="127.0.0.1", port=port,
+            host="127.0.0.1", port=port, timeout=5.0,
             sleep=lambda _s: None, rng=_ZeroRandom(),
         )
         try:
@@ -135,7 +135,7 @@ class TestRequestRetry:
         server.start()
         port = server.wait_ready()
         client = ServiceClient(
-            host="127.0.0.1", port=port,
+            host="127.0.0.1", port=port, timeout=5.0,
             sleep=lambda _s: None, rng=_ZeroRandom(),
         )
         try:
