@@ -15,7 +15,7 @@ Two representation decisions matter:
   per-process unless ``PYTHONHASHSEED`` is pinned.  A checkpoint loaded
   into a fresh process would mis-route every stored fingerprint, so the
   checkpoint stores the compact state pickles (``GlobalState.__reduce__``
-  is intern-table-aware and small) and the resuming process recomputes
+  is small and carries no hash) and the resuming process recomputes
   fingerprints itself.  This also makes a checkpoint valid for *any*
   worker count: resharding is recomputed at restore time.
 
@@ -160,7 +160,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             payload = pickle.load(handle)
     except FileNotFoundError:
         raise CheckpointError(f"checkpoint {path!r} does not exist") from None
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError) as exc:
+    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
+            TypeError) as exc:
         raise CheckpointError(f"checkpoint {path!r} is unreadable: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(

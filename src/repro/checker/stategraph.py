@@ -163,6 +163,15 @@ class StateGraph:
 
         return reduce
 
+    def share(self) -> None:
+        """Make graph-native states valid in every process forked from here
+        on; a parallel loop calls it before forking.  States that pickle by
+        value (the object graph's) need nothing."""
+
+    def sync(self) -> None:
+        """Catch up with the sharing processes; a parallel loop calls it
+        before touching graph-native states that came from another one."""
+
     def record(self, telemetry) -> None:
         """Record engine-specific end-of-run metrics (default: none)."""
 
@@ -248,6 +257,8 @@ class PackedGraph(StateGraph):
         self.encode = engine.encode
         self.execution_of = engine.execution_of
         self.pending_senders = engine.pending_senders
+        self.share = engine.share
+        self.sync = engine.sync
 
     def predicate(self, evaluate, network_sensitive=True):
         from ..fastpath.search import _memoised_predicate

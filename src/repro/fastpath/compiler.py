@@ -32,16 +32,28 @@ and replaces the per-state work with dictionary lookups on int keys:
 Enabled executions are produced in *exactly* the object engine's
 deterministic order (transition declaration order, candidates by message
 sort key, the same combination enumeration), so execution indices are
-interchangeable between the two engines — execution-index paths,
-checkpoints and the parallel loops' int deltas mean the same on either.
-The interned ids themselves are *not* portable: ``_intern_local`` /
-``_intern_message`` hand them out lazily, per process, so packed words must
-never cross a process boundary (ship ``decode``d states instead).
+interchangeable between the two engines — execution-index paths and
+checkpoints mean the same on either.
+
+**The process-boundary rule.**  Ids are handed out lazily, so an engine on
+its own is private to its process.  :meth:`FastSuccessorEngine.share`,
+called before forking, attaches an :class:`InternLog`: from then on an
+intern *miss* (a few dozen per process — hits never leave it) takes
+the log's cross-process lock, replays what other processes appended since
+this one last looked, and appends the new content if it is still unknown.
+Every process therefore hands out ids in log order, a packed state is a
+flat int tuple that pickles as it is and means the same in every forked
+process, and a receiver calls :meth:`FastSuccessorEngine.sync` (one
+shared-length compare) before it touches a batch of foreign states.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
+import struct
+import weakref
 from bisect import bisect_left
 from collections import OrderedDict
 from operator import itemgetter
@@ -145,6 +157,72 @@ class _NetContribs(dict):
         return value
 
 
+class InternLog:
+    """Append-only log of interned content, shared by forked processes.
+
+    An unlinked temporary file, so there is no capacity to configure and
+    nothing to clean up: bytes 0–7 hold the committed length, the rest is
+    ``(length, pickle of (is_message, content))`` records.  A writer puts
+    its record past the committed length and only then moves the length, so
+    a writer that dies mid-append leaves bytes nobody reads; the lock is a
+    POSIX record lock (``with log:``), which dies with its holder.  All I/O
+    is positional: forked processes share the descriptor's file offset.
+
+    ``seen`` is this process's replay position — private after a fork, and
+    equal, at fork time, to what the inherited tables already contain.
+    """
+
+    _LENGTH = struct.Struct("<Q")
+    _RECORD = struct.Struct("<I")
+
+    def __init__(self) -> None:
+        # Imported here: needed by sharers only, and ``fcntl`` is POSIX-only
+        # like the fork every sharer comes from.
+        import fcntl
+        import tempfile
+
+        self._fcntl = fcntl
+        self._file = tempfile.TemporaryFile()
+        # Closed with the log, not whenever the collector finds the file.
+        weakref.finalize(self, self._file.close)
+        self._fd = self._file.fileno()
+        self.seen = self._LENGTH.size
+        os.pwrite(self._fd, self._LENGTH.pack(self.seen), 0)
+
+    def __enter__(self) -> "InternLog":
+        self._fcntl.lockf(self._fd, self._fcntl.LOCK_EX)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._fcntl.lockf(self._fd, self._fcntl.LOCK_UN)
+
+    def committed(self) -> int:
+        """End of the last committed record (readable without the lock)."""
+        return self._LENGTH.unpack(os.pread(self._fd, self._LENGTH.size, 0))[0]
+
+    def unread(self) -> List[Tuple[bool, Any]]:
+        """The records committed since this process last looked; lock held."""
+        end = self.committed()
+        data = os.pread(self._fd, end - self.seen, self.seen)
+        self.seen = end
+        records = []
+        offset = 0
+        while offset < len(data):
+            (length,) = self._RECORD.unpack_from(data, offset)
+            offset += self._RECORD.size
+            records.append(pickle.loads(data[offset:offset + length]))
+            offset += length
+        return records
+
+    def append(self, is_message: bool, content: Any) -> None:
+        """Commit one record; lock held and :meth:`unread` drained."""
+        payload = pickle.dumps((is_message, content), pickle.HIGHEST_PROTOCOL)
+        record = self._RECORD.pack(len(payload)) + payload
+        os.pwrite(self._fd, record, self.seen)
+        self.seen += len(record)
+        os.pwrite(self._fd, self._LENGTH.pack(self.seen), 0)
+
+
 class FastSuccessorEngine:
     """Table-compiled drop-in for :class:`~repro.mp.semantics.SuccessorEngine`.
 
@@ -176,6 +254,7 @@ class FastSuccessorEngine:
         "_entry_hash_memo",
         "_net_contrib_memo",
         "_exec_memo",
+        "_log",
         "memo_capacity",
         "memo_evictions",
         "memo_hits",
@@ -227,6 +306,8 @@ class FastSuccessorEngine:
         self._net_contrib_memo = _NetContribs(self._msgs)
         #: Packed execution -> object-graph :class:`Execution`.
         self._exec_memo: Dict[PackedExecution, Execution] = {}
+        #: The shared intern log once :meth:`share` attached one.
+        self._log: Optional[InternLog] = None
 
     # ------------------------------------------------------------------ #
     # Interning
@@ -234,34 +315,75 @@ class FastSuccessorEngine:
     def _intern_local(self, local: Any) -> int:
         local_id = self._local_ids.get(local)
         if local_id is None:
-            local_id = len(self._locals)
-            self._local_ids[local] = local_id
-            self._locals.append(local)
+            local_id = self._intern_miss(False, local)
         return local_id
 
     def _intern_message(self, message: Message) -> int:
         message_id = self._msg_ids.get(message)
         if message_id is None:
-            sender_bit = 1 << self.protocol.sender_index[message.sender]
-            message_id = len(self._msgs)
-            self._msg_ids[message] = message_id
-            self._msgs.append(message)
-            self._msg_sort.append(message.sort_key())
-            consumers = []
-            for transition in self._transitions:
-                candidate = (
-                    message.recipient == transition.pid
-                    and message.mtype == transition.message_type
-                    and (
-                        transition.senders is None
-                        or message.sender in transition.senders
-                    )
-                )
-                transition.candidate_flags.append(sender_bit if candidate else 0)
-                if candidate:
-                    consumers.append(transition.index)
-            self._consumers.append(tuple(consumers))
+            message_id = self._intern_miss(True, message)
         return message_id
+
+    def _intern_miss(self, is_message: bool, content: Any) -> int:
+        """Give unseen content the next id — in log order once shared."""
+        log = self._log
+        if log is None:
+            return self._grow(is_message, content)
+        with log:
+            self._replay(log)
+            ids = self._msg_ids if is_message else self._local_ids
+            content_id = ids.get(content)
+            if content_id is None:
+                log.append(is_message, content)
+                content_id = self._grow(is_message, content)
+        return content_id
+
+    def _grow(self, is_message: bool, content: Any) -> int:
+        """Append ``content`` to the local-state or the message tables."""
+        if not is_message:
+            local_id = len(self._locals)
+            self._local_ids[content] = local_id
+            self._locals.append(content)
+            return local_id
+        message = content
+        sender_bit = 1 << self.protocol.sender_index[message.sender]
+        message_id = len(self._msgs)
+        self._msg_ids[message] = message_id
+        self._msgs.append(message)
+        self._msg_sort.append(message.sort_key())
+        consumers = []
+        for transition in self._transitions:
+            candidate = (
+                message.recipient == transition.pid
+                and message.mtype == transition.message_type
+                and (
+                    transition.senders is None
+                    or message.sender in transition.senders
+                )
+            )
+            transition.candidate_flags.append(sender_bit if candidate else 0)
+            if candidate:
+                consumers.append(transition.index)
+        self._consumers.append(tuple(consumers))
+        return message_id
+
+    def share(self) -> None:
+        """Make this engine's ids valid in every process forked from here on
+        (see the module docstring); call before forking."""
+        if self._log is None:
+            self._log = InternLog()
+
+    def sync(self) -> None:
+        """Catch up on what other processes interned; call before touching
+        packed states that came from one."""
+        log = self._log
+        if log is not None and log.committed() != log.seen:
+            with log:
+                self._replay(log)
+
+    def _replay(self, log: InternLog) -> None:
+        for record in log.unread():
+            self._grow(*record)
 
     def _entry_hash(self, position: int, local_id: int) -> int:
         memo = self._entry_hash_memo[position]

@@ -20,6 +20,7 @@ updates, construction is engineered around three invariants:
 
 from __future__ import annotations
 
+import os
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from .channel import Network
@@ -32,22 +33,38 @@ from .errors import MPError
 _UNPICKLE_INDEX_CACHE: Dict[Tuple[str, ...], Dict[str, int]] = {}
 
 
-def _restore_state(pairs: Tuple[Tuple[str, Any], ...], network: Network) -> "GlobalState":
+#: Drawn once per interpreter and inherited by ``fork``.  A network's
+#: canonical order sorts payloads by ``repr``, which for a set depends on
+#: the interpreter's hash seed; two processes that agree on this token
+#: share the seed, so an order canonical in one is canonical in the other.
+_LINEAGE = os.urandom(8)
+
+
+def _restore_state(
+    pairs: Tuple[Tuple[str, Any], ...], items, lineage: bytes
+) -> "GlobalState":
     """Rebuild a pickled :class:`GlobalState`.
 
-    Only the local-state vector and the network cross the process boundary;
-    the index is reattached from a per-process cache and both hashes are
-    recomputed under the *receiving* interpreter's hash seed.  Fingerprints
-    therefore agree between sender and receiver exactly when both share a
-    hash seed — true for ``fork``-started workers and for ``spawn`` with
-    ``PYTHONHASHSEED`` pinned; the parallel search relies on this.
+    Only the local-state vector, the network's items and the writer's
+    lineage cross the boundary; the index is reattached from a per-process
+    cache and both hashes are recomputed under the *receiving* interpreter's
+    hash seed.  A state written by this process or a ``fork`` sibling (same
+    :data:`_LINEAGE`) — what the parallel search ships between its workers
+    — is taken in the canonical network order it was written in; any other
+    reader (a checkpoint opened by a later run, a ``spawn``-started process)
+    re-sorts the network too.  Fingerprints agree between writer and reader
+    exactly when their hash seeds (and the identity hashes the states
+    contain) do.
     """
     pids = tuple(pid for pid, _ in pairs)
     index = _UNPICKLE_INDEX_CACHE.get(pids)
     if index is None:
         index = {pid: position for position, pid in enumerate(pids)}
         _UNPICKLE_INDEX_CACHE[pids] = index
-    return GlobalState(pairs, network, index=index)
+    if lineage == _LINEAGE:
+        network = Network._from_canonical(items)
+        return GlobalState._derive(pairs, network, index, _locals_accumulator(pairs))
+    return GlobalState(pairs, Network(items), index=index)
 
 
 _MASK64 = (1 << 64) - 1
@@ -258,13 +275,11 @@ class GlobalState:
         return self._hash
 
     def __reduce__(self):
-        """Compact pickling: ship only the locals vector and the network.
-
-        The shared index and both cached hashes are process-local artifacts
-        (hashes depend on the interpreter's hash seed) and are rebuilt on
-        unpickling by :func:`_restore_state`.
+        """Compact pickling: ship only the locals vector, the network's items
+        and this process's lineage; the shared index and both cached hashes
+        are process-local and rebuilt by :func:`_restore_state`.
         """
-        return (_restore_state, (self._locals, self._network))
+        return (_restore_state, (self._locals, self._network._items, _LINEAGE))
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{pid}={local!r}" for pid, local in self._locals)

@@ -4,25 +4,25 @@ The search is level-synchronous: all workers expand their share of level
 *d* before any state of level *d+1* is expanded.  It is written once, over
 the :class:`~repro.checker.stategraph.StateGraph` seam
 (``make_graph(protocol, config)``), so ``successors="fast"`` only swaps
-the graph the workers run over.  Within a level each worker owns one shard
-of the fingerprint partition and deduplicates exactly the keys routed to
-it, so the set of states discovered at every level — and therefore the
-visited-state count — is identical to the serial
-:func:`repro.checker.search.bfs_search` closure.  What parallelism changes
-is only *who* expands a state, never *whether* it is expanded.
+the graph the workers run over.  Each worker owns one shard of the
+fingerprint partition: it deduplicates, invariant-checks and expands
+exactly the states routed to it, so the set of states discovered at every
+level — and therefore the visited-state count — is identical to the serial
+:func:`repro.checker.search.bfs_search` closure, and expansion is balanced
+by the partition.  What parallelism changes is only *who* expands a state,
+never *whether* it is expanded.
 
-A level is three barriers.  *Expand*: every worker expands its frontier,
-keeps the children in its graph's own representation, and ships one int
-delta ``(source, key, parent fingerprint, execution index, holds)`` per
-transition, ``key`` being the child's fingerprint (its object-form state
-under ``store="full"``).  *Absorb*: the coordinator routes the deltas to
-their owner shards, which reply with the positions they accepted.
-*Adopt*: the accepted keys go back to the workers that discovered them and
-become their next frontier — a state never crosses a process boundary to
-be expanded, and expansion is not redistributed (on a narrow graph one
-worker may expand everything while the others only deduplicate).  The
-coordinator's only table is ``fingerprint -> (parent fingerprint,
-execution index)``; counterexamples come from
+A level is two barriers.  *Expand*: every worker expands the frontier it
+owns; a child of its own shard is deduplicated on the spot, a child of
+another shard is shipped — once per worker and level, in the graph's own
+representation (``graph.share()`` before the fork makes it valid in every
+process), as ``(state, parent fingerprint, execution index)`` — in one
+pre-pickled blob per destination.  *Absorb*: the coordinator forwards the
+blobs to their owners without decoding them; each owner deduplicates what
+arrived and replies with ``(fingerprint, parent fingerprint, execution
+index, holds)`` for the states its shard accepted this level — which are
+its next frontier.  The coordinator's only table is ``fingerprint ->
+(parent fingerprint, execution index)``; counterexamples come from
 :func:`~repro.checker.stategraph.replay_path`.
 
 Guarantees relative to serial BFS:
@@ -42,7 +42,7 @@ default) the coordinator restarts it on a fresh queue and sends it the
 same ``restore`` message a checkpoint resume sends — its shard keys from
 the coordinator's table, its frontier as object-form states the
 coordinator rebuilds by replaying their paths over its own graph —
-re-issues the lost barrier command (the routed deltas of the open level
+re-issues the lost barrier command (the forwarded blobs of the open level
 are retained for exactly that), and resumes the collection with the
 surviving workers' replies intact.  Visited and transition counts are
 identical to an uncrashed run because every barrier is a deterministic
@@ -54,12 +54,12 @@ search returns an honest incomplete outcome with partial statistics, never
 a hang or a bare traceback.
 
 Checkpointing rides the same barrier: with ``config.checkpoint_dir`` set
-— and only then — workers ship their adopted frontier to the coordinator
-in object form, and every ``config.checkpoint_every`` levels it writes the
-graph-neutral :mod:`repro.checker.checkpoint` file (object states +
-execution-index edges).  A killed run resumes via ``config.resume_from``,
-at any worker count and over either graph, with verdict and visited count
-identical to an uninterrupted run.
+— and only then — owners add their new frontier in object form to the
+absorb reply, and every ``config.checkpoint_every`` levels the coordinator
+writes the graph-neutral :mod:`repro.checker.checkpoint` file (object
+states + execution-index edges).  A killed run resumes via
+``config.resume_from``, at any worker count and over either graph, with
+verdict and visited count identical to an uninterrupted run.
 
 The workers inherit the graph via the ``fork`` start method (transition
 guards and actions are closures and never pickle).  On platforms without
@@ -139,8 +139,9 @@ def parallel_bfs_search(
             cells never abort spuriously.  Prefer ``config.max_seconds`` for
             budgeting the search as a whole.
         observer: Optional coordinator-side event observer; receives one
-            ``level-completed`` event per level barrier (including the
-            exchanged delta count), one ``worker-telemetry`` event per
+            ``level-completed`` event per level barrier (``deltas`` counts
+            the states that crossed a process boundary), one
+            ``worker-telemetry`` event per
             worker per expand barrier (cumulative expansions/transitions,
             riding the existing replies — no extra IPC),
             ``violation-found`` events, and the fault-tolerance kinds
@@ -168,21 +169,27 @@ def parallel_bfs_search(
         return bfs_search(protocol, invariant, config, observer=observer,
                           telemetry=telemetry)
 
+    # Imported here, not by ``import repro`` — and before the fork, so the
+    # workers inherit it.
+    from ..chaos import chaos_hook_for_worker
+
     statistics = SearchStatistics()
     start_time = time.perf_counter()
     exact = config.state_store == "full"
     checkpointing = config.checkpoint_dir is not None
 
-    # Built before forking: every worker inherits the graph (and, packed,
-    # its compiled tables) instead of building its own.
+    # Built and shared before forking: every worker inherits the graph
+    # (and, packed, its compiled tables) instead of building its own, and
+    # its states mean the same in all of them.
     graph = make_graph(protocol, config, telemetry=telemetry)
+    graph.share()
     enabled_of, successor_of, decode = graph.enabled, graph.successor, graph.decode
     initial = graph.initial
     initial_fp = graph.fingerprint(initial)
 
     #: fingerprint -> None (initial) or (parent fingerprint, exec index).
     parents: Dict[int, Optional[Tuple[int, int]]] = {initial_fp: None}
-    #: Fingerprints of the frontier each worker holds.
+    #: Fingerprints of the frontier each worker owns.
     frontier_fps: List[List[int]] = [[] for _ in range(workers)]
     #: Every visited state in discovery order; kept only while checkpointing.
     discovered: List[GlobalState] = []
@@ -264,32 +271,23 @@ def parallel_bfs_search(
     def spawn_worker(worker_id: int, chaos: Optional[str]):
         process = context.Process(
             target=frontier_worker,
-            args=(
-                worker_id,
-                workers,
-                graph,
-                invariant,
-                exact,
-                checkpointing,
-                task_queues[worker_id],
-                result_queue,
-                chaos,
-            ),
+            args=(worker_id, workers, graph, invariant, exact, checkpointing,
+                  task_queues[worker_id], result_queue,
+                  chaos_hook_for_worker(chaos, worker_id, workers)),
             daemon=True,
         )
         process.start()
         return process
 
-    def restore(worker_id: int, expanded: bool = False) -> List[GlobalState]:
+    def restore(worker_id: int, expanded: bool = False) -> None:
         """Send ``worker_id`` its whole state as the table has it: the keys
-        of its shard and the frontier it holds, in object form."""
+        of its shard and the frontier it owns, in object form."""
         owned = [fp for fp in parents if shard_of(fp, workers) == worker_id]
-        frontier = object_states(frontier_fps[worker_id])
         task_queues[worker_id].put((
             "restore",
-            (object_states(owned) if exact else owned, frontier, expanded),
+            (object_states(owned) if exact else owned,
+             object_states(frontier_fps[worker_id]), expanded),
         ))
-        return frontier
 
     def rebuild(violating_fp: int) -> Counterexample:
         """Replay the parent chain; executions never cross a process
@@ -346,10 +344,9 @@ def parallel_bfs_search(
         """Collect a barrier, restarting crashed workers under supervision.
 
         ``recover(worker_id)`` restores the replacement to the state the
-        lost command found and re-enqueues that command — or returns the
-        reply itself when restoring already did the command's work;
-        surviving workers' replies carry over between attempts via the
-        partial-reply list on the crash error.
+        lost command found and re-enqueues that command; surviving workers'
+        replies carry over between attempts via the partial-reply list on
+        the crash error.
         """
         nonlocal restarts_used
         replies = None
@@ -382,7 +379,7 @@ def parallel_bfs_search(
                     # describes faults of the original incarnation, and
                     # re-arming it would crash every replacement too.
                     processes[worker_id] = spawn_worker(worker_id, None)
-                    replies[worker_id] = recover(worker_id)
+                    recover(worker_id)
                     emit(observer, "worker-restarted", worker=worker_id,
                          attempt=restarts_used)
                     if restart_counter is not None:
@@ -393,14 +390,9 @@ def parallel_bfs_search(
         task_queues[worker_id].put(("expand", None))
 
     def redo_absorb(worker_id: int) -> None:
-        # The dead worker held the children it had discovered this level.
+        # The dead worker held the children of its own shard it had kept.
         restore(worker_id, expanded=True)
         task_queues[worker_id].put(("absorb", routed[worker_id]))
-
-    def redo_adopt(worker_id: int):
-        # The table already holds the level: restoring *is* adopting.
-        frontier = restore(worker_id)
-        return (worker_id, frontier if checkpointing else None)
 
     verified = True
     complete = True
@@ -422,14 +414,18 @@ def parallel_bfs_search(
                 complete = False
                 break
 
-            # Expand: every worker walks the frontier it holds.
+            # Expand: every worker walks the frontier it owns.
             for queue in task_queues:
                 queue.put(("expand", None))
             expanded = supervised_collect("expanded", redo_expand)
-            for reply_worker, outgoing, expansions, transitions in expanded:
+            level_deltas = 0
+            for (reply_worker, _blobs, shipped, expansions, transitions,
+                 revisits) in expanded:
+                level_deltas += shipped
                 statistics.enabled_set_computations += expansions
                 statistics.full_expansions += expansions
                 statistics.transitions_executed += transitions
+                statistics.revisits += revisits
                 totals = worker_totals[reply_worker]
                 totals[0] += expansions
                 totals[1] += transitions
@@ -437,37 +433,34 @@ def parallel_bfs_search(
                     emit(observer, "worker-telemetry", worker=reply_worker,
                          expansions=totals[0], transitions_executed=totals[1])
 
-            # Absorb: deltas routed to each owner shard, in worker-id order
-            # so the absorb order is deterministic.  The routed lists are
-            # retained for the level, so a worker that crashes mid-absorb is
-            # re-fed its exact deltas, and the owners answer in positions.
-            # They send the two fingerprints along so that what the table
-            # keeps alive are integers of that small reply, not of the
-            # level-wide expanded replies, whose memory would otherwise
-            # stay pinned behind them (+8 % coordinator peak RSS).
-            routed: List[list] = []
+            # Absorb: each owner gets the blobs shipped to its shard, still
+            # pickled and in worker-id order so the absorb order is
+            # deterministic.  They are retained for the level, so a worker
+            # that crashes mid-absorb is re-fed exactly what it lost.
+            shipped_by = [reply[1] for reply in expanded]
+            routed: List[List[bytes]] = [
+                [blobs[destination] for blobs in shipped_by
+                 if blobs[destination] is not None]
+                for destination in range(workers)
+            ]
             for destination in range(workers):
-                deltas = []
-                for _worker_id, outgoing, _expansions, _transitions in expanded:
-                    deltas.extend(outgoing[destination])
-                routed.append(deltas)
-                task_queues[destination].put(("absorb", deltas))
+                task_queues[destination].put(("absorb", routed[destination]))
             absorbed = supervised_collect("absorbed", redo_absorb)
 
             level_new = 0
             level_violations: List[int] = []
-            adopted_keys: List[list] = [[] for _ in range(workers)]
-            for owner, accepted, revisits in absorbed:
+            frontier_fps = [[] for _ in range(workers)]
+            for owner, accepted, revisits, states in absorbed:
                 level_new += len(accepted)
                 statistics.revisits += revisits
-                deltas = routed[owner]
-                for position, fingerprint, parent_fp in accepted:
-                    source, key, _parent_fp, exec_index, holds = deltas[position]
+                held = frontier_fps[owner]
+                for fingerprint, parent_fp, exec_index, holds in accepted:
                     parents[fingerprint] = (parent_fp, exec_index)
-                    adopted_keys[source].append(key if exact else fingerprint)
+                    held.append(fingerprint)
                     if not holds:
                         level_violations.append(fingerprint)
-            level_deltas = sum(map(len, routed))
+                if checkpointing:
+                    discovered.extend(states)
             statistics.states_visited += level_new
 
             if level_violations:
@@ -488,13 +481,6 @@ def parallel_bfs_search(
                 break
 
             if level_new:
-                # Adopt: the accepted keys return to their discoverers.
-                frontier_fps = adopted_keys if not exact else [
-                    [key.fingerprint() for key in keys] for keys in adopted_keys
-                ]
-                for worker_id, keys in enumerate(adopted_keys):
-                    task_queues[worker_id].put(("adopt", keys))
-                adopted = supervised_collect("adopted", redo_adopt)
                 # Mirror the serial engine's stream: only levels the search
                 # carries forward are observable — a level that ends the run
                 # (violation stop, truncation) or discovers nothing is
@@ -503,11 +489,8 @@ def parallel_bfs_search(
                 emit(observer, "level-completed", depth=depth + 1,
                      new_states=level_new, deltas=level_deltas,
                      states_visited=statistics.states_visited)
-                if checkpointing:
-                    for _worker_id, states in adopted:
-                        discovered.extend(states)
-                    if (depth + 1) % checkpoint_interval == 0:
-                        write_level_checkpoint()
+                if checkpointing and (depth + 1) % checkpoint_interval == 0:
+                    write_level_checkpoint()
             frontier_total = level_new
             peak_frontier = max(peak_frontier, frontier_total)
             depth += 1

@@ -59,20 +59,23 @@ adapter and its fingerprint-based cycle proviso all come from the graph, so
 ``successors="fast"`` only swaps the representation a worker's private
 stack holds.  What crosses a process boundary is the same on either graph
 — integers (pending indices, the path, ancestor fingerprints) and the
-frame's state in *object form* (``graph.decode`` on donation,
-``graph.encode`` by the thief): packed words hold interned ids private to
-the process that interned them, and encoding a stolen state is cheaper
-than replaying its path.
+frame's state in the graph's own representation: ``graph.share()`` before
+the fork makes it valid in every worker (packed words are flat int tuples
+whose interned ids follow a shared log, object states pickle by value),
+and a thief calls ``graph.sync()`` before it resumes a stolen frame.
 
 Workers inherit the graph (and the pre-built reducer) via the ``fork``
 start method — transition guards and actions are closures and never pickle.
 Platforms without ``fork`` transparently fall back to the serial search,
 mirroring :func:`~repro.parallel.bfs.parallel_bfs_search`.
 
-Not fault tolerant yet: ``config.chaos`` is *not* injected into these
-workers and a worker that dies fails the run (supervised recovery of a
-work-stealing pool is ROADMAP item 5); ``config.checkpoint_dir`` /
-``config.resume_from`` are rejected, as by every depth-first engine.
+Not supervised: a worker that dies ends the run as an honest incomplete
+outcome (``incomplete_reason="worker crash"``, partial statistics, the
+survivors wound down) — restarting a member of a work-stealing pool is
+ROADMAP item 5.  ``config.chaos`` is therefore rejected, like
+``config.checkpoint_dir`` / ``config.resume_from`` (which every
+depth-first engine rejects): a fault plan that injects nothing would be
+false confidence.
 """
 
 from __future__ import annotations
@@ -93,11 +96,10 @@ from ..checker.search import (
     dfs_search,
 )
 from ..checker.stategraph import StateGraph, make_graph, replay_path
-from ..checker.statestore import ShardedFingerprintStore
 from ..engine.events import PROGRESS_INTERVAL, Observer, emit, maybe_span
 from ..mp.protocol import Protocol
 from .bfs import default_mp_context
-from .worker import collect_replies, shutdown_processes
+from .worker import WorkerCrashError, collect_replies, shutdown_processes
 from .worksteal import (
     HEARTBEAT_EVERY,
     BatchedCounter,
@@ -122,6 +124,9 @@ _STAT_KEYS = (
     "deadlock_states",
     "claimed",
 )
+
+#: How long the survivors of a worker crash get to send their reports.
+_WIND_DOWN_SECONDS = 2.0
 
 
 class _LocalFrame:
@@ -176,7 +181,7 @@ def _worksteal_worker(
         )
         # Local claim cache: fingerprints this worker has already routed
         # through the shared table (won or lost) are revisits, lock-free.
-        seen = ShardedFingerprintStore(num_shards=8)
+        seen: Set[int] = set()
         stats = {key: 0 for key in _STAT_KEYS}
         violations: List[Tuple[int, ...]] = []
         truncated = False
@@ -244,7 +249,7 @@ def _worksteal_worker(
                 deques.publish(
                     worker_id,
                     StolenFrame(
-                        state=graph.decode(frame.state),
+                        state=frame.state,
                         pending=donated,
                         path=frame.path,
                         ancestors=ancestors,
@@ -256,8 +261,8 @@ def _worksteal_worker(
             nonlocal truncated, beats
             on_stack.clear()
             on_stack.update(task.ancestors)
-            state = graph.encode(task.state)
-            root = _LocalFrame(state, fingerprint_of(state), task.path)
+            graph.sync()
+            root = _LocalFrame(task.state, fingerprint_of(task.state), task.path)
             stack = [root]
             donate_floor = [0]
             if task.pending is None:
@@ -271,10 +276,12 @@ def _worksteal_worker(
             on_stack.add(root.fingerprint)
 
             while stack:
-                if deques.stop.is_set():
-                    return
                 beats += 1
                 if not beats & (HEARTBEAT_EVERY - 1):
+                    # The stop flag is a semaphore-guarded shared event:
+                    # polled on the beat, not on every transition.
+                    if deques.stop.is_set():
+                        return
                     publish_telemetry()
                 if config.max_seconds is not None:
                     if time.perf_counter() - start_time > config.max_seconds:
@@ -297,10 +304,10 @@ def _worksteal_worker(
                 stats["transitions_executed"] += 1
 
                 fingerprint = fingerprint_of(successor)
-                if seen.contains_fingerprint(fingerprint):
+                if fingerprint in seen:
                     stats["revisits"] += 1
                     continue
-                seen.add_fingerprint(fingerprint)
+                seen.add(fingerprint)
                 if not table.add_fingerprint(fingerprint):
                     stats["revisits"] += 1
                     continue
@@ -372,9 +379,9 @@ def parallel_dfs_search(
         config: Search configuration; ``successor_engine`` picks the state
             graph.  The parallel engine is always stateful and deduplicates
             by fingerprint (``state_store`` is not consulted; the
-            exact-store option has no shared-memory analogue).  ``chaos``
-            is not injected here, and ``checkpoint_dir`` / ``resume_from``
-            raise :class:`ValueError` (see the module docstring).
+            exact-store option has no shared-memory analogue).  ``chaos``,
+            ``checkpoint_dir`` and ``resume_from`` raise
+            :class:`ValueError` (see the module docstring).
         workers: Worker process count.  ``workers <= 1`` delegates to the
             serial :func:`~repro.checker.search.dfs_search` with the same
             reducer, so worker sweeps include an exact serial baseline.
@@ -410,6 +417,13 @@ def parallel_dfs_search(
     """
     config = config or SearchConfig()
     reject_checkpoint_knobs(config, "parallel_dfs_search")
+    if config.chaos is not None:
+        raise ValueError(
+            "parallel_dfs_search does not support chaos: fault plans are "
+            "injected at the frontier workers' barrier commands, which a "
+            "work-stealing pool does not have (use shape='bfs' with "
+            "backend='frontier', or backend='swarm')"
+        )
     if workers <= 1:
         return dfs_search(protocol, invariant, config, reducer=reducer,
                           observer=observer, telemetry=telemetry)
@@ -427,9 +441,11 @@ def parallel_dfs_search(
     statistics = SearchStatistics()
     start_time = time.perf_counter()
 
-    # Built before forking: every worker inherits the graph (and, packed,
-    # its compiled tables) instead of building its own.
+    # Built and shared before forking: every worker inherits the graph
+    # (and, packed, its compiled tables) instead of building its own, and
+    # its states mean the same in all of them.
     graph = make_graph(protocol, config, telemetry=telemetry)
+    graph.share()
     initial = graph.initial
     initial_fp = graph.fingerprint(initial)
     statistics.states_visited = 1
@@ -454,6 +470,7 @@ def parallel_dfs_search(
     verified = True
     complete = True
     truncated = False
+    incomplete_reason: Optional[str] = None
     counterexample: Optional[Counterexample] = None
     deadlock_states = 0
     manager = context.Manager()
@@ -473,7 +490,7 @@ def parallel_dfs_search(
         deques.publish(
             0,
             StolenFrame(
-                state=graph.decode(initial),
+                state=initial,
                 pending=None,
                 path=(),
                 ancestors=(initial_fp,),
@@ -546,7 +563,30 @@ def parallel_dfs_search(
         remaining = None
         if deadline is not None:
             remaining = max(0.1, deadline - time.perf_counter())
-        replies = collect_replies(result_queue, workers, "report", remaining, processes)
+        try:
+            replies = collect_replies(
+                result_queue, workers, "report", remaining, processes)
+        except WorkerCrashError as crash:
+            # Unrecovered worker death: an honest partial verdict, never a
+            # bare traceback.  The survivors see the stop flag on their
+            # next beat and report what they explored; whatever was claimed
+            # stays counted.
+            deques.stop.set()
+            partial = crash.replies
+            for worker_id in crash.workers:
+                emit(observer, "worker-crashed", worker=worker_id,
+                     phase=crash.phase)
+                partial[worker_id] = ()
+            incomplete_reason = "worker crash"
+            complete = False
+            try:
+                collect_replies(result_queue, workers, "report",
+                                _WIND_DOWN_SECONDS, processes, partial)
+            except RuntimeError:
+                # Another death, or a survivor stuck behind a lock the dead
+                # worker held: keep the reports that did arrive.
+                pass
+            replies = [reply for reply in partial if reply]
         violations: List[Tuple[int, ...]] = []
         for worker_id, stats, worker_violations, worker_truncated in replies:
             emit(observer, "worker-report", worker=worker_id,
@@ -596,4 +636,5 @@ def parallel_dfs_search(
         counterexample=counterexample,
         statistics=statistics,
         deadlock_states=deadlock_states,
+        incomplete_reason=incomplete_reason,
     )

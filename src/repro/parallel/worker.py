@@ -1,44 +1,48 @@
 """Worker-process side of the frontier-parallel breadth-first search.
 
 One worker owns exactly one shard of the search's fingerprint partition
-(:func:`repro.checker.statestore.shard_of`): every key routed to shard *i*
-is deduplicated by worker *i* and by nobody else.  Ownership governs
-*deduplication* only — the worker that discovered a state keeps it, in its
-graph's own representation, and expands it once the owner accepts its key.
-Because ownership is a pure function of the fingerprint, no locks are
-needed; the only synchronisation is the level barrier.
+(:func:`repro.checker.statestore.shard_of`): a state routed to shard *i* is
+deduplicated, invariant-checked *and expanded* by worker *i* and by nobody
+else.  Because ownership is a pure function of the fingerprint, no locks
+are needed and expansion is balanced by the partition; the only
+synchronisation is the level barrier.
 
 One rule decides what crosses a process boundary, on either
-:class:`~repro.checker.stategraph.StateGraph`: integers (fingerprints,
-execution indices) or object-form states (``graph.decode`` out,
-``graph.encode`` in) — never a graph-native state.  Packed words hold
-lazily interned ids that are private to the process that interned them.
+:class:`~repro.checker.stategraph.StateGraph`: a state travels in the
+graph's own representation.  ``graph.share()`` (called by the coordinator
+before it forks) makes that representation valid in every worker — packed
+words are flat int tuples whose interned ids follow a shared log, object
+states pickle by value; a batch is pickled as it is and read back after a
+``graph.sync()``.  Only restore, supervision and checkpoints speak object
+form (``graph.decode`` out, ``graph.encode`` in), their graph-neutral
+currency.
 
 The coordinator drives workers through a tiny command protocol (one command
 queue per worker, one shared result queue):
 
 ``("restore", (shard_keys, frontier_states, expanded))``
-    Set the worker's whole state: the shard becomes ``shard_keys``, the
-    frontier the (object-form) ``frontier_states``; with ``expanded`` the
-    frontier is expanded again, silently, so the children it discovered
-    are held once more.  Starts every run (a fresh search is the restore
-    of a one-state table), every resume from a checkpoint, and every
-    restarted worker.  No reply — commands are processed in queue order,
-    so the next barrier command acknowledges it.
+    Set the worker's whole state: the shard becomes ``shard_keys``
+    (fingerprints, or object-form states when the shard deduplicates
+    exactly), the frontier the (object-form) ``frontier_states``; with
+    ``expanded`` the frontier is expanded again, silently, so the children
+    it kept are held once more.  Starts every run (a fresh search is the
+    restore of a one-state table), every resume from a checkpoint, and
+    every restarted worker.  No reply — commands are processed in queue
+    order, so the next barrier command acknowledges it.
 ``("expand", None)``
-    Expand the frontier: keep every child, evaluate the invariant, and
-    reply with one delta ``(source, key, parent fingerprint, execution
-    index, holds)`` per transition, routed per owner shard.  ``key`` is
-    the child's fingerprint, or its object-form state when the shard
-    deduplicates exactly (``store="full"``).
-``("absorb", deltas)``
-    Deduplicate the deltas routed to this shard.  Replies with ``(position
-    in deltas, fingerprint, parent fingerprint)`` per accepted one and the
-    revisit count.
-``("adopt", keys)``
-    The owners accepted ``keys`` among this worker's children: they become
-    its next frontier, everything else it discovered is dropped.  Replies
-    with the new frontier in object form when the run checkpoints.
+    Expand the frontier.  A child of this worker's own shard is
+    deduplicated on the spot and kept; a child of another shard is shipped
+    once per level (what was sent is forgotten with the level, so a worker
+    holds its shard and nobody else's) as ``(state, parent fingerprint,
+    execution index)``.  Replies with one pre-pickled blob per destination
+    shard (``None`` when empty), the number of states in them and the
+    expansion / transition / revisit counts.
+``("absorb", blobs)``
+    Deduplicate the states other workers shipped to this shard; what
+    survives joins the kept children as the next frontier.  Replies with
+    ``(fingerprint, parent fingerprint, execution index, holds)`` per state
+    the shard accepted this level (kept children first), the revisit count,
+    and the new frontier in object form when the run checkpoints.
 ``("stop", None)``
     Terminate the worker loop.
 
@@ -52,6 +56,7 @@ fire and gets a structured :class:`WorkerCrashError`.
 
 from __future__ import annotations
 
+import pickle
 import time
 import traceback
 from typing import List, Optional, Sequence, Tuple
@@ -60,9 +65,9 @@ from ..checker.property import Invariant
 from ..checker.stategraph import StateGraph
 from ..checker.statestore import shard_of
 
-#: A delta crossing the level barrier: ``(discovering worker, key, parent
-#: fingerprint, execution index, invariant holds)``.
-Delta = Tuple[int, object, int, int, bool]
+#: What an owner reports per state its shard accepted: ``(fingerprint,
+#: parent fingerprint, execution index, invariant holds)``.
+Accepted = Tuple[int, int, int, bool]
 
 
 class WorkerCrashError(RuntimeError):
@@ -109,55 +114,68 @@ def frontier_worker(
     checkpointing: bool,
     task_queue,
     result_queue,
-    chaos: Optional[str] = None,
+    hook=None,
 ) -> None:
     """Run the worker command loop (the ``multiprocessing.Process`` target).
 
     Args:
         worker_id: Index of this worker; also the shard it owns.
         num_workers: Total worker count (= shard count of the partition).
-        graph: The state graph to explore, built by the coordinator and
-            inherited via ``fork`` (transition closures and compiled tables
-            never need to pickle).
-        invariant: The invariant checked in every discovered state.
-        exact: Own the shard as a set of object-form *states* (exact,
-            mirrors the serial full store) instead of a set of fingerprints.
-        checkpointing: Reply to ``adopt`` with the new frontier in object
+        graph: The state graph to explore, built and ``share()``d by the
+            coordinator and inherited via ``fork`` (transition closures and
+            compiled tables never need to pickle).
+        invariant: The invariant checked in every state the shard accepts.
+        exact: Deduplicate by ``graph.exact_key`` (exact, mirrors the
+            serial full store) instead of by fingerprint.
+        checkpointing: Reply to ``absorb`` with the new frontier in object
             form, for the coordinator's checkpoint.
         task_queue: This worker's command queue.
         result_queue: The shared reply queue.
-        chaos: Optional :class:`repro.chaos.FaultPlan` spec; falls back to
-            the ``REPRO_CHAOS`` environment variable.  ``None`` (the
+        hook: Optional :class:`repro.chaos.ChaosHook` for this worker, built
+            by the coordinator (so no worker pays the import); ``None`` (the
             production default) injects nothing and costs nothing.
     """
     try:
-        from ..chaos import chaos_hook_for_worker
-
-        hook = chaos_hook_for_worker(chaos, worker_id, num_workers)
         holds = graph.invariant_checker(invariant)
         enabled_of, successor_of = graph.enabled, graph.successor
-        fingerprint, decode = graph.fingerprint, graph.decode
-        shard: set = set()
+        fingerprint, encode = graph.fingerprint, graph.encode
+        key_of = graph.exact_key if exact else fingerprint
+        known: set = set()  # keys of the shard
         frontier: list = []
-        #: key -> child discovered this level, in the graph's representation.
-        children: dict = {}
+        #: The next frontier and its report, filled by expand then absorb.
+        upcoming: list = []
+        accepted: List[Accepted] = []
+
+        def accept(state, state_fp: int, parent_fp: int, index: int) -> None:
+            upcoming.append(state)
+            accepted.append((state_fp, parent_fp, index, holds(state)))
 
         def expand():
-            outgoing: List[List[Delta]] = [[] for _ in range(num_workers)]
-            children.clear()
-            transitions = 0
+            nonlocal upcoming, accepted
+            upcoming, accepted = [], []
+            outgoing: List[list] = [[] for _ in range(num_workers)]
+            sent: set = set()  # keys of the other shards' children, this level
+            transitions = revisits = 0
             for state in frontier:
                 parent_fp = fingerprint(state)
                 for index, execution in enumerate(enabled_of(state)):
-                    successor = successor_of(state, execution)
+                    child = successor_of(state, execution)
                     transitions += 1
-                    child_fp = fingerprint(successor)
-                    key = decode(successor) if exact else child_fp
-                    children.setdefault(key, successor)
-                    outgoing[shard_of(child_fp, num_workers)].append(
-                        (worker_id, key, parent_fp, index, holds(successor))
-                    )
-            return outgoing, len(frontier), transitions
+                    key = key_of(child)
+                    if key in known or key in sent:
+                        revisits += 1
+                        continue
+                    child_fp = fingerprint(child)
+                    owner = shard_of(child_fp, num_workers)
+                    if owner == worker_id:
+                        known.add(key)
+                        accept(child, child_fp, parent_fp, index)
+                    else:
+                        sent.add(key)
+                        outgoing[owner].append((child, parent_fp, index))
+            blobs = [pickle.dumps(batch, pickle.HIGHEST_PROTOCOL) if batch else None
+                     for batch in outgoing]
+            return blobs, sum(map(len, outgoing)), len(frontier), transitions, revisits
 
         while True:
             command, payload = task_queue.get()
@@ -167,30 +185,29 @@ def frontier_worker(
                 return
             if command == "restore":
                 shard_keys, frontier_states, expanded = payload
-                shard = set(shard_keys)
-                frontier = [graph.encode(state) for state in frontier_states]
-                children.clear()
+                known = set(map(key_of, map(encode, shard_keys)) if exact
+                            else shard_keys)
+                frontier = [encode(state) for state in frontier_states]
                 if expanded:
                     expand()
             elif command == "expand":
                 result_queue.put(("expanded", worker_id) + expand())
             elif command == "absorb":
-                accepted: List[Tuple[int, int, int]] = []
-                for position, (_source, key, parent_fp, _index, _holds) in enumerate(payload):
-                    if key not in shard:
-                        shard.add(key)
-                        accepted.append(
-                            (position, key.fingerprint() if exact else key, parent_fp)
-                        )
-                result_queue.put(
-                    ("absorbed", worker_id, accepted, len(payload) - len(accepted))
-                )
-            elif command == "adopt":
-                frontier = [children[key] for key in payload]
-                children.clear()
+                graph.sync()
+                revisits = 0
+                for blob in payload:
+                    for child, parent_fp, index in pickle.loads(blob):
+                        key = key_of(child)
+                        if key in known:
+                            revisits += 1
+                        else:
+                            known.add(key)
+                            accept(child, fingerprint(child), parent_fp, index)
+                frontier = upcoming
                 result_queue.put((
-                    "adopted", worker_id,
-                    [decode(state) for state in frontier] if checkpointing else None,
+                    "absorbed", worker_id, accepted, revisits,
+                    [graph.decode(state) for state in frontier]
+                    if checkpointing else None,
                 ))
             else:  # pragma: no cover - protocol error, not reachable from bfs.py
                 raise ValueError(f"unknown worker command: {command!r}")

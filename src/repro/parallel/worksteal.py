@@ -3,8 +3,9 @@
 Three pieces, shared by :mod:`repro.parallel.dfs`:
 
 * :class:`StolenFrame` — the unit of stealable work: a partially expanded
-  DFS frame (state, in object form on either state graph, + the
-  enabled-order indices of its still-unexplored executions) plus the
+  DFS frame (state, in its state graph's own representation — valid in
+  every worker once the graph is ``share()``d — + the enabled-order
+  indices of its still-unexplored executions) plus the
   provenance needed to resume it anywhere (the execution-index path from
   the initial state, for counterexample rebuilds, and the ancestor
   fingerprints, for the cycle proviso).
@@ -31,10 +32,9 @@ Three pieces, shared by :mod:`repro.parallel.dfs`:
   holds it locally" is checked atomically and the last worker to go idle
   can declare termination without a barrier.
 
-Workers additionally keep a process-local
-:class:`~repro.checker.statestore.ShardedFingerprintStore` as a claim
-cache: a fingerprint this worker has already routed through the shared
-table — won or lost — is a guaranteed revisit and needs no lock at all.
+Workers additionally keep a process-local ``set`` as a claim cache: a
+fingerprint this worker has already routed through the shared table — won
+or lost — is a guaranteed revisit and needs no lock at all.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ class StolenFrame:
 
     Attributes:
         state: The already-claimed state whose subtree this frame explores,
-            in object form (the thief ``graph.encode``s it).
+            graph-native (the thief ``graph.sync()``s before resuming it).
         pending: Indices (into the deterministic enabled order of ``state``)
             of the executions still to explore, or ``None`` for a frame that
             has not been expanded yet (the seed frame of the whole search):
@@ -127,7 +127,7 @@ class StolenFrame:
             serial search would.
     """
 
-    state: GlobalState
+    state: object
     pending: Optional[Tuple[int, ...]]
     path: Tuple[int, ...] = ()
     ancestors: Tuple[int, ...] = ()

@@ -169,11 +169,11 @@ def _sleep_forever():
 GRAPHS = ["object", "fast"]
 
 #: Worker commands are ``restore`` then, per level, ``expand`` / ``absorb``
-#: / ``adopt`` — so the first level's three barriers are commands 2, 3, 4.
+#: — so the first level's two barriers are commands 2 and 3, and level d's
+#: are commands 2 * d and 2 * d + 1.
 BARRIER_PHASES = [
     pytest.param(2, "expanded", id="expand"),
     pytest.param(3, "absorbed", id="absorb"),
-    pytest.param(4, "adopted", id="adopt"),
 ]
 
 
@@ -214,11 +214,11 @@ class TestFrontierRecovery:
     @pytest.mark.parametrize("command, phase", BARRIER_PHASES)
     def test_crash_in_each_barrier_phase_recovers(self, command, phase,
                                                   store, graph):
-        # At the first level and again deeper in, where the dead worker
-        # held a frontier, a shard and children of its own.
+        # At the first level and again four levels deeper in, where the
+        # dead worker held a frontier, a shard and children of its own.
         entry = storage_entry(3, 1)
         serial = bfs_search(entry.single_model(), entry.invariant)
-        for worker, at in ((0, command), (1, command + 9)):
+        for worker, at in ((0, command), (1, command + 8)):
             observer = CollectingObserver()
             recovered = parallel_bfs_search(
                 entry.single_model(), entry.invariant,
@@ -263,14 +263,14 @@ class TestFrontierRecovery:
             protocol, entry.invariant, config, workers=2
         )
         assert baseline.verified is False
-        # Level d's absorb barrier is command 3 * d of every worker.
+        # Level d's absorb barrier is command 2 * d + 1 of every worker.
         level = len(baseline.counterexample.steps)
         for worker in (0, 1):
             observer = CollectingObserver()
             recovered = parallel_bfs_search(
                 protocol, entry.invariant,
                 dataclasses.replace(
-                    config, chaos=f"crash:{worker}@{3 * level + phase_offset}"),
+                    config, chaos=f"crash:{worker}@{2 * level + 1 + phase_offset}"),
                 workers=2, observer=observer,
             )
             assert observer.counts().get("worker-restarted") == 1

@@ -57,22 +57,25 @@ class TestLiveProgress:
 
 class TestFastFrontier:
     def test_level_events_report_int_deltas(self):
+        # ``deltas`` counts the states that crossed a process boundary: a
+        # worker ships a state of another shard at most once, and never
+        # one of its own.
         entry = multicast_entry(2, 1, 0, 1)
         events = CollectingObserver()
-        parallel_bfs_search(
+        outcome = parallel_bfs_search(
             entry.quorum_model(), entry.invariant, FAST, workers=2,
             observer=events,
         )
         levels = [e for e in events.events if e.kind == "level-completed"]
         assert levels
-        assert all(event.payload["deltas"] >= event.payload["new_states"]
-                   for event in levels)
+        deltas = [event.payload["deltas"] for event in levels]
+        assert all(isinstance(count, int) and count >= 0 for count in deltas)
+        assert 0 < sum(deltas) <= outcome.statistics.states_visited
 
     @pytest.mark.parametrize("graph", ["object", "fast"])
     def test_per_worker_expansions_are_recorded(self, graph):
-        # Who expanded what is in the run's artefacts.  The discoverer keeps
-        # its children, so the split is whatever the graph's shape makes it
-        # (often everything on one worker); only the sum is a contract.
+        # Who expanded what is in the run's artefacts; the split follows the
+        # fingerprint partition (tests/parallel pins its balance).
         entry = storage_entry(3, 1)
         telemetry = RunTelemetry()
         outcome = parallel_bfs_search(

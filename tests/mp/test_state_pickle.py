@@ -3,16 +3,21 @@
 The parallel search ships states between workers; the compact ``__reduce__``
 of :class:`GlobalState` must preserve value equality and the fingerprint
 (within one hash seed), rebuild the shared-index invariant, and keep the
-network canonical.
+network canonical.  The writer's canonical order counts only for a reader
+of its lineage (itself or a ``fork`` sibling); hashes never travel.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
 
 from repro.mp.channel import Network
 from repro.mp.message import Message
 from repro.mp.semantics import enabled_executions, apply_execution
+from repro.mp.state import GlobalState
 
 
 def reachable_sample(protocol, depth=3):
@@ -64,6 +69,47 @@ class TestGlobalStatePickle:
         # should cost well under a kilobyte for these small protocols.
         blob = pickle.dumps(vote_collection.initial_state())
         assert len(blob) < 1024
+
+    def test_another_lineage_gets_its_own_canonical_order(self, vote_collection):
+        # A writer of another lineage sorted under a hash seed that means
+        # nothing here: its order may not survive the restore.
+        from repro.mp.state import _restore_state
+
+        for state in reachable_sample(vote_collection, depth=2):
+            backwards = tuple(reversed(state.network.items))
+            restored = _restore_state(state.locals, backwards, b"elsewhere")
+            assert restored == state
+            assert hash(restored) == hash(state)
+            assert restored.network.items == state.network.items
+
+    def test_state_written_under_another_hash_seed(self):
+        # Nothing hash-dependent may come from the writer: what the reader
+        # builds equals, hash for hash, the state it would have built itself.
+        script = (
+            "import pickle, sys\n"
+            "from repro.mp.channel import Network\n"
+            "from repro.mp.message import Message\n"
+            "from repro.mp.state import GlobalState\n"
+            "state = GlobalState([('p', ('idle', None)), ('q', 'busy')],\n"
+            "    Network.of([Message.make('B', 'q', 'p', k=frozenset('ab')),\n"
+            "                Message.make('A', 'p', 'q')]))\n"
+            "sys.stdout.write(pickle.dumps(state).hex())\n"
+        )
+        source = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        written = subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            text=True, env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=source),
+        ).stdout
+        restored = pickle.loads(bytes.fromhex(written))
+        here = GlobalState(
+            [("p", ("idle", None)), ("q", "busy")],
+            Network.of([Message.make("B", "q", "p", k=frozenset("ab")),
+                        Message.make("A", "p", "q")]),
+        )
+        assert restored == here
+        assert hash(restored) == hash(here)
+        assert restored.network.items == here.network.items
 
 
 class TestNetworkPickle:

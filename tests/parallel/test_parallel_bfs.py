@@ -92,6 +92,43 @@ class TestVerifiedCellParity:
         assert_exact_parity(serial, parallel)
 
 
+class TestOwnerExpands:
+    """Every worker dedups, checks and expands exactly its own shard, on
+    either graph and under either kind of shard key."""
+
+    @pytest.mark.parametrize("graph", ["object", "fast"])
+    @pytest.mark.parametrize("store", ["full", "fingerprint"])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_grid_matches_serial(self, workers, store, graph):
+        entry = storage_entry(3, 1)
+        config = SearchConfig(state_store=store, successor_engine=graph)
+        serial = bfs_search(entry.quorum_model(), entry.invariant, config)
+        parallel = parallel_bfs_search(
+            entry.quorum_model(), entry.invariant, config, workers=workers
+        )
+        assert_exact_parity(serial, parallel)
+
+    @pytest.mark.parametrize("graph", ["object", "fast"])
+    def test_expansion_is_balanced_by_the_partition(self, graph):
+        # Fails at the parent: the discoverer kept its children, and on this
+        # cell one worker expanded everything (a 100 / 0 split).
+        from repro.obs.telemetry import RunTelemetry
+
+        entry = storage_entry(3, 1)
+        telemetry = RunTelemetry()
+        outcome = parallel_bfs_search(
+            entry.single_model(), entry.invariant,
+            SearchConfig(state_store="fingerprint", successor_engine=graph),
+            workers=2, telemetry=telemetry,
+        )
+        total = outcome.statistics.enabled_set_computations
+        assert total >= 2000
+        rows = telemetry.snapshot()["metrics"]["worker_expansions"]["values"]
+        shares = {row["labels"]["worker"]: row["value"] / total for row in rows}
+        assert set(shares) == {"0", "1"}
+        assert all(0.25 <= share <= 0.75 for share in shares.values()), shares
+
+
 class TestViolatingCellParity:
     def test_verdict_and_counterexample_depth(self):
         entry = multicast_entry(2, 1, 2, 1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import multiprocessing
+import os
 import random
 from dataclasses import dataclass
 
@@ -185,6 +186,65 @@ class TestEngineSemantics:
         assert outcome.complete
         assert outcome.counterexample is not None
         assert outcome.statistics.states_visited == serial.statistics.states_visited
+
+
+GRAPHS = ["object", "fast"]
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+class TestFaults:
+    """The pool is not supervised: a death is an honest verdict, and a fault
+    plan that could inject nothing is refused."""
+
+    def test_dead_worker_is_a_verdict_not_a_traceback(self, graph, monkeypatch):
+        # Fails at the parent: run_plan raised WorkerCrashError.
+        import repro.parallel.dfs as dfs_module
+        from repro.engine import CheckPlan, run_plan
+        from repro.engine.events import CollectingObserver
+
+        worker_body = dfs_module._worksteal_worker
+
+        def dies_at_once(worker_id, *args):
+            if worker_id == 1:
+                os._exit(1)  # the hard death of a SIGKILL or the OOM killer
+            worker_body(worker_id, *args)
+
+        monkeypatch.setattr(dfs_module, "_worksteal_worker", dies_at_once)
+        entry = storage_entry(3, 1)
+        observer = CollectingObserver()
+        result = run_plan(
+            entry.single_model(), entry.invariant,
+            CheckPlan(shape="dfs", backend="worksteal", workers=2,
+                      successors=graph),
+            observer=observer,
+        )
+        assert result.complete is False
+        assert result.incomplete_reason == "worker crash"
+        assert result.verified is True  # no violation seen — inconclusive
+        assert result.outcome_label() == "Inconclusive (worker crash)"
+        # The survivor's report is folded in: every state it claimed beyond
+        # the initial one was reached by a transition it counted.
+        statistics = result.statistics
+        assert statistics.transitions_executed >= statistics.states_visited - 1 >= 0
+        reports = [event.payload["worker"] for event in observer.events
+                   if event.kind == "worker-report"]
+        assert reports == [0]
+        crashes = [event.payload for event in observer.events
+                   if event.kind == "worker-crashed"]
+        assert crashes == [{"worker": 1, "phase": "report"}]
+
+    def test_chaos_is_rejected(self, graph):
+        # Fails at the parent: the plan ran and "verified" with no fault
+        # injected anywhere.
+        from repro.engine import CheckPlan, run_plan
+
+        entry = storage_entry(3, 1)
+        with pytest.raises(ValueError, match="does not support chaos"):
+            run_plan(
+                entry.single_model(), entry.invariant,
+                CheckPlan(shape="dfs", backend="worksteal", workers=2,
+                          successors=graph, chaos="crash:1@3"),
+            )
 
 
 class TestStripedClaimTable:
