@@ -1,7 +1,8 @@
 """Shared infrastructure of the benchmark harness.
 
 Every benchmark measures one *cell* of one of the paper's evaluation tables:
-a protocol instance checked under one search strategy.  The measured wall
+a protocol instance checked under one :class:`~repro.engine.CheckPlan`
+through :func:`~repro.engine.run_plan`.  The measured wall
 clock goes to pytest-benchmark; the state counts and verdicts are collected
 in a session-wide registry and rendered as paper-style tables (printed and
 written to ``benchmarks/results/``) when the session finishes.
@@ -18,14 +19,13 @@ from __future__ import annotations
 import os
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import pytest
 
 from repro.analysis.reporting import EvaluationTable, format_count, format_duration
-from repro.checker import CheckerOptions, ModelChecker, SearchConfig, Strategy
 from repro.checker.result import CheckResult
-from repro.mp.protocol import Protocol
+from repro.engine import CheckPlan
 
 #: Budget for the stateless dynamic-POR baseline cells (per cell).
 DPOR_MAX_SECONDS = float(os.environ.get("REPRO_DPOR_MAX_SECONDS", "25"))
@@ -36,26 +36,9 @@ BENCH_SCALE = os.environ.get("REPRO_BENCH_SCALE", "paper")
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-
-def run_check(
-    protocol: Protocol,
-    invariant,
-    strategy: Strategy,
-    seed_heuristic: str = "opposite-transaction",
-    max_seconds: Optional[float] = None,
-    max_states: Optional[int] = None,
-    stateful: bool = True,
-) -> CheckResult:
-    """Run one model-checking cell with optional budget caps."""
-    options = CheckerOptions(
-        search=SearchConfig(
-            stateful=stateful,
-            max_seconds=max_seconds,
-            max_states=max_states,
-        ),
-        seed_heuristic=seed_heuristic,
-    )
-    return ModelChecker(protocol, invariant, options).run(strategy)
+#: The paper's headline configuration — static POR with necessary enabling
+#: transitions — behind every SPOR column of the tables and ablations.
+SPOR_NET = CheckPlan(reduction="spor-net")
 
 
 class TableRegistry:

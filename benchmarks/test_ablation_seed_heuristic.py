@@ -10,12 +10,14 @@ counts side by side.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.checker import Strategy
+from repro.engine import run_plan
 from repro.protocols.catalog import paxos_entry, storage_entry
 
-from .conftest import BENCH_SCALE, run_check
+from .conftest import BENCH_SCALE, SPOR_NET
 
 TABLE = "Ablation — seed-transition heuristics (SPOR-NET)"
 HEURISTICS = ("opposite-transaction", "transaction", "first")
@@ -38,8 +40,8 @@ def test_seed_heuristic_cell(benchmark, table_registry, entry, heuristic):
     protocol = entry.quorum_model()
 
     def cell():
-        return run_check(protocol, entry.invariant, Strategy.SPOR_NET,
-                         seed_heuristic=heuristic)
+        return run_plan(protocol, entry.invariant,
+                        replace(SPOR_NET, seed_heuristic=heuristic))
 
     result = benchmark.pedantic(cell, rounds=1, iterations=1)
     benchmark.extra_info["states"] = result.statistics.states_visited
@@ -55,10 +57,9 @@ def test_opposite_transaction_is_no_worse_than_transaction(benchmark, entry):
     protocol = entry.quorum_model()
 
     def both():
-        opposite = run_check(protocol, entry.invariant, Strategy.SPOR_NET,
-                             seed_heuristic="opposite-transaction")
-        transaction = run_check(protocol, entry.invariant, Strategy.SPOR_NET,
-                                seed_heuristic="transaction")
+        opposite = run_plan(protocol, entry.invariant, SPOR_NET)
+        transaction = run_plan(protocol, entry.invariant,
+                               replace(SPOR_NET, seed_heuristic="transaction"))
         return opposite, transaction
 
     opposite, transaction = benchmark.pedantic(both, rounds=1, iterations=1)

@@ -10,12 +10,14 @@ and records the visited-state counts.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.checker import Strategy
+from repro.engine import CheckPlan, run_plan
 from repro.protocols.catalog import multicast_entry, paxos_entry, storage_entry
 
-from .conftest import run_check
+from .conftest import SPOR_NET
 
 TABLE = "Ablation — stateful vs stateless search"
 COLUMNS = (
@@ -33,25 +35,25 @@ ENTRIES = (
 ENTRY_IDS = [entry.key for entry in ENTRIES]
 
 MODES = {
-    "Stateful unreduced": (Strategy.UNREDUCED, True),
-    "Stateless unreduced": (Strategy.UNREDUCED, False),
-    "Stateful SPOR-NET": (Strategy.SPOR_NET, True),
-    "Stateless SPOR-NET": (Strategy.SPOR_NET, False),
+    "Stateful unreduced": CheckPlan(),
+    "Stateless unreduced": CheckPlan(stateful=False),
+    "Stateful SPOR-NET": SPOR_NET,
+    "Stateless SPOR-NET": replace(SPOR_NET, stateful=False),
 }
+
+#: Budget of every ablation cell (stateless searches re-explore).
+BUDGET = {"max_states": 500_000, "max_seconds": 60}
 
 
 @pytest.mark.parametrize("mode", list(MODES))
 @pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
 def test_statefulness_cell(benchmark, table_registry, entry, mode):
     """One cell: one statefulness/reduction combination on one workload."""
-    strategy, stateful = MODES[mode]
+    plan = replace(MODES[mode], **BUDGET)
     protocol = entry.quorum_model()
 
     def cell():
-        return run_check(
-            protocol, entry.invariant, strategy,
-            stateful=stateful, max_states=500_000, max_seconds=60,
-        )
+        return run_plan(protocol, entry.invariant, plan)
 
     result = benchmark.pedantic(cell, rounds=1, iterations=1)
     benchmark.extra_info["states"] = result.statistics.states_visited
@@ -67,9 +69,9 @@ def test_stateless_never_visits_fewer_states(benchmark, entry):
     protocol = entry.quorum_model()
 
     def both():
-        stateful = run_check(protocol, entry.invariant, Strategy.SPOR_NET, stateful=True)
-        stateless = run_check(protocol, entry.invariant, Strategy.SPOR_NET, stateful=False,
-                              max_states=500_000, max_seconds=60)
+        stateful = run_plan(protocol, entry.invariant, SPOR_NET)
+        stateless = run_plan(protocol, entry.invariant,
+                             replace(SPOR_NET, stateful=False, **BUDGET))
         return stateful, stateless
 
     stateful, stateless = benchmark.pedantic(both, rounds=1, iterations=1)

@@ -20,11 +20,9 @@ from repro.analysis.blowup import (
     paxos_blowup_bound,
     paxos_smallest_instance_example,
 )
-from repro.checker import Strategy
+from repro.engine import CheckPlan, run_plan
 from repro.protocols.catalog import paxos_entry
 from repro.protocols.paxos import PaxosConfig
-
-from .conftest import run_check
 
 TABLE = "Section II-C — single-message blow-up (measured, unreduced search)"
 COLUMNS = ("Quorum model", "Single-message model")
@@ -70,8 +68,8 @@ def test_measured_blowup(benchmark, table_registry, config):
     entry = paxos_entry(config.proposers, config.acceptors, config.learners)
 
     def measure():
-        quorum = run_check(entry.quorum_model(), entry.invariant, Strategy.UNREDUCED)
-        single = run_check(entry.single_model(), entry.invariant, Strategy.UNREDUCED)
+        quorum = run_plan(entry.quorum_model(), entry.invariant, CheckPlan())
+        single = run_plan(entry.single_model(), entry.invariant, CheckPlan())
         return quorum, single
 
     quorum, single = benchmark.pedantic(measure, rounds=1, iterations=1)

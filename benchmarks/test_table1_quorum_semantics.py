@@ -22,13 +22,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.checker import Strategy
+from repro.engine import CheckPlan, run_plan
 from repro.protocols.catalog import CatalogEntry, multicast_entry, paxos_entry, storage_entry
 
-from .conftest import BENCH_SCALE, DPOR_MAX_SECONDS, DPOR_MAX_STATES, run_check
+from .conftest import BENCH_SCALE, DPOR_MAX_SECONDS, DPOR_MAX_STATES, SPOR_NET
 
 TABLE = "Table I — quorum semantics"
 COLUMNS = ("No quorum (DPOR)", "No quorum (SPOR)", "Quorum (SPOR)")
+
+#: Stateless dynamic POR, budget-capped (see the module docstring).
+DPOR = CheckPlan(reduction="dpor", max_seconds=DPOR_MAX_SECONDS, max_states=DPOR_MAX_STATES)
 
 
 def table1_entries() -> tuple:
@@ -69,14 +72,7 @@ def test_no_quorum_dpor(benchmark, table_registry, entry):
     protocol = entry.single_model()
 
     def cell():
-        return run_check(
-            protocol,
-            entry.invariant,
-            Strategy.DPOR,
-            max_seconds=DPOR_MAX_SECONDS,
-            max_states=DPOR_MAX_STATES,
-            stateful=False,
-        )
+        return run_plan(protocol, entry.invariant, DPOR)
 
     result = benchmark.pedantic(cell, rounds=1, iterations=1)
     benchmark.extra_info["states"] = result.statistics.states_visited
@@ -92,7 +88,7 @@ def test_no_quorum_spor(benchmark, table_registry, entry):
     protocol = entry.single_model()
 
     def cell():
-        return run_check(protocol, entry.invariant, Strategy.SPOR_NET)
+        return run_plan(protocol, entry.invariant, SPOR_NET)
 
     result = benchmark.pedantic(cell, rounds=1, iterations=1)
     benchmark.extra_info["states"] = result.statistics.states_visited
@@ -107,7 +103,7 @@ def test_quorum_spor(benchmark, table_registry, entry):
     protocol = entry.quorum_model()
 
     def cell():
-        return run_check(protocol, entry.invariant, Strategy.SPOR_NET)
+        return run_plan(protocol, entry.invariant, SPOR_NET)
 
     result = benchmark.pedantic(cell, rounds=1, iterations=1)
     benchmark.extra_info["states"] = result.statistics.states_visited
@@ -125,8 +121,8 @@ def test_quorum_model_beats_single_message_model(benchmark, table_registry, entr
     """The headline Table I trend: quorum models explore no more states."""
 
     def both():
-        single = run_check(entry.single_model(), entry.invariant, Strategy.SPOR_NET)
-        quorum = run_check(entry.quorum_model(), entry.invariant, Strategy.SPOR_NET)
+        single = run_plan(entry.single_model(), entry.invariant, SPOR_NET)
+        quorum = run_plan(entry.quorum_model(), entry.invariant, SPOR_NET)
         return single, quorum
 
     single, quorum = benchmark.pedantic(both, rounds=1, iterations=1)

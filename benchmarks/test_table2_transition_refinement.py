@@ -8,22 +8,28 @@ refinement cannot help a per-process DPOR).
 
 The reproduced claims are the orderings: refinement never changes the
 verdict (Theorem 1), reply-split and combined-split explore no more states
-than the unsplit model, and the counterexample rows stay cheap.  See
-EXPERIMENTS.md for the discussion of where our absolute reduction factors
-differ from the paper's (our per-state necessary-enabling-set optimisation
-already captures part of what quorum-split buys the paper's strictly
-state-unconditional LPOR).
+than the unsplit model, and the counterexample rows stay cheap.
+
+Quorum-split does not shrink the search here, and the reason is a known
+soundness hole, not a better baseline: the stubborn-set closure treats an
+enabled unsplit quorum transition as one deterministic event, so the unsplit
+model gets independence from later senders that it is not entitled to (a
+further candidate message gives the transition a new execution).  That
+independence is exactly what quorum-split exists to make sound, so the split
+column pays for soundness the unsplit column skips.  ROADMAP item 1 has the
+reproduction and the repair; ``tests/por/test_soundness_toys.py`` pins the
+toy protocols that expose it.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.checker import Strategy
+from repro.engine import run_plan
 from repro.protocols.catalog import CatalogEntry, multicast_entry, paxos_entry, storage_entry
 from repro.refine import combined_split, quorum_split, reply_split
 
-from .conftest import BENCH_SCALE, run_check
+from .conftest import BENCH_SCALE, SPOR_NET
 
 TABLE = "Table II — transition refinement"
 COLUMNS = ("Unsplit", "Reply-split", "Quorum-split", "Combined-split")
@@ -76,7 +82,7 @@ def test_refinement_cell(benchmark, table_registry, entry, column):
     protocol = SPLITS[column](entry.quorum_model())
 
     def cell():
-        return run_check(protocol, entry.invariant, Strategy.SPOR_NET)
+        return run_plan(protocol, entry.invariant, SPOR_NET)
 
     result = benchmark.pedantic(cell, rounds=1, iterations=1)
     benchmark.extra_info["states"] = result.statistics.states_visited
@@ -96,8 +102,8 @@ def test_reply_split_explores_no_more_states(benchmark, table_registry, entry):
     """Reply-split (and hence combined-split) never hurts on the verified rows."""
 
     def both():
-        unsplit = run_check(entry.quorum_model(), entry.invariant, Strategy.SPOR_NET)
-        split = run_check(reply_split(entry.quorum_model()), entry.invariant, Strategy.SPOR_NET)
+        unsplit = run_plan(entry.quorum_model(), entry.invariant, SPOR_NET)
+        split = run_plan(reply_split(entry.quorum_model()), entry.invariant, SPOR_NET)
         return unsplit, split
 
     unsplit, split = benchmark.pedantic(both, rounds=1, iterations=1)

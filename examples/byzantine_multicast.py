@@ -21,17 +21,17 @@ Run with::
 from __future__ import annotations
 
 from repro import (
-    ModelChecker,
+    CheckPlan,
     MulticastConfig,
-    Strategy,
     agreement_invariant,
     build_multicast_quorum,
+    run_plan,
 )
 
 
 def run_setting(setting: MulticastConfig) -> None:
     protocol = build_multicast_quorum(setting)
-    result = ModelChecker(protocol, agreement_invariant()).run(Strategy.SPOR_NET)
+    result = run_plan(protocol, agreement_invariant(), CheckPlan(reduction="spor-net"))
 
     threshold_note = "EXCEEDS assumed threshold" if setting.exceeds_threshold else "within threshold"
     print(f"Echo Multicast {setting.setting_label} "

@@ -4,7 +4,7 @@
 A model-checking run is one point of a cross-product of orthogonal axes —
 search shape × reduction × store × backend × workers — named by a
 :class:`repro.CheckPlan`.  This example shows the three things the plan
-layer gives you over the legacy ``Strategy`` enum:
+layer gives you:
 
 1. **Declarative engine selection** — the registry resolves a plan to the
    engine supporting it (serial, frontier-parallel or work-stealing) and
@@ -13,8 +13,8 @@ layer gives you over the legacy ``Strategy`` enum:
 2. **One event stream** — every engine feeds the same observer API
    (progress ticks, level barriers, worker reports, violations), so tools
    consume one stream regardless of the backend.
-3. **A migration path** — ``ModelChecker.run(Strategy.X)`` still works; it
-   now builds the equivalent plan, so both APIs return identical results.
+3. **One opt-in for the packed fast path** — ``successors="fast"`` swaps
+   the state graph and nothing else: identical closures, smaller constant.
 
 Run with::
 
@@ -31,11 +31,8 @@ from __future__ import annotations
 from repro import (
     CheckPlan,
     CollectingObserver,
-    ModelChecker,
-    Strategy,
     UnsupportedPlanError,
     default_registry,
-    plan_for_strategy,
     run_plan,
 )
 from repro.protocols.catalog import multicast_entry
@@ -104,19 +101,6 @@ def opt_into_the_fast_path() -> None:
     print()
 
 
-def legacy_shim_agrees() -> None:
-    """The Strategy enum is now a thin shim building the equivalent plan."""
-    entry = multicast_entry(2, 1, 0, 1)
-    legacy = ModelChecker(entry.quorum_model(), entry.invariant).run(Strategy.STUBBORN)
-    plan = plan_for_strategy(Strategy.STUBBORN)
-    direct = run_plan(entry.quorum_model(), entry.invariant, plan)
-    assert legacy.statistics.states_visited == direct.statistics.states_visited
-    assert legacy.engine == direct.engine
-    print(f"  Strategy.STUBBORN == {plan.describe()} "
-          f"({legacy.statistics.states_visited} states via {legacy.engine})")
-    print()
-
-
 if __name__ == "__main__":
     print("=" * 72)
     print("Composable engine API")
@@ -126,4 +110,3 @@ if __name__ == "__main__":
     watch_the_event_stream()
     unsupported_plans_fail_loudly()
     opt_into_the_fast_path()
-    legacy_shim_agrees()

@@ -14,7 +14,7 @@ Run with::
 
 The same experiments are available from the shell::
 
-    PYTHONPATH=src python -m repro check storage-3-1 --strategy bfs --workers 4
+    PYTHONPATH=src python -m repro check storage-3-1 --shape bfs --workers 4
     PYTHONPATH=src python -m repro sweep --cells all --workers 4
 """
 

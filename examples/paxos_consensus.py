@@ -18,20 +18,20 @@ Run with::
 from __future__ import annotations
 
 from repro import (
-    ModelChecker,
+    CheckPlan,
     PaxosConfig,
-    Strategy,
     build_faulty_paxos_quorum,
     build_faulty_paxos_single,
     build_paxos_quorum,
     build_paxos_single,
     consensus_invariant,
+    run_plan,
 )
 from repro.analysis import EvaluationTable, compare_results
 
 
-def check(protocol, invariant, strategy=Strategy.SPOR_NET):
-    return ModelChecker(protocol, invariant).run(strategy)
+def check(protocol, invariant):
+    return run_plan(protocol, invariant, CheckPlan(reduction="spor-net"))
 
 
 def main() -> None:

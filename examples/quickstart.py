@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from repro import (
     CheckPlan,
-    ModelChecker,
     PaxosConfig,
-    Strategy,
     build_faulty_paxos_quorum,
     build_paxos_quorum,
     consensus_invariant,
+    run_plan,
 )
 
 
@@ -32,10 +31,9 @@ def verify_correct_paxos() -> None:
     print()
 
     # A run is a CheckPlan: search shape x reduction (x store x backend x
-    # workers); the registry picks the engine.  ``ModelChecker.run(Strategy.X)``
-    # remains available as a shim building the equivalent plan.
+    # workers); the registry picks the engine.
     for plan in (CheckPlan(), CheckPlan(reduction="spor-net")):
-        result = ModelChecker(protocol, consensus_invariant()).run_plan(plan)
+        result = run_plan(protocol, consensus_invariant(), plan)
         print(
             f"  {result.strategy:10s}: {result.outcome_label():9s}"
             f"  {result.statistics.states_visited:6d} states"
@@ -49,7 +47,7 @@ def debug_faulty_paxos() -> None:
     """Find the consensus violation injected into the learners."""
     config = PaxosConfig(proposers=2, acceptors=3, learners=1)
     protocol = build_faulty_paxos_quorum(config)
-    result = ModelChecker(protocol, consensus_invariant()).run(Strategy.SPOR_NET)
+    result = run_plan(protocol, consensus_invariant(), CheckPlan(reduction="spor-net"))
 
     print(f"faulty paxos {config.setting_label}: {result.outcome_label()} "
           f"after {result.statistics.states_visited} states")

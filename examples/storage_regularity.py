@@ -20,11 +20,11 @@ Run with::
 from __future__ import annotations
 
 from repro import (
-    ModelChecker,
+    CheckPlan,
     StorageConfig,
-    Strategy,
     build_storage_quorum,
     regularity_invariant,
+    run_plan,
     wrong_regularity_invariant,
 )
 
@@ -37,12 +37,13 @@ def main() -> None:
           f"{config.base_objects} base objects, {config.readers} reader")
     print("-" * 72)
 
-    verified = ModelChecker(protocol, regularity_invariant()).run(Strategy.SPOR_NET)
+    plan = CheckPlan(reduction="spor-net")
+    verified = run_plan(protocol, regularity_invariant(), plan)
     print(f"regularity:        {verified.outcome_label()} — "
           f"{verified.statistics.states_visited} states, "
           f"{verified.statistics.elapsed_seconds:.2f}s")
 
-    refuted = ModelChecker(protocol, wrong_regularity_invariant()).run(Strategy.SPOR_NET)
+    refuted = run_plan(protocol, wrong_regularity_invariant(), plan)
     print(f"wrong regularity:  {refuted.outcome_label()} — "
           f"{refuted.statistics.states_visited} states, "
           f"{refuted.statistics.elapsed_seconds:.2f}s")

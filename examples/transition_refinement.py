@@ -18,11 +18,11 @@ Run with::
 from __future__ import annotations
 
 from repro import (
-    ModelChecker,
+    CheckPlan,
     PaxosConfig,
-    Strategy,
     build_paxos_quorum,
     consensus_invariant,
+    run_plan,
 )
 from repro.refine import (
     combined_split,
@@ -57,7 +57,7 @@ def compare_reductions(original) -> None:
         ("combined-split", combined_split(original)),
     )
     for label, protocol in rows:
-        result = ModelChecker(protocol, invariant).run(Strategy.SPOR_NET)
+        result = run_plan(protocol, invariant, CheckPlan(reduction="spor-net"))
         print(f"  {label:15s}: {result.statistics.states_visited:6d} states, "
               f"{len(protocol.transitions):3d} transitions in the model, "
               f"{result.statistics.elapsed_seconds:5.2f}s, "

@@ -27,30 +27,17 @@ DSN 2011).  The library provides:
 Quickstart::
 
     from repro import (
-        ModelChecker, Strategy,
+        CheckPlan, run_plan,
         PaxosConfig, build_paxos_quorum, consensus_invariant,
     )
 
     protocol = build_paxos_quorum(PaxosConfig(proposers=1, acceptors=3, learners=1))
-    result = ModelChecker(protocol, consensus_invariant()).run(Strategy.SPOR)
+    result = run_plan(protocol, consensus_invariant(), CheckPlan(reduction="spor"))
     print(result.summary())
 """
 
-from .checker import (
-    CheckResult,
-    CheckerOptions,
-    Counterexample,
-    Eventually,
-    Invariant,
-    ModelChecker,
-    SearchConfig,
-    SearchStatistics,
-    Strategy,
-    check_plan,
-    check_protocol,
-    goal_of,
-    plan_for_strategy,
-)
+# The engine layer loads first: its engines import checker.search, whose
+# own import of engine.events must find the engine package initialising.
 from .engine import (
     CheckPlan,
     CollectingObserver,
@@ -60,6 +47,15 @@ from .engine import (
     UnsupportedPlanError,
     default_registry,
     run_plan,
+)
+from .checker import (
+    CheckResult,
+    Counterexample,
+    Eventually,
+    Invariant,
+    SearchConfig,
+    SearchStatistics,
+    goal_of,
 )
 from .mp import (
     ActionContext,
@@ -118,7 +114,6 @@ __all__ = [
     "CellSpec",
     "CheckPlan",
     "CheckResult",
-    "CheckerOptions",
     "CollectingObserver",
     "Counterexample",
     "CrashRecoveryConfig",
@@ -127,9 +122,7 @@ __all__ = [
     "Observer",
     "ProgressPrinter",
     "UnsupportedPlanError",
-    "check_plan",
     "default_registry",
-    "plan_for_strategy",
     "run_plan",
     "DependenceRelation",
     "DporSearch",
@@ -138,7 +131,6 @@ __all__ = [
     "Invariant",
     "LporAnnotation",
     "Message",
-    "ModelChecker",
     "MulticastConfig",
     "Network",
     "PaxosConfig",
@@ -150,7 +142,6 @@ __all__ = [
     "SendSpec",
     "StorageConfig",
     "StubbornSetProvider",
-    "Strategy",
     "TransitionSpec",
     "agreement_invariant",
     "build_crash_recovery_quorum",
@@ -163,7 +154,6 @@ __all__ = [
     "build_paxos_single",
     "build_storage_quorum",
     "build_storage_single",
-    "check_protocol",
     "combined_split",
     "compare_state_graphs",
     "consensus_invariant",

@@ -82,11 +82,11 @@ def result_record(result: CheckResult, **extra) -> Dict:
     """Flatten a :class:`CheckResult` into a JSON-able record.
 
     Results produced through the plan layer additionally carry their
-    resolved axes (``shape`` / ``reduction`` / ``backend``) and the registry
-    name of the engine that ran them, so payloads from different engines
-    aggregate without guessing the configuration back out of the legacy
-    strategy string.  Extra keyword fields (cell key, model variant, worker
-    count, ...) are merged in; they must be JSON-serialisable.
+    resolved axes (``shape`` / ``reduction`` / ``store`` / ``backend`` /
+    ``workers``, the walk budget of a swarm run) and the registry name of
+    the engine that ran them, so a record describes the plan that ran, not
+    the one that was asked for.  Extra keyword fields (cell key, model
+    variant, ...) are merged in; they must be JSON-serialisable.
     """
     statistics = result.statistics
     record = {
@@ -109,14 +109,19 @@ def result_record(result: CheckResult, **extra) -> Dict:
     }
     if result.incomplete_reason is not None:
         record["incomplete_reason"] = result.incomplete_reason
-    if result.plan is not None:
+    plan = result.plan
+    if plan is not None:
         record.update(
-            shape=result.plan.shape,
-            reduction=result.plan.reduction,
-            backend=result.plan.backend,
-            successors=result.plan.successors,
-            goal=result.plan.goal,
+            shape=plan.shape,
+            reduction=plan.reduction,
+            store=plan.store,
+            backend=plan.backend,
+            workers=plan.workers,
+            successors=plan.successors,
+            goal=plan.goal,
         )
+        if plan.backend == "swarm":
+            record.update(walks=plan.walks, walk_seed=plan.walk_seed)
     if result.engine is not None:
         record["engine"] = result.engine
     if result.telemetry is not None:

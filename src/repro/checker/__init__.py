@@ -2,20 +2,11 @@
 
 This package is the substrate the paper builds on (the JPF/Basset analogue):
 state-space search (stateful and stateless), visited-state stores, invariant
-properties, counterexamples and run statistics, plus the
-:class:`ModelChecker` facade that selects between unreduced search, static
-POR and dynamic POR.
+properties, counterexamples and run statistics.  A run is named by a
+:class:`repro.engine.CheckPlan` and executed by
+:func:`repro.engine.run_plan`.
 """
 
-from .checker import (
-    STRATEGY_ALIASES,
-    CheckerOptions,
-    ModelChecker,
-    Strategy,
-    check_plan,
-    check_protocol,
-    plan_for_strategy,
-)
 from .counterexample import Counterexample, Step
 from .property import (
     Eventually,
@@ -58,16 +49,11 @@ __all__ = [
     "OUTCOMES",
     "OUTCOME_LABELS",
     "outcome_of",
-    "CheckerOptions",
     "Counterexample",
-    "STRATEGY_ALIASES",
-    "check_plan",
-    "plan_for_strategy",
     "Eventually",
     "FingerprintStore",
     "FullStateStore",
     "Invariant",
-    "ModelChecker",
     "NullStateStore",
     "ReductionContext",
     "Reducer",
@@ -78,10 +64,8 @@ __all__ = [
     "ShardedFingerprintStore",
     "StateStore",
     "Step",
-    "Strategy",
     "always_true",
     "bfs_search",
-    "check_protocol",
     "conjunction",
     "dfs_search",
     "goal_of",

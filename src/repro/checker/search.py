@@ -123,7 +123,7 @@ class SearchConfig:
 
 @dataclass
 class SearchOutcome:
-    """Raw outcome of a search, converted to a CheckResult by the facade.
+    """Raw outcome of a search, converted to a CheckResult by ``run_plan``.
 
     ``incomplete_reason`` distinguishes *why* an incomplete search stopped
     when the cause is not an ordinary budget: ``"worker crash"`` for an

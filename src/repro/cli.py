@@ -12,12 +12,12 @@ Subcommands:
     the structured ``UnsupportedPlanError`` diagnostic with the nearest
     supported alternative — without running anything.
 ``check``
-    Check one cell.  Either name a legacy ``--strategy`` or spell the plan
-    axes out (``--shape`` / ``--reduction`` / ``--backend``); plan
-    resolution picks the backend for ``--workers N`` automatically
-    (frontier-parallel BFS for bfs shapes, work-stealing DFS otherwise).
-    ``--goal liveness`` checks the cell's liveness property with the
-    nested-DFS engines instead of its invariant.
+    Check one cell under the plan its axis flags name (``--shape`` /
+    ``--reduction`` / ``--backend`` / ...; ``spor`` when neither shape nor
+    reduction is given); plan resolution picks the backend for
+    ``--workers N`` automatically (frontier-parallel BFS for bfs shapes,
+    work-stealing DFS otherwise).  ``--goal liveness`` checks the cell's
+    liveness property with the nested-DFS engines instead of its invariant.
     ``--progress`` streams the engine's event feed while it runs.
 ``sweep``
     Run a grid of cells, optionally farming independent cells across a
@@ -27,8 +27,8 @@ Subcommands:
 ``bench``
     Serial-vs-parallel comparison: times the sweep loop against the
     cell-parallel pool and (optionally) per-cell serial vs parallel runs
-    of the in-cell engines — frontier-parallel BFS and, for DFS-shaped
-    strategies, work-stealing DFS; writes a ``BENCH_*.json`` payload.
+    of the in-cell engines — frontier-parallel BFS and work-stealing DFS;
+    writes a ``BENCH_*.json`` payload.
 ``serve``
     Run the checking service: a JSON-lines-over-TCP job server with a
     bounded queue, a concurrent worker pool, per-job event streams, a
@@ -87,15 +87,8 @@ from .engine.plan import (
     UnsupportedPlanError,
 )
 from .engine.registry import default_registry
-from .parallel.cells import MODELS, CellSpec, run_cell_task, run_cells, specs_for_sweep
+from .parallel.cells import MODELS, CellSpec, run_cell, run_cells, specs_for_sweep
 from .protocols.catalog import default_catalog
-
-#: Strategy strings accepted by --strategy (``dfs`` and ``stubborn`` are
-#: aliases of ``unreduced`` and ``spor``, named after the search shape).
-STRATEGIES = ("unreduced", "dfs", "spor", "stubborn", "spor-net", "dpor", "bfs")
-
-#: Strategies the work-stealing parallel DFS can drive.
-DFS_SHAPED = ("unreduced", "dfs", "spor", "stubborn", "spor-net")
 
 
 def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
@@ -117,6 +110,46 @@ def _parse_cells(value: Optional[str], scale: str) -> Optional[List[str]]:
     if value is None or value == "all":
         return None
     return [key.strip() for key in value.split(",") if key.strip()]
+
+
+def _plan_from_args(args, workers: int, **axes) -> CheckPlan:
+    """The one place a command line becomes a :class:`CheckPlan`.
+
+    Shared by ``check``, ``sweep``, ``bench`` and ``engines --plan``; a flag
+    a subcommand does not have leaves its axis at the plan default, and
+    ``axes`` pins axes outright (``bench``'s frontier comparison).  With
+    neither ``--shape`` nor ``--reduction`` an invariant check runs
+    ``spor``, while a liveness goal and the swarm backend run ``dfs/none``,
+    the one configuration their engines support.  ``workers <= 1`` means
+    serial (0 is an accepted spelling of "no pool").  Cross-axis
+    normalisation (dpor and swarm are stateless and store nothing) is the
+    plan's own.
+    """
+    option = vars(args).get
+    goal = option("goal", "invariant")
+    backend = option("backend", "auto")
+    shape, reduction = option("shape"), option("reduction")
+    if shape is None and reduction is None and goal == "invariant" and backend != "swarm":
+        reduction = "spor"
+    axes = {"shape": shape or "dfs", "reduction": reduction or "none", **axes}
+    return CheckPlan(
+        store=option("store", "full"),
+        backend=backend,
+        workers=max(1, workers),
+        successors=option("successors", "object"),
+        goal=goal,
+        max_depth=option("max_depth"),
+        max_states=option("max_states"),
+        max_seconds=option("max_seconds"),
+        walks=option("walks"),
+        walk_seed=option("seed"),
+        chaos=option("chaos"),
+        supervise=option("supervise", True),
+        checkpoint_dir=option("checkpoint_dir"),
+        checkpoint_every=option("checkpoint_every"),
+        resume_from=option("resume"),
+        **axes,
+    )
 
 
 def _print_records(records: Sequence[dict], stream) -> None:
@@ -172,17 +205,7 @@ def _command_engines_plan(args, stream) -> int:
     (offending axis, engine note, runnable nearest alternative) when no
     registered engine supports the combination.
     """
-    stateful = args.reduction != "dpor"
-    plan = CheckPlan(
-        shape=args.shape,
-        reduction=args.reduction,
-        store=args.store if stateful else "none",
-        backend=args.backend,
-        workers=max(1, args.workers),
-        stateful=stateful,
-        successors=args.successors,
-        goal=args.goal,
-    )
+    plan = _plan_from_args(args, args.workers)
     registry = default_registry()
     try:
         engine, resolved = registry.resolve(plan)
@@ -205,51 +228,8 @@ def _command_engines_plan(args, stream) -> int:
 
 
 def _command_check(args, stream) -> int:
-    # A strategy names a full (shape, reduction) point; partial axis
-    # overrides on top of it would have to silently drop one or the other,
-    # so mixing the two forms is an explicit error, not a guess.
-    if args.strategy is not None and (args.shape or args.reduction):
-        stream.write(
-            "error: --strategy and --shape/--reduction are alternative ways "
-            "to name the same axes; use one form (e.g. --strategy spor  ==  "
-            "--shape dfs --reduction spor)\n"
-        )
-        return 2
-    shape, reduction = args.shape, args.reduction
-    if args.goal == "liveness" and args.strategy is None and shape is None and reduction is None:
-        # Liveness defaults to the one supported configuration — serial
-        # nested DFS without reduction — instead of the invariant default
-        # (spor), which no liveness engine could run.
-        shape, reduction = "dfs", "none"
-    if args.backend == "swarm" and args.strategy is None and shape is None and reduction is None:
-        # Swarm walks are unreduced by construction (POR assumes the
-        # surviving interleavings are explored exhaustively), so the
-        # sampling backend defaults to dfs/none rather than the invariant
-        # default (spor), which it could never run.
-        shape, reduction = "dfs", "none"
-    spec = CellSpec(
-        key=args.cell,
-        model=args.model,
-        strategy=args.strategy or "spor",
-        scale=args.scale,
-        state_store=args.store,
-        max_states=args.max_states,
-        max_seconds=args.max_seconds,
-        workers=args.workers,
-        shape=shape,
-        reduction=reduction,
-        backend=args.backend,
-        successors=args.successors,
-        goal=args.goal,
-        walks=args.walks,
-        walk_seed=args.seed,
-        max_depth=args.max_depth,
-        chaos=args.chaos,
-        supervise=args.supervise,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        resume_from=args.resume,
-    )
+    spec = CellSpec(key=args.cell, model=args.model, scale=args.scale,
+                    plan=_plan_from_args(args, args.workers))
     observers = []
     if args.progress:
         observers.append(ProgressPrinter(stream))
@@ -263,7 +243,7 @@ def _command_check(args, stream) -> int:
     elif observers:
         observer = MultiObserver(observers)
     try:
-        record = run_cell_task(spec.to_task(), observer=observer)
+        record = run_cell(spec, observer=observer)
     finally:
         if sink is not None:
             sink.close()
@@ -274,7 +254,7 @@ def _command_check(args, stream) -> int:
         )
     _print_records([record], stream)
     if args.json:
-        payload = bench_payload("check", [record], workers=args.workers)
+        payload = bench_payload("check", [record], workers=record["workers"])
         Path(args.json).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         stream.write(f"wrote {args.json}\n")
     if args.backend == "swarm":
@@ -287,22 +267,12 @@ def _command_check(args, stream) -> int:
 
 
 def _command_sweep(args, stream) -> int:
-    keys = _parse_cells(args.cells, args.scale)
+    plan = _plan_from_args(args, args.cell_workers)
     specs = specs_for_sweep(
-        keys=keys,
+        keys=_parse_cells(args.cells, args.scale),
         scale=args.scale,
         models=tuple(args.models.split(",")),
-        strategy=args.strategy,
-        max_states=args.max_states,
-        max_seconds=args.max_seconds,
-        state_store=args.store,
-        cell_workers=args.cell_workers,
-        backend=args.backend,
-        successors=args.successors,
-        goal=args.goal,
-        walks=args.walks,
-        walk_seed=args.seed,
-        max_depth=args.max_depth,
+        plan=plan,
     )
     workers = 1 if args.serial else args.workers
     started = time.perf_counter()
@@ -310,13 +280,13 @@ def _command_sweep(args, stream) -> int:
     wall = time.perf_counter() - started
     _print_records(records, stream)
     # Inner-parallel cells bypass the (daemonic) pool inside run_cells.
-    pooled = workers > 1 and len(specs) > 1 and args.cell_workers <= 1
+    pooled = workers > 1 and len(specs) > 1 and plan.workers <= 1
     stream.write(
         f"swept {len(records)} cells in {wall:.2f}s "
         f"({f'{workers}-process pool' if pooled else 'serial loop'})\n"
     )
     payload = bench_payload(
-        "sweep", records, workers=workers, sweep_seconds=wall, strategy=args.strategy
+        "sweep", records, workers=workers, sweep_seconds=wall, plan=plan.describe()
     )
     path = write_bench_file(Path(args.output), "sweep", payload, label=args.label)
     stream.write(f"wrote {path}\n")
@@ -324,15 +294,10 @@ def _command_sweep(args, stream) -> int:
 
 
 def _command_bench(args, stream) -> int:
-    keys = _parse_cells(args.cells, args.scale)
     specs = specs_for_sweep(
-        keys=keys,
+        keys=_parse_cells(args.cells, args.scale),
         scale=args.scale,
-        models=("quorum",),
-        strategy=args.strategy,
-        max_states=args.max_states,
-        max_seconds=args.max_seconds,
-        state_store=args.store,
+        plan=_plan_from_args(args, 1),
     )
     results: List[dict] = []
     meta = {"workers": args.workers}
@@ -363,35 +328,21 @@ def _command_bench(args, stream) -> int:
         f"{args.workers}-process pool {parallel_wall:.2f}s ({rendered})\n"
     )
 
-    # Axis 2: serial BFS vs. frontier-parallel BFS on each cell.
-    if not args.skip_frontier:
+    # Axes 2 and 3: each cell serial vs. in-cell parallel, breadth-first
+    # (frontier-parallel BFS) and depth-first (work-stealing DFS).
+    for mode, skipped, axes in (
+        ("frontier", args.skip_frontier, {"shape": "bfs", "reduction": "none"}),
+        ("worksteal", args.skip_worksteal, {}),
+    ):
+        if skipped:
+            continue
         for spec in specs:
             for workers in dict.fromkeys((1, args.workers)):
-                record = run_cell_task(
-                    CellSpec(
-                        key=spec.key,
-                        model=spec.model,
-                        strategy="bfs",
-                        scale=spec.scale,
-                        state_store=spec.state_store,
-                        max_states=spec.max_states,
-                        max_seconds=spec.max_seconds,
-                        workers=workers,
-                    ).to_task()
-                )
-                record["batch_mode"] = "frontier"
+                plan = _plan_from_args(args, workers, **axes)
+                record = run_cell(replace(spec, plan=plan))
+                record["batch_mode"] = mode
                 results.append(record)
-        _print_records([r for r in results if r.get("batch_mode") == "frontier"], stream)
-
-    # Axis 3: serial DFS vs. work-stealing DFS on each cell (only DFS-shaped
-    # strategies have a work-stealing mode; bfs/dpor cells skip this axis).
-    if not args.skip_worksteal and args.strategy in DFS_SHAPED:
-        for spec in specs:
-            for workers in dict.fromkeys((1, args.workers)):
-                record = run_cell_task(replace(spec, workers=workers).to_task())
-                record["batch_mode"] = "worksteal"
-                results.append(record)
-        _print_records([r for r in results if r.get("batch_mode") == "worksteal"], stream)
+        _print_records([r for r in results if r.get("batch_mode") == mode], stream)
 
     payload = bench_payload("bench", results, **meta)
     path = write_bench_file(Path(args.output), "bench", payload, label=args.label)
@@ -586,15 +537,12 @@ def build_parser() -> argparse.ArgumentParser:
     check = subparsers.add_parser("check", help="check one cell")
     check.add_argument("cell", help="catalog key, e.g. paxos-2-2-1")
     check.add_argument("--model", choices=MODELS, default="quorum")
-    check.add_argument("--strategy", choices=STRATEGIES, default=None,
-                       help="legacy strategy name (default spor); mutually "
-                            "exclusive with --shape/--reduction")
     check.add_argument("--shape", choices=SHAPES, default=None,
-                       help="explicit plan axis: search shape "
-                            "(mutually exclusive with --strategy)")
+                       help="plan axis: search shape (default dfs)")
     check.add_argument("--reduction", choices=REDUCTIONS, default=None,
-                       help="explicit plan axis: partial-order reduction "
-                            "(mutually exclusive with --strategy)")
+                       help="plan axis: partial-order reduction (default "
+                            "spor for an invariant check without --shape, "
+                            "else none)")
     check.add_argument("--backend", choices=BACKENDS, default="auto",
                        help="execution backend; 'auto' picks serial/"
                             "frontier/worksteal from shape and workers")
@@ -604,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "packed table-compiled fast path")
     check.add_argument("--workers", type=int, default=1,
                        help="in-cell workers: frontier-parallel for bfs, "
-                            "work-stealing DFS for dfs/stubborn/spor-net")
+                            "work-stealing DFS for dfs")
     check.add_argument("--goal", choices=GOALS, default="invariant",
                        help="check the cell's invariant (default) or its "
                             "liveness property (nested DFS; defaults to "
@@ -648,7 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated catalog keys, or 'all'")
     sweep.add_argument("--models", default="quorum",
                        help="comma-separated model variants (quorum,single)")
-    sweep.add_argument("--strategy", choices=STRATEGIES, default="spor")
     sweep.add_argument("--backend", choices=BACKENDS, default="auto",
                        help="execution backend for every cell's own search")
     sweep.add_argument("--successors", choices=SUCCESSOR_MODES,
@@ -679,8 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--cells", default="all",
                        help="comma-separated catalog keys, or 'all'")
-    bench.add_argument("--strategy", choices=STRATEGIES, default="spor",
-                       help="strategy for the cell-parallel axis")
     bench.add_argument("--workers", type=int, default=2)
     bench.add_argument("--skip-frontier", action="store_true",
                        help="skip the per-cell frontier-parallel BFS axis")

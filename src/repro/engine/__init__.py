@@ -8,10 +8,8 @@ visited-state *store* (full/fingerprint/sharded-fingerprint), execution
 combinations it supports (:class:`Capabilities`); :func:`resolve` maps a
 plan to the engine implementing it, and :func:`run_plan` executes it while
 feeding a uniform :class:`EngineEvent` stream to an optional
-:class:`Observer`.
-
-The legacy ``ModelChecker.run(Strategy.X)`` facade is a thin shim over this
-layer (see :func:`repro.checker.checker.plan_for_strategy`).
+:class:`Observer`.  ``run_plan(protocol, property, plan)`` is the one way
+to run a check.
 """
 
 from .capabilities import REQUIREMENT_TOKENS, Capabilities, platform_requirements

@@ -76,8 +76,8 @@ PLAN_AXES = ("goal", "reduction", "shape", "workers", "stateful",
 class UnsupportedPlanError(ValueError):
     """A plan names an axis combination no registered engine supports.
 
-    Subclasses :class:`ValueError` so call sites that guarded the legacy
-    facade's ad-hoc ``raise ValueError`` diagnostics keep working.
+    Subclasses :class:`ValueError` so call sites may guard it as the plain
+    bad-argument error it is.
 
     Attributes:
         axis: Name of the offending axis (one of :data:`PLAN_AXES`).
@@ -231,9 +231,8 @@ class CheckPlan:
                 "nearest supported alternative: workers=1",
                 alternative=1,
             )
-        # Axis normalisation — values determined by other axes, mirroring the
-        # legacy facade: DPOR is stateless by definition, and a stateless
-        # search stores nothing.
+        # Axis normalisation — values determined by other axes: DPOR is
+        # stateless by definition, and a stateless search stores nothing.
         if self.reduction == "dpor" and self.stateful:
             object.__setattr__(self, "stateful", False)
         if not self.stateful and self.store != "none":
@@ -353,13 +352,12 @@ class CheckPlan:
 
 
 def strategy_label(plan: CheckPlan) -> str:
-    """The legacy strategy string of a plan (``CheckResult.strategy``).
+    """The strategy string of a plan (``CheckResult.strategy``).
 
-    Keeps the records emitted through the new API byte-compatible with the
-    ones the ``Strategy``-enum facade produced: ``"bfs"`` for breadth-first
-    runs, otherwise the reduction name with ``"none"`` spelled
-    ``"unreduced"``.  Liveness runs (which the facade never produced) are
-    labelled by their algorithm, ``"ndfs"``.
+    The one-word label records, reports and tables key rows by: ``"bfs"``
+    for breadth-first runs, otherwise the reduction name with ``"none"``
+    spelled ``"unreduced"``.  Liveness runs are labelled by their
+    algorithm, ``"ndfs"``, and sampling runs ``"swarm"``.
     """
     if plan.goal == "liveness":
         return "ndfs"

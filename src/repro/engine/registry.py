@@ -11,7 +11,7 @@ explanation, nearest supported alternative — when nothing matches.
 
 New axes land here as registry entries: a C-accelerated successor engine, a
 spawn-mode frontier or a new backend registers an engine with its
-capabilities and every consumer (facade, cells runner, CLI, benchmarks)
+capabilities and every consumer (cells runner, CLI, service, benchmarks)
 picks it up without edits.
 """
 
@@ -231,8 +231,8 @@ def run_plan(
 ) -> CheckResult:
     """Resolve ``plan``, run it, and wrap the outcome as a CheckResult.
 
-    This is the one entry point every consumer (the :class:`ModelChecker`
-    facade, the cells runner, the CLI) funnels through; the ``observer``
+    This is the one entry point every consumer (the cells runner, the CLI,
+    the service) funnels through; the ``observer``
     receives the uniform event stream documented in
     :mod:`repro.engine.events`.
 

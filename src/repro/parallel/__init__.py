@@ -25,9 +25,9 @@ ever cross a process boundary.
 
 * :func:`run_cells` — many independent Table-I cells farmed across a
   process pool.  Cells are described by picklable :class:`CellSpec` records
-  (catalog key + strategy + bounds); each pool worker rebuilds its protocol
-  from the catalog, so this axis works under any multiprocessing start
-  method.
+  (catalog key + model + scale + :class:`~repro.engine.plan.CheckPlan`);
+  each pool worker rebuilds its protocol from the catalog, so this axis
+  works under any multiprocessing start method.
 
 Choosing an axis: cell-parallel sweeps scale embarrassingly over *many*
 cells; frontier-parallel BFS attacks a single large *unreduced* cell whose
@@ -39,7 +39,7 @@ reserve the in-cell engines for the cells dominating the wall clock.
 """
 
 from .bfs import default_mp_context, parallel_bfs_search
-from .cells import CellSpec, run_cell_task, run_cells, specs_for_sweep
+from .cells import CellSpec, run_cell, run_cells, specs_for_sweep
 from .dfs import parallel_dfs_search
 from .worksteal import StolenFrame, StripedClaimTable, WorkStealingDeques
 
@@ -51,7 +51,7 @@ __all__ = [
     "default_mp_context",
     "parallel_bfs_search",
     "parallel_dfs_search",
-    "run_cell_task",
+    "run_cell",
     "run_cells",
     "specs_for_sweep",
 ]

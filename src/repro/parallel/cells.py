@@ -2,29 +2,25 @@
 
 The paper's Table I is a grid of independent cells — protocol instance ×
 model variant × check plan — which makes a sweep embarrassingly parallel at
-cell granularity.  A cell is described by a :class:`CellSpec` whose task
-form contains only strings and numbers: pool workers rebuild the protocol
-from the catalog key, so the (unpicklable) transition closures never cross
-a process boundary and any multiprocessing start method works.
+cell granularity.  A cell is a :class:`CellSpec`: a catalog key, a model
+variant, a scale and the :class:`~repro.engine.plan.CheckPlan` to run.  It
+holds only strings, numbers and a plan (itself strings and numbers), so it
+pickles as it is: pool workers rebuild the protocol from the catalog key,
+the (unpicklable) transition closures never cross a process boundary and
+any multiprocessing start method works.
 
-Cells run on the composable engine layer (:mod:`repro.engine`): each spec
-either names a legacy ``strategy`` string (translated by the compatibility
-shim) or spells the plan axes out explicitly (``shape`` / ``reduction`` /
-``backend``); both forms funnel through
-:func:`repro.engine.registry.run_plan`, so the records a sweep emits carry
-the resolved axes and engine name.
+Every cell runs through :func:`repro.engine.registry.run_plan`, so the
+records a sweep emits carry the resolved axes and engine name.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..analysis.aggregate import result_record
-from ..checker import CheckerOptions, SearchConfig, Strategy
-from ..checker.checker import plan_for_strategy
 from ..engine.events import Observer
 from ..engine.plan import CheckPlan
 from ..engine.registry import run_plan
@@ -36,149 +32,22 @@ MODELS = ("quorum", "single")
 
 @dataclass(frozen=True)
 class CellSpec:
-    """One Table-I cell: which protocol to check, how, and within what bounds.
+    """One Table-I cell: which protocol to check, and the plan to check it by.
 
     Attributes:
         key: Catalog key of the protocol instance (see
             :func:`repro.protocols.catalog.default_catalog`).
         model: ``"quorum"`` or ``"single"``.
-        strategy: Legacy strategy value string (``"spor"``, ``"bfs"``, ...),
-            used when ``shape``/``reduction`` are not given.
         scale: Catalog scale the key belongs to (``"small"`` / ``"paper"``).
-        stateful: Stateful search (ignored by DPOR, which is stateless).
-        state_store: Visited-state store kind for stateful searches.
-        max_states / max_seconds: Optional exploration budgets.
-        workers: *Inner* worker count for the cell's own search; plan
-            resolution picks the backend (frontier-parallel for BFS shapes,
-            work-stealing for DFS shapes; DPOR rejects ``workers > 1``).
-        seed_heuristic: SPOR seed-transition heuristic.
-        shape / reduction: Explicit plan axes; when either is set, they take
-            precedence over ``strategy``.
-        backend: Explicit execution backend (default ``"auto"`` lets the
-            registry pick serial / frontier / worksteal).
-        successors: Successor-engine family: ``"object"`` (default) or
-            ``"fast"`` for the packed table-compiled fast path.
-        goal: ``"invariant"`` (default) checks the entry's invariant;
-            ``"liveness"`` checks its :class:`Eventually` property with a
-            nested-DFS plan (entries without one raise).
-        walks / walk_seed: Walk budget and root seed for
-            ``backend="swarm"`` cells (``None`` elsewhere; the plan layer
-            rejects walk parameters on exhaustive backends).
-        max_depth: Per-walk step bound for swarm cells; also honoured as a
-            depth budget by the exhaustive engines.
-        chaos: Optional fault-plan spec injected into the cell's search
-            workers (see :mod:`repro.chaos`); ``None`` injects nothing.
-        supervise: Restart crashed search workers and re-execute their
-            lost work (the default); ``False`` fails fast with an honest
-            ``Inconclusive (worker crash)`` verdict.
-        checkpoint_dir / checkpoint_every: Level-barrier checkpointing for
-            BFS-shaped cells (see :mod:`repro.checker.checkpoint`).
-        resume_from: Checkpoint file (or directory holding checkpoints) to
-            resume the cell's search from.
+        plan: The run; its ``goal`` axis picks the entry's invariant or its
+            liveness property, and its ``workers`` axis is the *inner*
+            worker count of the cell's own search.
     """
 
     key: str
     model: str = "quorum"
-    strategy: str = "spor"
     scale: str = "small"
-    stateful: bool = True
-    state_store: str = "full"
-    max_states: Optional[int] = None
-    max_seconds: Optional[float] = None
-    workers: int = 1
-    seed_heuristic: str = "opposite-transaction"
-    shape: Optional[str] = None
-    reduction: Optional[str] = None
-    backend: str = "auto"
-    successors: str = "object"
-    goal: str = "invariant"
-    walks: Optional[int] = None
-    walk_seed: Optional[int] = None
-    max_depth: Optional[int] = None
-    chaos: Optional[str] = None
-    supervise: bool = True
-    checkpoint_dir: Optional[str] = None
-    checkpoint_every: Optional[int] = None
-    resume_from: Optional[str] = None
-
-    def to_task(self) -> Dict:
-        """The picklable task form handed to pool workers."""
-        return asdict(self)
-
-    def to_plan(self) -> CheckPlan:
-        """The :class:`CheckPlan` this cell runs.
-
-        Explicit ``shape``/``reduction`` axes win; otherwise the legacy
-        ``strategy`` string goes through the compatibility shim so both
-        forms resolve to the same engines.
-        """
-        if self.shape is None and self.reduction is None:
-            options = CheckerOptions(
-                search=SearchConfig(
-                    stateful=self.stateful,
-                    state_store=self.state_store,
-                    max_states=self.max_states,
-                    max_seconds=self.max_seconds,
-                ),
-                seed_heuristic=self.seed_heuristic,
-                workers=self.workers,
-            )
-            plan = plan_for_strategy(Strategy(self.strategy), options)
-            if self.backend != "auto":
-                plan = replace(plan, backend=self.backend)
-            if self.successors != "object":
-                plan = replace(plan, successors=self.successors)
-            if self.goal != "invariant":
-                plan = replace(plan, goal=self.goal)
-            if self.backend == "swarm":
-                # replace() re-runs __post_init__, which normalises the
-                # swarm axes (stateless, store="none", defaulted budget).
-                plan = replace(plan, stateful=False, store="none",
-                               walks=self.walks, walk_seed=self.walk_seed)
-            if self.max_depth is not None:
-                plan = replace(plan, max_depth=self.max_depth)
-            return self._apply_fault_knobs(plan)
-        # CheckPlan.__post_init__ owns the cross-axis normalisation (dpor is
-        # stateless, stateless plans store nothing); pass the axes through.
-        swarm = self.backend == "swarm"
-        return self._apply_fault_knobs(CheckPlan(
-            shape=self.shape or "dfs",
-            reduction=self.reduction or "none",
-            store="none" if swarm or not self.stateful else self.state_store,
-            backend=self.backend,
-            # Same workers<=1-means-serial spelling as the legacy branch
-            # (which gets the clamp through plan_for_strategy).
-            workers=max(1, self.workers),
-            stateful=False if swarm else self.stateful,
-            successors=self.successors,
-            seed_heuristic=self.seed_heuristic,
-            max_depth=self.max_depth,
-            max_states=self.max_states,
-            max_seconds=self.max_seconds,
-            goal=self.goal,
-            walks=self.walks,
-            walk_seed=self.walk_seed,
-        ))
-
-    def _apply_fault_knobs(self, plan: CheckPlan) -> CheckPlan:
-        """Layer the fault-tolerance knobs onto ``plan``.
-
-        Applied identically to both plan-construction branches so a legacy
-        ``strategy`` cell and an explicit-axes cell get the same chaos /
-        supervision / checkpoint behaviour.
-        """
-        changes = {}
-        if self.chaos is not None:
-            changes["chaos"] = self.chaos
-        if not self.supervise:
-            changes["supervise"] = False
-        if self.checkpoint_dir is not None:
-            changes["checkpoint_dir"] = self.checkpoint_dir
-        if self.checkpoint_every is not None:
-            changes["checkpoint_every"] = self.checkpoint_every
-        if self.resume_from is not None:
-            changes["resume_from"] = self.resume_from
-        return replace(plan, **changes) if changes else plan
+    plan: CheckPlan = CheckPlan()
 
 
 def _resolve_entry(key: str, scale: str) -> CatalogEntry:
@@ -189,20 +58,19 @@ def _resolve_entry(key: str, scale: str) -> CatalogEntry:
     return entry
 
 
-def run_cell_task(task: Dict, observer: Optional[Observer] = None) -> Dict:
-    """Run one cell from its task form and return its JSON-able record.
+def run_cell(spec: CellSpec, observer: Optional[Observer] = None) -> Dict:
+    """Run one cell and return its JSON-able record.
 
     This is the pool-worker entry point; it is also what the serial path
     calls, so a cell behaves identically whether or not it was farmed out.
     The optional ``observer`` (serial path only — observers do not cross
     process boundaries) receives the engine-event stream of the cell's run.
     """
-    spec = CellSpec(**task)
     entry = _resolve_entry(spec.key, spec.scale)
     if spec.model not in MODELS:
         raise ValueError(f"unknown model variant {spec.model!r} (expected one of {MODELS})")
     protocol = entry.quorum_model() if spec.model == "quorum" else entry.single_model()
-    if spec.goal == "liveness":
+    if spec.plan.goal == "liveness":
         if entry.liveness is None:
             raise ValueError(
                 f"catalog entry {spec.key!r} carries no liveness property; "
@@ -214,31 +82,21 @@ def run_cell_task(task: Dict, observer: Optional[Observer] = None) -> Dict:
         prop = entry.invariant
         expect_violation = entry.expect_violation
     started = time.perf_counter()
-    result = run_plan(protocol, prop, spec.to_plan(), observer=observer)
+    result = run_plan(protocol, prop, spec.plan, observer=observer)
     wall_seconds = time.perf_counter() - started
     # A truncated search that found no counterexample proves nothing, so it
     # must not count as agreeing with the paper's expected outcome; a found
     # counterexample is conclusive evidence even when the search stopped at
     # it (stop-at-first-violation always reports complete=False).
     conclusive = result.complete or result.found_counterexample
-    extras: Dict = {}
-    if spec.backend == "swarm":
-        plan = result.plan
-        extras["walks"] = plan.walks if plan is not None else spec.walks
-        extras["walk_seed"] = (
-            plan.walk_seed if plan is not None else spec.walk_seed
-        )
     return result_record(
         result,
         cell=spec.key,
         model=spec.model,
         scale=spec.scale,
-        workers=spec.workers,
-        store=spec.state_store,
         expect_violation=expect_violation,
         ok=conclusive and result.found_counterexample == expect_violation,
         wall_seconds=wall_seconds,
-        **extras,
     )
 
 
@@ -261,112 +119,46 @@ def run_cells(
             ``specs`` order on one stream).
 
     Returns:
-        One record per spec (see :func:`run_cell_task`).
+        One record per spec (see :func:`run_cell`).
     """
-    tasks = [spec.to_task() for spec in specs]
-    if observer is not None or not workers or workers <= 1 or len(tasks) <= 1:
-        return [run_cell_task(task, observer=observer) for task in tasks]
-    if any(spec.workers > 1 for spec in specs):
+    specs = list(specs)
+    if observer is not None or not workers or workers <= 1 or len(specs) <= 1:
+        return [run_cell(spec, observer=observer) for spec in specs]
+    if any(spec.plan.workers > 1 for spec in specs):
         # Pool workers are daemonic and cannot spawn the in-cell search
         # processes, so inner-parallel cells run in this process, one at a
         # time — the two axes compose as inner × outer, not inner ∧ outer.
-        return [run_cell_task(task) for task in tasks]
+        return [run_cell(spec) for spec in specs]
     context = mp_context if mp_context is not None else multiprocessing.get_context()
-    with context.Pool(min(workers, len(tasks))) as pool:
-        return pool.map(run_cell_task, tasks)
+    with context.Pool(min(workers, len(specs))) as pool:
+        return pool.map(run_cell, specs)
 
 
 def specs_for_sweep(
     keys: Optional[Iterable[str]] = None,
     scale: str = "small",
     models: Sequence[str] = ("quorum",),
-    strategy: str = "spor",
-    max_states: Optional[int] = None,
-    max_seconds: Optional[float] = None,
-    state_store: str = "full",
-    cell_workers: int = 1,
-    backend: str = "auto",
-    successors: str = "object",
-    goal: str = "invariant",
-    walks: Optional[int] = None,
-    walk_seed: Optional[int] = None,
-    max_depth: Optional[int] = None,
+    plan: CheckPlan = CheckPlan(),
 ) -> List[CellSpec]:
     """Build the cell grid of a sweep: every requested key × model variant.
 
-    ``keys=None`` sweeps the whole catalog at the given scale — restricted
-    to the entries that carry a liveness property when ``goal="liveness"``.
-    ``cell_workers`` sets the *inner* worker count of every cell (the
-    strategy×workers axis); the pool size of :func:`run_cells` remains the
-    outer, cell-level axis.  ``backend`` pins every cell's execution
-    backend (default ``"auto"`` lets plan resolution choose);
-    ``successors`` pins the successor-engine family the same way.
-    Liveness cells always run the serial nested-DFS plan (``shape="dfs"``,
-    ``reduction="none"``, one worker), which is the only supported liveness
-    configuration.  ``backend="swarm"`` cells run the random-walk sampler
-    with the given ``walks``/``walk_seed``/``max_depth`` budget (unreduced
-    and stateless by construction — the ``strategy`` axis does not apply).
+    Every cell runs ``plan``.  ``keys=None`` sweeps the whole catalog at the
+    given scale — restricted to the entries that carry a liveness property
+    when ``plan.goal == "liveness"``.  The pool size of :func:`run_cells`
+    remains the outer, cell-level axis; ``plan.workers`` is the inner one.
     """
     if keys is None:
         resolved = [
             entry.key
             for entry in default_catalog(scale)
-            if goal != "liveness" or entry.liveness is not None
+            if plan.goal != "liveness" or entry.liveness is not None
         ]
     else:
-        resolved = [key for key in keys]
+        resolved = list(keys)
         for key in resolved:
             _resolve_entry(key, scale)
-    specs = []
-    for key in resolved:
-        for model in models:
-            if goal == "liveness":
-                spec = CellSpec(
-                    key=key,
-                    model=model,
-                    scale=scale,
-                    state_store=state_store,
-                    max_states=max_states,
-                    max_seconds=max_seconds,
-                    shape="dfs",
-                    reduction="none",
-                    backend=backend,
-                    successors=successors,
-                    goal="liveness",
-                )
-            elif backend == "swarm":
-                # Sampling cells: unreduced by construction (the strategy
-                # axis does not apply), walk budget instead of state budget.
-                spec = CellSpec(
-                    key=key,
-                    model=model,
-                    scale=scale,
-                    stateful=False,
-                    state_store="none",
-                    max_states=max_states,
-                    max_seconds=max_seconds,
-                    workers=cell_workers,
-                    shape="dfs",
-                    reduction="none",
-                    backend="swarm",
-                    successors=successors,
-                    walks=walks,
-                    walk_seed=walk_seed,
-                    max_depth=max_depth,
-                )
-            else:
-                spec = CellSpec(
-                    key=key,
-                    model=model,
-                    strategy=strategy,
-                    scale=scale,
-                    state_store=state_store,
-                    max_states=max_states,
-                    max_seconds=max_seconds,
-                    workers=cell_workers,
-                    backend=backend,
-                    successors=successors,
-                    max_depth=max_depth,
-                )
-            specs.append(spec)
-    return specs
+    return [
+        CellSpec(key=key, model=model, scale=scale, plan=plan)
+        for key in resolved
+        for model in models
+    ]

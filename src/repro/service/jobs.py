@@ -315,7 +315,6 @@ class Job:
                     cell=self.request.cell,
                     model=self.request.model,
                     scale=self.request.scale,
-                    workers=self.request.plan.workers,
                 )
             )
         return record

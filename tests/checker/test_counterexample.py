@@ -1,9 +1,9 @@
 """Unit tests for counterexample objects and rendering."""
 
-from repro.checker import ModelChecker, Strategy
 from repro.checker.counterexample import Counterexample, Step
 from repro.checker.property import Invariant
 from repro.checker.result import CheckResult, SearchStatistics
+from repro.engine import CheckPlan, run_plan
 
 from ..conftest import build_ping_pong
 
@@ -11,7 +11,7 @@ from ..conftest import build_ping_pong
 def violation_result():
     protocol = build_ping_pong(rounds=1)
     invariant = Invariant("no-pong", lambda state, _p: state.local("ping").pongs == 0)
-    return protocol, ModelChecker(protocol, invariant).run(Strategy.UNREDUCED)
+    return protocol, run_plan(protocol, invariant, CheckPlan())
 
 
 class TestCounterexample:

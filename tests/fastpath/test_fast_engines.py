@@ -175,32 +175,3 @@ class TestCli:
         )
         assert code == 0
         assert "Verified" in stream.getvalue()
-
-
-class TestLegacyShimCarriesTheFastPath:
-    """``SearchConfig.successor_engine`` flows through ``plan_for_strategy``
-    (regression: the shim must not silently downgrade to the object engine)."""
-
-    def test_strategy_shim_resolves_to_the_fast_engine(self):
-        # "The fast engine" is the serial engine over the packed graph.
-        from repro.checker import CheckerOptions, ModelChecker, SearchConfig, Strategy
-
-        entry = multicast_entry(2, 1, 0, 1)
-        options = CheckerOptions(
-            search=SearchConfig(successor_engine="fast")
-        )
-        result = ModelChecker(
-            entry.quorum_model(), entry.invariant, options
-        ).run(Strategy.DFS)
-        assert result.engine == "serial-dfs"
-        assert result.plan.successors == "fast"
-
-    def test_plan_for_strategy_maps_the_knob_to_the_axis(self):
-        from repro.checker import CheckerOptions, SearchConfig, plan_for_strategy, Strategy
-
-        plan = plan_for_strategy(
-            Strategy.SPOR,
-            CheckerOptions(search=SearchConfig(successor_engine="fast")),
-        )
-        assert plan.successors == "fast"
-        assert plan_for_strategy(Strategy.SPOR).successors == "object"

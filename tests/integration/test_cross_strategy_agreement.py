@@ -9,7 +9,7 @@ the paper's expectation (Verified or CE).
 
 import pytest
 
-from repro.checker import CheckerOptions, ModelChecker, SearchConfig, Strategy
+from repro.engine import CheckPlan, run_plan
 from repro.protocols.catalog import default_catalog, multicast_entry, paxos_entry, storage_entry
 
 SMALL_ENTRIES = [
@@ -25,31 +25,34 @@ SMALL_ENTRIES = [
 
 ENTRY_IDS = [entry.key for entry in SMALL_ENTRIES]
 
+SPOR_NET = CheckPlan(reduction="spor-net")
+
 
 @pytest.mark.parametrize("entry", SMALL_ENTRIES, ids=ENTRY_IDS)
 class TestQuorumModelVerdicts:
     def test_unreduced_matches_expectation(self, entry):
-        result = ModelChecker(entry.quorum_model(), entry.invariant).run(Strategy.UNREDUCED)
+        result = run_plan(entry.quorum_model(), entry.invariant, CheckPlan())
         assert result.verified == (not entry.expect_violation)
 
-    @pytest.mark.parametrize("strategy", [Strategy.SPOR, Strategy.SPOR_NET])
-    def test_static_por_matches_expectation(self, entry, strategy):
-        result = ModelChecker(entry.quorum_model(), entry.invariant).run(strategy)
+    @pytest.mark.parametrize("reduction", ["spor", "spor-net"])
+    def test_static_por_matches_expectation(self, entry, reduction):
+        plan = CheckPlan(reduction=reduction)
+        result = run_plan(entry.quorum_model(), entry.invariant, plan)
         assert result.verified == (not entry.expect_violation)
 
     def test_static_por_explores_no_more_states_than_unreduced(self, entry):
         if entry.expect_violation:
             pytest.skip("state counts are only comparable for full verification runs")
-        unreduced = ModelChecker(entry.quorum_model(), entry.invariant).run(Strategy.UNREDUCED)
-        reduced = ModelChecker(entry.quorum_model(), entry.invariant).run(Strategy.SPOR_NET)
+        unreduced = run_plan(entry.quorum_model(), entry.invariant, CheckPlan())
+        reduced = run_plan(entry.quorum_model(), entry.invariant, SPOR_NET)
         assert reduced.statistics.states_visited <= unreduced.statistics.states_visited
 
 
 @pytest.mark.parametrize("entry", SMALL_ENTRIES, ids=ENTRY_IDS)
 class TestSingleMessageModelVerdicts:
     def test_single_message_model_agrees_with_quorum_model(self, entry):
-        quorum_result = ModelChecker(entry.quorum_model(), entry.invariant).run(Strategy.SPOR_NET)
-        single_result = ModelChecker(entry.single_model(), entry.invariant).run(Strategy.SPOR_NET)
+        quorum_result = run_plan(entry.quorum_model(), entry.invariant, SPOR_NET)
+        single_result = run_plan(entry.single_model(), entry.invariant, SPOR_NET)
         assert quorum_result.verified == single_result.verified == (not entry.expect_violation)
 
 
@@ -64,8 +67,8 @@ DPOR_ENTRIES = [
 @pytest.mark.parametrize("entry", DPOR_ENTRIES, ids=[e.key + "-dpor" for e in DPOR_ENTRIES])
 class TestDynamicPorVerdicts:
     def test_dpor_on_single_message_model_matches_expectation(self, entry):
-        options = CheckerOptions(search=SearchConfig(max_seconds=60))
-        result = ModelChecker(entry.single_model(), entry.invariant, options).run(Strategy.DPOR)
+        plan = CheckPlan(reduction="dpor", max_seconds=60)
+        result = run_plan(entry.single_model(), entry.invariant, plan)
         assert result.verified == (not entry.expect_violation)
 
 
@@ -74,5 +77,5 @@ class TestCatalogExpectations:
         "entry", default_catalog("small"), ids=[e.key for e in default_catalog("small")]
     )
     def test_small_catalog_matches_paper_outcomes(self, entry):
-        result = ModelChecker(entry.quorum_model(), entry.invariant).run(Strategy.SPOR_NET)
+        result = run_plan(entry.quorum_model(), entry.invariant, SPOR_NET)
         assert result.verified == (not entry.expect_violation)

@@ -11,9 +11,11 @@ search strategy.
 
 import pytest
 
-from repro.checker import ModelChecker, Strategy
+from repro.engine import CheckPlan, run_plan
 from repro.protocols.catalog import multicast_entry, paxos_entry, storage_entry
 from repro.refine import combined_split, is_transition_refinement, quorum_split, reply_split
+
+SPOR_NET = CheckPlan(reduction="spor-net")
 
 REFINEMENTS = [
     ("reply-split", reply_split),
@@ -54,8 +56,8 @@ class TestVerdictPreservation:
     def test_split_model_same_verdict_under_spor_net(self, label, split, entry):
         original = entry.quorum_model()
         refined = split(original)
-        base_result = ModelChecker(original, entry.invariant).run(Strategy.SPOR_NET)
-        refined_result = ModelChecker(refined, entry.invariant).run(Strategy.SPOR_NET)
+        base_result = run_plan(original, entry.invariant, SPOR_NET)
+        refined_result = run_plan(refined, entry.invariant, SPOR_NET)
         assert base_result.verified == refined_result.verified == (not entry.expect_violation)
 
     def test_split_model_same_verdict_under_unreduced_search(self, label, split, entry):
@@ -63,8 +65,8 @@ class TestVerdictPreservation:
             pytest.skip("unreduced exploration of this instance is slow; covered by SPOR-NET")
         original = entry.quorum_model()
         refined = split(original)
-        base_result = ModelChecker(original, entry.invariant).run(Strategy.UNREDUCED)
-        refined_result = ModelChecker(refined, entry.invariant).run(Strategy.UNREDUCED)
+        base_result = run_plan(original, entry.invariant, CheckPlan())
+        refined_result = run_plan(refined, entry.invariant, CheckPlan())
         assert base_result.verified == refined_result.verified
 
 
@@ -72,15 +74,15 @@ class TestRefinementReductionTrends:
     def test_combined_split_never_worse_for_multicast_3111(self):
         entry = multicast_entry(3, 1, 1, 1)
         original = entry.quorum_model()
-        unsplit = ModelChecker(original, entry.invariant).run(Strategy.SPOR_NET)
-        combined = ModelChecker(combined_split(original), entry.invariant).run(Strategy.SPOR_NET)
+        unsplit = run_plan(original, entry.invariant, SPOR_NET)
+        combined = run_plan(combined_split(original), entry.invariant, SPOR_NET)
         assert combined.verified and unsplit.verified
         assert combined.statistics.states_visited <= unsplit.statistics.states_visited
 
     def test_reply_split_helps_paxos(self):
         entry = paxos_entry(2, 3, 1)
         original = entry.quorum_model()
-        unsplit = ModelChecker(original, entry.invariant).run(Strategy.SPOR_NET)
-        split = ModelChecker(reply_split(original), entry.invariant).run(Strategy.SPOR_NET)
+        unsplit = run_plan(original, entry.invariant, SPOR_NET)
+        split = run_plan(reply_split(original), entry.invariant, SPOR_NET)
         assert split.verified and unsplit.verified
         assert split.statistics.states_visited <= unsplit.statistics.states_visited

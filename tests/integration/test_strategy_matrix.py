@@ -15,19 +15,15 @@ or below the exhaustive count on verified cells.
 
 from __future__ import annotations
 
+import io
 import itertools
+import json
 import multiprocessing
 from dataclasses import replace
 
 import pytest
 
-from repro.checker import (
-    CheckerOptions,
-    ModelChecker,
-    SearchConfig,
-    Strategy,
-    plan_for_strategy,
-)
+from repro.cli import main as cli_main
 from repro.engine import CheckPlan, UnsupportedPlanError, default_registry, run_plan
 from repro.engine.plan import REDUCTIONS, SHAPES
 from repro.protocols.catalog import multicast_entry, paxos_entry, storage_entry
@@ -71,24 +67,22 @@ VIOLATING_CELLS = [
     ),
 ]
 
-#: Exhaustive (reduction-free) strategies: DFS-shaped runs use the
+#: Exhaustive (reduction-free) shapes: DFS-shaped runs use the
 #: work-stealing engine for workers > 1, BFS the frontier-parallel one.
-EXHAUSTIVE_STRATEGIES = (Strategy.DFS, Strategy.BFS)
+EXHAUSTIVE_SHAPES = ("dfs", "bfs")
 
 
-def run_cell(entry, strategy: Strategy, workers: int):
-    options = CheckerOptions(search=SearchConfig(), workers=workers)
-    return ModelChecker(entry.quorum_model(), entry.invariant, options).run(strategy)
+def run_cell(entry, workers: int, **axes):
+    plan = CheckPlan(workers=workers, **axes)
+    return run_plan(entry.quorum_model(), entry.invariant, plan)
 
 
 class TestExhaustiveCountsPinned:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize(
-        "strategy", EXHAUSTIVE_STRATEGIES, ids=["dfs", "bfs"]
-    )
+    @pytest.mark.parametrize("shape", EXHAUSTIVE_SHAPES)
     @pytest.mark.parametrize("entry", VERIFIED_CELLS)
-    def test_visited_counts_identical_to_serial(self, entry, strategy, workers):
-        result = run_cell(entry, strategy, workers)
+    def test_visited_counts_identical_to_serial(self, entry, shape, workers):
+        result = run_cell(entry, workers, shape=shape)
         assert result.verified
         assert result.complete
         assert result.statistics.states_visited == EXPECTED_STATES[entry.key]
@@ -99,16 +93,16 @@ class TestVerdictAgreement:
     @pytest.mark.parametrize("entry", VERIFIED_CELLS + VIOLATING_CELLS)
     def test_all_strategies_agree(self, entry, workers):
         expected = not entry.expect_violation
-        for strategy in (Strategy.DFS, Strategy.BFS, Strategy.STUBBORN):
-            result = run_cell(entry, strategy, workers)
+        for axes in ({}, {"shape": "bfs"}, {"reduction": "spor"}):
+            result = run_cell(entry, workers, **axes)
             assert result.verified == expected, (
-                f"{entry.key}: {strategy} x{workers} returned "
+                f"{entry.key}: {result.plan.describe()} returned "
                 f"{result.verified}, expected {expected}"
             )
 
     @pytest.mark.parametrize("entry", VIOLATING_CELLS)
     def test_violations_come_with_counterexamples(self, entry):
-        result = run_cell(entry, Strategy.DFS, workers=2)
+        result = run_cell(entry, workers=2)
         assert not result.verified
         assert result.counterexample is not None
         assert len(result.counterexample.steps) > 0
@@ -118,20 +112,20 @@ class TestReducedRunsStayBelowExhaustive:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("entry", VERIFIED_CELLS)
     def test_stubborn_never_exceeds_exhaustive_count(self, entry, workers):
-        reduced = run_cell(entry, Strategy.STUBBORN, workers)
+        reduced = run_cell(entry, workers, reduction="spor")
         assert reduced.verified
         assert reduced.statistics.states_visited <= EXPECTED_STATES[entry.key]
 
 
 class TestPlanApiConformance:
-    """The plan/registry API against the legacy ``Strategy`` path.
+    """Every plan the registry reports as supported, run end to end.
 
-    Acceptance contract of the API redesign: every (shape × reduction ×
-    backend × workers) combination the registry reports as supported
-    produces the same verdict — and, for the exhaustive engines, the same
-    visited-state count — as the legacy path; unsupported combinations
-    raise :class:`UnsupportedPlanError` naming the axis; and
-    ``ModelChecker.run(Strategy.X)`` stays green through the shim.
+    Every (shape × reduction × backend × workers) combination the registry
+    reports as supported produces the cell's verdict — and, for the
+    exhaustive engines, the pinned visited-state count; unsupported
+    combinations raise :class:`UnsupportedPlanError` naming the axis; and
+    ``repro check`` with the axis flags runs the same engine to the same
+    verdict as ``run_plan`` with the same plan.
     """
 
     ENTRY = multicast_entry(2, 1, 0, 1)
@@ -139,7 +133,7 @@ class TestPlanApiConformance:
     def supported(self):
         return list(default_registry().supported_plans(worker_counts=WORKER_COUNTS))
 
-    def test_every_supported_combination_matches_the_legacy_path(self):
+    def test_every_supported_combination_runs(self):
         entry = self.ENTRY
         expected_states = EXPECTED_STATES[entry.key]
         combinations = self.supported()
@@ -157,36 +151,36 @@ class TestPlanApiConformance:
                 # Reduced runs are scheduling-dependent under work stealing;
                 # the invariant is the verdict plus the exhaustive bound.
                 assert result.statistics.states_visited <= expected_states
-            else:  # dpor: serial and deterministic — compare to the legacy run.
-                legacy = ModelChecker(entry.quorum_model(), entry.invariant).run(
-                    Strategy.DPOR
-                )
-                assert (
-                    result.statistics.states_visited
-                    == legacy.statistics.states_visited
-                )
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize(
-        "strategy",
-        [Strategy.DFS, Strategy.STUBBORN, Strategy.SPOR_NET, Strategy.BFS],
-        ids=["dfs", "stubborn", "spor-net", "bfs"],
+        "flags, axes",
+        [
+            (["--shape", "dfs"], {}),
+            (["--reduction", "spor"], {"reduction": "spor"}),
+            (["--reduction", "spor-net"], {"reduction": "spor-net"}),
+            (["--shape", "bfs"], {"shape": "bfs"}),
+        ],
+        ids=["dfs", "spor", "spor-net", "bfs"],
     )
-    def test_shim_and_plan_api_agree(self, strategy, workers):
+    def test_cli_and_plan_api_agree(self, tmp_path, flags, axes, workers):
         entry = self.ENTRY
-        options = CheckerOptions(search=SearchConfig(), workers=workers)
-        legacy = ModelChecker(entry.quorum_model(), entry.invariant, options).run(
-            strategy
+        target = tmp_path / "check.json"
+        code = cli_main(
+            ["check", entry.key, *flags, "--workers", str(workers),
+             "--json", str(target)],
+            stream=io.StringIO(),
         )
-        direct = run_plan(
-            entry.quorum_model(), entry.invariant, plan_for_strategy(strategy, options)
-        )
-        assert legacy.verified == direct.verified
-        assert legacy.strategy == direct.strategy
-        assert legacy.engine == direct.engine
-        if strategy in (Strategy.DFS, Strategy.BFS):
+        assert code == 0
+        record = json.loads(target.read_text())["results"][0]
+        direct = run_cell(entry, workers, **axes)
+        assert record["verified"] is direct.verified
+        assert record["strategy"] == direct.strategy
+        assert record["engine"] == direct.engine
+        assert record["workers"] == direct.plan.workers == workers
+        if direct.plan.reduction == "none":
             assert (
-                legacy.statistics.states_visited
+                record["states_visited"]
                 == direct.statistics.states_visited
                 == EXPECTED_STATES[entry.key]
             )
@@ -217,15 +211,6 @@ class TestPlanApiConformance:
                 with pytest.raises(UnsupportedPlanError) as excinfo:
                     registry.resolve(plan)
                 assert excinfo.value.axis in plan.axes()
-
-    def test_dpor_workers_stay_rejected_through_the_shim(self):
-        checker = ModelChecker(
-            self.ENTRY.quorum_model(),
-            self.ENTRY.invariant,
-            CheckerOptions(workers=2),
-        )
-        with pytest.raises(ValueError, match="backtrack sets"):
-            checker.run(Strategy.DPOR)
 
 
 class TestFastpathTwinConformance:
@@ -327,16 +312,16 @@ class TestDepthConsistency:
         # The bundled protocols have graded state graphs (every path to a
         # state has the same length), so DFS depth == BFS depth holds and
         # pins the shared edge-counting convention.
-        dfs = run_cell(entry, Strategy.DFS, workers=1)
-        bfs = run_cell(entry, Strategy.BFS, workers=1)
+        dfs = run_cell(entry, workers=1)
+        bfs = run_cell(entry, workers=1, shape="bfs")
         assert dfs.statistics.max_depth == bfs.statistics.max_depth
 
     @pytest.mark.parametrize("workers", (2, 4))
     def test_parallel_engines_report_the_same_depth(self, workers):
         entry = multicast_entry(2, 1, 0, 1)
-        serial = run_cell(entry, Strategy.DFS, workers=1)
-        worksteal = run_cell(entry, Strategy.DFS, workers=workers)
-        frontier = run_cell(entry, Strategy.BFS, workers=workers)
+        serial = run_cell(entry, workers=1)
+        worksteal = run_cell(entry, workers=workers)
+        frontier = run_cell(entry, workers=workers, shape="bfs")
         assert (
             worksteal.statistics.max_depth
             == frontier.statistics.max_depth

@@ -95,3 +95,39 @@ class TestAgreementWithPrimitives:
                     assert successor == apply_execution(state, execution)
                     next_frontier.append(successor)
             frontier = next_frontier
+
+    def test_reexpansion_is_served_from_the_caches(self, protocol):
+        """Stateless search re-expands the same states along many
+        interleavings: a second pass over a frontier (with repeats) runs
+        the raw primitives' transition count and misses no cache."""
+        engine = SuccessorEngine(protocol)
+        states = [engine.initial_state()]
+        frontier = list(states)
+        for _ in range(3):
+            frontier = [
+                engine.successor(state, execution)
+                for state in frontier
+                for execution in engine.enabled(state)
+            ]
+            states.extend(frontier)
+
+        def expand():
+            return [
+                engine.successor(state, execution)
+                for state in states
+                for execution in engine.enabled(state)
+            ]
+
+        first = expand()
+        misses = (engine.enabled_misses, engine.successor_misses)
+        sizes = engine.cache_sizes()
+        second = expand()
+        raw = [
+            apply_execution(state, execution)
+            for state in states
+            for execution in enabled_executions(state, protocol)
+        ]
+        assert len(second) == len(raw)
+        assert all(again is once for again, once in zip(second, first))
+        assert (engine.enabled_misses, engine.successor_misses) == misses
+        assert engine.cache_sizes() == sizes

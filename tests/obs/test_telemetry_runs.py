@@ -7,6 +7,7 @@ import multiprocessing
 
 import pytest
 
+from repro.analysis.aggregate import result_record
 from repro.engine import CheckPlan, CollectingObserver, run_plan
 from repro.obs.telemetry import RunTelemetry, maybe_span
 from repro.protocols.catalog import crash_recovery_entry, multicast_entry
@@ -78,6 +79,16 @@ class TestRunReports:
         assert misses["total"] >= 1  # first guard evaluation always misses
         assert metric(result, "fastpath_memo_evictions") is not None
         assert metric(result, "fastpath_table_size") is not None
+
+    def test_record_block_carries_memo_counters_and_span_totals(self):
+        # What a BENCH record keeps of the snapshot: the memo counters and
+        # the per-phase span totals survive the compaction.
+        result = check(CheckPlan(store="fingerprint", successors="fast"))
+        block = result_record(result)["telemetry"]
+        for name in ("fastpath_memo_hits", "fastpath_memo_misses",
+                     "fastpath_memo_evictions"):
+            assert name in block
+        assert "search" in block["span_seconds"]
 
     def test_ndfs_records_red_phase_spans_and_gauges(self):
         entry = crash_recovery_entry(2, 1)
@@ -171,10 +182,20 @@ class TestTelemetryPlumbing:
     def test_direct_search_calls_need_no_telemetry(self):
         from repro.checker.search import SearchConfig, dfs_search
 
+        from repro.fastpath.search import fast_dfs_search
+
         outcome = dfs_search(
             VERIFIED.quorum_model(), VERIFIED.invariant, SearchConfig()
         )
         assert outcome.verified
+        # Telemetry observes a search and never perturbs it.
+        bare = fast_dfs_search(VERIFIED.quorum_model(), VERIFIED.invariant)
+        traced = fast_dfs_search(VERIFIED.quorum_model(), VERIFIED.invariant,
+                                 telemetry=RunTelemetry())
+        assert bare.verified == traced.verified
+        assert bare.statistics.states_visited == traced.statistics.states_visited
+        assert (bare.statistics.transitions_executed
+                == traced.statistics.transitions_executed)
 
     def test_maybe_span_is_a_noop_without_telemetry(self):
         with maybe_span(None, "compile"):

@@ -36,27 +36,27 @@ class TestEngines:
 
 
 class TestCheckPlanAxes:
-    def test_axis_flags_match_the_strategy_route(self, tmp_path):
-        by_strategy = tmp_path / "strategy.json"
+    def test_default_plan_is_the_spor_axes(self, tmp_path):
+        by_default = tmp_path / "default.json"
         by_axes = tmp_path / "axes.json"
         assert run_cli(
-            ["check", "multicast-2-1-0-1", "--strategy", "spor",
-             "--json", str(by_strategy)]
+            ["check", "multicast-2-1-0-1", "--json", str(by_default)]
         )[0] == 0
         assert run_cli(
             ["check", "multicast-2-1-0-1", "--shape", "dfs",
              "--reduction", "spor", "--json", str(by_axes)]
         )[0] == 0
-        first = json.loads(by_strategy.read_text())["results"][0]
+        first = json.loads(by_default.read_text())["results"][0]
         second = json.loads(by_axes.read_text())["results"][0]
         for key in ("verified", "states_visited", "strategy",
                     "shape", "reduction", "backend", "engine"):
             assert first[key] == second[key]
+        assert first["reduction"] == "spor"
 
     def test_records_carry_the_resolved_axes(self, tmp_path):
         target = tmp_path / "check.json"
         code, _ = run_cli(
-            ["check", "multicast-2-1-0-1", "--strategy", "bfs",
+            ["check", "multicast-2-1-0-1", "--shape", "bfs",
              "--json", str(target)]
         )
         assert code == 0
@@ -66,20 +66,42 @@ class TestCheckPlanAxes:
         assert record["backend"] == "serial"
         assert record["engine"] == "serial-bfs"
 
+    @pytest.mark.parametrize(
+        "flags, store, workers",
+        [
+            (["--reduction", "dpor"], "none", 1),
+            (["--backend", "swarm", "--walks", "20"], "none", 1),
+            (["--shape", "dfs", "--reduction", "spor", "--workers", "0"],
+             "full", 1),
+        ],
+        ids=["dpor", "swarm", "workers-0"],
+    )
+    def test_records_report_the_store_and_workers_that_ran(
+        self, tmp_path, flags, store, workers
+    ):
+        # A record describes the plan that ran, not the flags that asked
+        # for it: dpor and swarm are stateless whatever --store says, and
+        # --workers 0 runs (and is recorded as) one worker.
+        target = tmp_path / "check.json"
+        run_cli(["check", "multicast-2-1-2-1", *flags, "--json", str(target)])
+        record = json.loads(target.read_text())["results"][0]
+        assert record["store"] == store
+        assert record["stateful"] is (store != "none")
+        assert record["workers"] == workers
+
     def test_progress_streams_the_event_feed(self):
         code, output = run_cli(
-            ["check", "multicast-2-1-0-1", "--strategy", "bfs", "--progress"]
+            ["check", "multicast-2-1-0-1", "--shape", "bfs", "--progress"]
         )
         assert code == 0
         assert "[serial-bfs]" in output
         assert "level" in output
 
     def test_workers_zero_is_serial_in_both_forms(self):
-        # The legacy 0-means-serial spelling must behave identically through
-        # the strategy form and the equivalent axis form.
+        # The 0-means-serial spelling runs serially with or without
+        # explicit axis flags.
         for argv in (
-            ["check", "multicast-2-1-0-1", "--strategy", "spor",
-             "--workers", "0"],
+            ["check", "multicast-2-1-0-1", "--workers", "0"],
             ["check", "multicast-2-1-0-1", "--shape", "dfs",
              "--reduction", "spor", "--workers", "0"],
         ):
@@ -87,16 +109,14 @@ class TestCheckPlanAxes:
             assert code == 0
             assert "Verified" in output
 
-    def test_strategy_and_axis_flags_are_mutually_exclusive(self):
-        # Mixing the two forms would have to silently drop one of them
-        # (e.g. --strategy spor --shape dfs running unreduced), so it is an
-        # explicit usage error instead.
-        code, output = run_cli(
-            ["check", "multicast-2-1-0-1", "--strategy", "spor",
-             "--shape", "dfs"]
-        )
-        assert code == 2
-        assert "alternative ways" in output
+    @pytest.mark.parametrize("command", ["check", "sweep", "bench"])
+    def test_strategy_flag_is_a_usage_error(self, command):
+        argv = [command, "--strategy", "spor"]
+        if command == "check":
+            argv.insert(1, "paxos-2-2-1")
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(argv)
+        assert excinfo.value.code == 2
 
     def test_unsupported_axis_combinations_exit_with_the_diagnostic(self):
         code, output = run_cli(
@@ -123,7 +143,7 @@ class TestCheck:
     def test_json_payload(self, tmp_path):
         target = tmp_path / "check.json"
         code, _ = run_cli(
-            ["check", "multicast-2-1-0-1", "--strategy", "bfs", "--json", str(target)]
+            ["check", "multicast-2-1-0-1", "--shape", "bfs", "--json", str(target)]
         )
         assert code == 0
         payload = json.loads(target.read_text())
@@ -135,11 +155,11 @@ class TestCheck:
         serial_path = tmp_path / "serial.json"
         parallel_path = tmp_path / "parallel.json"
         assert run_cli(
-            ["check", "storage-3-1", "--strategy", "bfs", "--json", str(serial_path)]
+            ["check", "storage-3-1", "--shape", "bfs", "--json", str(serial_path)]
         )[0] == 0
         assert run_cli(
             [
-                "check", "storage-3-1", "--strategy", "bfs",
+                "check", "storage-3-1", "--shape", "bfs",
                 "--workers", "2", "--json", str(parallel_path),
             ]
         )[0] == 0
@@ -167,6 +187,28 @@ class TestSweepAndReport:
         assert payload["kind"] == "sweep"
         assert len(payload["results"]) == 2
         assert "swept 2 cells" in output
+
+    def test_sweep_payload_names_the_plan(self, tmp_path):
+        code, _ = run_cli(
+            ["sweep", "--cells", "multicast-2-1-0-1", "--serial",
+             "--store", "fingerprint", "--output", str(tmp_path)]
+        )
+        assert code == 0
+        payload = json.loads(next(tmp_path.glob("BENCH_sweep_*.json")).read_text())
+        assert payload["plan"] == "dfs/spor/fingerprint/auto"
+        assert payload["results"][0]["store"] == "fingerprint"
+
+    def test_cell_workers_are_every_cells_inner_workers(self, tmp_path):
+        code, output = run_cli(
+            ["sweep", "--cells", "multicast-2-1-0-1,multicast-3-0-1-1",
+             "--cell-workers", "2", "--output", str(tmp_path)]
+        )
+        assert code == 0
+        # Inner-parallel cells run one at a time in this process.
+        assert "serial loop" in output
+        payload = json.loads(next(tmp_path.glob("BENCH_sweep_*.json")).read_text())
+        assert [record["workers"] for record in payload["results"]] == [2, 2]
+        assert {record["engine"] for record in payload["results"]} == {"worksteal-dfs"}
 
     def test_serial_flag_forces_loop(self, tmp_path):
         code, output = run_cli(
@@ -212,8 +254,8 @@ class TestBench:
         assert payload["sweep_serial_seconds"] > 0
         assert payload["sweep_parallel_seconds"] > 0
         modes = {record["batch_mode"] for record in payload["results"]}
-        # The default strategy (spor) is DFS-shaped, so the work-stealing
-        # axis runs alongside the cell-parallel comparison.
+        # The work-stealing axis runs the default plan (spor) alongside
+        # the cell-parallel comparison.
         assert modes == {"serial-loop", "cell-parallel", "worksteal"}
         worksteal = [
             record for record in payload["results"]

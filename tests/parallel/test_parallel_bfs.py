@@ -14,8 +14,9 @@ import multiprocessing
 
 import pytest
 
-from repro.checker import CheckerOptions, ModelChecker, SearchConfig, Strategy
+from repro.checker import SearchConfig
 from repro.checker.search import bfs_search
+from repro.engine import CheckPlan, run_plan
 from repro.parallel import default_mp_context, parallel_bfs_search
 from repro.protocols.catalog import multicast_entry, paxos_entry, storage_entry
 
@@ -171,10 +172,10 @@ class TestViolatingCellParity:
 class TestCheckerPlumbing:
     def test_strategy_bfs_with_workers(self):
         entry = multicast_entry(2, 1, 0, 1)
-        serial = ModelChecker(entry.quorum_model(), entry.invariant).run(Strategy.BFS)
-        parallel = ModelChecker(
-            entry.quorum_model(), entry.invariant, CheckerOptions(workers=2)
-        ).run(Strategy.BFS)
+        serial = run_plan(entry.quorum_model(), entry.invariant, CheckPlan(shape="bfs"))
+        parallel = run_plan(
+            entry.quorum_model(), entry.invariant, CheckPlan(shape="bfs", workers=2)
+        )
         assert parallel.strategy == "bfs"
         assert parallel.verified == serial.verified
         assert (
@@ -186,17 +187,17 @@ class TestCheckerPlumbing:
         # (its backtrack sets follow the serial stack and cannot be stolen).
         from repro.checker.property import always_true
 
-        checker = ModelChecker(ping_pong, always_true(), CheckerOptions(workers=2))
         with pytest.raises(ValueError, match="backtrack"):
-            checker.run(Strategy.DPOR)
-        for strategy in (Strategy.UNREDUCED, Strategy.SPOR):
-            assert checker.run(strategy).verified
+            run_plan(ping_pong, always_true(), CheckPlan(reduction="dpor", workers=2))
+        for reduction in ("none", "spor"):
+            plan = CheckPlan(reduction=reduction, workers=2)
+            assert run_plan(ping_pong, always_true(), plan).verified
 
     def test_workers_one_is_plain_serial_bfs(self):
         entry = multicast_entry(2, 1, 0, 1)
-        result = ModelChecker(
-            entry.quorum_model(), entry.invariant, CheckerOptions(workers=1)
-        ).run(Strategy.BFS)
+        result = run_plan(
+            entry.quorum_model(), entry.invariant, CheckPlan(shape="bfs", workers=1)
+        )
         assert result.verified
         assert result.stateful
 

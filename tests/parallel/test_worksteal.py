@@ -4,7 +4,7 @@ The exhaustive count parity across worker counts lives in the conformance
 matrix (``tests/integration/test_strategy_matrix.py``); this module covers
 the engine's own contract: the deque/termination protocol, counterexample
 rebuild determinism, budget handling, the serial fallbacks, and the wiring
-through ``ModelChecker`` / ``CellSpec`` / the CLI.
+through ``run_plan`` / ``CellSpec`` / the CLI.
 """
 
 from __future__ import annotations
@@ -17,14 +17,15 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.checker import CheckerOptions, ModelChecker, SearchConfig, Strategy
+from repro.checker import SearchConfig
 from repro.checker.property import Invariant
 from repro.checker.search import dfs_search
 from repro.cli import main as cli_main
+from repro.engine import CheckPlan, run_plan
 from repro.mp import ActionContext, LporAnnotation, ProtocolBuilder, SendSpec, exact_quorum
 from repro.mp.process import LocalState
 from repro.mp.semantics import apply_execution
-from repro.parallel import CellSpec, parallel_dfs_search, run_cell_task, run_cells
+from repro.parallel import CellSpec, parallel_dfs_search, run_cell, run_cells
 from repro.parallel.worksteal import WorkStealingDeques
 from repro.protocols.catalog import multicast_entry, storage_entry
 
@@ -313,45 +314,35 @@ class TestWorkStealingDeques:
 
 
 class TestCheckerAndCellPlumbing:
-    def test_strategy_aliases_resolve(self):
-        assert Strategy.DFS is Strategy.UNREDUCED
-        assert Strategy.STUBBORN is Strategy.SPOR
-        assert Strategy("dfs") is Strategy.UNREDUCED
-        assert Strategy("stubborn") is Strategy.SPOR
-
-    @pytest.mark.parametrize("strategy", [Strategy.DFS, Strategy.STUBBORN, Strategy.SPOR_NET])
-    def test_workers_flow_through_the_checker(self, strategy):
+    @pytest.mark.parametrize("reduction", ["none", "spor", "spor-net"])
+    def test_workers_flow_through_the_checker(self, reduction):
         entry = multicast_entry(2, 1, 0, 1)
-        serial = ModelChecker(entry.quorum_model(), entry.invariant).run(strategy)
-        parallel = ModelChecker(
-            entry.quorum_model(), entry.invariant, CheckerOptions(workers=2)
-        ).run(strategy)
+        serial = run_plan(entry.quorum_model(), entry.invariant,
+                          CheckPlan(reduction=reduction))
+        parallel = run_plan(entry.quorum_model(), entry.invariant,
+                            CheckPlan(reduction=reduction, workers=2))
+        assert parallel.engine == "worksteal-dfs"
         assert parallel.verified == serial.verified
         assert parallel.strategy == serial.strategy
 
     def test_dpor_rejects_workers_with_a_diagnostic(self):
         entry = multicast_entry(2, 1, 0, 1)
-        checker = ModelChecker(
-            entry.quorum_model(), entry.invariant, CheckerOptions(workers=2)
-        )
         with pytest.raises(ValueError, match="backtrack sets"):
-            checker.run(Strategy.DPOR)
+            run_plan(entry.quorum_model(), entry.invariant,
+                     CheckPlan(reduction="dpor", workers=2))
 
     def test_stateless_search_rejects_workers_with_a_diagnostic(self):
         # The claim table has no stateless mode; refusing loudly beats
         # silently running a stateful search under a stateless label.
         entry = multicast_entry(2, 1, 0, 1)
-        checker = ModelChecker(
-            entry.quorum_model(),
-            entry.invariant,
-            CheckerOptions(search=SearchConfig(stateful=False), workers=2),
-        )
         with pytest.raises(ValueError, match="stateful"):
-            checker.run(Strategy.DFS)
+            run_plan(entry.quorum_model(), entry.invariant,
+                     CheckPlan(stateful=False, workers=2))
 
     def test_cell_spec_runs_the_worksteal_axis(self):
-        record = run_cell_task(
-            CellSpec(key="multicast-2-1-0-1", strategy="stubborn", workers=2).to_task()
+        record = run_cell(
+            CellSpec(key="multicast-2-1-0-1",
+                     plan=CheckPlan(reduction="spor", workers=2))
         )
         assert record["verified"] is True
         assert record["ok"] is True
@@ -360,9 +351,10 @@ class TestCheckerAndCellPlumbing:
     def test_inner_parallel_cells_bypass_the_daemonic_pool(self):
         # A pool worker cannot fork the in-cell searches; run_cells must
         # fall back to the in-process loop instead of crashing.
+        plan = CheckPlan(workers=2)
         specs = [
-            CellSpec(key="multicast-2-1-0-1", strategy="dfs", workers=2),
-            CellSpec(key="multicast-3-0-1-1", strategy="dfs", workers=2),
+            CellSpec(key="multicast-2-1-0-1", plan=plan),
+            CellSpec(key="multicast-3-0-1-1", plan=plan),
         ]
         records = run_cells(specs, workers=2)
         assert [record["ok"] for record in records] == [True, True]
@@ -370,7 +362,7 @@ class TestCheckerAndCellPlumbing:
     def test_cli_check_worksteal(self):
         stream = io.StringIO()
         code = cli_main(
-            ["check", "multicast-2-1-0-1", "--strategy", "dfs", "--workers", "2"],
+            ["check", "multicast-2-1-0-1", "--shape", "dfs", "--workers", "2"],
             stream=stream,
         )
         assert code == 0

@@ -1,6 +1,6 @@
 """Unit tests for the stubborn-set provider (static POR)."""
 
-from repro.checker import ModelChecker, Strategy
+from repro.engine import CheckPlan, run_plan
 from repro.checker.property import always_true
 from repro.checker.search import SearchConfig, dfs_search
 from repro.mp.semantics import apply_execution, enabled_executions
@@ -99,8 +99,8 @@ class TestReducer:
     def test_spor_net_no_worse_than_spor(self):
         protocol = build_paxos_quorum(PaxosConfig(2, 2, 1))
         invariant = consensus_invariant()
-        spor = ModelChecker(protocol, invariant).run(Strategy.SPOR)
-        net = ModelChecker(protocol, invariant).run(Strategy.SPOR_NET)
+        spor = run_plan(protocol, invariant, CheckPlan(reduction="spor"))
+        net = run_plan(protocol, invariant, CheckPlan(reduction="spor-net"))
         assert spor.verified and net.verified
         assert net.statistics.states_visited <= spor.statistics.states_visited
 
@@ -134,8 +134,8 @@ class TestSoundnessCrossChecks:
     def test_paxos_small_setting_same_state_count_verdict(self):
         protocol = build_paxos_quorum(PaxosConfig(1, 3, 1))
         invariant = consensus_invariant()
-        unreduced = ModelChecker(protocol, invariant).run(Strategy.UNREDUCED)
-        reduced = ModelChecker(protocol, invariant).run(Strategy.SPOR_NET)
+        unreduced = run_plan(protocol, invariant, CheckPlan())
+        reduced = run_plan(protocol, invariant, CheckPlan(reduction="spor-net"))
         assert unreduced.verified == reduced.verified is True
         assert reduced.statistics.states_visited < unreduced.statistics.states_visited
 
@@ -146,6 +146,6 @@ class TestSoundnessCrossChecks:
         invariant = Invariant(
             "pongs<2", lambda state, _p: state.local("ping").pongs < 2
         )
-        for strategy in (Strategy.SPOR, Strategy.SPOR_NET):
-            result = ModelChecker(protocol, invariant).run(strategy)
+        for reduction in ("spor", "spor-net"):
+            result = run_plan(protocol, invariant, CheckPlan(reduction=reduction))
             assert not result.verified

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.checker import ModelChecker, Strategy
+from repro.engine import CheckPlan, run_plan
 from repro.mp.semantics import apply_execution, enabled_executions
 from repro.protocols.multicast import (
     MulticastConfig,
@@ -12,6 +12,8 @@ from repro.protocols.multicast import (
     echo_uniqueness,
     honest_delivery_integrity,
 )
+
+SPOR_NET = CheckPlan(reduction="spor-net")
 
 
 class TestConfig:
@@ -132,16 +134,14 @@ class TestMessageLoss:
 
     def test_loss_only_removes_deliveries_agreement_still_holds(self):
         config = MulticastConfig(2, 1, 0, 1, message_loss=True)
-        result = ModelChecker(
-            build_multicast_quorum(config), agreement_invariant()
-        ).run(Strategy.SPOR_NET)
+        result = run_plan(build_multicast_quorum(config), agreement_invariant(), SPOR_NET)
         assert result.verified
 
     def test_loss_keeps_the_wrong_agreement_violation(self):
         config = MulticastConfig(2, 1, 2, 1, message_loss=True)
-        result = ModelChecker(
-            build_multicast_quorum(config), agreement_invariant()
-        ).run(Strategy.UNREDUCED)
+        result = run_plan(
+            build_multicast_quorum(config), agreement_invariant(), CheckPlan()
+        )
         assert not result.verified
 
 
@@ -153,13 +153,13 @@ class TestVerification:
     )
     @pytest.mark.parametrize("builder", [build_multicast_quorum, build_multicast_single])
     def test_agreement_holds_within_threshold(self, setting, builder):
-        result = ModelChecker(builder(setting), agreement_invariant()).run(Strategy.SPOR_NET)
+        result = run_plan(builder(setting), agreement_invariant(), SPOR_NET)
         assert result.verified
 
     @pytest.mark.parametrize("builder", [build_multicast_quorum, build_multicast_single])
     def test_agreement_violated_beyond_threshold(self, builder):
         protocol = builder(MulticastConfig(2, 1, 2, 1))
-        result = ModelChecker(protocol, agreement_invariant()).run(Strategy.SPOR_NET)
+        result = run_plan(protocol, agreement_invariant(), SPOR_NET)
         assert not result.verified
         # The violating state shows two honest receivers delivering the two
         # conflicting messages of the Byzantine initiator.
@@ -174,22 +174,22 @@ class TestVerification:
 
     def test_delivery_integrity_holds(self):
         protocol = build_multicast_quorum(MulticastConfig(2, 1, 1, 1))
-        result = ModelChecker(protocol, honest_delivery_integrity()).run(Strategy.SPOR_NET)
+        result = run_plan(protocol, honest_delivery_integrity(), SPOR_NET)
         assert result.verified
 
     def test_echo_uniqueness_holds(self):
         protocol = build_multicast_quorum(MulticastConfig(2, 1, 1, 1))
-        result = ModelChecker(protocol, echo_uniqueness()).run(Strategy.SPOR_NET)
+        result = run_plan(protocol, echo_uniqueness(), SPOR_NET)
         assert result.verified
 
     def test_quorum_model_not_larger_than_single_message_model(self):
         setting = MulticastConfig(3, 0, 1, 1)
-        quorum_result = ModelChecker(
-            build_multicast_quorum(setting), agreement_invariant()
-        ).run(Strategy.UNREDUCED)
-        single_result = ModelChecker(
-            build_multicast_single(setting), agreement_invariant()
-        ).run(Strategy.UNREDUCED)
+        quorum_result = run_plan(
+            build_multicast_quorum(setting), agreement_invariant(), CheckPlan()
+        )
+        single_result = run_plan(
+            build_multicast_single(setting), agreement_invariant(), CheckPlan()
+        )
         assert (
             quorum_result.statistics.states_visited
             <= single_result.statistics.states_visited

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.checker import ModelChecker, Strategy
+from repro.engine import CheckPlan, run_plan
 from repro.mp.semantics import apply_execution, enabled_executions
 from repro.protocols.paxos import (
     PaxosConfig,
@@ -14,6 +14,8 @@ from repro.protocols.paxos import (
     chosen_value_validity,
     consensus_invariant,
 )
+
+SPOR_NET = CheckPlan(reduction="spor-net")
 
 
 class TestConfig:
@@ -105,24 +107,24 @@ class TestVerification:
     @pytest.mark.parametrize("builder", [build_paxos_quorum, build_paxos_single])
     def test_consensus_holds_in_small_settings(self, builder):
         protocol = builder(PaxosConfig(2, 2, 1))
-        result = ModelChecker(protocol, consensus_invariant()).run(Strategy.SPOR_NET)
+        result = run_plan(protocol, consensus_invariant(), SPOR_NET)
         assert result.verified
 
     def test_validity_holds(self):
         protocol = build_paxos_quorum(PaxosConfig(2, 2, 1))
-        result = ModelChecker(protocol, chosen_value_validity()).run(Strategy.SPOR_NET)
+        result = run_plan(protocol, chosen_value_validity(), SPOR_NET)
         assert result.verified
 
     def test_acceptor_consistency_holds(self):
         protocol = build_paxos_quorum(PaxosConfig(2, 2, 1))
-        result = ModelChecker(protocol, acceptor_consistency()).run(Strategy.SPOR_NET)
+        result = run_plan(protocol, acceptor_consistency(), SPOR_NET)
         assert result.verified
 
     def test_quorum_model_not_larger_than_single_message_model(self):
         config = PaxosConfig(2, 2, 1)
         invariant = consensus_invariant()
-        quorum_result = ModelChecker(build_paxos_quorum(config), invariant).run(Strategy.UNREDUCED)
-        single_result = ModelChecker(build_paxos_single(config), invariant).run(Strategy.UNREDUCED)
+        quorum_result = run_plan(build_paxos_quorum(config), invariant, CheckPlan())
+        single_result = run_plan(build_paxos_single(config), invariant, CheckPlan())
         assert (
             quorum_result.statistics.states_visited
             <= single_result.statistics.states_visited
@@ -135,7 +137,7 @@ class TestFaultyPaxos:
     )
     def test_consensus_violated_at_paper_setting(self, builder):
         protocol = builder(PaxosConfig(2, 3, 1))
-        result = ModelChecker(protocol, consensus_invariant()).run(Strategy.SPOR_NET)
+        result = run_plan(protocol, consensus_invariant(), SPOR_NET)
         assert not result.verified
         learned = set()
         for pid, local in result.counterexample.violating_state.locals:
@@ -145,7 +147,7 @@ class TestFaultyPaxos:
 
     def test_counterexample_replays_through_semantics(self):
         protocol = build_faulty_paxos_quorum(PaxosConfig(2, 3, 1))
-        result = ModelChecker(protocol, consensus_invariant()).run(Strategy.SPOR_NET)
+        result = run_plan(protocol, consensus_invariant(), SPOR_NET)
         state = result.counterexample.initial_state
         for step in result.counterexample.steps:
             state = apply_execution(state, step.execution)

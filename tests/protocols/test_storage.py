@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.checker import ModelChecker, Strategy
+from repro.engine import CheckPlan, run_plan
 from repro.mp.semantics import apply_execution, enabled_executions
 from repro.protocols.storage import (
     INITIAL_VALUE,
@@ -14,6 +14,8 @@ from repro.protocols.storage import (
     regularity_invariant,
     wrong_regularity_invariant,
 )
+
+SPOR_NET = CheckPlan(reduction="spor-net")
 
 
 class TestConfig:
@@ -89,18 +91,18 @@ class TestVerification:
     @pytest.mark.parametrize("builder", [build_storage_quorum, build_storage_single])
     def test_regularity_holds(self, builder):
         protocol = builder(StorageConfig(3, 1))
-        result = ModelChecker(protocol, regularity_invariant()).run(Strategy.SPOR_NET)
+        result = run_plan(protocol, regularity_invariant(), SPOR_NET)
         assert result.verified
 
     def test_base_monotonicity_holds(self):
         protocol = build_storage_quorum(StorageConfig(3, 1))
-        result = ModelChecker(protocol, base_object_monotonicity()).run(Strategy.SPOR_NET)
+        result = run_plan(protocol, base_object_monotonicity(), SPOR_NET)
         assert result.verified
 
     @pytest.mark.parametrize("builder", [build_storage_quorum, build_storage_single])
     def test_wrong_regularity_violated(self, builder):
         protocol = builder(StorageConfig(3, 1))
-        result = ModelChecker(protocol, wrong_regularity_invariant()).run(Strategy.SPOR_NET)
+        result = run_plan(protocol, wrong_regularity_invariant(), SPOR_NET)
         assert not result.verified
         violating_reader = result.counterexample.violating_state.local("reader1")
         assert violating_reader.returned == INITIAL_VALUE
@@ -108,18 +110,18 @@ class TestVerification:
 
     def test_wrong_regularity_found_by_unreduced_search_too(self):
         protocol = build_storage_quorum(StorageConfig(2, 1))
-        unreduced = ModelChecker(protocol, wrong_regularity_invariant()).run(Strategy.UNREDUCED)
-        reduced = ModelChecker(protocol, wrong_regularity_invariant()).run(Strategy.SPOR_NET)
+        unreduced = run_plan(protocol, wrong_regularity_invariant(), CheckPlan())
+        reduced = run_plan(protocol, wrong_regularity_invariant(), SPOR_NET)
         assert not unreduced.verified and not reduced.verified
 
     def test_quorum_model_not_larger_than_single_message_model(self):
         config = StorageConfig(3, 1)
-        quorum_result = ModelChecker(
-            build_storage_quorum(config), regularity_invariant()
-        ).run(Strategy.UNREDUCED)
-        single_result = ModelChecker(
-            build_storage_single(config), regularity_invariant()
-        ).run(Strategy.UNREDUCED)
+        quorum_result = run_plan(
+            build_storage_quorum(config), regularity_invariant(), CheckPlan()
+        )
+        single_result = run_plan(
+            build_storage_single(config), regularity_invariant(), CheckPlan()
+        )
         assert (
             quorum_result.statistics.states_visited
             <= single_result.statistics.states_visited

@@ -154,6 +154,18 @@ class TestAgainstRealServer:
     def test_cancel_op_round_trip(self):
         async def run_all():
             service = CheckService(workers=1)
+            # The blocker holds the only slot until the cancel has round-
+            # tripped, so the second job is still queued when the cancel
+            # arrives however slowly the client connects.
+            release = threading.Event()
+            execute = service._execute
+
+            def gated_execute(slot, job):
+                if job.request.model == "single":
+                    release.wait(timeout=30.0)
+                execute(slot, job)
+
+            service._execute = gated_execute
             server = CheckServer(service, port=0)
             await server.start()
             from repro.service import JobRequest
@@ -170,7 +182,10 @@ class TestAgainstRealServer:
                 with ServiceClient(port=server.port) as client:
                     return client.cancel(queued.id, wait=True)
 
-            record = await loop.run_in_executor(None, client_cancel)
+            try:
+                record = await loop.run_in_executor(None, client_cancel)
+            finally:
+                release.set()
             await service.wait(blocker.id)
             await server.stop()
             return record
