@@ -16,7 +16,7 @@ Four steps on one Table-I cell:
 2. Capture the event stream of a second run to JSONL.
 3. Convert the capture to a Chrome trace-event file and validate it.
 4. Compact the snapshot with ``telemetry_block`` — the subset that
-   travels inside ``BENCH_*.json`` records.
+   travels inside every ``--json`` record.
 
 Run with::
 
@@ -81,9 +81,9 @@ def main() -> None:
               f"slices: {', '.join(slices)} "
               "(load the file in Perfetto / chrome://tracing)")
 
-    # 4. The compact block that rides inside BENCH_*.json records.
+    # 4. The compact block that rides inside every --json record.
     block = telemetry_block(result.telemetry)
-    print("\n[4] telemetry block for bench records:")
+    print("\n[4] telemetry block for --json records:")
     print("    " + json.dumps(block, indent=2).replace("\n", "\n    "))
 
 

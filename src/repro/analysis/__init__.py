@@ -1,17 +1,8 @@
 """Analysis helpers: the Section II-C blow-up formulas, reduction metrics,
-paper-style table rendering used by the benchmark harness, and aggregation
-of the CLI's machine-readable ``BENCH_*.json`` results."""
+paper-style table rendering used by the benchmark harness, and the
+machine-readable record of a run that the CLI's ``--json`` writes."""
 
-from .aggregate import (
-    AggregateRow,
-    AggregateSummary,
-    aggregate_records,
-    bench_payload,
-    load_bench_files,
-    render_aggregate,
-    result_record,
-    write_bench_file,
-)
+from .aggregate import result_record
 from .blowup import (
     PaxosBlowupExample,
     blowup_factor,
@@ -26,19 +17,12 @@ from .comparison import ResultComparison, compare_results, reduction_percentage
 from .reporting import EvaluationTable, TableRow, format_count, format_duration
 
 __all__ = [
-    "AggregateRow",
-    "AggregateSummary",
     "EvaluationTable",
     "PaxosBlowupExample",
     "ResultComparison",
     "TableRow",
-    "aggregate_records",
-    "bench_payload",
     "blowup_factor",
-    "load_bench_files",
-    "render_aggregate",
     "result_record",
-    "write_bench_file",
     "blowup_lower_bound",
     "compare_results",
     "format_count",

@@ -19,8 +19,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 OUTCOMES = ("verified", "violated", "inconclusive")
 
 #: Rendered labels per outcome, shared by every consumer (CLI check/sweep/
-#: bench lines, reports, bench records) so a truncated run can never
-#: stringify as a proof anywhere.
+#: submit lines, result summaries) so a truncated run can never stringify
+#: as a proof anywhere.
 OUTCOME_LABELS = {
     "verified": "Verified",
     "violated": "CE",

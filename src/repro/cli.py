@@ -22,13 +22,7 @@ Subcommands:
 ``sweep``
     Run a grid of cells, optionally farming independent cells across a
     process pool (``--workers N``) and/or giving every cell an inner
-    worker count (``--cell-workers N``), and write a ``BENCH_*.json``
-    payload.
-``bench``
-    Serial-vs-parallel comparison: times the sweep loop against the
-    cell-parallel pool and (optionally) per-cell serial vs parallel runs
-    of the in-cell engines — frontier-parallel BFS and work-stealing DFS;
-    writes a ``BENCH_*.json`` payload.
+    worker count (``--cell-workers N``).
 ``serve``
     Run the checking service: a JSON-lines-over-TCP job server with a
     bounded queue, a concurrent worker pool, per-job event streams, a
@@ -44,14 +38,10 @@ Subcommands:
     JSON, loadable in Perfetto (https://ui.perfetto.dev) or
     ``chrome://tracing``: phase spans as slices, progress/frontier/worker
     counters as counter tracks, violations and stalls as instants.
-``report``
-    Aggregate any number of ``BENCH_*.json`` files/directories into one
-    table with per-cell speedups; ``--telemetry`` adds the companion
-    table over the records' telemetry blocks (throughput, memo hit
-    rates, peak RSS, search-span seconds).
 
-All machine-readable output follows the ``repro-bench/1`` schema of
-:mod:`repro.analysis.aggregate`.
+``check --json PATH`` and ``sweep --json PATH`` write their records as one
+``repro-bench/1`` payload (:func:`repro.analysis.aggregate.write_records`).
+Speed is measured by the ledger (``benchmarks/ledger/``), not by the CLI.
 """
 
 from __future__ import annotations
@@ -60,20 +50,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .analysis.aggregate import (
-    aggregate_records,
-    bench_payload,
-    load_bench_files,
-    record_outcome,
-    render_aggregate,
-    safe_ratio,
-    render_telemetry,
-    write_bench_file,
-)
+from .analysis.aggregate import record_outcome, write_records
 from .checker.statestore import STORE_KINDS
 from .engine.events import MultiObserver, ProgressPrinter
 from .obs import JsonlSink, convert_file
@@ -106,18 +86,17 @@ def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
                         help="catalog scale the cell keys belong to")
 
 
-def _parse_cells(value: Optional[str], scale: str) -> Optional[List[str]]:
+def _parse_cells(value: Optional[str]) -> Optional[List[str]]:
     if value is None or value == "all":
         return None
     return [key.strip() for key in value.split(",") if key.strip()]
 
 
-def _plan_from_args(args, workers: int, **axes) -> CheckPlan:
+def _plan_from_args(args, workers: int) -> CheckPlan:
     """The one place a command line becomes a :class:`CheckPlan`.
 
-    Shared by ``check``, ``sweep``, ``bench`` and ``engines --plan``; a flag
-    a subcommand does not have leaves its axis at the plan default, and
-    ``axes`` pins axes outright (``bench``'s frontier comparison).  With
+    Shared by ``check``, ``sweep`` and ``engines --plan``; a flag a
+    subcommand does not have leaves its axis at the plan default.  With
     neither ``--shape`` nor ``--reduction`` an invariant check runs
     ``spor``, while a liveness goal and the swarm backend run ``dfs/none``,
     the one configuration their engines support.  ``workers <= 1`` means
@@ -131,8 +110,9 @@ def _plan_from_args(args, workers: int, **axes) -> CheckPlan:
     shape, reduction = option("shape"), option("reduction")
     if shape is None and reduction is None and goal == "invariant" and backend != "swarm":
         reduction = "spor"
-    axes = {"shape": shape or "dfs", "reduction": reduction or "none", **axes}
     return CheckPlan(
+        shape=shape or "dfs",
+        reduction=reduction or "none",
         store=option("store", "full"),
         backend=backend,
         workers=max(1, workers),
@@ -148,14 +128,13 @@ def _plan_from_args(args, workers: int, **axes) -> CheckPlan:
         checkpoint_dir=option("checkpoint_dir"),
         checkpoint_every=option("checkpoint_every"),
         resume_from=option("resume"),
-        **axes,
     )
 
 
 def _print_records(records: Sequence[dict], stream) -> None:
     for record in records:
         # One shared derivation (checker.result outcome -> label) for
-        # check/sweep/bench lines, reports and bench records alike.
+        # check, sweep and submit lines alike.
         outcome = record_outcome(record)
         flag = "" if record.get("ok", True) else "  [UNEXPECTED]"
         stream.write(
@@ -254,8 +233,7 @@ def _command_check(args, stream) -> int:
         )
     _print_records([record], stream)
     if args.json:
-        payload = bench_payload("check", [record], workers=record["workers"])
-        Path(args.json).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_records(args.json, [record])
         stream.write(f"wrote {args.json}\n")
     if args.backend == "swarm":
         # Sampling runs exit by verdict, like `submit`: a violation is the
@@ -269,85 +247,26 @@ def _command_check(args, stream) -> int:
 def _command_sweep(args, stream) -> int:
     plan = _plan_from_args(args, args.cell_workers)
     specs = specs_for_sweep(
-        keys=_parse_cells(args.cells, args.scale),
+        keys=_parse_cells(args.cells),
         scale=args.scale,
         models=tuple(args.models.split(",")),
         plan=plan,
     )
-    workers = 1 if args.serial else args.workers
     started = time.perf_counter()
-    records = run_cells(specs, workers=workers)
+    records = run_cells(specs, workers=args.workers)
     wall = time.perf_counter() - started
     _print_records(records, stream)
     # Inner-parallel cells bypass the (daemonic) pool inside run_cells.
-    pooled = workers > 1 and len(specs) > 1 and plan.workers <= 1
+    pooled = args.workers > 1 and len(specs) > 1 and plan.workers <= 1
     stream.write(
         f"swept {len(records)} cells in {wall:.2f}s "
-        f"({f'{workers}-process pool' if pooled else 'serial loop'})\n"
+        f"({f'{args.workers}-process pool' if pooled else 'serial loop'})\n"
     )
-    payload = bench_payload(
-        "sweep", records, workers=workers, sweep_seconds=wall, plan=plan.describe()
-    )
-    path = write_bench_file(Path(args.output), "sweep", payload, label=args.label)
-    stream.write(f"wrote {path}\n")
+    if args.json:
+        write_records(args.json, records, workers=args.workers,
+                      sweep_seconds=wall, plan=plan.describe())
+        stream.write(f"wrote {args.json}\n")
     return 0 if all(record["ok"] for record in records) else 1
-
-
-def _command_bench(args, stream) -> int:
-    specs = specs_for_sweep(
-        keys=_parse_cells(args.cells, args.scale),
-        scale=args.scale,
-        plan=_plan_from_args(args, 1),
-    )
-    results: List[dict] = []
-    meta = {"workers": args.workers}
-
-    # Axis 1: the same cell grid as a serial loop vs. a cell-parallel pool.
-    started = time.perf_counter()
-    serial_records = run_cells(specs, workers=1)
-    serial_wall = time.perf_counter() - started
-    started = time.perf_counter()
-    parallel_records = run_cells(specs, workers=args.workers)
-    parallel_wall = time.perf_counter() - started
-    for record in serial_records:
-        record["batch_mode"] = "serial-loop"
-    for record in parallel_records:
-        record["batch_mode"] = "cell-parallel"
-    results.extend(serial_records)
-    results.extend(parallel_records)
-    meta["sweep_serial_seconds"] = serial_wall
-    meta["sweep_parallel_seconds"] = parallel_wall
-    # safe_ratio, not a bare division: a sub-resolution parallel wall (tiny
-    # grids on coarse clocks) yields an honest None/n-a, never NaN/inf in
-    # the payload.
-    speedup = safe_ratio(serial_wall, parallel_wall)
-    meta["sweep_speedup"] = speedup
-    rendered = f"{speedup:.2f}x" if speedup is not None else "n/a"
-    stream.write(
-        f"cell-parallel sweep: serial loop {serial_wall:.2f}s vs "
-        f"{args.workers}-process pool {parallel_wall:.2f}s ({rendered})\n"
-    )
-
-    # Axes 2 and 3: each cell serial vs. in-cell parallel, breadth-first
-    # (frontier-parallel BFS) and depth-first (work-stealing DFS).
-    for mode, skipped, axes in (
-        ("frontier", args.skip_frontier, {"shape": "bfs", "reduction": "none"}),
-        ("worksteal", args.skip_worksteal, {}),
-    ):
-        if skipped:
-            continue
-        for spec in specs:
-            for workers in dict.fromkeys((1, args.workers)):
-                plan = _plan_from_args(args, workers, **axes)
-                record = run_cell(replace(spec, plan=plan))
-                record["batch_mode"] = mode
-                results.append(record)
-        _print_records([r for r in results if r.get("batch_mode") == mode], stream)
-
-    payload = bench_payload("bench", results, **meta)
-    path = write_bench_file(Path(args.output), "bench", payload, label=args.label)
-    stream.write(f"wrote {path}\n")
-    return 0 if all(record["ok"] for record in results) else 1
 
 
 def _command_serve(args, stream) -> int:
@@ -498,15 +417,6 @@ def _command_trace(args, stream) -> int:
     return 0
 
 
-def _command_report(args, stream) -> int:
-    payloads = load_bench_files(args.paths)
-    summary = aggregate_records(payloads)
-    stream.write(render_aggregate(summary) + "\n")
-    if args.telemetry:
-        stream.write("\n" + render_telemetry(payloads) + "\n")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -614,27 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="walk budget per cell for --backend swarm")
     sweep.add_argument("--seed", type=int, default=None, dest="seed",
                        help="root seed for --backend swarm cells")
-    sweep.add_argument("--serial", action="store_true",
-                       help="force the serial loop regardless of --workers")
-    sweep.add_argument("--output", default=".", help="directory for BENCH_*.json")
-    sweep.add_argument("--label", default=None, help="label in the BENCH filename")
+    sweep.add_argument("--json", default=None, help="write the result payload here")
     _add_budget_arguments(sweep)
     sweep.set_defaults(handler=_command_sweep)
-
-    bench = subparsers.add_parser(
-        "bench", help="compare serial vs parallel on both axes"
-    )
-    bench.add_argument("--cells", default="all",
-                       help="comma-separated catalog keys, or 'all'")
-    bench.add_argument("--workers", type=int, default=2)
-    bench.add_argument("--skip-frontier", action="store_true",
-                       help="skip the per-cell frontier-parallel BFS axis")
-    bench.add_argument("--skip-worksteal", action="store_true",
-                       help="skip the per-cell work-stealing DFS axis")
-    bench.add_argument("--output", default=".", help="directory for BENCH_*.json")
-    bench.add_argument("--label", default=None, help="label in the BENCH filename")
-    _add_budget_arguments(bench)
-    bench.set_defaults(handler=_command_bench)
 
     serve_parser = subparsers.add_parser(
         "serve", help="run the checking service (JSON-lines over TCP)"
@@ -697,14 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("-o", "--output", default=None,
                        help="destination .trace.json (default: alongside input)")
     trace.set_defaults(handler=_command_trace)
-
-    report = subparsers.add_parser("report", help="aggregate BENCH_*.json payloads")
-    report.add_argument("paths", nargs="+",
-                        help="BENCH_*.json files and/or directories holding them")
-    report.add_argument("--telemetry", action="store_true",
-                        help="also render the telemetry table (throughput, "
-                             "memo hit rates, peak RSS, span seconds)")
-    report.set_defaults(handler=_command_report)
 
     return parser
 

@@ -411,8 +411,7 @@ class FastSuccessorEngine:
         action memos; ``evictions`` counts LRU drops when
         ``memo_capacity`` bounds the tables; ``entries`` is the current
         resident total.  Surfaced through the metrics registry into
-        ``BENCH_*.json`` records so memo behaviour is part of the
-        recorded perf trajectory.
+        every ``--json`` record's telemetry block.
         """
         sizes = self.table_sizes()
         return {

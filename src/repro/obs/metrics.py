@@ -5,7 +5,7 @@ the coordinator loops of the parallel backends) record what happened —
 states visited, memo hits, steal counts, shard occupancy — and the
 read-side (:meth:`MetricsRegistry.snapshot`) renders everything as one
 JSON-able dict that travels on :class:`~repro.checker.result.CheckResult`
-and into ``BENCH_*.json`` payloads.
+and into every ``--json`` record.
 
 Design constraints, in order:
 

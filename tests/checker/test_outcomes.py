@@ -118,10 +118,6 @@ class TestNoPlainVerifiedForTruncatedRuns:
         record = result_record(make_result(complete=False))
         assert record["outcome"] == "inconclusive"
         assert record_outcome(record) == "Inconclusive (budget hit)"
-        # Legacy records (no "outcome" field) fall back to the flags.
-        legacy = {"verified": True, "complete": False}
-        assert record_outcome(legacy) == "Inconclusive (budget hit)"
-        assert record_outcome({"verified": True}) == "Verified"
 
     def test_cli_print_records_uses_the_shared_label(self):
         from repro.analysis.aggregate import result_record

@@ -1,8 +1,8 @@
 """The command line's plan builder and the plans it hands to the runners.
 
 ``repro.cli._plan_from_args`` is the one place a command line becomes a
-:class:`CheckPlan` (``check``, ``sweep``, ``bench`` and ``engines --plan``
-all go through it).  These tests pin its defaults, the axis each flag lands
+:class:`CheckPlan` (``check``, ``sweep`` and ``engines --plan`` all go
+through it).  These tests pin its defaults, the axis each flag lands
 on, the ``workers <= 1`` clamp, and that the plan it builds is what runs:
 a :class:`CellSpec` carries it across processes as it is, and every result
 carries the resolved plan, which reruns to the same result.
@@ -55,7 +55,7 @@ class TestDefaults:
         assert not plan.stateful
         assert plan.store == "none"
 
-    @pytest.mark.parametrize("command", ["check", "sweep", "bench"])
+    @pytest.mark.parametrize("command", ["check", "sweep"])
     def test_every_runner_builds_the_same_default(self, command):
         argv = [command] + (["multicast-2-1-0-1"] if command == "check" else [])
         args = build_parser().parse_args(argv)
@@ -116,12 +116,6 @@ class TestFlagsLandOnTheirAxes:
         assert plan.checkpoint_dir == str(tmp_path)
         assert plan.checkpoint_every == 2
         assert plan.resume_from == str(tmp_path)
-
-    def test_pinned_axes_override_the_flags(self):
-        # bench's frontier comparison pins bfs/none over the default spor.
-        args = build_parser().parse_args(["bench"])
-        plan = _plan_from_args(args, 2, shape="bfs", reduction="none")
-        assert (plan.shape, plan.reduction, plan.workers) == ("bfs", "none", 2)
 
 
 class TestWorkersClamp:

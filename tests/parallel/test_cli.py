@@ -109,13 +109,30 @@ class TestCheckPlanAxes:
             assert code == 0
             assert "Verified" in output
 
-    @pytest.mark.parametrize("command", ["check", "sweep", "bench"])
+    @pytest.mark.parametrize("command", ["check", "sweep"])
     def test_strategy_flag_is_a_usage_error(self, command):
         argv = [command, "--strategy", "spor"]
         if command == "check":
             argv.insert(1, "paxos-2-2-1")
         with pytest.raises(SystemExit) as excinfo:
             run_cli(argv)
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["bench", "report"])
+    def test_removed_commands_are_usage_errors(self, command):
+        # The ledger (benchmarks/ledger/) is the one performance instrument.
+        # "--help" exits 0 for a command that exists, 2 for an unknown one.
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli([command, "--help"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("flag", [
+        ["--serial"], ["--output", "out"], ["--label", "x"],
+    ])
+    def test_removed_sweep_flags_are_usage_errors(self, flag):
+        # "--workers 1" is the serial loop; "--json PATH" is the one output.
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["sweep", "--cells", "multicast-2-1-0-1"] + flag)
         assert excinfo.value.code == 2
 
     def test_unsupported_axis_combinations_exit_with_the_diagnostic(self):
@@ -150,6 +167,19 @@ class TestCheck:
         assert payload["schema"] == "repro-bench/1"
         assert payload["results"][0]["cell"] == "multicast-2-1-0-1"
         assert payload["results"][0]["verified"] is True
+        # The record's own "workers" is the one place the count lives.
+        assert "workers" not in payload
+
+    def test_json_payload_carries_what_the_ledger_reads(self, tmp_path):
+        # benchmarks/ledger's cli_cold workload reads these from results[0].
+        target = tmp_path / "check.json"
+        assert run_cli(["check", "storage-3-2-wrong", "--json", str(target)])[0] == 0
+        record = json.loads(target.read_text())["results"][0]
+        assert record["outcome"] == "violated"
+        assert record["states_visited"] > 0
+        assert record["transitions_executed"] > 0
+        assert isinstance(record["complete"], bool)
+        assert record["counterexample_steps"] > 0
 
     def test_parallel_bfs_matches_serial(self, tmp_path):
         serial_path = tmp_path / "serial.json"
@@ -172,107 +202,65 @@ class TestCheck:
             run_cli(["check", "not-a-cell"])
 
 
-class TestSweepAndReport:
-    def test_sweep_writes_bench_payload(self, tmp_path):
+class TestSweep:
+    def test_sweep_json_payload(self, tmp_path):
+        target = tmp_path / "sweep.json"
         code, output = run_cli(
             [
                 "sweep", "--cells", "multicast-2-1-0-1,storage-3-1",
-                "--workers", "2", "--output", str(tmp_path),
+                "--workers", "2", "--json", str(target),
             ]
         )
         assert code == 0
-        files = list(tmp_path.glob("BENCH_sweep_*.json"))
-        assert len(files) == 1
-        payload = json.loads(files[0].read_text())
-        assert payload["kind"] == "sweep"
+        payload = json.loads(target.read_text())
+        assert payload["schema"] == "repro-bench/1"
+        assert payload["workers"] == 2
         assert len(payload["results"]) == 2
         assert "swept 2 cells" in output
 
+    def test_sweep_writes_nothing_without_json(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, output = run_cli(["sweep", "--cells", "multicast-2-1-0-1"])
+        assert code == 0
+        assert "wrote" not in output
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_payload_names_the_plan(self, tmp_path):
-        code, _ = run_cli(
-            ["sweep", "--cells", "multicast-2-1-0-1", "--serial",
-             "--store", "fingerprint", "--output", str(tmp_path)]
+        target = tmp_path / "sweep.json"
+        code, output = run_cli(
+            ["sweep", "--cells", "multicast-2-1-0-1", "--workers", "1",
+             "--store", "fingerprint", "--json", str(target)]
         )
         assert code == 0
-        payload = json.loads(next(tmp_path.glob("BENCH_sweep_*.json")).read_text())
+        assert "serial loop" in output
+        payload = json.loads(target.read_text())
         assert payload["plan"] == "dfs/spor/fingerprint/auto"
         assert payload["results"][0]["store"] == "fingerprint"
 
     def test_cell_workers_are_every_cells_inner_workers(self, tmp_path):
+        target = tmp_path / "sweep.json"
         code, output = run_cli(
             ["sweep", "--cells", "multicast-2-1-0-1,multicast-3-0-1-1",
-             "--cell-workers", "2", "--output", str(tmp_path)]
+             "--cell-workers", "2", "--json", str(target)]
         )
         assert code == 0
         # Inner-parallel cells run one at a time in this process.
         assert "serial loop" in output
-        payload = json.loads(next(tmp_path.glob("BENCH_sweep_*.json")).read_text())
+        payload = json.loads(target.read_text())
         assert [record["workers"] for record in payload["results"]] == [2, 2]
         assert {record["engine"] for record in payload["results"]} == {"worksteal-dfs"}
 
-    def test_serial_flag_forces_loop(self, tmp_path):
-        code, output = run_cli(
-            [
-                "sweep", "--cells", "multicast-2-1-0-1", "--serial",
-                "--workers", "8", "--output", str(tmp_path),
-            ]
-        )
-        assert code == 0
-        assert "serial loop" in output
-
-    def test_report_aggregates_directory(self, tmp_path):
-        for _ in range(2):
-            assert run_cli(
-                [
-                    "sweep", "--cells", "multicast-2-1-0-1",
-                    "--serial", "--output", str(tmp_path),
-                ]
-            )[0] == 0
-        code, output = run_cli(["report", str(tmp_path)])
-        assert code == 0
-        assert "multicast-2-1-0-1" in output
-        assert "2 payloads" in output
-
-    def test_report_missing_path(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            run_cli(["report", str(tmp_path / "missing")])
-
-
-class TestBench:
-    def test_bench_emits_sweep_comparison(self, tmp_path):
-        code, output = run_cli(
-            [
-                "bench", "--cells", "multicast-2-1-0-1", "--workers", "2",
-                "--skip-frontier", "--output", str(tmp_path), "--label", "t",
-            ]
-        )
-        assert code == 0
-        assert "cell-parallel sweep" in output
-        files = list(tmp_path.glob("BENCH_bench_t_*.json"))
-        assert len(files) == 1
-        payload = json.loads(files[0].read_text())
-        assert payload["sweep_serial_seconds"] > 0
-        assert payload["sweep_parallel_seconds"] > 0
-        modes = {record["batch_mode"] for record in payload["results"]}
-        # The work-stealing axis runs the default plan (spor) alongside
-        # the cell-parallel comparison.
-        assert modes == {"serial-loop", "cell-parallel", "worksteal"}
-        worksteal = [
-            record for record in payload["results"]
-            if record["batch_mode"] == "worksteal"
-        ]
-        assert {record["workers"] for record in worksteal} == {1, 2}
-        assert all(record["verified"] for record in worksteal)
-
-    def test_bench_axes_can_be_skipped(self, tmp_path):
-        code, _ = run_cli(
-            [
-                "bench", "--cells", "multicast-2-1-0-1", "--workers", "2",
-                "--skip-frontier", "--skip-worksteal",
-                "--output", str(tmp_path), "--label", "bare",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(next(iter(tmp_path.glob("BENCH_bench_bare_*.json"))).read_text())
-        modes = {record["batch_mode"] for record in payload["results"]}
-        assert modes == {"serial-loop", "cell-parallel"}
+    def test_check_and_sweep_payloads_come_from_one_writer(self, tmp_path):
+        check_path = tmp_path / "check.json"
+        sweep_path = tmp_path / "sweep.json"
+        assert run_cli(
+            ["check", "multicast-2-1-0-1", "--json", str(check_path)]
+        )[0] == 0
+        assert run_cli(
+            ["sweep", "--cells", "multicast-2-1-0-1", "--workers", "1",
+             "--json", str(sweep_path)]
+        )[0] == 0
+        check = json.loads(check_path.read_text())
+        sweep = json.loads(sweep_path.read_text())
+        assert set(sweep) == set(check) | {"plan", "sweep_seconds", "workers"}
+        assert set(check["results"][0]) == set(sweep["results"][0])
