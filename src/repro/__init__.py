@@ -53,7 +53,6 @@ from .checker import (
     Counterexample,
     Eventually,
     Invariant,
-    SearchConfig,
     SearchStatistics,
     goal_of,
 )
@@ -137,7 +136,6 @@ __all__ = [
     "Protocol",
     "ProtocolBuilder",
     "QuorumSpec",
-    "SearchConfig",
     "SearchStatistics",
     "SendSpec",
     "StorageConfig",

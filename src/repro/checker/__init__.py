@@ -26,7 +26,6 @@ from .result import (
 from .search import (
     ReductionContext,
     Reducer,
-    SearchConfig,
     SearchOutcome,
     bfs_search,
     dfs_search,
@@ -57,7 +56,6 @@ __all__ = [
     "NullStateStore",
     "ReductionContext",
     "Reducer",
-    "SearchConfig",
     "STORE_KINDS",
     "SearchOutcome",
     "SearchStatistics",

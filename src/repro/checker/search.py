@@ -18,7 +18,10 @@ Every loop here is written once, over the
 :class:`~repro.checker.stategraph.StateGraph` seam: ``run_dfs`` /
 ``run_bfs`` / ``run_ndfs`` take a graph, and the ``*_search`` entry points
 (and :mod:`repro.fastpath.search`'s ``fast_*_search``) only choose which
-graph — interned objects or packed words — the loop runs over.
+graph — interned objects or packed words — the loop runs over.  Every one
+of them is configured by the frozen :class:`~repro.engine.plan.CheckPlan`
+itself (its ``config`` argument): the loops read the store, budgets and
+checkpoint knobs straight off the plan.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from itertools import chain
 from typing import Iterable, List, Optional
 
 from ..engine.events import PROGRESS_INTERVAL, Observer, emit, maybe_span
+from ..engine.plan import CheckPlan
 from ..mp.protocol import Protocol
 from .counterexample import Counterexample, Step
 from .property import Invariant
@@ -39,7 +43,6 @@ from .statestore import NullStateStore
 __all__ = [
     "ReductionContext",
     "Reducer",
-    "SearchConfig",
     "SearchOutcome",
     "bfs_search",
     "dfs_search",
@@ -49,76 +52,6 @@ __all__ = [
     "run_dfs",
     "run_ndfs",
 ]
-
-
-@dataclass
-class SearchConfig:
-    """Tunable knobs of the search.
-
-    Attributes:
-        stateful: Keep a visited-state store (stateful search); if False the
-            search is stateless and only avoids cycles on the current path.
-        state_store: ``"full"`` (exact) or ``"fingerprint"`` (hash-only).
-        state_store_shards: Shard count when ``state_store`` is
-            ``"sharded-fingerprint"`` (ignored by the other kinds).
-        max_depth: Truncate paths longer than this many transitions.
-        max_states: Abort once this many distinct states were stored.
-        max_seconds: Abort after this wall-clock budget.
-        stop_at_first_violation: Stop as soon as one counterexample is found
-            (the paper's debugging experiments do exactly this).
-        check_deadlocks: Treat states without enabled transitions in the
-            *unreduced* transition set as violations.  Off by default since
-            all bundled protocols terminate legitimately.
-        engine_cache_capacity: LRU bound for the successor engine's
-            enabled-set and successor caches in stateless searches; ``None``
-            keeps them unbounded (appropriate when the reachable set fits in
-            memory, which holds for all bundled instances).
-        successor_engine: Which :class:`~repro.checker.stategraph.StateGraph`
-            the loop runs over: ``"object"`` is the interned-object
-            :class:`~repro.mp.semantics.SuccessorEngine`, ``"fast"`` the
-            packed table-compiled one (:mod:`repro.fastpath`), with
-            identical verdicts and visited counts (plan users select it
-            via the ``successors`` axis).
-        fastpath_memo_capacity: LRU bound for the packed fast path's
-            per-transition guard/action memo tables and its property-verdict
-            memo (per table; the fast-path analogue of
-            ``engine_cache_capacity``).  ``None`` keeps them unbounded,
-            which is fine for the bundled protocols' small local-state
-            spaces; bound it when checking protocols whose local-state
-            spaces grow with the exploration.
-        chaos: Optional fault-plan spec (see :mod:`repro.chaos`) injected
-            into parallel/swarm worker loops; ``None`` (production default)
-            injects nothing.  Serial searches ignore it — there is no
-            worker process to kill.
-        supervise: Restart crashed workers and deterministically re-execute
-            their lost work (parallel/swarm searches).  When False a worker
-            death aborts the search with a structured
-            :class:`~repro.parallel.worker.WorkerCrashError` instead.
-        checkpoint_dir: Directory receiving level-barrier checkpoints
-            (breadth-first searches only; depth-first engines reject it —
-            a DFS has no durable barrier to serialise).
-        checkpoint_every: Write a checkpoint every N completed levels;
-            defaults to every level when ``checkpoint_dir`` is set.
-        resume_from: Path of a checkpoint file (or checkpoint directory,
-            resolving to its deepest checkpoint) to resume from.
-    """
-
-    stateful: bool = True
-    state_store: str = "full"
-    state_store_shards: int = 8
-    max_depth: Optional[int] = None
-    max_states: Optional[int] = None
-    max_seconds: Optional[float] = None
-    stop_at_first_violation: bool = True
-    check_deadlocks: bool = False
-    engine_cache_capacity: Optional[int] = None
-    successor_engine: str = "object"
-    fastpath_memo_capacity: Optional[int] = None
-    chaos: Optional[str] = None
-    supervise: bool = True
-    checkpoint_dir: Optional[str] = None
-    checkpoint_every: Optional[int] = None
-    resume_from: Optional[str] = None
 
 
 @dataclass
@@ -173,7 +106,7 @@ def _path_from_stack(graph: StateGraph, stack: List[_Frame], final,
                           property_name=property_name, cycle_start=cycle_start)
 
 
-def reject_checkpoint_knobs(config: SearchConfig, engine_name: str) -> None:
+def reject_checkpoint_knobs(config: CheckPlan, engine_name: str) -> None:
     """Depth-first engines have no level barrier to serialise; reject the
     checkpoint knobs loudly instead of silently not checkpointing."""
     if config.checkpoint_dir is not None or config.resume_from is not None:
@@ -187,7 +120,7 @@ def reject_checkpoint_knobs(config: SearchConfig, engine_name: str) -> None:
 def dfs_search(
     protocol: Protocol,
     invariant: Invariant,
-    config: Optional[SearchConfig] = None,
+    config: Optional[CheckPlan] = None,
     reducer: Optional[Reducer] = None,
     engine=None,
     observer: Optional[Observer] = None,
@@ -198,11 +131,11 @@ def dfs_search(
     Args:
         protocol: The protocol instance to explore.
         invariant: The invariant to check in every reachable state.
-        config: Search configuration; defaults to exhaustive stateful search.
+        config: The plan; defaults to exhaustive stateful search.
         reducer: Optional partial-order reducer; ``None`` explores every
             enabled execution (unreduced search).
         engine: Optional pre-built successor engine of the kind
-            ``config.successor_engine`` names (e.g. to share caches across
+            ``config.successors`` names (e.g. to share caches across
             several searches of the same protocol).
         observer: Optional event observer; receives periodic ``progress``
             ticks and ``violation-found`` events.
@@ -213,7 +146,7 @@ def dfs_search(
     Returns:
         A :class:`SearchOutcome` with verdict, counterexample and statistics.
     """
-    config = config or SearchConfig()
+    config = config or CheckPlan()
     graph = make_graph(protocol, config, engine, telemetry, stateful=config.stateful)
     return run_dfs(graph, invariant, config, reducer, observer, telemetry)
 
@@ -221,7 +154,7 @@ def dfs_search(
 def run_dfs(
     graph: StateGraph,
     invariant: Invariant,
-    config: SearchConfig,
+    config: CheckPlan,
     reducer: Optional[Reducer] = None,
     observer: Optional[Observer] = None,
     telemetry=None,
@@ -233,7 +166,7 @@ def run_dfs(
 
     stateful = config.stateful
     store = (
-        graph.make_store(config.state_store, config.state_store_shards)
+        graph.make_store(config.store, config.store_shards)
         if stateful else NullStateStore()
     )
     holds = graph.invariant_checker(invariant)
@@ -360,7 +293,7 @@ def run_dfs(
 def bfs_search(
     protocol: Protocol,
     invariant: Invariant,
-    config: Optional[SearchConfig] = None,
+    config: Optional[CheckPlan] = None,
     engine=None,
     observer: Optional[Observer] = None,
     telemetry=None,
@@ -373,7 +306,7 @@ def bfs_search(
     ``observer`` receives one ``level-completed`` event per frontier level
     plus ``violation-found`` events.
     """
-    config = config or SearchConfig()
+    config = config or CheckPlan()
     graph = make_graph(protocol, config, engine, telemetry)
     return run_bfs(graph, invariant, config, observer, telemetry)
 
@@ -381,7 +314,7 @@ def bfs_search(
 def run_bfs(
     graph: StateGraph,
     invariant: Invariant,
-    config: SearchConfig,
+    config: CheckPlan,
     observer: Optional[Observer] = None,
     telemetry=None,
 ) -> SearchOutcome:
@@ -395,7 +328,7 @@ def run_bfs(
     statistics = SearchStatistics()
     start_time = time.perf_counter()
 
-    store = graph.make_store(config.state_store, config.state_store_shards)
+    store = graph.make_store(config.store, config.store_shards)
     holds = graph.invariant_checker(invariant)
     enabled_of, successor_of, key = graph.enabled, graph.successor, graph.exact_key
     decode = graph.decode
@@ -560,8 +493,7 @@ def run_bfs(
 def ndfs_search(
     protocol: Protocol,
     prop,
-    config: Optional[SearchConfig] = None,
-    reducer: Optional[Reducer] = None,
+    config: Optional[CheckPlan] = None,
     engine=None,
     observer: Optional[Observer] = None,
     telemetry=None,
@@ -588,24 +520,17 @@ def ndfs_search(
 
     Partial-order reduction is not supported: the stubborn-set cycle
     proviso is a property of one DFS stack, and the nested search walks the
-    graph twice with different stacks — pass ``reducer=None`` (anything
-    else raises).  The search is stateful by construction (blue/red marks
-    are the algorithm), so ``config.stateful`` must be True; the store kind
-    chooses between exact state keys (``"full"``) and fingerprint keys
-    (``"fingerprint"`` / ``"sharded-fingerprint"``, the usual collision
-    trade-off).
+    graph twice with different stacks (the registry refuses reduced
+    liveness plans).  The search is stateful by construction (blue/red
+    marks are the algorithm), so ``config.stateful`` must be True; the
+    store kind chooses between exact state keys (``"full"``) and
+    fingerprint keys (``"fingerprint"`` / ``"sharded-fingerprint"``, the
+    usual collision trade-off).
 
     Always stops at the first violation (one lasso is a complete refutation;
     ``stop_at_first_violation=False`` does not change that).
     """
-    config = config or SearchConfig()
-    if reducer is not None:
-        raise ValueError(
-            "nested DFS does not support partial-order reduction: the "
-            "stubborn-set cycle proviso is defined over a single DFS "
-            "stack, which the nested search does not have; run the "
-            "liveness check unreduced"
-        )
+    config = config or CheckPlan()
     graph = make_graph(protocol, config, engine, telemetry)
     return run_ndfs(graph, prop, config, observer, telemetry)
 
@@ -613,7 +538,7 @@ def ndfs_search(
 def run_ndfs(
     graph: StateGraph,
     prop,
-    config: SearchConfig,
+    config: CheckPlan,
     observer: Optional[Observer] = None,
     telemetry=None,
 ) -> SearchOutcome:
@@ -629,11 +554,6 @@ def run_ndfs(
             "nested DFS is stateful by construction (the blue/red marks "
             "are the algorithm); config.stateful must be True"
         )
-    if config.state_store not in ("full", "fingerprint", "sharded-fingerprint"):
-        raise ValueError(
-            f"nested DFS needs a real visited-state store, got "
-            f"state_store={config.state_store!r}"
-        )
     statistics = SearchStatistics()
     start_time = time.perf_counter()
 
@@ -645,7 +565,7 @@ def run_ndfs(
     accepting = graph.predicate(
         lambda state: prop.accepting(state, protocol), network_sensitive
     )
-    key = graph.exact_key if config.state_store == "full" else graph.fingerprint
+    key = graph.exact_key if config.store == "full" else graph.fingerprint
     enabled_of, successor_of = graph.enabled, graph.successor
 
     def expand(state):

@@ -35,6 +35,7 @@ from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..engine.events import maybe_span
+from ..engine.plan import CheckPlan
 from ..mp.protocol import Protocol
 from ..mp.semantics import SuccessorEngine
 from ..mp.state import GlobalState
@@ -276,17 +277,12 @@ class PackedGraph(StateGraph):
         telemetry.record_fastpath(self.engine)
 
 
-def make_graph(protocol: Protocol, config, engine=None, telemetry=None,
+def make_graph(protocol: Protocol, config: CheckPlan, engine=None, telemetry=None,
                stateful: bool = True) -> StateGraph:
-    """The graph ``config.successor_engine`` names, over ``engine`` if given."""
-    kind = config.successor_engine
-    if kind == "object":
-        return ObjectGraph(protocol, engine, stateful, config.engine_cache_capacity)
-    if kind == "fast":
+    """The graph the plan's ``successors`` axis names, over ``engine`` if given."""
+    if config.successors == "fast":
         return PackedGraph(protocol, engine, config.fastpath_memo_capacity, telemetry)
-    raise ValueError(
-        f"unknown successor_engine {kind!r} (expected 'object' or 'fast')"
-    )
+    return ObjectGraph(protocol, engine, stateful, config.engine_cache_capacity)
 
 
 def replay_path(graph: StateGraph, path: Sequence[int],

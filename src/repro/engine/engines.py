@@ -139,14 +139,9 @@ class SerialDfsEngine(Engine):
     )
 
     def run(self, protocol, invariant, plan, observer=None, telemetry=None):
-        return dfs_search(
-            protocol,
-            invariant,
-            plan.search_config(),
-            reducer=make_reducer(protocol, plan),
-            observer=observer,
-            telemetry=telemetry,
-        )
+        return dfs_search(protocol, invariant, plan,
+                          reducer=make_reducer(protocol, plan),
+                          observer=observer, telemetry=telemetry)
 
 
 class SerialBfsEngine(Engine):
@@ -172,16 +167,14 @@ class SerialBfsEngine(Engine):
     )
 
     def run(self, protocol, invariant, plan, observer=None, telemetry=None):
-        return bfs_search(
-            protocol, invariant, plan.search_config(), observer=observer,
-            telemetry=telemetry
-        )
+        return bfs_search(protocol, invariant, plan, observer=observer,
+                          telemetry=telemetry)
 
 
 class FrontierBfsEngine(Engine):
-    """Level-synchronous frontier-parallel BFS: shard-owning workers, int
-    deltas, visited counts exactly equal to serial BFS, over object or
-    packed states."""
+    """Level-synchronous frontier-parallel BFS: shard-owning workers that
+    ship graph-native states to their owners, visited counts exactly equal
+    to serial BFS, over object or packed states."""
 
     name = "frontier-bfs"
     description = "frontier-parallel BFS; shard-owning workers, serial-exact counts"
@@ -207,14 +200,8 @@ class FrontierBfsEngine(Engine):
         # Imported lazily: repro.parallel builds on the checker package.
         from ..parallel.bfs import parallel_bfs_search
 
-        return parallel_bfs_search(
-            protocol,
-            invariant,
-            plan.search_config(),
-            workers=plan.workers,
-            observer=observer,
-            telemetry=telemetry,
-        )
+        return parallel_bfs_search(protocol, invariant, plan,
+                                   observer=observer, telemetry=telemetry)
 
 
 class WorkstealDfsEngine(Engine):
@@ -258,15 +245,9 @@ class WorkstealDfsEngine(Engine):
         # Imported lazily: repro.parallel builds on the checker package.
         from ..parallel.dfs import parallel_dfs_search
 
-        return parallel_dfs_search(
-            protocol,
-            invariant,
-            plan.search_config(),
-            workers=plan.workers,
-            reducer=make_reducer(protocol, plan),
-            observer=observer,
-            telemetry=telemetry,
-        )
+        return parallel_dfs_search(protocol, invariant, plan,
+                                   reducer=make_reducer(protocol, plan),
+                                   observer=observer, telemetry=telemetry)
 
 
 class DporEngine(Engine):
@@ -296,8 +277,8 @@ class DporEngine(Engine):
         # Imported lazily to keep the layering acyclic.
         from ..por.dpor import DporSearch
 
-        search = DporSearch(protocol, config=plan.search_config())
-        return search.run(invariant, observer=observer, telemetry=telemetry)
+        return DporSearch(protocol, plan).run(invariant, observer=observer,
+                                              telemetry=telemetry)
 
 
 #: Shared phrasing for the nested-DFS engines' liveness constraints.
@@ -337,10 +318,8 @@ class SerialNdfsEngine(Engine):
     )
 
     def run(self, protocol, invariant, plan, observer=None, telemetry=None):
-        return ndfs_search(
-            protocol, invariant, plan.search_config(), observer=observer,
-            telemetry=telemetry
-        )
+        return ndfs_search(protocol, invariant, plan, observer=observer,
+                           telemetry=telemetry)
 
 
 #: Shared capability notes of the swarm sampling engines.
@@ -386,15 +365,8 @@ class SwarmEngine(Engine):
         # Imported lazily: repro.swarm builds on the checker package.
         from ..swarm.search import swarm_search
 
-        return swarm_search(
-            protocol,
-            invariant,
-            plan.search_config(),
-            walks=plan.walks,
-            walk_seed=plan.walk_seed,
-            observer=observer,
-            telemetry=telemetry,
-        )
+        return swarm_search(protocol, invariant, plan, observer=observer,
+                            telemetry=telemetry)
 
 
 class ParallelSwarmEngine(Engine):
@@ -423,16 +395,8 @@ class ParallelSwarmEngine(Engine):
     def run(self, protocol, invariant, plan, observer=None, telemetry=None):
         from ..swarm.search import parallel_swarm_search
 
-        return parallel_swarm_search(
-            protocol,
-            invariant,
-            plan.search_config(),
-            walks=plan.walks,
-            walk_seed=plan.walk_seed,
-            workers=plan.workers,
-            observer=observer,
-            telemetry=telemetry,
-        )
+        return parallel_swarm_search(protocol, invariant, plan,
+                                     observer=observer, telemetry=telemetry)
 
 
 def builtin_engines():

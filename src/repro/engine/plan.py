@@ -51,10 +51,9 @@ DEFAULT_WALK_DEPTH = 256
 
 #: Successor-engine preference: the object-graph engine of
 #: :mod:`repro.mp.semantics` or the packed fast path of
-#: :mod:`repro.fastpath`.  An explicit axis (no "auto"): the fast path is
-#: an opt-in with its own store constraints, and the no-silent-downgrade
-#: contract means a plan asking for one engine family never silently runs
-#: on the other.
+#: :mod:`repro.fastpath`.  An explicit axis (no "auto"): the
+#: no-silent-downgrade contract means a plan asking for one engine family
+#: never silently runs on the other.
 SUCCESSOR_MODES = ("object", "fast")
 
 #: Seed-transition heuristics of the stubborn-set reductions; a literal like
@@ -134,9 +133,9 @@ class CheckPlan:
         successors: ``"object"`` (the interned-object successor engine) or
             ``"fast"`` (the packed table-compiled fast path of
             :mod:`repro.fastpath`).  Verdicts and visited counts are
-            identical between the two; the fast path trades generality
-            (e.g. the frontier variant is fingerprint-store only) for a
-            several-fold smaller per-state constant.
+            identical between the two, on every engine but DPOR (object
+            states only); the fast path has a several-fold smaller
+            per-state constant.
         seed_heuristic: Seed-transition heuristic for the stubborn-set
             reductions; ignored by the others.
         store_shards: Shard count of the ``"sharded-fingerprint"`` store in
@@ -325,30 +324,11 @@ class CheckPlan:
             f"{fast}{live}{swarm}{suffix}"
         )
 
-    def search_config(self):
-        """The :class:`repro.checker.search.SearchConfig` this plan implies."""
-        # Imported lazily: checker.search is loaded while this module may
-        # still be initialising during package import.
-        from ..checker.search import SearchConfig
-
-        return SearchConfig(
-            stateful=self.stateful,
-            state_store=self.store if self.stateful else "full",
-            state_store_shards=self.store_shards,
-            successor_engine=self.successors,
-            max_depth=self.max_depth,
-            max_states=self.max_states,
-            max_seconds=self.max_seconds,
-            stop_at_first_violation=self.stop_at_first_violation,
-            check_deadlocks=self.check_deadlocks,
-            engine_cache_capacity=self.engine_cache_capacity,
-            fastpath_memo_capacity=self.fastpath_memo_capacity,
-            chaos=self.chaos,
-            supervise=self.supervise,
-            checkpoint_dir=self.checkpoint_dir,
-            checkpoint_every=self.checkpoint_every,
-            resume_from=self.resume_from,
-        )
+    def search_config(self) -> "CheckPlan":
+        # The searches take the plan itself; this alias only keeps the
+        # frozen calls in benchmarks/ledger/layers.py working until ROADMAP
+        # item 8(b) moves them onto run_plan and deletes it.
+        return self
 
 
 def strategy_label(plan: CheckPlan) -> str:

@@ -3,7 +3,8 @@
 No search loop lives here: :func:`fast_dfs_search`, :func:`fast_bfs_search`
 and :func:`fast_ndfs_search` build a
 :class:`~repro.checker.stategraph.PackedGraph` and run the one loop of
-:mod:`repro.checker.search` over it — same statistics, budget handling,
+:mod:`repro.checker.search` over it, configured by the same
+:class:`~repro.engine.plan.CheckPlan` — same statistics, budget handling,
 observer events, counterexamples and checkpoints as over object states, by
 construction.  What this module holds is what that graph is made of, the
 two places where object-graph states are materialised (a stubborn-set
@@ -28,16 +29,11 @@ from __future__ import annotations
 from typing import Callable, Optional, Set, Tuple
 
 from ..checker.property import Invariant
-from ..checker.search import (
-    SearchConfig,
-    SearchOutcome,
-    run_bfs,
-    run_dfs,
-    run_ndfs,
-)
+from ..checker.search import SearchOutcome, run_bfs, run_dfs, run_ndfs
 from ..checker.stategraph import PackedGraph, Reducer
 from ..checker.statestore import ShardedFingerprintStore
 from ..engine.events import Observer
+from ..engine.plan import CheckPlan
 from ..mp.protocol import Protocol
 from ..mp.state import GlobalState
 from .compiler import FastSuccessorEngine, PackedState
@@ -149,14 +145,14 @@ def make_invariant_checker(
 def fast_dfs_search(
     protocol: Protocol,
     invariant: Invariant,
-    config: Optional[SearchConfig] = None,
+    config: Optional[CheckPlan] = None,
     reducer: Optional[Reducer] = None,
     observer: Optional[Observer] = None,
     engine: Optional[FastSuccessorEngine] = None,
     telemetry=None,
 ) -> SearchOutcome:
-    """``dfs_search`` over the packed graph, whatever ``config.successor_engine`` says."""
-    config = config or SearchConfig()
+    """``dfs_search`` over the packed graph, whatever ``config.successors`` says."""
+    config = config or CheckPlan()
     graph = PackedGraph(protocol, engine, config.fastpath_memo_capacity, telemetry)
     return run_dfs(graph, invariant, config, reducer, observer, telemetry)
 
@@ -164,13 +160,13 @@ def fast_dfs_search(
 def fast_bfs_search(
     protocol: Protocol,
     invariant: Invariant,
-    config: Optional[SearchConfig] = None,
+    config: Optional[CheckPlan] = None,
     observer: Optional[Observer] = None,
     engine: Optional[FastSuccessorEngine] = None,
     telemetry=None,
 ) -> SearchOutcome:
-    """``bfs_search`` over the packed graph, whatever ``config.successor_engine`` says."""
-    config = config or SearchConfig()
+    """``bfs_search`` over the packed graph, whatever ``config.successors`` says."""
+    config = config or CheckPlan()
     graph = PackedGraph(protocol, engine, config.fastpath_memo_capacity, telemetry)
     return run_bfs(graph, invariant, config, observer, telemetry)
 
@@ -178,12 +174,12 @@ def fast_bfs_search(
 def fast_ndfs_search(
     protocol: Protocol,
     prop,
-    config: Optional[SearchConfig] = None,
+    config: Optional[CheckPlan] = None,
     observer: Optional[Observer] = None,
     engine: Optional[FastSuccessorEngine] = None,
     telemetry=None,
 ) -> SearchOutcome:
-    """``ndfs_search`` over the packed graph, whatever ``config.successor_engine`` says."""
-    config = config or SearchConfig()
+    """``ndfs_search`` over the packed graph, whatever ``config.successors`` says."""
+    config = config or CheckPlan()
     graph = PackedGraph(protocol, engine, config.fastpath_memo_capacity, telemetry)
     return run_ndfs(graph, prop, config, observer, telemetry)

@@ -6,10 +6,10 @@ evaluation:
 * :func:`parallel_bfs_search` — one Table-I cell explored breadth-first by
   several ``multiprocessing`` workers.  Each worker owns one shard of the
   fingerprint partition (:func:`~repro.checker.statestore.shard_of`),
-  expands the states it discovered, and exchanges int deltas ``(source,
-  key, parent fingerprint, execution index, holds)`` at level barriers, so
-  the visited set — and therefore the visited-state count — is exactly the
-  serial breadth-first one.
+  expands the frontier it owns, and ships each child of another shard to
+  its owner as ``(state, parent fingerprint, execution index)`` at level
+  barriers, so the visited set — and therefore the visited-state count —
+  is exactly the serial breadth-first one.
 
 * :func:`parallel_dfs_search` — one cell explored depth-first by a
   work-stealing pool: each worker runs its own DFS, donates unexplored
@@ -19,9 +19,12 @@ evaluation:
   *reduced* (stubborn-set) searches, which have no levels to barrier on.
 
 Both loops are written once over the
-:class:`~repro.checker.stategraph.StateGraph` seam and run over object or
-packed states alike; on either graph only integers and object-form states
-ever cross a process boundary.
+:class:`~repro.checker.stategraph.StateGraph` seam, take the run's frozen
+:class:`~repro.engine.plan.CheckPlan` (whose ``workers`` sizes the pool)
+and run over object or packed states alike.  States cross a process
+boundary in the graph's own representation: ``graph.share()`` before the
+fork makes packed words valid in every worker (their interned ids follow
+a shared log), and object states pickle by value.
 
 * :func:`run_cells` — many independent Table-I cells farmed across a
   process pool.  Cells are described by picklable :class:`CellSpec` records

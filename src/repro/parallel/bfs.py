@@ -3,8 +3,10 @@
 The search is level-synchronous: all workers expand their share of level
 *d* before any state of level *d+1* is expanded.  It is written once, over
 the :class:`~repro.checker.stategraph.StateGraph` seam
-(``make_graph(protocol, config)``), so ``successors="fast"`` only swaps
-the graph the workers run over.  Each worker owns one shard of the
+(``make_graph(protocol, config)``, ``config`` being the run's frozen
+:class:`~repro.engine.plan.CheckPlan`), so ``successors="fast"`` only
+swaps the graph the workers run over, and ``config.workers`` is the pool
+size.  Each worker owns one shard of the
 fingerprint partition: it deduplicates, invariant-checks and expands
 exactly the states routed to it, so the set of states discovered at every
 level — and therefore the visited-state count — is identical to the serial
@@ -76,10 +78,11 @@ from typing import Dict, List, Optional, Tuple
 from ..checker.counterexample import Counterexample
 from ..checker.property import Invariant
 from ..checker.result import SearchStatistics
-from ..checker.search import SearchConfig, SearchOutcome, bfs_search
+from ..checker.search import SearchOutcome, bfs_search
 from ..checker.stategraph import make_graph, replay_path
 from ..checker.statestore import shard_of
 from ..engine.events import Observer, emit
+from ..engine.plan import CheckPlan
 from ..mp.protocol import Protocol
 from ..mp.state import GlobalState
 from .worker import (
@@ -110,26 +113,24 @@ def default_mp_context():
 def parallel_bfs_search(
     protocol: Protocol,
     invariant: Invariant,
-    config: Optional[SearchConfig] = None,
-    workers: int = 2,
+    config: CheckPlan,
     mp_context=None,
     worker_timeout: Optional[float] = None,
     observer: Optional[Observer] = None,
     telemetry=None,
 ) -> SearchOutcome:
-    """Breadth-first search of one cell across ``workers`` processes.
+    """Breadth-first search of one cell across ``config.workers`` processes.
 
     Args:
         protocol: The protocol instance to explore.
         invariant: The invariant to check in every reachable state.
-        config: Search configuration; ``successor_engine`` picks the state
-            graph, ``state_store == "full"`` dedups shards by exact states,
-            every other kind by fingerprints.  The ``chaos`` /
-            ``supervise`` / ``checkpoint_dir`` / ``checkpoint_every`` /
-            ``resume_from`` knobs drive the fault tolerance documented in
-            the module docstring.
-        workers: Worker process count (= shard count).  ``workers <= 1``
-            delegates to the serial :func:`bfs_search`.
+        config: The plan.  ``successors`` picks the state graph, ``store ==
+            "full"`` dedups shards by exact states, every other kind by
+            fingerprints, and ``workers`` is the worker process count (=
+            shard count; 1 delegates to the serial :func:`bfs_search`).
+            The ``chaos`` / ``supervise`` / ``checkpoint_dir`` /
+            ``checkpoint_every`` / ``resume_from`` knobs drive the fault
+            tolerance documented in the module docstring.
         mp_context: Multiprocessing context; defaults to ``fork``.  Without
             a fork-capable platform the search falls back to serial.
         worker_timeout: Optional hard cap per level barrier.  By default the
@@ -154,7 +155,7 @@ def parallel_bfs_search(
     Returns:
         A :class:`SearchOutcome`, shaped exactly like the serial one.
     """
-    config = config or SearchConfig()
+    workers = config.workers
     if workers <= 1:
         return bfs_search(protocol, invariant, config, observer=observer,
                           telemetry=telemetry)
@@ -175,7 +176,7 @@ def parallel_bfs_search(
 
     statistics = SearchStatistics()
     start_time = time.perf_counter()
-    exact = config.state_store == "full"
+    exact = config.store == "full"
     checkpointing = config.checkpoint_dir is not None
 
     # Built and shared before forking: every worker inherits the graph

@@ -22,7 +22,7 @@ explorer and parallelism comes from *stealing subtrees*:
   (:class:`~repro.parallel.worksteal.StripedClaimTable`) arbitrates which
   worker explores a state: the first worker to claim a fingerprint expands
   it, every other reach is a revisit.  Claims are fingerprint-based (the
-  standard bit-state trade-off) regardless of ``config.state_store``.
+  standard bit-state trade-off) regardless of ``config.store``.
 
 Equivalence to the serial search:
 
@@ -54,7 +54,9 @@ Equivalence to the serial search:
 
 The loop is written once, over the
 :class:`~repro.checker.stategraph.StateGraph` seam
-(``make_graph(protocol, config)``): the invariant check, the reducer
+(``make_graph(protocol, config)``, ``config`` being the run's frozen
+:class:`~repro.engine.plan.CheckPlan`, whose ``workers`` sizes the pool):
+the invariant check, the reducer
 adapter and its fingerprint-based cycle proviso all come from the graph, so
 ``successors="fast"`` only swaps the representation a worker's private
 stack holds.  What crosses a process boundary is the same on either graph
@@ -72,7 +74,7 @@ mirroring :func:`~repro.parallel.bfs.parallel_bfs_search`.
 Not supervised: a worker that dies ends the run as an honest incomplete
 outcome (``incomplete_reason="worker crash"``, partial statistics, the
 survivors wound down) — restarting a member of a work-stealing pool is
-ROADMAP item 5.  ``config.chaos`` is therefore rejected, like
+ROADMAP item 6.  ``config.chaos`` is therefore rejected, like
 ``config.checkpoint_dir`` / ``config.resume_from`` (which every
 depth-first engine rejects): a fault plan that injects nothing would be
 false confidence.
@@ -90,13 +92,13 @@ from ..checker.property import Invariant
 from ..checker.result import SearchStatistics
 from ..checker.search import (
     Reducer,
-    SearchConfig,
     SearchOutcome,
     reject_checkpoint_knobs,
     dfs_search,
 )
 from ..checker.stategraph import StateGraph, make_graph, replay_path
 from ..engine.events import PROGRESS_INTERVAL, Observer, emit, maybe_span
+from ..engine.plan import CheckPlan
 from ..mp.protocol import Protocol
 from .bfs import default_mp_context
 from .worker import WorkerCrashError, collect_replies, shutdown_processes
@@ -150,7 +152,7 @@ def _worksteal_worker(
     graph: StateGraph,
     invariant: Invariant,
     reducer: Optional[Reducer],
-    config: SearchConfig,
+    config: CheckPlan,
     table: StripedClaimTable,
     deques: WorkStealingDeques,
     result_queue,
@@ -361,8 +363,7 @@ def _worksteal_worker(
 def parallel_dfs_search(
     protocol: Protocol,
     invariant: Invariant,
-    config: Optional[SearchConfig] = None,
-    workers: int = 2,
+    config: CheckPlan,
     reducer: Optional[Reducer] = None,
     mp_context=None,
     worker_timeout: Optional[float] = None,
@@ -371,20 +372,20 @@ def parallel_dfs_search(
     observer: Optional[Observer] = None,
     telemetry=None,
 ) -> SearchOutcome:
-    """Depth-first search of one cell across ``workers`` stealing processes.
+    """Depth-first search of one cell across ``config.workers`` stealing processes.
 
     Args:
         protocol: The protocol instance to explore.
         invariant: The invariant to check in every claimed state.
-        config: Search configuration; ``successor_engine`` picks the state
-            graph.  The parallel engine is always stateful and deduplicates
-            by fingerprint (``state_store`` is not consulted; the
-            exact-store option has no shared-memory analogue).  ``chaos``,
+        config: The plan.  ``successors`` picks the state graph, and
+            ``workers`` is the worker process count (1 delegates to the
+            serial :func:`~repro.checker.search.dfs_search` with the same
+            reducer, so worker sweeps include an exact serial baseline).
+            The parallel engine is always stateful and deduplicates by
+            fingerprint (``store`` is not consulted; the exact-store
+            option has no shared-memory analogue).  ``chaos``,
             ``checkpoint_dir`` and ``resume_from`` raise
             :class:`ValueError` (see the module docstring).
-        workers: Worker process count.  ``workers <= 1`` delegates to the
-            serial :func:`~repro.checker.search.dfs_search` with the same
-            reducer, so worker sweeps include an exact serial baseline.
         reducer: Optional partial-order reducer (e.g. a pre-built
             :class:`~repro.por.stubborn.StubbornSetProvider`'s ``reduce``),
             inherited by every worker via ``fork``.
@@ -415,7 +416,6 @@ def parallel_dfs_search(
         path, making the reported trace deterministic given the set of
         discovered violations.
     """
-    config = config or SearchConfig()
     reject_checkpoint_knobs(config, "parallel_dfs_search")
     if config.chaos is not None:
         raise ValueError(
@@ -424,6 +424,7 @@ def parallel_dfs_search(
             "work-stealing pool does not have (use shape='bfs' with "
             "backend='frontier', or backend='swarm')"
         )
+    workers = config.workers
     if workers <= 1:
         return dfs_search(protocol, invariant, config, reducer=reducer,
                           observer=observer, telemetry=telemetry)

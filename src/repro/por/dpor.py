@@ -20,6 +20,11 @@ Backtracking is organised per process (the classical formulation); choosing
 a process explores every enabled execution of that process in the state,
 which keeps the exploration exhaustive when a process has several enabled
 (non-deterministic) executions.
+
+Like every other search, :class:`DporSearch` is configured by the run's
+frozen :class:`~repro.engine.plan.CheckPlan` (a ``reduction="dpor"`` plan,
+stateless by normalisation): budgets, ``stop_at_first_violation`` and the
+engine cache bound are read off it.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ from typing import List, Optional, Set, Tuple
 from ..checker.counterexample import Counterexample, Step
 from ..checker.property import Invariant
 from ..checker.result import SearchStatistics
-from ..checker.search import SearchConfig, SearchOutcome
+from ..checker.search import SearchOutcome
 from ..engine.events import PROGRESS_INTERVAL, Observer, emit
+from ..engine.plan import CheckPlan
 from ..mp.protocol import Protocol
 from ..mp.semantics import SuccessorEngine
 from ..mp.state import GlobalState
@@ -62,12 +68,12 @@ class DporSearch:
     def __init__(
         self,
         protocol: Protocol,
-        config: Optional[SearchConfig] = None,
+        config: Optional[CheckPlan] = None,
         dependence: Optional[DependenceRelation] = None,
         engine: Optional[SuccessorEngine] = None,
     ) -> None:
         self.protocol = protocol
-        self.config = config or SearchConfig(stateful=False)
+        self.config = config or CheckPlan(reduction="dpor")
         self.dependence = dependence or DependenceRelation.precompute(protocol)
         if engine is not None and engine.protocol is not protocol:
             raise ValueError("successor engine was built for a different protocol")
@@ -135,9 +141,11 @@ class DporSearch:
         self._statistics.elapsed_seconds = time.perf_counter() - self._start_time
         if telemetry is not None:
             telemetry.record_reduction(self._statistics)
+        # run_dfs's rule: a violation leaves the search incomplete only when
+        # it stops there, and stopping (_StopSearch) already cleared the flag.
         return SearchOutcome(
             verified=verified,
-            complete=self._complete and verified,
+            complete=self._complete,
             counterexample=self._counterexample,
             statistics=self._statistics,
         )

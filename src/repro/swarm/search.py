@@ -9,8 +9,12 @@ partition — worker ``w`` of ``W`` runs walks ``w, w+W, w+2W, ...`` — and
 finds exactly the violations the serial walker would, on exactly the same
 walk indices.
 
-The walker runs over the :class:`~repro.checker.stategraph.StateGraph`
-seam, so ``successors="object"`` and ``"fast"`` are the same code.
+Both take the run's frozen :class:`~repro.engine.plan.CheckPlan`, a
+swarm plan: its ``walks``, ``walk_seed``, ``max_depth`` (the per-walk step
+bound, defaulted by the plan) and, for the pool, ``workers`` are the
+walker's parameters.  The walker runs over the
+:class:`~repro.checker.stategraph.StateGraph` seam, so
+``successors="object"`` and ``"fast"`` are the same code.
 Violations rebuild a first-class
 :class:`~repro.checker.counterexample.Counterexample` by replaying the
 exec-index path over the same graph (the rebuild currency the parallel
@@ -32,9 +36,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..checker.result import SearchStatistics
-from ..checker.search import SearchConfig, SearchOutcome
+from ..checker.search import SearchOutcome
 from ..checker.stategraph import StateGraph, make_graph, replay_path
 from ..engine.events import PROGRESS_INTERVAL, Observer, emit, maybe_span
+from ..engine.plan import CheckPlan
 from ..mp.protocol import Protocol
 from ..checker.property import Invariant
 from .filter import SwarmFilter
@@ -85,7 +90,7 @@ class SwarmOutcomeStats:
         return cls(**payload)
 
 
-def _walk_graph(protocol: Protocol, config: SearchConfig,
+def _walk_graph(protocol: Protocol, config: CheckPlan,
                 telemetry=None) -> StateGraph:
     # Walks revisit states along every interleaving, which is exactly the
     # access pattern the object engine's caches exist for: stateful=False.
@@ -159,7 +164,7 @@ def _record_swarm_telemetry(telemetry, graph, stats: SwarmOutcomeStats,
     graph.record(telemetry)
 
 
-def _budget_exhausted(config: SearchConfig, stats: SwarmOutcomeStats,
+def _budget_exhausted(config: CheckPlan, stats: SwarmOutcomeStats,
                       start_time: float) -> bool:
     if config.max_states is not None and stats.steps >= config.max_states:
         return True
@@ -205,9 +210,7 @@ def _finish(
 def swarm_search(
     protocol: Protocol,
     invariant: Invariant,
-    config: Optional[SearchConfig] = None,
-    walks: int = 1000,
-    walk_seed: int = 0,
+    config: CheckPlan,
     observer: Optional[Observer] = None,
     telemetry=None,
     visited_filter: Optional[SwarmFilter] = None,
@@ -215,12 +218,11 @@ def swarm_search(
     """Serial seeded random-walk search.
 
     Stops at the first violation (a sampler has nothing conclusive to add
-    past one counterexample); otherwise runs the full walk budget, bounded
-    additionally by ``config.max_states`` (total steps) and
+    past one counterexample); otherwise runs the full ``config.walks``
+    budget, bounded additionally by ``config.max_states`` (total steps) and
     ``config.max_seconds``.
     """
-    config = config or SearchConfig(stateful=False)
-    max_depth = config.max_depth or 256
+    walks, walk_seed, max_depth = config.walks, config.walk_seed, config.max_depth
     start_time = time.perf_counter()
     stats = SwarmOutcomeStats()
     graph = _walk_graph(protocol, config, telemetry)
@@ -272,12 +274,9 @@ def swarm_search(
 
 def _swarm_worker(
     worker_id: int,
-    workers: int,
     protocol: Protocol,
     invariant: Invariant,
-    config: SearchConfig,
-    walks: int,
-    walk_seed: int,
+    config: CheckPlan,
     visited: SwarmFilter,
     stop_event,
     best_violation,
@@ -285,7 +284,8 @@ def _swarm_worker(
     result_queue,
     chaos: Optional[str] = None,
 ) -> None:
-    """One pool worker: walks ``worker_id, worker_id+workers, ...``.
+    """One pool worker: walks ``worker_id, worker_id+workers, ...``
+    (``workers`` being ``config.workers``).
 
     The walk-index partition carries the determinism: which worker runs a
     walk never changes what the walk does, so the set of violating walk
@@ -304,11 +304,12 @@ def _swarm_worker(
     try:
         from ..chaos import chaos_hook_for_worker
 
+        workers, walks, walk_seed = config.workers, config.walks, config.walk_seed
         hook = chaos_hook_for_worker(chaos, worker_id, workers)
         stats = SwarmOutcomeStats()
         graph = _walk_graph(protocol, config)
         holds = graph.invariant_checker(invariant)
-        max_depth = config.max_depth or 256
+        max_depth = config.max_depth
         start_time = time.perf_counter()
         violations: List[Tuple[int, Tuple[int, ...]]] = []
         truncated = False
@@ -361,10 +362,7 @@ def _swarm_worker(
 def parallel_swarm_search(
     protocol: Protocol,
     invariant: Invariant,
-    config: Optional[SearchConfig] = None,
-    walks: int = 1000,
-    walk_seed: int = 0,
-    workers: int = 2,
+    config: CheckPlan,
     observer: Optional[Observer] = None,
     telemetry=None,
     mp_context=None,
@@ -397,9 +395,7 @@ def parallel_swarm_search(
         shutdown_processes,
     )
 
-    config = config or SearchConfig(stateful=False)
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    walks, workers = config.walks, config.workers
     context = mp_context or default_mp_context()
     if context is None:
         raise RuntimeError(
@@ -431,9 +427,9 @@ def parallel_swarm_search(
     def spawn(worker_id: int, chaos: Optional[str]):
         process = context.Process(
             target=_swarm_worker,
-            args=(worker_id, workers, protocol, invariant, config,
-                  walks, walk_seed, visited, stop_event,
-                  best_violation, walks_counter, result_queue, chaos),
+            args=(worker_id, protocol, invariant, config, visited,
+                  stop_event, best_violation, walks_counter, result_queue,
+                  chaos),
         )
         process.daemon = True
         process.start()

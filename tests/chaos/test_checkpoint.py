@@ -26,7 +26,8 @@ from repro.checker.checkpoint import (
     latest_checkpoint,
     load_checkpoint,
 )
-from repro.checker.search import SearchConfig, bfs_search, dfs_search, ndfs_search
+from repro.checker.search import bfs_search, dfs_search, ndfs_search
+from repro.engine import CheckPlan
 from repro.engine.events import CollectingObserver
 from repro.parallel import parallel_bfs_search, parallel_dfs_search
 from repro.protocols.catalog import paxos_entry, storage_entry
@@ -78,7 +79,7 @@ class TestCheckpointFiles:
         observer = CollectingObserver()
         outcome = bfs_search(
             protocol, invariant,
-            SearchConfig(checkpoint_dir=str(tmp_path)),
+            CheckPlan(checkpoint_dir=str(tmp_path)),
             observer=observer,
         )
         assert outcome.complete
@@ -98,16 +99,16 @@ class TestCheckpointFiles:
         protocol, invariant = cell
         every = tmp_path / "every"
         sparse = tmp_path / "sparse"
-        bfs_search(protocol, invariant, SearchConfig(checkpoint_dir=str(every)))
+        bfs_search(protocol, invariant, CheckPlan(checkpoint_dir=str(every)))
         bfs_search(
             protocol, invariant,
-            SearchConfig(checkpoint_dir=str(sparse), checkpoint_every=3),
+            CheckPlan(checkpoint_dir=str(sparse), checkpoint_every=3),
         )
         assert 0 < len(list(sparse.iterdir())) < len(list(every.iterdir()))
 
     def test_latest_checkpoint_picks_deepest(self, cell, tmp_path):
         protocol, invariant = cell
-        bfs_search(protocol, invariant, SearchConfig(checkpoint_dir=str(tmp_path)))
+        bfs_search(protocol, invariant, CheckPlan(checkpoint_dir=str(tmp_path)))
         names = sorted(path.name for path in tmp_path.iterdir())
         assert latest_checkpoint(str(tmp_path)).endswith(names[-1])
 
@@ -125,7 +126,7 @@ class TestCheckpointFiles:
         import pickle
 
         protocol, invariant = cell
-        bfs_search(protocol, invariant, SearchConfig(checkpoint_dir=str(tmp_path)))
+        bfs_search(protocol, invariant, CheckPlan(checkpoint_dir=str(tmp_path)))
         path = latest_checkpoint(str(tmp_path))
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
@@ -138,7 +139,7 @@ class TestCheckpointFiles:
 
     def test_describe_mentions_depth_and_states(self, cell, tmp_path):
         protocol, invariant = cell
-        bfs_search(protocol, invariant, SearchConfig(checkpoint_dir=str(tmp_path)))
+        bfs_search(protocol, invariant, CheckPlan(checkpoint_dir=str(tmp_path)))
         checkpoint = load_checkpoint(str(tmp_path))
         description = checkpoint.describe()
         assert str(checkpoint.depth) in description
@@ -155,8 +156,8 @@ class TestSerialResume:
         invariant = entry.invariant
         base = bfs_search(
             protocol, invariant,
-            SearchConfig(checkpoint_dir=str(tmp_path), checkpoint_every=every,
-                         successor_engine=writer),
+            CheckPlan(checkpoint_dir=str(tmp_path), checkpoint_every=every,
+                      successors=writer),
         )
         if pinned is not None:
             assert (base.statistics.states_visited,
@@ -166,7 +167,7 @@ class TestSerialResume:
         for path in checkpoints:
             resumed = bfs_search(
                 protocol, invariant,
-                SearchConfig(resume_from=str(path), successor_engine=resumer),
+                CheckPlan(resume_from=str(path), successors=resumer),
             )
             assert resumed.verified == base.verified
             assert resumed.complete
@@ -182,20 +183,20 @@ class TestSerialResume:
     def test_resume_from_directory_uses_latest(self, cell, tmp_path):
         protocol, invariant = cell
         base = bfs_search(
-            protocol, invariant, SearchConfig(checkpoint_dir=str(tmp_path))
+            protocol, invariant, CheckPlan(checkpoint_dir=str(tmp_path))
         )
         resumed = bfs_search(
-            protocol, invariant, SearchConfig(resume_from=str(tmp_path))
+            protocol, invariant, CheckPlan(resume_from=str(tmp_path))
         )
         assert resumed.statistics.states_visited == base.statistics.states_visited
 
     def test_resume_rejects_wrong_protocol(self, cell, tmp_path):
         protocol, invariant = cell
-        bfs_search(protocol, invariant, SearchConfig(checkpoint_dir=str(tmp_path)))
+        bfs_search(protocol, invariant, CheckPlan(checkpoint_dir=str(tmp_path)))
         other = storage_entry(3, 2).single_model()
         with pytest.raises(CheckpointError):
             bfs_search(
-                other, invariant, SearchConfig(resume_from=str(tmp_path))
+                other, invariant, CheckPlan(resume_from=str(tmp_path))
             )
 
     @pytest.mark.parametrize("writer, resumer", GRAPH_PAIRS)
@@ -208,13 +209,13 @@ class TestSerialResume:
         base = bfs_search(protocol, invariant)
         truncated = bfs_search(
             protocol, invariant,
-            SearchConfig(checkpoint_dir=str(tmp_path), max_states=500,
-                         successor_engine=writer),
+            CheckPlan(checkpoint_dir=str(tmp_path), max_states=500,
+                      successors=writer),
         )
         assert truncated.complete is False
         resumed = bfs_search(
             protocol, invariant,
-            SearchConfig(resume_from=str(tmp_path), successor_engine=resumer),
+            CheckPlan(resume_from=str(tmp_path), successors=resumer),
         )
         assert resumed.complete
         assert resumed.statistics.states_visited == base.statistics.states_visited
@@ -230,9 +231,8 @@ class TestParallelResume:
         base = bfs_search(protocol, invariant)
         full = parallel_bfs_search(
             protocol, invariant,
-            SearchConfig(checkpoint_dir=str(tmp_path), checkpoint_every=2,
-                         successor_engine=writer),
-            workers=4,
+            CheckPlan(checkpoint_dir=str(tmp_path), checkpoint_every=2,
+                      successors=writer, workers=4),
         )
         assert full.statistics.states_visited == base.statistics.states_visited
         first = sorted(tmp_path.iterdir())[0]
@@ -240,8 +240,8 @@ class TestParallelResume:
         for workers in (1, 2, 3):
             resumed = parallel_bfs_search(
                 protocol, invariant,
-                SearchConfig(resume_from=str(first), successor_engine=resumer),
-                workers=workers,
+                CheckPlan(resume_from=str(first), successors=resumer,
+                          workers=workers),
             )
             assert resumed.verified == base.verified
             assert resumed.complete
@@ -256,12 +256,11 @@ class TestParallelResume:
         # uninterrupted totals: restart and resume share one restore path.
         protocol, invariant = cell
         base = bfs_search(protocol, invariant)
-        config = SearchConfig(state_store=store, successor_engine=graph)
+        config = CheckPlan(store=store, successors=graph)
         parallel_bfs_search(
             protocol, invariant,
             dataclasses.replace(config, checkpoint_dir=str(tmp_path),
-                                checkpoint_every=3),
-            workers=2,
+                                checkpoint_every=3, workers=2),
         )
         checkpoints = sorted(tmp_path.iterdir())
         assert len(checkpoints) > 1
@@ -270,8 +269,9 @@ class TestParallelResume:
                 observer = CollectingObserver()
                 resumed = parallel_bfs_search(
                     protocol, invariant,
-                    dataclasses.replace(config, resume_from=str(path), chaos=chaos),
-                    workers=3, observer=observer,
+                    dataclasses.replace(config, resume_from=str(path), chaos=chaos,
+                                        workers=3),
+                    observer=observer,
                 )
                 assert resumed.complete
                 assert_same_counts(resumed, base)
@@ -283,22 +283,21 @@ class TestParallelResume:
         protocol, invariant = cell
         base = bfs_search(
             protocol, invariant,
-            SearchConfig(checkpoint_dir=str(tmp_path), successor_engine=writer),
+            CheckPlan(checkpoint_dir=str(tmp_path), successors=writer),
         )
         middle = sorted(tmp_path.iterdir())[len(list(tmp_path.iterdir())) // 2]
         crossed = parallel_bfs_search(
-            protocol, invariant, SearchConfig(resume_from=str(middle)), workers=2
+            protocol, invariant, CheckPlan(resume_from=str(middle), workers=2)
         )
         assert_same_counts(crossed, base)
         back = tmp_path / "back"
         parallel_bfs_search(
             protocol, invariant,
-            SearchConfig(checkpoint_dir=str(back), checkpoint_every=4,
-                         successor_engine=writer),
-            workers=2,
+            CheckPlan(checkpoint_dir=str(back), checkpoint_every=4,
+                      successors=writer, workers=2),
         )
         serial = bfs_search(
-            protocol, invariant, SearchConfig(resume_from=str(back))
+            protocol, invariant, CheckPlan(resume_from=str(back))
         )
         assert_same_counts(serial, base)
 
@@ -306,7 +305,7 @@ class TestParallelResume:
         # Fails at the parent: the packed frontier ignored checkpoint_dir.
         import pickle
 
-        from repro.engine import CheckPlan, run_plan
+        from repro.engine import run_plan
 
         protocol, invariant = cell
         run_plan(protocol, invariant, CheckPlan(
@@ -330,7 +329,7 @@ class TestCheckpointKnobRejection:
     def test_dfs_rejects(self, cell, knob):
         protocol, invariant = cell
         with pytest.raises(ValueError, match="checkpoint"):
-            dfs_search(protocol, invariant, SearchConfig(**knob))
+            dfs_search(protocol, invariant, CheckPlan(**knob))
 
     @needs_fork
     @pytest.mark.parametrize("graph", ["object", "fast"])
@@ -344,7 +343,7 @@ class TestCheckpointKnobRejection:
         with pytest.raises(ValueError, match="checkpoint"):
             parallel_dfs_search(
                 protocol, invariant,
-                SearchConfig(successor_engine=graph, **knob), workers=2,
+                CheckPlan(successors=graph, workers=2, **knob),
             )
 
     def test_ndfs_rejects(self, cell):
@@ -352,5 +351,5 @@ class TestCheckpointKnobRejection:
         with pytest.raises(ValueError, match="checkpoint"):
             ndfs_search(
                 protocol, invariant,
-                SearchConfig(checkpoint_dir="/tmp/nope"),
+                CheckPlan(checkpoint_dir="/tmp/nope"),
             )

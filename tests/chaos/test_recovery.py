@@ -20,7 +20,8 @@ import os
 
 import pytest
 
-from repro.checker.search import SearchConfig, bfs_search
+from repro.checker.search import bfs_search
+from repro.engine import CheckPlan
 from repro.engine.events import CollectingObserver
 from repro.obs.telemetry import RunTelemetry
 from repro.parallel import default_mp_context, parallel_bfs_search
@@ -197,8 +198,8 @@ class TestFrontierRecovery:
         telemetry = RunTelemetry()
         recovered = parallel_bfs_search(
             entry.single_model(), entry.invariant,
-            SearchConfig(chaos="crash:1@3", successor_engine=graph),
-            workers=workers, observer=observer, telemetry=telemetry,
+            CheckPlan(chaos="crash:1@3", successors=graph, workers=workers),
+            observer=observer, telemetry=telemetry,
         )
         assert recovered.verified == serial.verified
         assert recovered.complete
@@ -222,9 +223,9 @@ class TestFrontierRecovery:
             observer = CollectingObserver()
             recovered = parallel_bfs_search(
                 entry.single_model(), entry.invariant,
-                SearchConfig(chaos=f"crash:{worker}@{at}", state_store=store,
-                             successor_engine=graph),
-                workers=2, observer=observer,
+                CheckPlan(chaos=f"crash:{worker}@{at}", store=store,
+                          successors=graph, workers=2),
+                observer=observer,
             )
             assert recovered.complete
             assert_same_statistics(recovered, serial)
@@ -236,7 +237,7 @@ class TestFrontierRecovery:
     def test_plan_level_crash_is_injected_and_recovered(self, graph):
         # The ledger's recover.crashed op in miniature; under
         # successors="fast" the parent never crashed at all.
-        from repro.engine import CheckPlan, run_plan
+        from repro.engine import run_plan
 
         entry = storage_entry(3, 1)
         serial = bfs_search(entry.single_model(), entry.invariant)
@@ -258,10 +259,8 @@ class TestFrontierRecovery:
     def test_crash_on_the_violating_level(self, phase_offset, graph):
         entry = multicast_entry(2, 1, 2, 1)
         protocol = entry.quorum_model()
-        config = SearchConfig(state_store="fingerprint", successor_engine=graph)
-        baseline = parallel_bfs_search(
-            protocol, entry.invariant, config, workers=2
-        )
+        config = CheckPlan(store="fingerprint", successors=graph, workers=2)
+        baseline = parallel_bfs_search(protocol, entry.invariant, config)
         assert baseline.verified is False
         # Level d's absorb barrier is command 2 * d + 1 of every worker.
         level = len(baseline.counterexample.steps)
@@ -271,7 +270,7 @@ class TestFrontierRecovery:
                 protocol, entry.invariant,
                 dataclasses.replace(
                     config, chaos=f"crash:{worker}@{2 * level + 1 + phase_offset}"),
-                workers=2, observer=observer,
+                observer=observer,
             )
             assert observer.counts().get("worker-restarted") == 1
             assert recovered.verified is False
@@ -285,9 +284,9 @@ class TestFrontierRecovery:
         observer = CollectingObserver()
         outcome = parallel_bfs_search(
             entry.single_model(), entry.invariant,
-            SearchConfig(chaos="crash:1@3", supervise=False,
-                         successor_engine=graph),
-            workers=workers, observer=observer,
+            CheckPlan(chaos="crash:1@3", supervise=False,
+                      successors=graph, workers=workers),
+            observer=observer,
         )
         assert outcome.complete is False
         assert outcome.incomplete_reason == "worker crash"
@@ -308,8 +307,8 @@ class TestFrontierRecovery:
         )
         outcome = parallel_bfs_search(
             entry.single_model(), entry.invariant,
-            SearchConfig(chaos=spec, successor_engine=graph),
-            workers=MAX_WORKER_RESTARTS + 1,
+            CheckPlan(chaos=spec, successors=graph,
+                      workers=MAX_WORKER_RESTARTS + 1),
         )
         assert outcome.complete is False
         assert outcome.incomplete_reason == "worker crash"
@@ -320,16 +319,12 @@ class TestSwarmRecovery:
 
     def test_supervised_swarm_verdict_identical(self):
         entry = storage_entry(3, 1)
-        config = SearchConfig(stateful=False)
-        baseline = parallel_swarm_search(
-            entry.single_model(), entry.invariant, config,
-            walks=200, walk_seed=7, workers=4,
-        )
+        config = CheckPlan(backend="swarm", walks=200, walk_seed=7, workers=4)
+        baseline = parallel_swarm_search(entry.single_model(), entry.invariant, config)
         observer = CollectingObserver()
         recovered = parallel_swarm_search(
             entry.single_model(), entry.invariant,
-            SearchConfig(stateful=False, chaos="crash:2@5"),
-            walks=200, walk_seed=7, workers=4, observer=observer,
+            dataclasses.replace(config, chaos="crash:2@5"), observer=observer,
         )
         assert recovered.verified == baseline.verified
         assert recovered.incomplete_reason is None
@@ -341,8 +336,8 @@ class TestSwarmRecovery:
         entry = storage_entry(3, 1)
         outcome = parallel_swarm_search(
             entry.single_model(), entry.invariant,
-            SearchConfig(stateful=False, chaos="crash:2@5", supervise=False),
-            walks=200, walk_seed=7, workers=4,
+            CheckPlan(backend="swarm", walks=200, walk_seed=7, workers=4,
+                      chaos="crash:2@5", supervise=False),
         )
         assert outcome.incomplete_reason == "worker crash"
         assert outcome.complete is False

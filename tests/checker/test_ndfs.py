@@ -16,11 +16,11 @@ import pytest
 from repro.checker import (
     Counterexample,
     Eventually,
-    SearchConfig,
     goal_of,
     ndfs_search,
 )
 from repro.checker.property import Invariant
+from repro.engine import CheckPlan
 from repro.engine.events import CollectingObserver
 from repro.fastpath.search import fast_ndfs_search
 from repro.mp import ActionContext, LporAnnotation, ProtocolBuilder, SendSpec
@@ -241,31 +241,27 @@ class TestNdfsVerdicts:
 
 
 class TestNdfsConfigValidation:
-    def test_reducers_are_rejected(self):
-        with pytest.raises(ValueError, match="partial-order reduction"):
-            ndfs_search(build_toggle(), never(), reducer=object())
-
     def test_stateless_config_is_rejected(self):
         with pytest.raises(ValueError, match="stateful"):
-            ndfs_search(build_toggle(), never(), SearchConfig(stateful=False))
+            ndfs_search(build_toggle(), never(), CheckPlan(stateful=False))
 
     @pytest.mark.parametrize("search", [ndfs_search, fast_ndfs_search])
     def test_fingerprint_store_is_accepted(self, search):
         outcome = search(build_toggle(), never(),
-                         SearchConfig(state_store="fingerprint"))
+                         CheckPlan(store="fingerprint"))
         assert not outcome.verified
 
     def test_fast_config_delegates_to_the_packed_engine(self):
         object_outcome = ndfs_search(build_toggle(), never())
         delegated = ndfs_search(build_toggle(), never(),
-                                SearchConfig(successor_engine="fast"))
+                                CheckPlan(successors="fast"))
         assert delegated.verified == object_outcome.verified
         assert (delegated.statistics.states_visited
                 == object_outcome.statistics.states_visited)
 
     @pytest.mark.parametrize("search", [ndfs_search, fast_ndfs_search])
     def test_max_states_truncates_without_a_verdict(self, search):
-        outcome = search(build_toggle(), never(), SearchConfig(max_states=1))
+        outcome = search(build_toggle(), never(), CheckPlan(max_states=1))
         assert outcome.verified
         assert not outcome.complete
 

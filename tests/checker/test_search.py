@@ -3,7 +3,8 @@
 import pytest
 
 from repro.checker.property import Invariant, always_true
-from repro.checker.search import SearchConfig, bfs_search, dfs_search
+from repro.checker.search import bfs_search, dfs_search
+from repro.engine import CheckPlan
 from repro.mp.semantics import state_graph_edges
 
 from ..conftest import build_ping_pong, build_vote_collection
@@ -58,7 +59,7 @@ class TestExhaustiveDfs:
         assert state.local("ping").pongs >= 2
 
     def test_continue_after_violation_when_not_stopping(self, ping_pong_two_rounds):
-        config = SearchConfig(stop_at_first_violation=False)
+        config = CheckPlan(stop_at_first_violation=False)
         outcome = dfs_search(ping_pong_two_rounds, pongs_below(1), config)
         assert not outcome.verified
         assert outcome.complete
@@ -69,25 +70,25 @@ class TestExhaustiveDfs:
 class TestBounds:
     def test_max_states_truncates(self):
         protocol = build_vote_collection(voters=3, quorum=2)
-        config = SearchConfig(max_states=5)
+        config = CheckPlan(max_states=5)
         outcome = dfs_search(protocol, always_true(), config)
         assert not outcome.complete
         assert outcome.statistics.states_visited <= 6
 
     def test_max_depth_truncates(self, ping_pong_two_rounds):
-        config = SearchConfig(max_depth=1)
+        config = CheckPlan(max_depth=1)
         outcome = dfs_search(ping_pong_two_rounds, always_true(), config)
         assert not outcome.complete
         assert outcome.statistics.max_depth <= 1
 
     def test_max_seconds_zero_truncates(self):
         protocol = build_vote_collection(voters=3, quorum=2)
-        config = SearchConfig(max_seconds=0.0)
+        config = CheckPlan(max_seconds=0.0)
         outcome = dfs_search(protocol, always_true(), config)
         assert not outcome.complete
 
     def test_deep_violation_not_found_with_shallow_bound(self, ping_pong_two_rounds):
-        config = SearchConfig(max_depth=2)
+        config = CheckPlan(max_depth=2)
         outcome = dfs_search(ping_pong_two_rounds, pongs_below(2), config)
         # The violation needs at least four steps, so a depth-2 search
         # cannot find it but must also not claim completeness.
@@ -99,7 +100,7 @@ class TestStatelessSearch:
     def test_stateless_visits_at_least_as_many_states(self):
         protocol = build_vote_collection(voters=3, quorum=2)
         stateful = dfs_search(protocol, always_true())
-        stateless = dfs_search(protocol, always_true(), SearchConfig(stateful=False))
+        stateless = dfs_search(protocol, always_true(), CheckPlan(stateful=False))
         assert stateless.verified
         assert (
             stateless.statistics.states_visited
@@ -107,7 +108,7 @@ class TestStatelessSearch:
         )
 
     def test_stateless_finds_violation(self, ping_pong_two_rounds):
-        outcome = dfs_search(ping_pong_two_rounds, pongs_below(2), SearchConfig(stateful=False))
+        outcome = dfs_search(ping_pong_two_rounds, pongs_below(2), CheckPlan(stateful=False))
         assert not outcome.verified
 
 
@@ -169,7 +170,7 @@ class TestBfs:
         assert outcome.counterexample.length == 0
 
     def test_bfs_max_depth(self, ping_pong_two_rounds):
-        outcome = bfs_search(ping_pong_two_rounds, always_true(), SearchConfig(max_depth=1))
+        outcome = bfs_search(ping_pong_two_rounds, always_true(), CheckPlan(max_depth=1))
         assert not outcome.complete
 
 

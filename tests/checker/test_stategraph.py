@@ -21,7 +21,6 @@ import random
 import pytest
 
 from repro.checker.search import (
-    SearchConfig,
     run_bfs,
     run_dfs,
     run_ndfs,
@@ -117,12 +116,13 @@ class TestGraphsAgreeStateByState:
 
     def test_make_graph_follows_the_successor_engine_knob(self):
         protocol = multicast_entry(2, 1, 0, 1).quorum_model()
-        assert isinstance(make_graph(protocol, SearchConfig()), ObjectGraph)
+        assert isinstance(make_graph(protocol, CheckPlan()), ObjectGraph)
         assert isinstance(
-            make_graph(protocol, SearchConfig(successor_engine="fast")), PackedGraph
+            make_graph(protocol, CheckPlan(successors="fast")), PackedGraph
         )
-        with pytest.raises(ValueError, match="successor_engine"):
-            make_graph(protocol, SearchConfig(successor_engine="warp"))
+        # An unknown graph never reaches make_graph: the plan refuses it.
+        with pytest.raises(ValueError, match="successors"):
+            CheckPlan(successors="warp")
 
 
 # --------------------------------------------------------------------------- #
@@ -147,17 +147,17 @@ STATELESS_CELLS = [
 ]
 
 
-def run_twice(entry, run, config, prop=None, reduction="none"):
+def run_twice(entry, run, plan, prop=None):
     """``run`` over the object and the packed graph of fresh models."""
     outcomes = []
     for kind in ("object", "fast"):
         protocol = entry.quorum_model()
-        config = dataclasses.replace(config, successor_engine=kind)
-        graph = make_graph(protocol, config, stateful=config.stateful)
+        plan = dataclasses.replace(plan, successors=kind)
+        graph = make_graph(protocol, plan, stateful=plan.stateful)
         extra = {}
         if run is run_dfs:
-            extra["reducer"] = make_reducer(protocol, CheckPlan(reduction=reduction))
-        outcomes.append(run(graph, prop or entry.invariant, config, **extra))
+            extra["reducer"] = make_reducer(protocol, plan)
+        outcomes.append(run(graph, prop or entry.invariant, plan, **extra))
     return outcomes
 
 
@@ -178,33 +178,32 @@ class TestOneLoopTwoGraphs:
     @pytest.mark.parametrize("store, reduction", DFS_GRID)
     @pytest.mark.parametrize("entry", SMALL_CELLS)
     def test_stateful_dfs(self, entry, store, reduction):
-        config = SearchConfig(state_store=store)
-        assert_identical(*run_twice(entry, run_dfs, config, reduction=reduction))
+        plan = CheckPlan(store=store, reduction=reduction)
+        assert_identical(*run_twice(entry, run_dfs, plan))
 
     @pytest.mark.parametrize("reduction", ["none", "spor-net"])
     @pytest.mark.parametrize("entry", STATELESS_CELLS)
     def test_stateless_dfs(self, entry, reduction):
-        config = SearchConfig(stateful=False)
-        assert_identical(*run_twice(entry, run_dfs, config, reduction=reduction))
+        plan = CheckPlan(stateful=False, reduction=reduction)
+        assert_identical(*run_twice(entry, run_dfs, plan))
 
     @pytest.mark.parametrize("store", STORES)
     @pytest.mark.parametrize("entry", SMALL_CELLS)
     def test_bfs(self, entry, store):
-        config = SearchConfig(state_store=store)
-        assert_identical(*run_twice(entry, run_bfs, config))
+        assert_identical(*run_twice(entry, run_bfs, CheckPlan(store=store)))
 
     @pytest.mark.parametrize("store", STORES)
     @pytest.mark.parametrize("entry", LIVENESS_CELLS)
     def test_ndfs(self, entry, store):
-        config = SearchConfig(state_store=store)
-        assert_identical(*run_twice(entry, run_ndfs, config, prop=entry.liveness))
+        plan = CheckPlan(store=store)
+        assert_identical(*run_twice(entry, run_ndfs, plan, prop=entry.liveness))
 
     def test_checking_every_violation_matches(self):
         # stop_at_first_violation=False keeps searching past counterexamples.
         entry = multicast_entry(2, 1, 2, 1)
-        config = SearchConfig(stop_at_first_violation=False)
+        plan = CheckPlan(stop_at_first_violation=False)
         for run in (run_dfs, run_bfs):
-            slow, fast = run_twice(entry, run, config)
+            slow, fast = run_twice(entry, run, plan)
             assert not slow.verified
             assert_identical(slow, fast)
 
@@ -240,9 +239,9 @@ REDUCED_GRID = [
 def serial_run(key, shape, store):
     """The serial object-graph run every parallel run is compared against."""
     entry = next(e for e in default_catalog("small") if e.key == key)
-    config = SearchConfig(state_store=store)
     run = run_bfs if shape == "bfs" else run_dfs
-    return run(ObjectGraph(entry.quorum_model()), entry.invariant, config)
+    return run(ObjectGraph(entry.quorum_model()), entry.invariant,
+               CheckPlan(store=store))
 
 
 def counters(outcome, skip=()):
@@ -268,8 +267,7 @@ class TestParallelLoopsTwoGraphs:
         slow, fast = (
             parallel_bfs_search(
                 entry.quorum_model(), entry.invariant,
-                SearchConfig(state_store=store, successor_engine=kind),
-                workers=workers,
+                CheckPlan(store=store, successors=kind, workers=workers),
             )
             for kind in ("object", "fast")
         )
@@ -290,8 +288,7 @@ class TestParallelLoopsTwoGraphs:
         for kind in ("object", "fast"):
             outcome = parallel_dfs_search(
                 entry.quorum_model(), entry.invariant,
-                SearchConfig(state_store=store, successor_engine=kind),
-                workers=workers,
+                CheckPlan(store=store, successors=kind, workers=workers),
             )
             assert (outcome.verified, outcome.complete) == (
                 serial.verified, serial.complete)
@@ -316,10 +313,10 @@ class TestParallelLoopsTwoGraphs:
         unreduced = serial_run(entry.key, "dfs", "full")
         for kind in ("object", "fast"):
             protocol = entry.quorum_model()
+            plan = CheckPlan(reduction=reduction, successors=kind, workers=workers)
             outcome = parallel_dfs_search(
-                protocol, entry.invariant,
-                SearchConfig(successor_engine=kind), workers=workers,
-                reducer=make_reducer(protocol, CheckPlan(reduction=reduction)),
+                protocol, entry.invariant, plan,
+                reducer=make_reducer(protocol, plan),
             )
             assert outcome.verified == unreduced.verified
             if unreduced.verified:

@@ -137,33 +137,10 @@ class TestNormalisation:
 
 class TestDerivedViews:
     def test_search_config_mirrors_the_plan(self):
-        plan = CheckPlan(
-            store="fingerprint",
-            max_depth=3,
-            max_states=10,
-            max_seconds=1.5,
-            stop_at_first_violation=False,
-            check_deadlocks=True,
-            engine_cache_capacity=128,
-        )
-        config = plan.search_config()
-        assert config.stateful
-        assert config.state_store == "fingerprint"
-        assert config.max_depth == 3
-        assert config.max_states == 10
-        assert config.max_seconds == 1.5
-        assert not config.stop_at_first_violation
-        assert config.check_deadlocks
-        assert config.engine_cache_capacity == 128
-
-    def test_stateless_search_config(self):
-        config = CheckPlan(stateful=False).search_config()
-        assert not config.stateful
-
-    def test_store_shards_reach_the_search_config(self):
-        config = CheckPlan(store="sharded-fingerprint", store_shards=32).search_config()
-        assert config.state_store == "sharded-fingerprint"
-        assert config.state_store_shards == 32
+        # The searches take the plan itself; the alias survives only for
+        # the frozen ledger's direct dfs_search calls.
+        plan = CheckPlan(store="fingerprint", max_states=10)
+        assert plan.search_config() is plan
 
     def test_describe_is_compact(self):
         plan = CheckPlan(shape="dfs", reduction="spor", backend="worksteal", workers=4)
@@ -174,11 +151,6 @@ class TestDerivedViews:
         # Invariant renderings stay byte-identical; liveness plans carry an
         # explicit marker so logs and diagnostics distinguish the goal.
         assert CheckPlan(goal="liveness").describe() == "dfs/none/full/auto+liveness"
-
-    def test_fastpath_memo_capacity_reaches_the_search_config(self):
-        config = CheckPlan(fastpath_memo_capacity=64).search_config()
-        assert config.fastpath_memo_capacity == 64
-        assert CheckPlan().search_config().fastpath_memo_capacity is None
 
     def test_axes_round_trip(self):
         plan = CheckPlan(shape="bfs", workers=2)

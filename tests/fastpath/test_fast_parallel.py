@@ -13,7 +13,7 @@ import multiprocessing
 
 import pytest
 
-from repro.checker.search import SearchConfig
+from repro.engine import CheckPlan
 from repro.engine.events import CollectingObserver
 from repro.obs.telemetry import RunTelemetry
 from repro.parallel import parallel_bfs_search, parallel_dfs_search
@@ -24,7 +24,7 @@ pytestmark = pytest.mark.skipif(
     reason="the parallel engines require the fork start method",
 )
 
-FAST = SearchConfig(state_store="fingerprint", successor_engine="fast")
+FAST = CheckPlan(store="fingerprint", successors="fast", workers=2)
 
 
 class TestFastWorksteal:
@@ -32,8 +32,7 @@ class TestFastWorksteal:
         entry = storage_entry(3, 1)
         events = CollectingObserver()
         parallel_dfs_search(
-            entry.quorum_model(), entry.invariant, FAST, workers=2,
-            observer=events,
+            entry.quorum_model(), entry.invariant, FAST, observer=events,
         )
         assert events.counts().get("worker-report") == 2
 
@@ -45,8 +44,7 @@ class TestLiveProgress:
         outcome = parallel_dfs_search(
             entry.quorum_model(),
             entry.invariant,
-            SearchConfig(stop_at_first_violation=False, successor_engine="fast"),
-            workers=2,
+            CheckPlan(stop_at_first_violation=False, successors="fast", workers=2),
             observer=events,
         )
         assert outcome.statistics.states_visited > 1000
@@ -63,8 +61,7 @@ class TestFastFrontier:
         entry = multicast_entry(2, 1, 0, 1)
         events = CollectingObserver()
         outcome = parallel_bfs_search(
-            entry.quorum_model(), entry.invariant, FAST, workers=2,
-            observer=events,
+            entry.quorum_model(), entry.invariant, FAST, observer=events,
         )
         levels = [e for e in events.events if e.kind == "level-completed"]
         assert levels
@@ -80,8 +77,7 @@ class TestFastFrontier:
         telemetry = RunTelemetry()
         outcome = parallel_bfs_search(
             entry.quorum_model(), entry.invariant,
-            SearchConfig(successor_engine=graph), workers=2,
-            telemetry=telemetry,
+            CheckPlan(successors=graph, workers=2), telemetry=telemetry,
         )
         metrics = telemetry.snapshot()["metrics"]
         expansions = metrics["worker_expansions"]

@@ -3,14 +3,15 @@
 The exhaustive object-vs-packed statistics grid lives in
 ``tests/checker/test_stategraph.py`` (one loop, two graphs); this module
 keeps what is specific to the entry points: budgets, the observer stream,
-the ``successor_engine`` knob and network-sensitive invariants.
+the plan's ``successors`` axis and network-sensitive invariants.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.checker.search import SearchConfig, bfs_search, dfs_search
+from repro.checker.search import bfs_search, dfs_search
+from repro.engine import CheckPlan
 from repro.engine.events import CollectingObserver
 from repro.fastpath.search import fast_bfs_search, fast_dfs_search
 from repro.protocols.catalog import multicast_entry, storage_entry
@@ -38,7 +39,7 @@ def assert_outcomes_match(a, b, counts=True):
 class TestSerialDfsTwin:
     def test_budget_truncation_matches(self):
         entry = storage_entry(3, 1)
-        config = SearchConfig(max_states=100)
+        config = CheckPlan(max_states=100)
         slow = dfs_search(entry.quorum_model(), entry.invariant, config=config)
         fast = fast_dfs_search(entry.quorum_model(), entry.invariant, config=config)
         assert not fast.complete
@@ -46,7 +47,7 @@ class TestSerialDfsTwin:
 
     def test_max_depth_matches(self):
         entry = multicast_entry(2, 1, 0, 1)
-        config = SearchConfig(max_depth=3)
+        config = CheckPlan(max_depth=3)
         slow = dfs_search(entry.quorum_model(), entry.invariant, config=config)
         fast = fast_dfs_search(entry.quorum_model(), entry.invariant, config=config)
         assert_outcomes_match(slow, fast)
@@ -82,14 +83,14 @@ class TestObserverStream:
         assert "violation-found" in events.kinds()
 
 
-class TestSearchConfigKnob:
-    """``SearchConfig.successor_engine`` is the drop-in spelling."""
+class TestSuccessorsAxis:
+    """``CheckPlan.successors`` is the drop-in spelling."""
 
     def test_dfs_search_delegates_to_the_fast_path(self):
         entry = multicast_entry(2, 1, 0, 1)
         via_knob = dfs_search(
             entry.quorum_model(), entry.invariant,
-            config=SearchConfig(successor_engine="fast"),
+            config=CheckPlan(successors="fast"),
         )
         direct = fast_dfs_search(entry.quorum_model(), entry.invariant)
         assert_outcomes_match(via_knob, direct)
@@ -98,16 +99,14 @@ class TestSearchConfigKnob:
         entry = multicast_entry(2, 1, 0, 1)
         via_knob = bfs_search(
             entry.quorum_model(), entry.invariant,
-            config=SearchConfig(successor_engine="fast"),
+            config=CheckPlan(successors="fast"),
         )
         direct = fast_bfs_search(entry.quorum_model(), entry.invariant)
         assert_outcomes_match(via_knob, direct)
 
     def test_unknown_engine_kind_is_rejected(self):
-        entry = multicast_entry(2, 1, 0, 1)
-        with pytest.raises(ValueError, match="successor_engine"):
-            dfs_search(entry.quorum_model(), entry.invariant,
-                       config=SearchConfig(successor_engine="warp"))
+        with pytest.raises(ValueError, match="successors"):
+            CheckPlan(successors="warp")
 
     def test_explicit_object_engine_conflicts_with_the_knob(self):
         from repro.mp.semantics import SuccessorEngine
@@ -117,7 +116,7 @@ class TestSearchConfigKnob:
             dfs_search(
                 protocol,
                 multicast_entry(2, 1, 0, 1).invariant,
-                config=SearchConfig(successor_engine="fast"),
+                config=CheckPlan(successors="fast"),
                 engine=SuccessorEngine.for_search(protocol, stateful=True),
             )
 

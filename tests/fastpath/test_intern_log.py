@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checker.search import SearchConfig, run_bfs
+from repro.checker.search import run_bfs
+from repro.engine import CheckPlan
 from repro.checker.stategraph import PackedGraph
 from repro.checker.property import always_true
 from repro.fastpath.compiler import FastSuccessorEngine, InternLog
@@ -94,7 +95,7 @@ def protocol():
 def contents(protocol):
     """Every local state and message the cell's search interns."""
     graph = PackedGraph(protocol)
-    run_bfs(graph, always_true(), SearchConfig(), None, None)
+    run_bfs(graph, always_true(), CheckPlan(), None, None)
     return list(graph.engine._locals), list(graph.engine._msgs)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.checker import SearchConfig
+from repro.checker.stategraph import make_graph
 from repro.engine import CheckPlan
 from repro.engine.registry import run_plan
 from repro.fastpath.compiler import FastSuccessorEngine
@@ -118,7 +118,7 @@ class TestConfigThreading:
         bounded = fast_dfs_search(
             entry.quorum_model(),
             entry.invariant,
-            SearchConfig(fastpath_memo_capacity=1),
+            CheckPlan(fastpath_memo_capacity=1),
         )
         assert bounded.verified == unbounded.verified
         assert (
@@ -132,7 +132,7 @@ class TestConfigThreading:
         bounded = fast_ndfs_search(
             entry.quorum_model(),
             entry.liveness,
-            SearchConfig(fastpath_memo_capacity=1),
+            CheckPlan(fastpath_memo_capacity=1),
         )
         assert bounded.verified == unbounded.verified
         assert (
@@ -141,9 +141,9 @@ class TestConfigThreading:
         )
 
     def test_plan_axis_reaches_the_fast_engine(self):
-        # End to end: plan knob -> SearchConfig -> FastSuccessorEngine.
+        # End to end: plan knob -> packed graph -> FastSuccessorEngine.
         entry = multicast_entry(2, 1, 0, 1)
         plan = CheckPlan(successors="fast", fastpath_memo_capacity=8)
-        assert plan.search_config().fastpath_memo_capacity == 8
+        assert make_graph(entry.quorum_model(), plan).engine.memo_capacity == 8
         result = run_plan(entry.quorum_model(), entry.invariant, plan)
         assert result.verified == (not entry.expect_violation)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.checker.search import SearchConfig, dfs_search
+from repro.checker.search import dfs_search
+from repro.engine import CheckPlan
 from repro.checker.property import always_true
 from repro.mp.semantics import SuccessorEngine
 from repro.mp.semantics import state_graph_edges
@@ -78,12 +79,12 @@ class TestBoundedCaches:
 class TestSearchPlumbing:
     def test_stateless_dfs_with_capacity_matches_unbounded(self, ping_pong_two_rounds):
         unbounded = dfs_search(
-            ping_pong_two_rounds, always_true(), SearchConfig(stateful=False)
+            ping_pong_two_rounds, always_true(), CheckPlan(stateful=False)
         )
         bounded = dfs_search(
             ping_pong_two_rounds,
             always_true(),
-            SearchConfig(stateful=False, engine_cache_capacity=3),
+            CheckPlan(stateful=False, engine_cache_capacity=3),
         )
         assert bounded.verified == unbounded.verified
         assert (
@@ -98,7 +99,7 @@ class TestSearchPlumbing:
         unbounded = DporSearch(ping_pong_two_rounds).run(always_true())
         bounded_search = DporSearch(
             ping_pong_two_rounds,
-            config=SearchConfig(stateful=False, engine_cache_capacity=4),
+            config=CheckPlan(stateful=False, engine_cache_capacity=4),
         )
         assert bounded_search.engine.max_cache_entries == 4
         bounded = bounded_search.run(always_true())

@@ -180,12 +180,12 @@ class TestTelemetryPlumbing:
             == result.statistics.states_visited
 
     def test_direct_search_calls_need_no_telemetry(self):
-        from repro.checker.search import SearchConfig, dfs_search
+        from repro.checker.search import dfs_search
 
         from repro.fastpath.search import fast_dfs_search
 
         outcome = dfs_search(
-            VERIFIED.quorum_model(), VERIFIED.invariant, SearchConfig()
+            VERIFIED.quorum_model(), VERIFIED.invariant, CheckPlan()
         )
         assert outcome.verified
         # Telemetry observes a search and never perturbs it.

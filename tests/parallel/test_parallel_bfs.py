@@ -14,7 +14,6 @@ import multiprocessing
 
 import pytest
 
-from repro.checker import SearchConfig
 from repro.checker.search import bfs_search
 from repro.engine import CheckPlan, run_plan
 from repro.parallel import default_mp_context, parallel_bfs_search
@@ -58,18 +57,16 @@ class TestVerifiedCellParity:
         invariant = entry.invariant
         serial = bfs_search(entry.quorum_model(), invariant)
         parallel = parallel_bfs_search(
-            entry.quorum_model(), invariant, workers=workers
+            entry.quorum_model(), invariant, CheckPlan(workers=workers)
         )
         assert_exact_parity(serial, parallel)
 
     @pytest.mark.parametrize("store", ["full", "fingerprint", "sharded-fingerprint"])
     def test_store_kinds_agree(self, store):
         entry = multicast_entry(2, 1, 0, 1)
-        config = SearchConfig(state_store=store)
+        config = CheckPlan(store=store, workers=2)
         serial = bfs_search(entry.quorum_model(), entry.invariant, config)
-        parallel = parallel_bfs_search(
-            entry.quorum_model(), entry.invariant, config, workers=2
-        )
+        parallel = parallel_bfs_search(entry.quorum_model(), entry.invariant, config)
         assert_exact_parity(serial, parallel)
 
     def test_toy_protocol_parity(self, ping_pong_two_rounds, vote_collection):
@@ -77,18 +74,17 @@ class TestVerifiedCellParity:
 
         for protocol in (ping_pong_two_rounds, vote_collection):
             serial = bfs_search(protocol, always_true())
-            parallel = parallel_bfs_search(protocol, always_true(), workers=3)
+            parallel = parallel_bfs_search(protocol, always_true(),
+                                           CheckPlan(workers=3))
             assert_exact_parity(serial, parallel)
 
     def test_depth_bound_parity(self):
         # Depth bounds apply at level barriers in both engines, so bounded
         # runs are count-exact too.
         entry = storage_entry(3, 1)
-        config = SearchConfig(max_depth=5)
+        config = CheckPlan(max_depth=5, workers=2)
         serial = bfs_search(entry.quorum_model(), entry.invariant, config)
-        parallel = parallel_bfs_search(
-            entry.quorum_model(), entry.invariant, config, workers=2
-        )
+        parallel = parallel_bfs_search(entry.quorum_model(), entry.invariant, config)
         assert not serial.complete and not parallel.complete
         assert_exact_parity(serial, parallel)
 
@@ -102,11 +98,9 @@ class TestOwnerExpands:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_grid_matches_serial(self, workers, store, graph):
         entry = storage_entry(3, 1)
-        config = SearchConfig(state_store=store, successor_engine=graph)
+        config = CheckPlan(store=store, successors=graph, workers=workers)
         serial = bfs_search(entry.quorum_model(), entry.invariant, config)
-        parallel = parallel_bfs_search(
-            entry.quorum_model(), entry.invariant, config, workers=workers
-        )
+        parallel = parallel_bfs_search(entry.quorum_model(), entry.invariant, config)
         assert_exact_parity(serial, parallel)
 
     @pytest.mark.parametrize("graph", ["object", "fast"])
@@ -119,8 +113,8 @@ class TestOwnerExpands:
         telemetry = RunTelemetry()
         outcome = parallel_bfs_search(
             entry.single_model(), entry.invariant,
-            SearchConfig(state_store="fingerprint", successor_engine=graph),
-            workers=2, telemetry=telemetry,
+            CheckPlan(store="fingerprint", successors=graph, workers=2),
+            telemetry=telemetry,
         )
         total = outcome.statistics.enabled_set_computations
         assert total >= 2000
@@ -135,7 +129,7 @@ class TestViolatingCellParity:
         entry = multicast_entry(2, 1, 2, 1)
         serial = bfs_search(entry.quorum_model(), entry.invariant)
         parallel = parallel_bfs_search(
-            entry.quorum_model(), entry.invariant, workers=2
+            entry.quorum_model(), entry.invariant, CheckPlan(workers=2)
         )
         assert not serial.verified and not parallel.verified
         assert serial.counterexample is not None
@@ -149,7 +143,7 @@ class TestViolatingCellParity:
 
         entry = storage_entry(3, 2, wrong_specification=True)
         protocol = entry.quorum_model()
-        outcome = parallel_bfs_search(protocol, entry.invariant, workers=2)
+        outcome = parallel_bfs_search(protocol, entry.invariant, CheckPlan(workers=2))
         counterexample = outcome.counterexample
         assert counterexample is not None
         cursor = counterexample.initial_state
@@ -163,7 +157,7 @@ class TestViolatingCellParity:
         from repro.checker.property import Invariant
 
         never = Invariant(name="never", predicate=lambda state, protocol: False)
-        outcome = parallel_bfs_search(ping_pong, never, workers=2)
+        outcome = parallel_bfs_search(ping_pong, never, CheckPlan(workers=2))
         assert not outcome.verified and not outcome.complete
         assert outcome.counterexample is not None
         assert outcome.counterexample.steps == ()

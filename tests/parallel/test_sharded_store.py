@@ -6,7 +6,8 @@ import pickle
 
 import pytest
 
-from repro.checker.search import SearchConfig, bfs_search, dfs_search
+from repro.checker.search import bfs_search, dfs_search
+from repro.engine import CheckPlan
 from repro.checker.statestore import (
     STORE_KINDS,
     FingerprintStore,
@@ -16,6 +17,7 @@ from repro.checker.statestore import (
     shard_of,
 )
 from repro.mp.semantics import state_graph_edges
+from repro.obs.telemetry import RunTelemetry
 from repro.protocols.multicast import agreement_invariant
 from repro.protocols.catalog import multicast_entry
 
@@ -116,13 +118,16 @@ class TestSearchWithShardedStore:
         entry = multicast_entry(2, 1, 0, 1)
         invariant = agreement_invariant()
         flat = search(
-            entry.quorum_model(), invariant, SearchConfig(state_store="fingerprint")
+            entry.quorum_model(), invariant, CheckPlan(store="fingerprint")
         )
+        telemetry = RunTelemetry()
         sharded = search(
             entry.quorum_model(),
             invariant,
-            SearchConfig(state_store="sharded-fingerprint"),
+            CheckPlan(store="sharded-fingerprint", store_shards=5),
+            telemetry=telemetry,
         )
+        assert len(telemetry.metrics.get("state_store_shard_size").labelled()) == 5
         assert sharded.verified == flat.verified
         assert sharded.statistics.states_visited == flat.statistics.states_visited
         assert (

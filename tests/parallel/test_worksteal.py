@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.checker import SearchConfig
 from repro.checker.property import Invariant
 from repro.checker.search import dfs_search
 from repro.cli import main as cli_main
@@ -111,7 +110,7 @@ class TestCounterexampleDeterminism:
         assert len(serial.counterexample.steps) == voters + 1
         for workers in (1, 2, 4):
             protocol, invariant, _ = build_seeded_violation(seed)
-            outcome = parallel_dfs_search(protocol, invariant, workers=workers)
+            outcome = parallel_dfs_search(protocol, invariant, CheckPlan(workers=workers))
             assert not outcome.verified
             assert outcome.counterexample is not None
             assert len(outcome.counterexample.steps) == len(serial.counterexample.steps)
@@ -119,7 +118,7 @@ class TestCounterexampleDeterminism:
     def test_rebuilt_counterexample_is_a_real_violating_path(self):
         entry = multicast_entry(2, 1, 2, 1)
         protocol = entry.quorum_model()
-        outcome = parallel_dfs_search(protocol, entry.invariant, workers=2)
+        outcome = parallel_dfs_search(protocol, entry.invariant, CheckPlan(workers=2))
         counterexample = outcome.counterexample
         assert counterexample is not None
         cursor = counterexample.initial_state
@@ -134,7 +133,8 @@ class TestEngineSemantics:
     def test_workers_one_is_exactly_the_serial_search(self):
         entry = multicast_entry(2, 1, 0, 1)
         serial = dfs_search(entry.quorum_model(), entry.invariant)
-        delegated = parallel_dfs_search(entry.quorum_model(), entry.invariant, workers=1)
+        delegated = parallel_dfs_search(entry.quorum_model(), entry.invariant,
+                                        CheckPlan(workers=1))
         assert delegated.verified == serial.verified
         assert delegated.statistics.states_visited == serial.statistics.states_visited
         assert delegated.statistics.max_depth == serial.statistics.max_depth
@@ -145,23 +145,23 @@ class TestEngineSemantics:
         monkeypatch.setattr(dfs_module, "default_mp_context", lambda: None)
         entry = multicast_entry(2, 1, 0, 1)
         with pytest.warns(RuntimeWarning, match="fork-capable"):
-            outcome = parallel_dfs_search(entry.quorum_model(), entry.invariant, workers=2)
+            outcome = parallel_dfs_search(entry.quorum_model(), entry.invariant,
+                                          CheckPlan(workers=2))
         assert outcome.verified
         assert outcome.statistics.states_visited == 45
 
     def test_violated_initial_state_short_circuits(self):
         entry = multicast_entry(2, 1, 0, 1)
         never = Invariant(name="never", predicate=lambda _s, _p: False)
-        outcome = parallel_dfs_search(entry.quorum_model(), never, workers=2)
+        outcome = parallel_dfs_search(entry.quorum_model(), never, CheckPlan(workers=2))
         assert not outcome.verified and not outcome.complete
         assert outcome.counterexample is not None
         assert outcome.counterexample.steps == ()
 
     def test_max_states_truncates_without_claiming_completeness(self):
         entry = storage_entry(3, 1)
-        config = SearchConfig(max_states=50)
         outcome = parallel_dfs_search(
-            entry.quorum_model(), entry.invariant, config, workers=2
+            entry.quorum_model(), entry.invariant, CheckPlan(max_states=50, workers=2)
         )
         assert outcome.verified
         assert not outcome.complete
@@ -169,9 +169,8 @@ class TestEngineSemantics:
 
     def test_max_depth_truncates_without_claiming_completeness(self):
         entry = multicast_entry(2, 1, 0, 1)
-        config = SearchConfig(max_depth=3)
         outcome = parallel_dfs_search(
-            entry.quorum_model(), entry.invariant, config, workers=2
+            entry.quorum_model(), entry.invariant, CheckPlan(max_depth=3, workers=2)
         )
         assert outcome.verified
         assert not outcome.complete
@@ -179,10 +178,10 @@ class TestEngineSemantics:
 
     def test_exploration_continues_past_violations_when_asked(self):
         protocol, invariant, _voters = build_seeded_violation(0)
-        config = SearchConfig(stop_at_first_violation=False)
+        config = CheckPlan(stop_at_first_violation=False, workers=2)
         serial = dfs_search(protocol, invariant, config)
         protocol, invariant, _voters = build_seeded_violation(0)
-        outcome = parallel_dfs_search(protocol, invariant, config, workers=2)
+        outcome = parallel_dfs_search(protocol, invariant, config)
         assert not outcome.verified
         assert outcome.complete
         assert outcome.counterexample is not None
@@ -383,8 +382,7 @@ class TestLiveProgress:
             # Exhaustive (no early stop), so the >10k-state cell is
             # guaranteed to cross several PROGRESS_INTERVAL boundaries
             # while the coordinator is still polling.
-            config=SearchConfig(stop_at_first_violation=False),
-            workers=2,
+            config=CheckPlan(stop_at_first_violation=False, workers=2),
             observer=events,
         )
         assert outcome.statistics.states_visited > 1000

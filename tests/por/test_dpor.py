@@ -1,7 +1,8 @@
 """Unit tests for the stateless dynamic POR search."""
 
 from repro.checker.property import Invariant, always_true
-from repro.checker.search import SearchConfig, dfs_search
+from repro.checker.search import dfs_search
+from repro.engine import CheckPlan
 from repro.por.dpor import DporSearch
 from repro.protocols.paxos import PaxosConfig, build_paxos_single, consensus_invariant
 
@@ -17,7 +18,7 @@ class TestVerification:
     def test_explores_no_more_than_plain_stateless_search(self):
         protocol = build_vote_collection(voters=3, quorum=2)
         dpor = DporSearch(protocol).run(always_true())
-        stateless = dfs_search(protocol, always_true(), SearchConfig(stateful=False))
+        stateless = dfs_search(protocol, always_true(), CheckPlan(stateful=False))
         assert dpor.verified and stateless.verified
         assert (
             dpor.statistics.transitions_executed
@@ -57,13 +58,13 @@ class TestVerification:
 class TestBounds:
     def test_max_states_truncates(self):
         protocol = build_vote_collection(voters=3, quorum=2)
-        config = SearchConfig(stateful=False, max_states=10)
+        config = CheckPlan(stateful=False, max_states=10)
         outcome = DporSearch(protocol, config=config).run(always_true())
         assert not outcome.complete
 
     def test_max_depth_truncates(self):
         protocol = build_vote_collection(voters=3, quorum=2)
-        config = SearchConfig(stateful=False, max_depth=1)
+        config = CheckPlan(stateful=False, max_depth=1)
         outcome = DporSearch(protocol, config=config).run(always_true())
         assert not outcome.complete
 

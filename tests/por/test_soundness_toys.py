@@ -97,6 +97,20 @@ class TestTheCounterexampleExists:
         assert not result.verified
         assert result.counterexample is not None
 
+    @pytest.mark.parametrize("engine, axes", [
+        ("serial-dfs", {}),
+        ("serial-bfs", {"shape": "bfs"}),
+        ("worksteal-dfs", {"workers": 2}),
+        ("frontier-bfs", {"shape": "bfs", "workers": 2}),
+        ("dpor", {"reduction": "dpor"}),
+    ])
+    def test_exploring_past_it_is_complete(self, toy, engine, axes):
+        # Every engine that explores the whole space says so, DPOR included.
+        result = check(toy, stop_at_first_violation=False, **axes)
+        assert result.engine == engine
+        assert not result.verified
+        assert result.complete
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
     @pytest.mark.parametrize("successors", ["object", "fast"])
     @pytest.mark.parametrize("seed", UNSOUND_SEEDS)

@@ -2,7 +2,7 @@
 
 from repro.engine import CheckPlan, run_plan
 from repro.checker.property import always_true
-from repro.checker.search import SearchConfig, dfs_search
+from repro.checker.search import dfs_search
 from repro.mp.semantics import apply_execution, enabled_executions
 from repro.por.dependence import DependenceRelation
 from repro.por.stubborn import StubbornSetProvider

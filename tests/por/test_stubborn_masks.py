@@ -24,7 +24,6 @@ from collections import deque
 import pytest
 
 from repro.checker.property import Invariant
-from repro.checker.search import SearchConfig
 from repro.checker.stategraph import ObjectGraph, PackedGraph
 from repro.engine.engines import make_reducer
 from repro.engine.plan import CheckPlan
@@ -220,7 +219,7 @@ def test_reduced_packed_search_decodes_only_for_memo_misses_and_the_counterexamp
     invariant = Invariant(entry.invariant.name, predicate, network_sensitive=False)
     engine = CountingEngine(protocol)
     outcome = fast_dfs_search(
-        protocol, invariant, SearchConfig(successor_engine="fast"),
+        protocol, invariant, CheckPlan(successors="fast"),
         reducer=make_reducer(protocol, CheckPlan(reduction="spor-net")),
         engine=engine,
     )
@@ -240,7 +239,7 @@ def test_custom_reducer_on_the_packed_graph_gets_packed_states_and_the_graph():
         return context.enabled[:1]
 
     fast_dfs_search(protocol, paxos_entry(2, 2, 1).invariant,
-                    SearchConfig(max_states=200), reducer=first_transition_only)
+                    CheckPlan(max_states=200), reducer=first_transition_only)
     assert contexts
     for context in contexts:
         graph = context.graph

@@ -29,7 +29,7 @@ MAX_DEPTH = 64
 def make_graph(config, mode):
     """The walker's ``(graph, holds)`` pair, built the way swarm_search does."""
     plan = CheckPlan(backend="swarm", successors=mode)
-    graph = _walk_graph(build_multicast_quorum(config), plan.search_config())
+    graph = _walk_graph(build_multicast_quorum(config), plan)
     return graph, graph.invariant_checker(agreement_invariant())
 
 
