@@ -12,7 +12,7 @@ the same pipeline as ``python -m repro check --trace-out`` followed by
 Four steps on one Table-I cell:
 
 1. Run the packed fast path and read the run report: core search
-   counters, memo hit/miss/eviction behaviour, per-phase span seconds.
+   counters, memo hit/miss behaviour, per-phase span seconds.
 2. Capture the event stream of a second run to JSONL.
 3. Convert the capture to a Chrome trace-event file and validate it.
 4. Compact the snapshot with ``telemetry_block`` — the subset that
@@ -50,8 +50,7 @@ def main() -> None:
           f"{result.outcome_label()} — "
           f"{result.statistics.states_visited} states")
     for name in ("states_visited", "transitions_executed",
-                 "fastpath_memo_hits", "fastpath_memo_misses",
-                 "fastpath_memo_evictions"):
+                 "fastpath_memo_hits", "fastpath_memo_misses"):
         print(f"    {name:28s} = {metrics[name]['total']}")
     for span in result.telemetry["spans"]["finished"]:
         indent = "  " * span["depth"]

@@ -94,7 +94,6 @@ TELEMETRY_BLOCK_METRICS = (
     "state_store_size",
     "fastpath_memo_hits",
     "fastpath_memo_misses",
-    "fastpath_memo_evictions",
     "worksteal_steals",
     "worksteal_publishes",
     "swarm_walks_completed",

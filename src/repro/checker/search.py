@@ -68,7 +68,6 @@ class SearchOutcome:
     complete: bool
     counterexample: Optional[Counterexample]
     statistics: SearchStatistics
-    deadlock_states: int = 0
     incomplete_reason: Optional[str] = None
 
 
@@ -165,10 +164,7 @@ def run_dfs(
     start_time = time.perf_counter()
 
     stateful = config.stateful
-    store = (
-        graph.make_store(config.store, config.store_shards)
-        if stateful else NullStateStore()
-    )
+    store = graph.make_store(config.store) if stateful else NullStateStore()
     holds = graph.invariant_checker(invariant)
     enabled_of, successor_of, key = graph.enabled, graph.successor, graph.exact_key
     store_add = store.add
@@ -183,7 +179,6 @@ def run_dfs(
     counterexample: Optional[Counterexample] = None
     verified = True
     complete = True
-    deadlock_states = 0
 
     def finish() -> SearchOutcome:
         statistics.elapsed_seconds = time.perf_counter() - start_time
@@ -195,7 +190,6 @@ def run_dfs(
             complete=complete and verified if config.stop_at_first_violation else complete,
             counterexample=counterexample,
             statistics=statistics,
-            deadlock_states=deadlock_states,
         )
 
     if not holds(initial):
@@ -213,9 +207,6 @@ def run_dfs(
         """Set the (possibly reduced) executions to explore from a frame."""
         enabled = enabled_of(frame.state)
         statistics.enabled_set_computations += 1
-        if config.check_deadlocks and not enabled:
-            nonlocal deadlock_states
-            deadlock_states += 1
         if reduce is None or len(enabled) <= 1:
             statistics.full_expansions += 1
             frame.pending = enabled
@@ -328,7 +319,7 @@ def run_bfs(
     statistics = SearchStatistics()
     start_time = time.perf_counter()
 
-    store = graph.make_store(config.store, config.store_shards)
+    store = graph.make_store(config.store)
     holds = graph.invariant_checker(invariant)
     enabled_of, successor_of, key = graph.enabled, graph.successor, graph.exact_key
     decode = graph.decode

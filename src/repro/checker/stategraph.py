@@ -127,7 +127,7 @@ class StateGraph:
             getattr(prop, "network_sensitive", True),
         )
 
-    def make_store(self, kind: str, shards: int):
+    def make_store(self, kind: str):
         """A visited-state store (``add`` / ``len``) over this graph's states."""
         raise NotImplementedError
 
@@ -183,8 +183,7 @@ class ObjectGraph(StateGraph):
     ``stateful`` picks the engine's memory model the way
     :meth:`SuccessorEngine.for_search` does: a stateful search expands each
     state once and gets a pass-through engine, a stateless search (or a
-    random walker) revisits constantly and gets the caching one, bounded by
-    ``cache_capacity``.
+    random walker) revisits constantly and gets the caching one.
     """
 
     decode = encode = execution_of = exact_key = staticmethod(_identity)
@@ -192,13 +191,11 @@ class ObjectGraph(StateGraph):
     make_store = staticmethod(make_state_store)
 
     def __init__(self, protocol: Protocol, engine: Optional[SuccessorEngine] = None,
-                 stateful: bool = True, cache_capacity: Optional[int] = None) -> None:
+                 stateful: bool = True) -> None:
         if engine is not None and engine.protocol is not protocol:
             raise ValueError("successor engine was built for a different protocol")
         self.protocol = protocol
-        self.engine = engine or SuccessorEngine.for_search(
-            protocol, stateful, max_cache_entries=cache_capacity
-        )
+        self.engine = engine or SuccessorEngine.for_search(protocol, stateful)
         self.initial = self.engine.initial_state()
         self.enabled = self.engine.enabled
         self.successor = self.engine.successor
@@ -226,21 +223,19 @@ class PackedGraph(StateGraph):
     """The graph of packed word tuples (:mod:`repro.fastpath`).
 
     Compiles the protocol under a ``compile`` span unless handed a
-    ``FastSuccessorEngine``; ``memo_capacity`` LRU-bounds the engine's memo
-    tables and every predicate memo alike.
+    ``FastSuccessorEngine``.
     """
 
     exact_key = transition_index = itemgetter(0)
     fingerprint = itemgetter(3)
 
-    def __init__(self, protocol: Protocol, engine=None,
-                 memo_capacity: Optional[int] = None, telemetry=None) -> None:
+    def __init__(self, protocol: Protocol, engine=None, telemetry=None) -> None:
         # Imported lazily: repro.fastpath builds on the checker package.
         from ..fastpath.compiler import FastSuccessorEngine
 
         if engine is None:
             with maybe_span(telemetry, "compile", protocol=protocol.name):
-                engine = FastSuccessorEngine(protocol, memo_capacity=memo_capacity)
+                engine = FastSuccessorEngine(protocol)
         elif not isinstance(engine, FastSuccessorEngine):
             raise ValueError(
                 "the packed graph runs over a FastSuccessorEngine (or "
@@ -250,7 +245,6 @@ class PackedGraph(StateGraph):
             raise ValueError("fast successor engine was built for a different protocol")
         self.protocol = protocol
         self.engine = engine
-        self.memo_capacity = memo_capacity
         self.initial = engine.initial_packed()
         self.enabled = engine.enabled_packed
         self.successor = engine.successor_packed
@@ -264,14 +258,12 @@ class PackedGraph(StateGraph):
     def predicate(self, evaluate, network_sensitive=True):
         from ..fastpath.search import _memoised_predicate
 
-        return _memoised_predicate(
-            self.engine, evaluate, network_sensitive, self.memo_capacity
-        )
+        return _memoised_predicate(self.engine, evaluate, network_sensitive)
 
-    def make_store(self, kind, shards):
+    def make_store(self, kind):
         from ..fastpath.search import _PackedStore
 
-        return _PackedStore(kind, shards)
+        return _PackedStore(kind)
 
     def record(self, telemetry) -> None:
         telemetry.record_fastpath(self.engine)
@@ -281,8 +273,8 @@ def make_graph(protocol: Protocol, config: CheckPlan, engine=None, telemetry=Non
                stateful: bool = True) -> StateGraph:
     """The graph the plan's ``successors`` axis names, over ``engine`` if given."""
     if config.successors == "fast":
-        return PackedGraph(protocol, engine, config.fastpath_memo_capacity, telemetry)
-    return ObjectGraph(protocol, engine, stateful, config.engine_cache_capacity)
+        return PackedGraph(protocol, engine, telemetry)
+    return ObjectGraph(protocol, engine, stateful)
 
 
 def replay_path(graph: StateGraph, path: Sequence[int],

@@ -90,8 +90,9 @@ class FingerprintStore(StateStore):
 
     A hash collision makes the search believe an unvisited state was already
     seen, so verification results obtained with this store are best-effort.
-    The bundled benchmarks use :class:`FullStateStore`; this class exists for
-    exploring larger instances where memory is the binding constraint.
+    :class:`FullStateStore` is the default; this one is for larger instances
+    where memory is the binding constraint (the ledger's ``exhaustive_fast``
+    and ``parallel_2w`` workloads run on it).
     """
 
     def __init__(self) -> None:
@@ -181,19 +182,15 @@ class NullStateStore(StateStore):
 STORE_KINDS = ("full", "fingerprint", "sharded-fingerprint", "none")
 
 
-def make_state_store(kind: str, shards: int = 8) -> StateStore:
-    """Factory: ``"full"``, ``"fingerprint"``, ``"sharded-fingerprint"`` or ``"none"``.
-
-    Args:
-        kind: One of :data:`STORE_KINDS`.
-        shards: Shard count for the sharded store (ignored by other kinds).
-    """
+def make_state_store(kind: str) -> StateStore:
+    """Factory: one of :data:`STORE_KINDS` (``"full"``, ``"fingerprint"``,
+    ``"sharded-fingerprint"`` or ``"none"``)."""
     if kind == "full":
         return FullStateStore()
     if kind == "fingerprint":
         return FingerprintStore()
     if kind == "sharded-fingerprint":
-        return ShardedFingerprintStore(num_shards=shards)
+        return ShardedFingerprintStore()
     if kind == "none":
         return NullStateStore()
     raise ValueError(f"unknown state store kind: {kind!r}")

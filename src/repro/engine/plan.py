@@ -138,19 +138,8 @@ class CheckPlan:
             per-state constant.
         seed_heuristic: Seed-transition heuristic for the stubborn-set
             reductions; ignored by the others.
-        store_shards: Shard count of the ``"sharded-fingerprint"`` store in
-            the serial engines.  The parallel engines partition by worker
-            (frontier BFS: one shard per worker) or claim by fingerprint
-            (worksteal), so they do not consult it.
         max_depth / max_states / max_seconds: Exploration budgets.
         stop_at_first_violation: Stop at the first counterexample.
-        check_deadlocks: Treat states without enabled transitions as
-            violations.
-        engine_cache_capacity: LRU bound for the successor-engine caches.
-        fastpath_memo_capacity: LRU bound for the packed fast path's
-            per-transition guard/action memo tables and the property-verdict
-            memo (per memo table; ``None`` keeps them unbounded, which is
-            fine for the bundled protocols' small local-state spaces).
         goal: ``"invariant"`` or ``"liveness"`` — what kind of property the
             run checks.  Liveness plans are served by the nested-DFS
             engines; the goal must match the property object handed to
@@ -190,14 +179,10 @@ class CheckPlan:
     stateful: bool = True
     successors: str = "object"
     seed_heuristic: str = "opposite-transaction"
-    store_shards: int = 8
     max_depth: Optional[int] = None
     max_states: Optional[int] = None
     max_seconds: Optional[float] = None
     stop_at_first_violation: bool = True
-    check_deadlocks: bool = False
-    engine_cache_capacity: Optional[int] = None
-    fastpath_memo_capacity: Optional[int] = None
     goal: str = "invariant"
     walks: Optional[int] = None
     walk_seed: Optional[int] = None

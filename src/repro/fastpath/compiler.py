@@ -55,7 +55,6 @@ import pickle
 import struct
 import weakref
 from bisect import bisect_left
-from collections import OrderedDict
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -133,11 +132,9 @@ class CompiledTransition:
         self.guard = spec.guard
         self.action = spec.action
         #: ``(local id, candidate ids) -> ready packed executions``.
-        #: An ``OrderedDict`` so the engine can run it as an LRU when a
-        #: ``memo_capacity`` is configured (plain-dict cost when unbounded).
-        self.enabled_memo: "OrderedDict[Tuple, Tuple[PackedExecution, ...]]" = OrderedDict()
+        self.enabled_memo: Dict[Tuple, Tuple[PackedExecution, ...]] = {}
         #: ``(local id, consumed ids, spec ids) -> effect``.
-        self.action_memo: "OrderedDict[Tuple, ActionEffect]" = OrderedDict()
+        self.action_memo: Dict[Tuple, ActionEffect] = {}
         #: Per message id: 0, or — the message being a consumption candidate
         #: — its sender's ``protocol.sender_index`` bit.  Grown lazily in
         #: lockstep with the engine's message table.
@@ -255,24 +252,11 @@ class FastSuccessorEngine:
         "_net_contrib_memo",
         "_exec_memo",
         "_log",
-        "memo_capacity",
-        "memo_evictions",
         "memo_hits",
         "memo_misses",
     )
 
-    def __init__(self, protocol: Protocol,
-                 memo_capacity: Optional[int] = None) -> None:
-        if memo_capacity is not None and memo_capacity < 1:
-            raise ValueError("memo_capacity must be at least 1 (or None)")
-        #: LRU bound applied to each per-transition guard/action memo table
-        #: (``None`` keeps them unbounded).  The interning tables themselves
-        #: are never evicted — packed words reference ids forever — but the
-        #: derived memo tables may grow with the product of local states and
-        #: in-flight message combinations, which is what the bound caps.
-        self.memo_capacity = memo_capacity
-        #: Total entries evicted across all memo tables (diagnostics/tests).
-        self.memo_evictions = 0
+    def __init__(self, protocol: Protocol) -> None:
         #: Guard/action memo lookups served from the tables vs computed.
         self.memo_hits = 0
         self.memo_misses = 0
@@ -408,16 +392,14 @@ class FastSuccessorEngine:
         """Guard/action memo behaviour over this engine's lifetime.
 
         ``hits``/``misses`` count lookups across both the enabled-set and
-        action memos; ``evictions`` counts LRU drops when
-        ``memo_capacity`` bounds the tables; ``entries`` is the current
-        resident total.  Surfaced through the metrics registry into
-        every ``--json`` record's telemetry block.
+        action memos; ``entries`` is the current resident total.  Surfaced
+        through the metrics registry into every ``--json`` record's
+        telemetry block.
         """
         sizes = self.table_sizes()
         return {
             "hits": self.memo_hits,
             "misses": self.memo_misses,
-            "evictions": self.memo_evictions,
             "entries": sizes["enabled_entries"] + sizes["action_entries"],
         }
 
@@ -512,16 +494,8 @@ class FastSuccessorEngine:
                     for consumed in self._compute_enabled(transition, key[0], key[1])
                 )
                 transition.enabled_memo[key] = executions
-                if (
-                    self.memo_capacity is not None
-                    and len(transition.enabled_memo) > self.memo_capacity
-                ):
-                    transition.enabled_memo.popitem(last=False)
-                    self.memo_evictions += 1
             else:
                 self.memo_hits += 1
-                if self.memo_capacity is not None:
-                    transition.enabled_memo.move_to_end(key)
             result += executions
         return tuple(result)
 
@@ -605,16 +579,8 @@ class FastSuccessorEngine:
             self.memo_misses += 1
             effect = self._apply_action(transition, words, execution[1])
             transition.action_memo[key] = effect
-            if (
-                self.memo_capacity is not None
-                and len(transition.action_memo) > self.memo_capacity
-            ):
-                transition.action_memo.popitem(last=False)
-                self.memo_evictions += 1
         else:
             self.memo_hits += 1
-            if self.memo_capacity is not None:
-                transition.action_memo.move_to_end(key)
         new_local_id, lhash_change, changes = effect
 
         out = list(words)

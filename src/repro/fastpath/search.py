@@ -26,7 +26,7 @@ fingerprint, which is bit-identical to ``GlobalState.fingerprint()``.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..checker.property import Invariant
 from ..checker.search import SearchOutcome, run_bfs, run_dfs, run_ndfs
@@ -44,13 +44,13 @@ class _PackedStore:
 
     __slots__ = ("kind", "_words", "_fingerprints", "_sharded")
 
-    def __init__(self, kind: str, shards: int) -> None:
+    def __init__(self, kind: str) -> None:
         self.kind = kind
         self._words: Set[Tuple[int, ...]] = set()
         self._fingerprints: Set[int] = set()
         self._sharded: Optional[ShardedFingerprintStore] = None
         if kind == "sharded-fingerprint":
-            self._sharded = ShardedFingerprintStore(num_shards=shards)
+            self._sharded = ShardedFingerprintStore()
         elif kind not in ("full", "fingerprint"):
             raise ValueError(f"unknown packed store kind: {kind!r}")
 
@@ -88,22 +88,17 @@ def _memoised_predicate(
     engine: FastSuccessorEngine,
     evaluate: Callable[[GlobalState], bool],
     network_sensitive: bool,
-    capacity: Optional[int] = None,
 ) -> Callable[[PackedState], bool]:
     """Packed evaluation of a state predicate, memoised per locals vector
-    when sound (``network_sensitive=False``), optionally LRU-bounded."""
+    when sound (``network_sensitive=False``)."""
     if network_sensitive:
         def check_sensitive(packed: PackedState) -> bool:
             return bool(evaluate(engine.decode(packed)))
 
         return check_sensitive
 
-    if capacity is not None and capacity < 1:
-        raise ValueError("memo capacity must be at least 1 (or None)")
     count = engine.num_processes
-    from collections import OrderedDict
-
-    memo: "OrderedDict[Tuple[int, ...], bool]" = OrderedDict()
+    memo: Dict[Tuple[int, ...], bool] = {}
 
     def check(packed: PackedState) -> bool:
         key = packed[0][:count]
@@ -111,10 +106,6 @@ def _memoised_predicate(
         if verdict is None:
             verdict = bool(evaluate(engine.decode(packed)))
             memo[key] = verdict
-            if capacity is not None and len(memo) > capacity:
-                memo.popitem(last=False)
-        elif capacity is not None:
-            memo.move_to_end(key)
         return verdict
 
     return check
@@ -122,15 +113,13 @@ def _memoised_predicate(
 
 def make_invariant_checker(
     engine: FastSuccessorEngine, invariant: Invariant, protocol: Protocol,
-    capacity: Optional[int] = None,
 ) -> Callable[[PackedState], bool]:
     """Packed invariant evaluation, memoised per locals vector when sound.
 
     Invariants declaring ``network_sensitive=False`` read process states
     only, so their verdict is a pure function of the locals word prefix —
     the memo turns per-state evaluation into one dict lookup.  Sensitive
-    (or undeclared, the safe default) invariants decode every state.
-    ``capacity`` LRU-bounds the memo (``None`` keeps it unbounded).  Works
+    (or undeclared, the safe default) invariants decode every state.  Works
     for any property exposing ``holds_in``/``network_sensitive`` — liveness
     goals (:class:`~repro.checker.property.Eventually`) reuse it.
     """
@@ -138,7 +127,6 @@ def make_invariant_checker(
         engine,
         lambda state: invariant.holds_in(state, protocol),
         getattr(invariant, "network_sensitive", True),
-        capacity,
     )
 
 
@@ -153,7 +141,7 @@ def fast_dfs_search(
 ) -> SearchOutcome:
     """``dfs_search`` over the packed graph, whatever ``config.successors`` says."""
     config = config or CheckPlan()
-    graph = PackedGraph(protocol, engine, config.fastpath_memo_capacity, telemetry)
+    graph = PackedGraph(protocol, engine, telemetry)
     return run_dfs(graph, invariant, config, reducer, observer, telemetry)
 
 
@@ -167,7 +155,7 @@ def fast_bfs_search(
 ) -> SearchOutcome:
     """``bfs_search`` over the packed graph, whatever ``config.successors`` says."""
     config = config or CheckPlan()
-    graph = PackedGraph(protocol, engine, config.fastpath_memo_capacity, telemetry)
+    graph = PackedGraph(protocol, engine, telemetry)
     return run_bfs(graph, invariant, config, observer, telemetry)
 
 
@@ -181,5 +169,5 @@ def fast_ndfs_search(
 ) -> SearchOutcome:
     """``ndfs_search`` over the packed graph, whatever ``config.successors`` says."""
     config = config or CheckPlan()
-    graph = PackedGraph(protocol, engine, config.fastpath_memo_capacity, telemetry)
+    graph = PackedGraph(protocol, engine, telemetry)
     return run_ndfs(graph, prop, config, observer, telemetry)

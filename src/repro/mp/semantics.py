@@ -23,7 +23,6 @@ dictionary lookups instead of a full semantics recomputation.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .channel import Network
@@ -203,86 +202,45 @@ class SuccessorEngine:
     The layers retain references to every state they see, which is exactly
     right for stateless search (states are revisited constantly and the
     reachable set bounds the tables) but would defeat the memory model of a
-    stateful search over a fingerprint store.  :func:`for_search` picks the
-    appropriate configuration; stateful searches get a pass-through engine
-    and keep their per-frame memoisation instead.
-
-    On instances whose reachable set is itself too large to hold, the two
-    derived caches can be bounded with ``max_cache_entries``: both become
-    LRU maps of at most that many states, evicting the least recently used
-    entry on overflow.  The interner is intentionally left unbounded — it
-    deduplicates rather than duplicates memory — while the enabled-set and
-    successor tables (which hold tuples and edge maps per state) are the
-    ones that grow without bound on long stateless runs.
+    stateful search over a fingerprint store.  ``caching=False`` turns all
+    three layers off at once — a pass-through engine — and :func:`for_search`
+    picks it for stateful searches, which keep their per-frame memoisation
+    instead.
     """
 
     __slots__ = (
         "protocol",
+        "caching",
         "interner",
-        "cache_successors",
-        "cache_enabled_sets",
-        "max_cache_entries",
         "_enabled_cache",
         "_successor_cache",
         "enabled_hits",
         "enabled_misses",
-        "enabled_evictions",
         "successor_hits",
         "successor_misses",
-        "successor_evictions",
     )
 
-    def __init__(
-        self,
-        protocol: Protocol,
-        interner: Optional[StateInterner] = None,
-        cache_successors: bool = True,
-        cache_enabled_sets: bool = True,
-        intern_states: bool = True,
-        max_cache_entries: Optional[int] = None,
-    ) -> None:
-        if max_cache_entries is not None and max_cache_entries < 1:
-            raise ValueError("max_cache_entries must be at least 1 (or None)")
+    def __init__(self, protocol: Protocol, caching: bool = True) -> None:
         self.protocol = protocol
-        if interner is not None:
-            self.interner = interner
-        else:
-            self.interner = StateInterner() if intern_states else None
-        self.cache_successors = cache_successors
-        self.cache_enabled_sets = cache_enabled_sets
-        self.max_cache_entries = max_cache_entries
-        self._enabled_cache: "OrderedDict[GlobalState, Tuple[Execution, ...]]" = OrderedDict()
-        self._successor_cache: "OrderedDict[GlobalState, Dict[Execution, GlobalState]]" = OrderedDict()
+        self.caching = caching
+        self.interner = StateInterner() if caching else None
+        self._enabled_cache: Dict[GlobalState, Tuple[Execution, ...]] = {}
+        self._successor_cache: Dict[GlobalState, Dict[Execution, GlobalState]] = {}
         self.enabled_hits = 0
         self.enabled_misses = 0
-        self.enabled_evictions = 0
         self.successor_hits = 0
         self.successor_misses = 0
-        self.successor_evictions = 0
 
     @classmethod
-    def for_search(
-        cls,
-        protocol: Protocol,
-        stateful: bool,
-        max_cache_entries: Optional[int] = None,
-    ) -> "SuccessorEngine":
+    def for_search(cls, protocol: Protocol, stateful: bool) -> "SuccessorEngine":
         """Engine configured for a search's memory model.
 
         Stateful searches expand each state exactly once and already retain
-        states in their store (or deliberately only fingerprints), so every
-        caching layer is disabled; stateless searches revisit states along
-        every interleaving and get the full engine, optionally bounded by
-        ``max_cache_entries`` (see the class docstring).
+        states in their store (or deliberately only fingerprints), so they
+        get the pass-through engine; stateless searches revisit states along
+        every interleaving and get the caching one.
         """
-        if stateful:
-            return cls(
-                protocol,
-                cache_successors=False,
-                cache_enabled_sets=False,
-                intern_states=False,
-            )
-        return cls(protocol, max_cache_entries=max_cache_entries)
+        return cls(protocol, caching=not stateful)
 
     def intern(self, state: GlobalState) -> GlobalState:
         """Return the canonical interned object for ``state``."""
@@ -296,46 +254,30 @@ class SuccessorEngine:
 
     def enabled(self, state: GlobalState) -> Tuple[Execution, ...]:
         """All enabled executions in ``state``, cached per interned state."""
-        if not self.cache_enabled_sets:
+        if not self.caching:
             return enabled_executions(state, self.protocol)
         cached = self._enabled_cache.get(state)
         if cached is not None:
             self.enabled_hits += 1
-            if self.max_cache_entries is not None:
-                self._enabled_cache.move_to_end(state)
             return cached
         computed = enabled_executions(state, self.protocol)
         self._enabled_cache[state] = computed
         self.enabled_misses += 1
-        if (
-            self.max_cache_entries is not None
-            and len(self._enabled_cache) > self.max_cache_entries
-        ):
-            self._enabled_cache.popitem(last=False)
-            self.enabled_evictions += 1
         return computed
 
     def successor(self, state: GlobalState, execution: Execution) -> GlobalState:
         """The interned successor of ``state`` under ``execution``."""
-        if not self.cache_successors:
-            return self.intern(apply_execution(state, execution))
+        if not self.caching:
+            return apply_execution(state, execution)
         per_state = self._successor_cache.get(state)
         if per_state is None:
             per_state = {}
             self._successor_cache[state] = per_state
-            if (
-                self.max_cache_entries is not None
-                and len(self._successor_cache) > self.max_cache_entries
-            ):
-                self._successor_cache.popitem(last=False)
-                self.successor_evictions += 1
-        elif self.max_cache_entries is not None:
-            self._successor_cache.move_to_end(state)
         cached = per_state.get(execution)
         if cached is not None:
             self.successor_hits += 1
             return cached
-        computed = self.intern(apply_execution(state, execution))
+        computed = self.interner.intern(apply_execution(state, execution))
         per_state[execution] = computed
         self.successor_misses += 1
         return computed
@@ -346,13 +288,6 @@ class SuccessorEngine:
             "interned_states": len(self.interner) if self.interner is not None else 0,
             "enabled_sets": len(self._enabled_cache),
             "successor_edges": sum(len(edges) for edges in self._successor_cache.values()),
-        }
-
-    def eviction_counts(self) -> Dict[str, int]:
-        """LRU evictions per cache; all zero when ``max_cache_entries`` is None."""
-        return {
-            "enabled_sets": self.enabled_evictions,
-            "successor_states": self.successor_evictions,
         }
 
 

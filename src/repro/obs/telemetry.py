@@ -146,9 +146,6 @@ class RunTelemetry:
             self.metrics.counter(
                 "fastpath_memo_misses", "guard/action memo misses"
             ).inc(stats.get("misses", 0))
-            self.metrics.counter(
-                "fastpath_memo_evictions", "LRU evictions from bounded memos"
-            ).inc(stats.get("evictions", 0))
 
     def record_worksteal(
         self,

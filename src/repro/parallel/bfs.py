@@ -114,8 +114,6 @@ def parallel_bfs_search(
     protocol: Protocol,
     invariant: Invariant,
     config: CheckPlan,
-    mp_context=None,
-    worker_timeout: Optional[float] = None,
     observer: Optional[Observer] = None,
     telemetry=None,
 ) -> SearchOutcome:
@@ -130,15 +128,13 @@ def parallel_bfs_search(
             shard count; 1 delegates to the serial :func:`bfs_search`).
             The ``chaos`` / ``supervise`` / ``checkpoint_dir`` /
             ``checkpoint_every`` / ``resume_from`` knobs drive the fault
-            tolerance documented in the module docstring.
-        mp_context: Multiprocessing context; defaults to ``fork``.  Without
-            a fork-capable platform the search falls back to serial.
-        worker_timeout: Optional hard cap per level barrier.  By default the
-            coordinator waits for as long as every worker process is alive
-            (an arbitrarily long level is progress, not a hang; crashed
-            workers are detected through their process sentinels), so large
-            cells never abort spuriously.  Prefer ``config.max_seconds`` for
-            budgeting the search as a whole.
+            tolerance documented in the module docstring.  Workers are
+            forked (without a fork-capable platform the search falls back
+            to serial), and the coordinator waits at each level barrier for
+            as long as every worker process is alive: an arbitrarily long
+            level is progress, not a hang, and a crashed worker is detected
+            through its process sentinel.  ``max_seconds`` budgets the
+            search as a whole.
         observer: Optional coordinator-side event observer; receives one
             ``level-completed`` event per level barrier (``deltas`` counts
             the states that crossed a process boundary), one
@@ -159,7 +155,7 @@ def parallel_bfs_search(
     if workers <= 1:
         return bfs_search(protocol, invariant, config, observer=observer,
                           telemetry=telemetry)
-    context = mp_context if mp_context is not None else default_mp_context()
+    context = default_mp_context()
     if context is None:
         warnings.warn(
             "parallel_bfs_search requires a fork-capable platform; "
@@ -354,7 +350,7 @@ def parallel_bfs_search(
         while True:
             try:
                 return collect_replies(
-                    result_queue, workers, phase, worker_timeout, processes,
+                    result_queue, workers, phase, None, processes,
                     replies,
                 )
             except WorkerCrashError as crash:

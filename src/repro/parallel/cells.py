@@ -103,7 +103,6 @@ def run_cell(spec: CellSpec, observer: Optional[Observer] = None) -> Dict:
 def run_cells(
     specs: Sequence[CellSpec],
     workers: Optional[int] = None,
-    mp_context=None,
     observer: Optional[Observer] = None,
 ) -> List[Dict]:
     """Run a batch of cells, optionally across a process pool.
@@ -112,7 +111,6 @@ def run_cells(
         specs: The cells to run.
         workers: Pool size; ``None``, 0 or 1 runs the cells serially in
             this process.  Results always come back in ``specs`` order.
-        mp_context: Multiprocessing context override (tests use this).
         observer: Optional engine-event observer.  Observers are plain
             objects and cannot cross a process boundary, so attaching one
             forces the serial loop (every cell's events then arrive in
@@ -129,8 +127,7 @@ def run_cells(
         # processes, so inner-parallel cells run in this process, one at a
         # time — the two axes compose as inner × outer, not inner ∧ outer.
         return [run_cell(spec) for spec in specs]
-    context = mp_context if mp_context is not None else multiprocessing.get_context()
-    with context.Pool(min(workers, len(specs))) as pool:
+    with multiprocessing.get_context().Pool(min(workers, len(specs))) as pool:
         return pool.map(run_cell, specs)
 
 

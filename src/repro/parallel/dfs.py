@@ -123,7 +123,6 @@ _STAT_KEYS = (
     "full_expansions",
     "reduced_expansions",
     "max_depth",
-    "deadlock_states",
     "claimed",
 )
 
@@ -204,8 +203,6 @@ def _worksteal_worker(
             enabled = enabled_of(frame.state)
             stats["enabled_set_computations"] += 1
             frame.enabled = enabled
-            if config.check_deadlocks and not enabled:
-                stats["deadlock_states"] += 1
             if reduce is None or len(enabled) <= 1:
                 stats["full_expansions"] += 1
                 frame.pending = tuple(range(len(enabled)))
@@ -365,10 +362,6 @@ def parallel_dfs_search(
     invariant: Invariant,
     config: CheckPlan,
     reducer: Optional[Reducer] = None,
-    mp_context=None,
-    worker_timeout: Optional[float] = None,
-    claim_capacity: Optional[int] = None,
-    claim_stripes: Optional[int] = None,
     observer: Optional[Observer] = None,
     telemetry=None,
 ) -> SearchOutcome:
@@ -388,17 +381,8 @@ def parallel_dfs_search(
             :class:`ValueError` (see the module docstring).
         reducer: Optional partial-order reducer (e.g. a pre-built
             :class:`~repro.por.stubborn.StubbornSetProvider`'s ``reduce``),
-            inherited by every worker via ``fork``.
-        mp_context: Multiprocessing context; defaults to ``fork``.  Without
-            a fork-capable platform the search falls back to serial.
-        worker_timeout: Optional hard wall-clock cap; on expiry the run
-            fails with :class:`RuntimeError` (prefer ``config.max_seconds``
-            for budgeting, which truncates gracefully).
-        claim_capacity: Total slot count of the shared claim table
-            (default ``2**20``, or four times ``config.max_states`` when
-            that is larger).
-        claim_stripes: Lock stripes of the claim table (default scales with
-            the worker count).
+            inherited by every worker via ``fork`` (without a fork-capable
+            platform the search falls back to serial).
         observer: Optional coordinator-side event observer; receives one
             ``worker-report`` event per worker (claimed states, steals-side
             counters) plus ``violation-found`` events.  When attached, the
@@ -428,7 +412,7 @@ def parallel_dfs_search(
     if workers <= 1:
         return dfs_search(protocol, invariant, config, reducer=reducer,
                           observer=observer, telemetry=telemetry)
-    context = mp_context if mp_context is not None else default_mp_context()
+    context = default_mp_context()
     if context is None:
         warnings.warn(
             "parallel_dfs_search requires a fork-capable platform; "
@@ -459,13 +443,10 @@ def parallel_dfs_search(
         )
         return SearchOutcome(False, False, counterexample, statistics)
 
-    capacity = claim_capacity
-    if capacity is None:
-        capacity = 1 << 20
-        if config.max_states is not None:
-            capacity = max(capacity, 4 * config.max_states)
-    stripes = claim_stripes if claim_stripes is not None else max(16, 4 * workers)
-    table = StripedClaimTable(capacity=capacity, stripes=stripes, mp_context=context)
+    # 2**20 claim slots, or four per budgeted state when that is more.
+    capacity = max(1 << 20, 4 * (config.max_states or 0))
+    table = StripedClaimTable(capacity=capacity, stripes=max(16, 4 * workers),
+                              mp_context=context)
     table.add_fingerprint(initial_fp)
 
     verified = True
@@ -473,7 +454,6 @@ def parallel_dfs_search(
     truncated = False
     incomplete_reason: Optional[str] = None
     counterexample: Optional[Counterexample] = None
-    deadlock_states = 0
     manager = context.Manager()
     processes = []
     deques = None
@@ -521,15 +501,9 @@ def parallel_dfs_search(
         for process in processes:
             process.start()
 
-        deadline = None if worker_timeout is None else start_time + worker_timeout
         last_progress = 1
         last_rows = [None] * workers
         while not (deques.done.is_set() or deques.stop.is_set()):
-            if deadline is not None and time.perf_counter() > deadline:
-                deques.stop.set()
-                raise RuntimeError(
-                    "parallel_dfs_search: timed out waiting for the workers"
-                )
             if config.max_seconds is not None:
                 if time.perf_counter() - start_time > config.max_seconds:
                     truncated = True
@@ -559,14 +533,9 @@ def parallel_dfs_search(
                          idle_seconds=idle)
             deques.done.wait(0.05)
 
-        # Hand collect_replies the *remaining* budget so worker_timeout is
-        # one hard cap over the whole run, not one per phase.
-        remaining = None
-        if deadline is not None:
-            remaining = max(0.1, deadline - time.perf_counter())
         try:
             replies = collect_replies(
-                result_queue, workers, "report", remaining, processes)
+                result_queue, workers, "report", None, processes)
         except WorkerCrashError as crash:
             # Unrecovered worker death: an honest partial verdict, never a
             # bare traceback.  The survivors see the stop flag on their
@@ -605,7 +574,6 @@ def parallel_dfs_search(
             if telemetry is not None:
                 telemetry.record_worker(worker_id, stats)
         statistics.states_visited = len(table)
-        deadlock_states = sum(reply[1]["deadlock_states"] for reply in replies)
         if telemetry is not None:
             telemetry.record_worksteal(
                 steals=deques.steal_count(),
@@ -636,6 +604,5 @@ def parallel_dfs_search(
         complete=complete,
         counterexample=counterexample,
         statistics=statistics,
-        deadlock_states=deadlock_states,
         incomplete_reason=incomplete_reason,
     )

@@ -23,8 +23,8 @@ which keeps the exploration exhaustive when a process has several enabled
 
 Like every other search, :class:`DporSearch` is configured by the run's
 frozen :class:`~repro.engine.plan.CheckPlan` (a ``reduction="dpor"`` plan,
-stateless by normalisation): budgets, ``stop_at_first_violation`` and the
-engine cache bound are read off it.
+stateless by normalisation): its budgets and ``stop_at_first_violation``
+are read off it.
 """
 
 from __future__ import annotations
@@ -69,22 +69,14 @@ class DporSearch:
         self,
         protocol: Protocol,
         config: Optional[CheckPlan] = None,
-        dependence: Optional[DependenceRelation] = None,
-        engine: Optional[SuccessorEngine] = None,
     ) -> None:
         self.protocol = protocol
         self.config = config or CheckPlan(reduction="dpor")
-        self.dependence = dependence or DependenceRelation.precompute(protocol)
-        if engine is not None and engine.protocol is not protocol:
-            raise ValueError("successor engine was built for a different protocol")
+        self.dependence = DependenceRelation.precompute(protocol)
         # Stateless search revisits states along every interleaving, so the
         # interned-state engine with its enabled/successor caches is what
-        # keeps the per-visit cost at a few dictionary lookups.  The config
-        # may bound the caches (LRU) for instances whose reachable set is
-        # too large to retain in full.
-        self.engine = engine or SuccessorEngine(
-            protocol, max_cache_entries=self.config.engine_cache_capacity
-        )
+        # keeps the per-visit cost at a few dictionary lookups.
+        self.engine = SuccessorEngine(protocol)
         self._stack: List[_Entry] = []
         self._path_states: Set[GlobalState] = set()
         self._statistics = SearchStatistics()

@@ -165,8 +165,8 @@ def _record_swarm_telemetry(telemetry, graph, stats: SwarmOutcomeStats,
 
 
 def _budget_exhausted(config: CheckPlan, stats: SwarmOutcomeStats,
-                      start_time: float) -> bool:
-    if config.max_states is not None and stats.steps >= config.max_states:
+                      start_time: float, max_steps: Optional[int]) -> bool:
+    if max_steps is not None and stats.steps >= max_steps:
         return True
     if (config.max_seconds is not None
             and time.perf_counter() - start_time >= config.max_seconds):
@@ -213,7 +213,6 @@ def swarm_search(
     config: CheckPlan,
     observer: Optional[Observer] = None,
     telemetry=None,
-    visited_filter: Optional[SwarmFilter] = None,
 ) -> SearchOutcome:
     """Serial seeded random-walk search.
 
@@ -227,7 +226,7 @@ def swarm_search(
     stats = SwarmOutcomeStats()
     graph = _walk_graph(protocol, config, telemetry)
     holds = graph.invariant_checker(invariant)
-    visited = visited_filter or SwarmFilter()
+    visited = SwarmFilter()
 
     if visited.add(graph.fingerprint(graph.initial)):
         stats.unique_fingerprints += 1
@@ -261,7 +260,8 @@ def swarm_search(
                 if stats.walks_completed >= next_progress:
                     next_progress += PROGRESS_INTERVAL
                     _emit_walk_progress(observer, stats)
-                if _budget_exhausted(config, stats, start_time):
+                if _budget_exhausted(config, stats, start_time,
+                                     config.max_states):
                     return _finish(invariant, graph, stats, None,
                                    observer, telemetry, start_time)
     return _finish(invariant, graph, stats, None, observer,
@@ -296,6 +296,11 @@ def _swarm_worker(
     globally minimal violating walk index — the same one the serial
     schedule reports — independent of worker count and timing.
 
+    ``config.max_states`` is the pool's total step budget: each worker
+    stops starting walks once it has used its own share of it, so the pool
+    runs at most ``max_states + workers * max_depth`` steps, the serial
+    walker's bound plus one unfinished walk per worker.
+
     ``chaos`` optionally injects planned faults (one "command" per walk);
     because walks are pure in ``(walk_seed, walk_index)``, a crashed
     worker's residue class can be re-run from scratch by a replacement with
@@ -310,6 +315,9 @@ def _swarm_worker(
         graph = _walk_graph(protocol, config)
         holds = graph.invariant_checker(invariant)
         max_depth = config.max_depth
+        max_steps = config.max_states
+        if max_steps is not None:
+            max_steps = max_steps // workers + (worker_id < max_steps % workers)
         start_time = time.perf_counter()
         violations: List[Tuple[int, Tuple[int, ...]]] = []
         truncated = False
@@ -324,7 +332,7 @@ def _swarm_worker(
                 # Someone already violated at a lower index than any walk
                 # left in this worker's residue class.
                 break
-            if _budget_exhausted(config, stats, start_time):
+            if _budget_exhausted(config, stats, start_time, max_steps):
                 truncated = True
                 break
             if hook is not None:
@@ -365,8 +373,6 @@ def parallel_swarm_search(
     config: CheckPlan,
     observer: Optional[Observer] = None,
     telemetry=None,
-    mp_context=None,
-    worker_timeout: Optional[float] = None,
 ) -> SearchOutcome:
     """Parallel walker pool over the fork substrate.
 
@@ -396,7 +402,7 @@ def parallel_swarm_search(
     )
 
     walks, workers = config.walks, config.workers
-    context = mp_context or default_mp_context()
+    context = default_mp_context()
     if context is None:
         raise RuntimeError(
             "parallel swarm search requires the 'fork' start method"
@@ -458,7 +464,7 @@ def parallel_swarm_search(
                              states_visited=0)
                 try:
                     replies = collect_replies(
-                        result_queue, workers, "report", worker_timeout,
+                        result_queue, workers, "report", None,
                         processes, replies,
                     )
                     break

@@ -163,7 +163,6 @@ def run_twice(entry, run, plan, prop=None):
 
 def assert_identical(slow, fast):
     assert (slow.verified, slow.complete) == (fast.verified, fast.complete)
-    assert slow.deadlock_states == fast.deadlock_states
     slow_stats = dataclasses.replace(slow.statistics, elapsed_seconds=0.0)
     fast_stats = dataclasses.replace(fast.statistics, elapsed_seconds=0.0)
     assert dataclasses.astuple(slow_stats) == dataclasses.astuple(fast_stats)

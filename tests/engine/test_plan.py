@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -46,6 +46,24 @@ class TestVocabularies:
             "shape", "reduction", "store", "backend", "workers", "stateful",
             "successors", "goal",
         }
+
+
+class TestSurface:
+    def test_the_plan_has_exactly_these_fields(self):
+        # Every field is a configuration the tests and the ledger must
+        # cover; adding one is meant to need this edit.
+        assert [f.name for f in fields(CheckPlan)] == [
+            "shape", "reduction", "store", "backend", "workers", "stateful",
+            "successors", "seed_heuristic", "max_depth", "max_states",
+            "max_seconds", "stop_at_first_violation", "goal", "walks",
+            "walk_seed", "chaos", "supervise", "checkpoint_dir",
+            "checkpoint_every", "resume_from",
+        ]
+
+    def test_the_wire_format_sets_only_plan_fields(self):
+        from repro.service.jobs import PLAN_FIELDS
+
+        assert set(PLAN_FIELDS) <= {f.name for f in fields(CheckPlan)}
 
 
 class TestConstruction:

@@ -137,3 +137,76 @@ class TestNetworkSensitiveInvariants:
         slow = dfs_search(entry.quorum_model(), bound)
         fast = fast_dfs_search(entry.quorum_model(), bound)
         assert_outcomes_match(slow, fast)
+
+
+class TestPredicateMemo:
+    def test_insensitive_predicate_runs_once_per_locals_vector(self):
+        from repro.fastpath.compiler import FastSuccessorEngine
+        from repro.fastpath.search import _memoised_predicate
+        from repro.protocols.catalog import crash_recovery_entry
+
+        engine = FastSuccessorEngine(crash_recovery_entry(2, 1).quorum_model())
+        initial = engine.initial_packed()
+        other = engine.successor_packed(initial, engine.enabled_packed(initial)[0])
+        calls = []
+
+        def evaluate(state):
+            calls.append(1)
+            return True
+
+        check = _memoised_predicate(engine, evaluate, False)
+        for packed in (initial, other, initial, other):
+            assert check(packed)
+        assert len(calls) == 2
+
+    def test_sensitive_predicate_decodes_every_state(self):
+        from repro.fastpath.compiler import FastSuccessorEngine
+        from repro.fastpath.search import _memoised_predicate
+        from repro.protocols.catalog import crash_recovery_entry
+
+        engine = FastSuccessorEngine(crash_recovery_entry(2, 1).quorum_model())
+        initial = engine.initial_packed()
+        other = engine.successor_packed(initial, engine.enabled_packed(initial)[0])
+        seen = []
+
+        def evaluate(state):
+            seen.append(state)
+            return True
+
+        check = _memoised_predicate(engine, evaluate, True)
+        for packed in (initial, other, initial, other):
+            assert check(packed)
+        assert seen == [engine.decode(packed)
+                        for packed in (initial, other, initial, other)]
+
+    @pytest.mark.parametrize("entry", [
+        pytest.param(("crash-recovery", 2, 1, {True}), id="crash-recovery-2-1"),
+        pytest.param(("storage-wrong", 3, 1, {True, False}), id="storage-3-1-wrong"),
+    ])
+    def test_invariant_checker_agrees_with_the_object_invariant(self, entry):
+        from repro.fastpath.compiler import FastSuccessorEngine
+        from repro.fastpath.search import make_invariant_checker
+        from repro.protocols.catalog import crash_recovery_entry
+
+        kind, first, second, expected = entry
+        if kind == "crash-recovery":
+            cell = crash_recovery_entry(first, second)
+        else:
+            cell = storage_entry(first, second, wrong_specification=True)
+        protocol = cell.quorum_model()
+        engine = FastSuccessorEngine(protocol)
+        check = make_invariant_checker(engine, cell.invariant, protocol)
+        seen = {engine.initial_packed()[0]}
+        frontier = [engine.initial_packed()]
+        verdicts = set()
+        while frontier:
+            packed = frontier.pop()
+            verdict = check(packed)
+            assert verdict == cell.invariant.holds_in(engine.decode(packed), protocol)
+            verdicts.add(verdict)
+            for execution in engine.enabled_packed(packed):
+                successor = engine.successor_packed(packed, execution)
+                if successor[0] not in seen:
+                    seen.add(successor[0])
+                    frontier.append(successor)
+        assert verdicts == expected

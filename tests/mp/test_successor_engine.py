@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.checker.property import always_true
+from repro.checker.search import bfs_search, dfs_search
+from repro.engine import CheckPlan
 from repro.mp.semantics import SuccessorEngine, apply_execution, enabled_executions
-from repro.mp.state import StateInterner
+from repro.por.dpor import DporSearch
 
 from ..conftest import build_ping_pong, build_vote_collection
 
@@ -36,12 +39,6 @@ class TestInterning:
         if one == other:
             assert one is other
 
-    def test_shared_interner_across_engines(self, protocol):
-        interner = StateInterner()
-        first = SuccessorEngine(protocol, interner=interner)
-        second = SuccessorEngine(protocol, interner=interner)
-        assert first.initial_state() is second.initial_state()
-
 
 class TestCaches:
     def test_enabled_cache_returns_same_tuple(self, protocol):
@@ -60,14 +57,16 @@ class TestCaches:
         assert engine.successor_misses == 1
 
     def test_cache_can_be_disabled(self, protocol):
-        engine = SuccessorEngine(protocol, cache_successors=False)
+        engine = SuccessorEngine(protocol, caching=False)
         state = engine.initial_state()
         execution = engine.enabled(state)[0]
         first = engine.successor(state, execution)
         second = engine.successor(state, execution)
-        # No edge cache, but interning still canonicalises the results.
-        assert first is second
-        assert engine.cache_sizes()["successor_edges"] == 0
+        # No interning and no caches: equal states, computed twice.
+        assert first == second and first is not second
+        assert engine.cache_sizes() == {
+            "interned_states": 0, "enabled_sets": 0, "successor_edges": 0}
+        assert (engine.enabled_misses, engine.successor_misses) == (0, 0)
 
     def test_cache_sizes_reporting(self, protocol):
         engine = SuccessorEngine(protocol)
@@ -131,3 +130,67 @@ class TestAgreementWithPrimitives:
         assert all(again is once for again, once in zip(second, first))
         assert (engine.enabled_misses, engine.successor_misses) == misses
         assert engine.cache_sizes() == sizes
+
+
+class TestCachingSwitch:
+    def test_caching_and_pass_through_engines_agree(self, protocol):
+        """The caches change cost, never results: a caching and a
+        pass-through engine produce equal enabled sets and successors."""
+        caching = SuccessorEngine(protocol)
+        plain = SuccessorEngine(protocol, caching=False)
+        frontier = [(caching.initial_state(), plain.initial_state())]
+        for _ in range(4):
+            next_frontier = []
+            for cached_state, plain_state in frontier:
+                assert cached_state == plain_state
+                executions = caching.enabled(cached_state)
+                assert executions == plain.enabled(plain_state)
+                for execution in executions:
+                    next_frontier.append((
+                        caching.successor(cached_state, execution),
+                        plain.successor(plain_state, execution),
+                    ))
+            frontier = next_frontier
+
+    def test_for_search_caches_only_for_stateless_search(self, protocol):
+        assert SuccessorEngine.for_search(protocol, stateful=False).caching
+        stateful = SuccessorEngine.for_search(protocol, stateful=True)
+        assert not stateful.caching
+        assert stateful.interner is None
+
+
+def _dfs(protocol, engine, stateful):
+    return dfs_search(protocol, always_true(), CheckPlan(stateful=stateful),
+                      engine=engine)
+
+
+def _bfs(protocol, engine, stateful):
+    return bfs_search(protocol, always_true(), CheckPlan(), engine=engine)
+
+
+def _dpor(protocol, engine, stateful):
+    search = DporSearch(protocol)
+    search.engine = engine
+    return search.run(always_true())
+
+
+SEARCHES = [
+    pytest.param(_dfs, False, id="stateless-dfs"),
+    pytest.param(_dfs, True, id="stateful-dfs"),
+    pytest.param(_bfs, True, id="bfs"),
+    pytest.param(_dpor, False, id="dpor"),
+]
+
+
+class TestSearchStatisticsIgnoreCaching:
+    """Searches report the same statistics over either engine mode."""
+
+    @pytest.mark.parametrize("search, stateful", SEARCHES)
+    def test_counts_match(self, protocol, search, stateful):
+        cached = search(protocol, SuccessorEngine(protocol), stateful)
+        plain = search(protocol, SuccessorEngine(protocol, caching=False), stateful)
+        assert cached.verified == plain.verified
+        for name in ("states_visited", "transitions_executed", "revisits",
+                     "max_depth"):
+            assert (getattr(cached.statistics, name)
+                    == getattr(plain.statistics, name)), name

@@ -77,7 +77,6 @@ class TestRunReports:
         misses = metric(result, "fastpath_memo_misses")
         assert hits is not None and misses is not None
         assert misses["total"] >= 1  # first guard evaluation always misses
-        assert metric(result, "fastpath_memo_evictions") is not None
         assert metric(result, "fastpath_table_size") is not None
 
     def test_record_block_carries_memo_counters_and_span_totals(self):
@@ -85,8 +84,7 @@ class TestRunReports:
         # the per-phase span totals survive the compaction.
         result = check(CheckPlan(store="fingerprint", successors="fast"))
         block = result_record(result)["telemetry"]
-        for name in ("fastpath_memo_hits", "fastpath_memo_misses",
-                     "fastpath_memo_evictions"):
+        for name in ("fastpath_memo_hits", "fastpath_memo_misses"):
             assert name in block
         assert "search" in block["span_seconds"]
 

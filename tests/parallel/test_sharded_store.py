@@ -97,9 +97,9 @@ class TestShardedFingerprintStore:
 
 class TestFactory:
     def test_new_kind(self):
-        store = make_state_store("sharded-fingerprint", shards=5)
+        store = make_state_store("sharded-fingerprint")
         assert isinstance(store, ShardedFingerprintStore)
-        assert store.num_shards == 5
+        assert store.num_shards == 8
 
     def test_kinds_catalogued(self):
         for kind in STORE_KINDS:
@@ -124,10 +124,10 @@ class TestSearchWithShardedStore:
         sharded = search(
             entry.quorum_model(),
             invariant,
-            CheckPlan(store="sharded-fingerprint", store_shards=5),
+            CheckPlan(store="sharded-fingerprint"),
             telemetry=telemetry,
         )
-        assert len(telemetry.metrics.get("state_store_shard_size").labelled()) == 5
+        assert len(telemetry.metrics.get("state_store_shard_size").labelled()) == 8
         assert sharded.verified == flat.verified
         assert sharded.statistics.states_visited == flat.statistics.states_visited
         assert (

@@ -162,10 +162,16 @@ class TestSwarmVerdicts:
         assert (object_result.counterexample.transition_names()
                 == fast_result.counterexample.transition_names())
 
-    def test_max_states_caps_total_steps(self):
-        result = run_swarm(CLEAN_KEY, walks=100000, max_states=500)
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    def test_max_states_caps_total_steps(self, workers):
+        # The budget is the run's, not each worker's: a pool overshoots it
+        # by at most one unfinished walk per worker.
+        if workers > 1 and not HAS_FORK:
+            pytest.skip("parallel swarm requires fork")
+        result = run_swarm(CLEAN_KEY, walks=100000, max_states=2000,
+                           max_depth=20, workers=workers)
         assert result.outcome() == "inconclusive"
-        assert result.statistics.transitions_executed <= 500 + DEFAULT_WALK_DEPTH
+        assert result.statistics.transitions_executed <= 2000 + workers * 20
 
     def test_statistics_report_walk_counters(self):
         result = run_swarm(CLEAN_KEY, walks=100)
