@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""The composable engine API: plans, the registry, and the event stream.
+"""The composable engine API: plans, the engine table, and the event stream.
 
 A model-checking run is one point of a cross-product of orthogonal axes —
 search shape × reduction × store × backend × workers — named by a
 :class:`repro.CheckPlan`.  This example shows the three things the plan
 layer gives you:
 
-1. **Declarative engine selection** — the registry resolves a plan to the
-   engine supporting it (serial, frontier-parallel or work-stealing) and
-   refuses unsupported combinations with a structured diagnostic naming the
-   offending axis, instead of silently downgrading.
+1. **Declarative engine selection** — plan resolution picks the first row
+   of the engine table accepting the plan (serial, frontier-parallel or
+   work-stealing) and refuses unsupported combinations with a structured
+   diagnostic naming the offending axis, instead of silently downgrading.
 2. **One event stream** — every engine feeds the same observer API
    (progress ticks, level barriers, worker reports, violations), so tools
    consume one stream regardless of the backend.
@@ -20,7 +20,7 @@ Run with::
 
     PYTHONPATH=src python examples/engine_plans.py
 
-The same registry is available from the shell::
+The same table is available from the shell::
 
     PYTHONPATH=src python -m repro engines
     PYTHONPATH=src python -m repro check storage-3-1 --shape bfs --workers 4
@@ -32,20 +32,19 @@ from repro import (
     CheckPlan,
     CollectingObserver,
     UnsupportedPlanError,
-    default_registry,
     run_plan,
 )
+from repro.engine import ENGINES
 from repro.protocols.catalog import multicast_entry
 
 
 def list_engines() -> None:
-    """Walk the registry: every engine declares what it supports."""
-    print("registered engines:")
-    for engine in default_registry().engines():
-        caps = engine.capabilities
-        print(f"  {engine.name:<14} shapes={'/'.join(caps.shapes)} "
-              f"reductions={'/'.join(caps.reductions)} "
-              f"{caps.supported_description('workers')}")
+    """Walk the table: every row lists the axis values it accepts."""
+    print("engines:")
+    for engine in ENGINES:
+        print(f"  {engine.name:<14} shapes={'/'.join(engine.shape)} "
+              f"reductions={'/'.join(engine.reduction)} "
+              f"{engine.describe('workers')}")
     print()
 
 
@@ -76,7 +75,7 @@ def watch_the_event_stream() -> None:
 
 
 def unsupported_plans_fail_loudly() -> None:
-    """No silent downgrades: the registry names the offending axis."""
+    """No silent downgrades: resolution names the offending axis."""
     entry = multicast_entry(2, 1, 0, 1)
     try:
         run_plan(entry.quorum_model(), entry.invariant,

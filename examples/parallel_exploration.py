@@ -30,7 +30,7 @@ def frontier_parallel_cell(workers: int = 4) -> None:
     """Explore one cell serially and with shard-owning workers.
 
     Both runs go through the plan layer: same shape, different worker
-    count; the registry picks the serial vs frontier-parallel engine.
+    count; plan resolution picks the serial vs frontier-parallel engine.
     """
     entry = storage_entry(3, 1)
     serial = run_plan(entry.quorum_model(), entry.invariant, CheckPlan(shape="bfs"))

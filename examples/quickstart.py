@@ -31,7 +31,7 @@ def verify_correct_paxos() -> None:
     print()
 
     # A run is a CheckPlan: search shape x reduction (x store x backend x
-    # workers); the registry picks the engine.
+    # workers); plan resolution picks the engine.
     for plan in (CheckPlan(), CheckPlan(reduction="spor-net")):
         result = run_plan(protocol, consensus_invariant(), plan)
         print(

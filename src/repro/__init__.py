@@ -9,9 +9,9 @@ DSN 2011).  The library provides:
 * :mod:`repro.checker` — an explicit-state model checker (stateful and
   stateless search, invariants, counterexamples);
 * :mod:`repro.engine` — the composable engine layer: :class:`CheckPlan`
-  (search shape × reduction × store × backend × workers), a capability-
-  declaring engine registry with structured unsupported-plan diagnostics,
-  and the progress/event observer API all engines feed;
+  (search shape × reduction × store × backend × workers), the engine table
+  plans resolve against, with structured unsupported-plan diagnostics, and
+  the progress/event observer API all engines feed;
 * :mod:`repro.por` — partial-order reduction: a stubborn-set static POR with
   a pre-computed dependence relation (the MP-LPOR analogue) and a stateless
   dynamic POR baseline;
@@ -41,7 +41,6 @@ Quickstart::
 from .engine import (
     CheckPlan,
     CollectingObserver,
-    EngineRegistry,
     Observer,
     ProgressPrinter,
     UnsupportedPlanError,
@@ -116,7 +115,6 @@ __all__ = [
     "CollectingObserver",
     "Counterexample",
     "CrashRecoveryConfig",
-    "EngineRegistry",
     "Eventually",
     "Observer",
     "ProgressPrinter",

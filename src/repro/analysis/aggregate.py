@@ -37,8 +37,8 @@ def result_record(result: CheckResult, **extra) -> Dict:
 
     Results produced through the plan layer additionally carry their
     resolved axes (``shape`` / ``reduction`` / ``store`` / ``backend`` /
-    ``workers``, the walk budget of a swarm run) and the registry name of
-    the engine that ran them, so a record describes the plan that ran, not
+    ``workers``, the walk budget of a swarm run) and the name of the
+    engine that ran them, so a record describes the plan that ran, not
     the one that was asked for.  Extra keyword fields (cell key, model
     variant, ...) are merged in; they must be JSON-serialisable.
     """

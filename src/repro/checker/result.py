@@ -122,7 +122,7 @@ class CheckResult:
         stateful: Whether visited states were stored.
         plan: The resolved :class:`~repro.engine.plan.CheckPlan` the run
             executed (None for results built outside the plan layer).
-        engine: Registry name of the engine that ran the plan.
+        engine: Name of the engine (its ``ENGINES`` row) that ran the plan.
         telemetry: JSON-able run report (metric snapshot, finished phase
             spans, peak RSS) produced by the observability layer; None for
             results built outside the plan layer.

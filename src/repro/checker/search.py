@@ -511,7 +511,7 @@ def ndfs_search(
 
     Partial-order reduction is not supported: the stubborn-set cycle
     proviso is a property of one DFS stack, and the nested search walks the
-    graph twice with different stacks (the registry refuses reduced
+    graph twice with different stacks (plan resolution refuses reduced
     liveness plans).  The search is stateful by construction (blue/red
     marks are the algorithm), so ``config.stateful`` must be True; the
     store kind chooses between exact state keys (``"full"``) and

@@ -5,8 +5,8 @@ Subcommands:
 ``cells``
     List the catalog cells (Table-I rows) available at a scale.
 ``engines``
-    List the registered engines with the plan-axis combinations each one
-    supports (shape × reduction × backend × workers × store × successors).
+    Print the engine table: the plan-axis values each engine accepts
+    (shape × reduction × backend × workers × store × successors × goal).
     With ``--plan`` plus axis options it becomes a *dry run*: it prints the
     resolution decision — the chosen engine and the concretised backend, or
     the structured ``UnsupportedPlanError`` diagnostic with the nearest
@@ -66,7 +66,8 @@ from .engine.plan import (
     CheckPlan,
     UnsupportedPlanError,
 )
-from .engine.registry import default_registry
+from .engine.engines import ENGINES
+from .engine.registry import resolve
 from .parallel.cells import MODELS, CellSpec, run_cell, run_cells, specs_for_sweep
 from .protocols.catalog import default_catalog
 
@@ -158,20 +159,19 @@ def _command_cells(args, stream) -> int:
 
 
 def _command_engines(args, stream) -> int:
-    """List the registered engines, or dry-run one plan's resolution."""
+    """Print the engine table, or dry-run one plan's resolution."""
     if args.plan:
         return _command_engines_plan(args, stream)
-    for engine in default_registry().engines():
-        caps = engine.capabilities
+    for engine in ENGINES:
         stream.write(
             f"{engine.name:<18} "
-            f"shape={'|'.join(caps.shapes)} "
-            f"reduction={'|'.join(caps.reductions)} "
-            f"backend={'|'.join(caps.backends)} "
-            f"{caps.supported_description('workers')} "
-            f"store={'|'.join(caps.stores)} "
-            f"successors={'|'.join(caps.successor_modes)} "
-            f"goal={'|'.join(caps.goals)}\n"
+            f"shape={'|'.join(engine.shape)} "
+            f"reduction={'|'.join(engine.reduction)} "
+            f"backend={'|'.join(engine.backend)} "
+            f"{engine.describe('workers')} "
+            f"store={'|'.join(engine.store)} "
+            f"successors={'|'.join(engine.successors)} "
+            f"goal={'|'.join(engine.goal)}\n"
         )
         stream.write(f"{'':<18} {engine.description}\n")
     return 0
@@ -182,18 +182,17 @@ def _command_engines_plan(args, stream) -> int:
 
     Exit code 0 when the plan resolves; 2 with the structured diagnostic
     (offending axis, engine note, runnable nearest alternative) when no
-    registered engine supports the combination.
+    engine accepts the combination.
     """
     plan = _plan_from_args(args, args.workers)
-    registry = default_registry()
     try:
-        engine, resolved = registry.resolve(plan)
+        engine, resolved = resolve(plan)
     except UnsupportedPlanError as error:
         stream.write(f"plan {plan.describe()}: unsupported\n")
         stream.write(f"  axis: {error.axis} = {error.value!r}\n")
         stream.write(f"  {error}\n")
         if isinstance(error.alternative, CheckPlan):
-            alt_engine, alt_resolved = registry.resolve(error.alternative)
+            alt_engine, alt_resolved = resolve(error.alternative)
             stream.write(
                 f"  alternative {error.alternative.describe()} resolves to "
                 f"{alt_engine.name} (backend {alt_resolved.backend})\n"
@@ -429,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     cells.set_defaults(handler=_command_cells)
 
     engines = subparsers.add_parser(
-        "engines", help="list the registered engines and their capabilities"
+        "engines", help="print the engine table: the axis values each engine accepts"
     )
     engines.add_argument("--plan", action="store_true",
                          help="dry-run: print the resolution decision for "

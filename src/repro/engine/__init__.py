@@ -1,42 +1,26 @@
-"""Composable engine layer: plans, capabilities, registry, observers.
+"""Composable engine layer: plans, the engine table, resolution, observers.
 
 The public checking API decomposes a run into orthogonal axes — search
 *shape* (dfs/bfs), partial-order *reduction* (none/spor/spor-net/dpor),
 visited-state *store* (full/fingerprint/sharded-fingerprint), execution
-*backend* (serial/frontier/worksteal) and a *workers* count — captured by a
-:class:`CheckPlan`.  A registry of engines declares, per engine, which axis
-combinations it supports (:class:`Capabilities`); :func:`resolve` maps a
-plan to the engine implementing it, and :func:`run_plan` executes it while
-feeding a uniform :class:`EngineEvent` stream to an optional
-:class:`Observer`.  ``run_plan(protocol, property, plan)`` is the one way
-to run a check.
+*backend* (serial/frontier/worksteal/swarm) and a *workers* count — captured
+by a :class:`CheckPlan`.  :data:`ENGINES` lists, one :class:`Engine` row per
+search, the axis values each accepts; :func:`resolve` maps a plan to the
+first row accepting it, and :func:`run_plan` executes it while feeding a
+uniform :class:`EngineEvent` stream to an optional :class:`Observer`.
+``run_plan(protocol, property, plan)`` is the one way to run a check.
 """
 
-from .capabilities import REQUIREMENT_TOKENS, Capabilities, platform_requirements
-from .engines import (
-    DporEngine,
-    Engine,
-    FrontierBfsEngine,
-    SerialBfsEngine,
-    SerialDfsEngine,
-    SerialNdfsEngine,
-    WorkstealDfsEngine,
-    builtin_engines,
-    make_reducer,
-)
+from .engines import ENGINES, PARALLEL, SERIAL, Engine, make_reducer
 from .events import (
     EVENT_KINDS,
-    EVENT_VALIDATION_ENV,
     PROGRESS_INTERVAL,
     CollectingObserver,
     EngineEvent,
     MultiObserver,
-    NullObserver,
     Observer,
     ProgressPrinter,
     emit,
-    known_event_kinds,
-    register_event_kind,
 )
 from .plan import (
     BACKENDS,
@@ -50,44 +34,33 @@ from .plan import (
     UnsupportedPlanError,
     strategy_label,
 )
-from .registry import EngineRegistry, default_registry, resolve, run_plan
+from .registry import default_registry, fork_available, resolve, run_plan
 
 __all__ = [
     "BACKENDS",
-    "Capabilities",
     "CheckPlan",
     "CollectingObserver",
-    "DporEngine",
+    "ENGINES",
     "EVENT_KINDS",
-    "EVENT_VALIDATION_ENV",
     "Engine",
     "EngineEvent",
-    "EngineRegistry",
-    "FrontierBfsEngine",
     "GOALS",
     "MultiObserver",
-    "NullObserver",
     "Observer",
+    "PARALLEL",
     "PLAN_AXES",
     "PROGRESS_INTERVAL",
     "ProgressPrinter",
-    "REQUIREMENT_TOKENS",
-    "platform_requirements",
     "REDUCTIONS",
+    "SERIAL",
     "SHAPES",
     "STORES",
     "SUCCESSOR_MODES",
-    "SerialBfsEngine",
-    "SerialDfsEngine",
-    "SerialNdfsEngine",
     "UnsupportedPlanError",
-    "WorkstealDfsEngine",
-    "builtin_engines",
     "default_registry",
     "emit",
-    "known_event_kinds",
+    "fork_available",
     "make_reducer",
-    "register_event_kind",
     "resolve",
     "run_plan",
     "strategy_label",

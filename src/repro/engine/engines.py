@@ -1,19 +1,20 @@
-"""Concrete engines: thin adapters from :class:`CheckPlan` to the searches.
+"""The engine table: one :class:`Engine` row per way of running a plan.
 
-Each engine binds one execution backend to the search shapes, reductions,
-stores and worker counts it genuinely supports, declared in a
-:class:`~repro.engine.capabilities.Capabilities` descriptor.  The adapters
-contain no policy — validation lives in the registry's plan resolution, and
-the actual exploration in :mod:`repro.checker.search`,
-:mod:`repro.parallel` and :mod:`repro.por`.
+Each row names a search and lists, per plan axis, the values it accepts.
+The set is fixed — serial DFS/BFS/nested DFS, DPOR, the two in-cell
+parallel backends and the two swarm samplers — so it is a literal,
+:data:`ENGINES`, not a registry.  The rows contain no policy: plan
+resolution (:func:`repro.engine.registry.resolve`) reads them, and the
+exploration lives in :mod:`repro.checker.search`, :mod:`repro.parallel`,
+:mod:`repro.swarm` and :mod:`repro.por`.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional
+import sys
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..checker.property import Invariant
 from ..checker.search import (
     Reducer,
     SearchOutcome,
@@ -22,9 +23,7 @@ from ..checker.search import (
     ndfs_search,
 )
 from ..mp.protocol import Protocol
-from .capabilities import Capabilities
-from .events import Observer
-from .plan import CheckPlan, UnsupportedPlanError
+from .plan import PLAN_AXES, CheckPlan, UnsupportedPlanError
 
 #: Store kinds a genuinely stateful engine can use.
 _STATEFUL_STORES = ("full", "fingerprint", "sharded-fingerprint")
@@ -88,200 +87,129 @@ def make_reducer(protocol: Protocol, plan: CheckPlan) -> Optional[Reducer]:
     return provider.reduce
 
 
+#: Worker counts of an in-process row and of a multi-process one.  Plan
+#: resolution refuses every PARALLEL row on platforms without ``fork``.
+SERIAL = range(1, 2)
+PARALLEL = range(2, sys.maxsize)
+
+
+@dataclass(frozen=True, eq=False)
 class Engine:
-    """Interface of a registered engine."""
+    """One row of :data:`ENGINES`: a search and the plan values it accepts.
 
-    #: Registry key; also the ``engine`` column of result records.
-    name: str = ""
-    #: One-line description shown by ``python -m repro engines``.
-    description: str = ""
-    #: Declarative support matrix consulted by plan resolution.
-    capabilities: Capabilities
+    The axis fields (``shape`` ... ``goal``) carry the :class:`CheckPlan`
+    attribute names, so a row accepts a plan when every axis of
+    :data:`~repro.engine.plan.PLAN_AXES` holds a listed value.  The one
+    exception is ``backend="auto"``, which every row accepts except the
+    swarm samplers: swapping an exhaustive search for random walks changes
+    what a verdict *means*, so sampling must be an explicit opt-in.
 
-    def run(
-        self,
-        protocol: Protocol,
-        invariant: Invariant,
-        plan: CheckPlan,
-        observer: Optional[Observer] = None,
-        telemetry=None,
-    ) -> SearchOutcome:
-        """Execute ``plan`` (already validated against ``capabilities``).
+    Attributes:
+        name: The ``engine`` column of result records.
+        description: One line shown by ``python -m repro engines``.
+        run: ``run(protocol, invariant, plan, observer, telemetry)``; calls
+            the search on an already resolved plan.
+        workers: :data:`SERIAL` or :data:`PARALLEL`.
+        notes: Per-axis explanation of *why* a constraint exists, quoted
+            verbatim in the :class:`UnsupportedPlanError` message.
+    """
 
-        ``telemetry`` is an optional
-        :class:`~repro.obs.telemetry.RunTelemetry`; engines forward it to
-        their search so phase spans and engine-specific metrics (store
-        occupancy, memo behaviour, worker counters) are recorded.  ``None``
-        costs nothing.
-        """
-        raise NotImplementedError
+    name: str
+    description: str
+    run: Callable[..., SearchOutcome]
+    shape: Tuple[str, ...]
+    reduction: Tuple[str, ...]
+    backend: Tuple[str, ...]
+    store: Tuple[str, ...]
+    stateful: Tuple[bool, ...]
+    workers: range
+    notes: Dict[str, str]
+    successors: Tuple[str, ...] = ("object", "fast")
+    goal: Tuple[str, ...] = ("invariant",)
 
+    def takes(self, plan: CheckPlan, axis: str) -> bool:
+        """True when ``plan``'s value of ``axis`` is one this row runs."""
+        if axis == "backend" and plan.backend == "auto":
+            return "swarm" not in self.backend
+        return getattr(plan, axis) in getattr(self, axis)
 
-class SerialDfsEngine(Engine):
-    """Single-process depth-first search, stateful or stateless, with or
-    without a stubborn-set reduction, over object or packed states."""
+    def accepts(self, plan: CheckPlan) -> bool:
+        """True when this row takes every axis of ``plan``."""
+        return all(self.takes(plan, axis) for axis in PLAN_AXES)
 
-    name = "serial-dfs"
-    description = "serial DFS; supports the stubborn-set reductions and stateless mode"
-    capabilities = Capabilities(
-        shapes=("dfs",),
-        reductions=("none", "spor", "spor-net"),
-        backends=("serial",),
-        stores=("full", "fingerprint", "sharded-fingerprint", "none"),
-        statefulness=(True, False),
-        successor_modes=("object", "fast"),
-        min_workers=1,
-        max_workers=1,
-        notes={
-            "workers": "the serial DFS runs in-process; request the "
-            "worksteal backend (or backend='auto') for workers > 1",
-        },
-    )
+    def refused(self, plan: CheckPlan) -> List[str]:
+        """The axes of ``plan`` this row refuses, most identity-defining first."""
+        return [axis for axis in PLAN_AXES if not self.takes(plan, axis)]
 
-    def run(self, protocol, invariant, plan, observer=None, telemetry=None):
-        return dfs_search(protocol, invariant, plan,
-                          reducer=make_reducer(protocol, plan),
-                          observer=observer, telemetry=telemetry)
-
-
-class SerialBfsEngine(Engine):
-    """Single-process breadth-first search (shortest counterexamples)."""
-
-    name = "serial-bfs"
-    description = "serial BFS; stateful only, finds shortest counterexamples"
-    capabilities = Capabilities(
-        shapes=("bfs",),
-        reductions=("none",),
-        backends=("serial",),
-        stores=_STATEFUL_STORES,
-        statefulness=(True,),
-        successor_modes=("object", "fast"),
-        min_workers=1,
-        max_workers=1,
-        notes={
-            "reduction": "the stubborn-set cycle proviso needs a DFS stack, "
-            "so breadth-first search runs unreduced",
-            "stateful": "breadth-first search deduplicates per level and is "
-            "inherently stateful",
-        },
-    )
-
-    def run(self, protocol, invariant, plan, observer=None, telemetry=None):
-        return bfs_search(protocol, invariant, plan, observer=observer,
-                          telemetry=telemetry)
+    def describe(self, axis: str) -> str:
+        """Human-readable rendering of the values one axis accepts."""
+        if axis == "workers":
+            relation = ">=" if self.workers == PARALLEL else "=="
+            return f"workers {relation} {self.workers.start}"
+        return f"{axis} in {{{', '.join(map(repr, getattr(self, axis)))}}}"
 
 
-class FrontierBfsEngine(Engine):
-    """Level-synchronous frontier-parallel BFS: shard-owning workers that
-    ship graph-native states to their owners, visited counts exactly equal
-    to serial BFS, over object or packed states."""
-
-    name = "frontier-bfs"
-    description = "frontier-parallel BFS; shard-owning workers, serial-exact counts"
-    capabilities = Capabilities(
-        shapes=("bfs",),
-        reductions=("none",),
-        backends=("frontier",),
-        stores=_STATEFUL_STORES,
-        statefulness=(True,),
-        successor_modes=("object", "fast"),
-        min_workers=2,
-        max_workers=None,
-        requirements=("fork",),
-        notes={
-            "reduction": "the stubborn-set cycle proviso needs a DFS stack, "
-            "so breadth-first search runs unreduced",
-            "workers": "one worker has no frontier to share; backend='auto' "
-            "picks the serial BFS instead",
-        },
-    )
-
-    def run(self, protocol, invariant, plan, observer=None, telemetry=None):
-        # Imported lazily: repro.parallel builds on the checker package.
-        from ..parallel.bfs import parallel_bfs_search
-
-        return parallel_bfs_search(protocol, invariant, plan,
-                                   observer=observer, telemetry=telemetry)
+def _serial_dfs(protocol, invariant, plan, observer, telemetry):
+    return dfs_search(protocol, invariant, plan,
+                      reducer=make_reducer(protocol, plan),
+                      observer=observer, telemetry=telemetry)
 
 
-class WorkstealDfsEngine(Engine):
-    """Work-stealing parallel DFS: per-worker deques, a lock-striped shared
-    claim table, subtree donation, over object or packed states."""
-
-    name = "worksteal-dfs"
-    description = ("work-stealing parallel DFS; drives the stubborn-set "
-                   "reductions (dedup is fingerprint-based for every store)")
-    capabilities = Capabilities(
-        shapes=("dfs",),
-        reductions=("none", "spor", "spor-net"),
-        backends=("worksteal",),
-        stores=_STATEFUL_STORES,
-        statefulness=(True,),
-        successor_modes=("object", "fast"),
-        min_workers=2,
-        max_workers=None,
-        requirements=("fork",),
-        notes={
-            "store": "the shared claim table arbitrating worker expansions "
-            "is fingerprint-based regardless of the store kind (the exact "
-            "store has no shared-memory analogue), so store='full' keeps "
-            "the legacy semantics but carries the standard bit-state "
-            "collision trade-off; run workers=1 for exact-store dedup",
-            "stateful": "the work-stealing DFS deduplicates via a shared "
-            "claim table, which has no stateless mode; run stateless "
-            "searches with workers=1",
-            "reduction": "dynamic POR mutates backtrack sets up the serial "
-            "DFS stack, so its subtrees cannot be donated to other workers; "
-            "stubborn-set reductions are additionally refused on protocols "
-            "declaring cyclic_state_graph=True (the cross-worker ignoring "
-            "problem) — explore those unreduced or serially",
-            "workers": "one worker has nothing to steal from; backend='auto' "
-            "picks the serial DFS instead",
-        },
-    )
-
-    def run(self, protocol, invariant, plan, observer=None, telemetry=None):
-        _reject_cyclic_worksteal_reduction(protocol, plan)
-        # Imported lazily: repro.parallel builds on the checker package.
-        from ..parallel.dfs import parallel_dfs_search
-
-        return parallel_dfs_search(protocol, invariant, plan,
-                                   reducer=make_reducer(protocol, plan),
-                                   observer=observer, telemetry=telemetry)
+def _serial_bfs(protocol, invariant, plan, observer, telemetry):
+    return bfs_search(protocol, invariant, plan, observer=observer,
+                      telemetry=telemetry)
 
 
-class DporEngine(Engine):
-    """Stateless dynamic partial-order reduction (the Basset DPOR baseline)."""
+def _frontier_bfs(protocol, invariant, plan, observer, telemetry):
+    # Imported lazily: repro.parallel builds on the checker package.
+    from ..parallel.bfs import parallel_bfs_search
 
-    name = "dpor"
-    description = "stateless dynamic POR; serial by construction"
-    capabilities = Capabilities(
-        shapes=("dfs",),
-        reductions=("dpor",),
-        backends=("serial",),
-        stores=("none",),
-        statefulness=(False,),
-        min_workers=1,
-        max_workers=1,
-        notes={
-            "workers": "dynamic POR mutates backtrack sets up the serial "
-            "DFS stack, so its subtrees cannot be donated to other workers; "
-            "run DPOR with workers=1, or choose reduction='spor' for a "
-            "work-stealing parallel search",
-            "stateful": "DPOR is unsound with stateful exploration "
-            "(Section III-A), so it always runs stateless",
-        },
-    )
-
-    def run(self, protocol, invariant, plan, observer=None, telemetry=None):
-        # Imported lazily to keep the layering acyclic.
-        from ..por.dpor import DporSearch
-
-        return DporSearch(protocol, plan).run(invariant, observer=observer,
-                                              telemetry=telemetry)
+    return parallel_bfs_search(protocol, invariant, plan,
+                               observer=observer, telemetry=telemetry)
 
 
-#: Shared phrasing for the nested-DFS engines' liveness constraints.
+def _worksteal_dfs(protocol, invariant, plan, observer, telemetry):
+    _reject_cyclic_worksteal_reduction(protocol, plan)
+    from ..parallel.dfs import parallel_dfs_search
+
+    return parallel_dfs_search(protocol, invariant, plan,
+                               reducer=make_reducer(protocol, plan),
+                               observer=observer, telemetry=telemetry)
+
+
+def _dpor(protocol, invariant, plan, observer, telemetry):
+    # Imported lazily to keep the layering acyclic.
+    from ..por.dpor import DporSearch
+
+    return DporSearch(protocol, plan).run(invariant, observer=observer,
+                                          telemetry=telemetry)
+
+
+def _serial_ndfs(protocol, invariant, plan, observer, telemetry):
+    return ndfs_search(protocol, invariant, plan, observer=observer,
+                       telemetry=telemetry)
+
+
+def _swarm(protocol, invariant, plan, observer, telemetry):
+    # Imported lazily: repro.swarm builds on the checker package.
+    from ..swarm.search import swarm_search
+
+    return swarm_search(protocol, invariant, plan, observer=observer,
+                        telemetry=telemetry)
+
+
+def _swarm_parallel(protocol, invariant, plan, observer, telemetry):
+    from ..swarm.search import parallel_swarm_search
+
+    return parallel_swarm_search(protocol, invariant, plan,
+                                 observer=observer, telemetry=telemetry)
+
+
+#: Shared phrasing for the BFS rows' reduction constraint.
+_BFS_UNREDUCED = ("the stubborn-set cycle proviso needs a DFS stack, so "
+                  "breadth-first search runs unreduced")
+
+#: Shared phrasing for the nested-DFS row's liveness constraints.
 _NDFS_NOTES = {
     "goal": "nested DFS checks acceptance-cycle (liveness) properties; "
     "invariant plans are served by the plain DFS/BFS engines",
@@ -296,33 +224,7 @@ _NDFS_NOTES = {
     "stateful by construction",
 }
 
-
-class SerialNdfsEngine(Engine):
-    """Nested-DFS acceptance-cycle detection (CVWY with Schwoon–Esparza
-    early detection) over object or packed states; lasso counterexamples."""
-
-    name = "serial-ndfs"
-    description = ("serial nested DFS for liveness goals; lasso (stem + "
-                   "cycle) counterexamples, unreduced")
-    capabilities = Capabilities(
-        shapes=("dfs",),
-        reductions=("none",),
-        backends=("serial",),
-        stores=_STATEFUL_STORES,
-        goals=("liveness",),
-        statefulness=(True,),
-        successor_modes=("object", "fast"),
-        min_workers=1,
-        max_workers=1,
-        notes=_NDFS_NOTES,
-    )
-
-    def run(self, protocol, invariant, plan, observer=None, telemetry=None):
-        return ndfs_search(protocol, invariant, plan, observer=observer,
-                           telemetry=telemetry)
-
-
-#: Shared capability notes of the swarm sampling engines.
+#: Shared notes of the swarm sampling rows.
 _SWARM_NOTES = {
     "reduction": "partial-order reduction prunes interleavings assuming the "
     "survivors are explored exhaustively; under random sampling that "
@@ -340,80 +242,150 @@ _SWARM_NOTES = {
     "sampling trades completeness for reach and must be an explicit opt-in",
 }
 
-
-class SwarmEngine(Engine):
-    """Serial seeded random-walk sampler (swarm checking)."""
-
-    name = "swarm"
-    description = ("seeded random-walk sampler; conclusive on violations, "
-                   "honestly inconclusive on exhausted walk budgets")
-    capabilities = Capabilities(
-        shapes=("dfs",),
-        reductions=("none",),
-        backends=("swarm",),
-        stores=("none",),
-        statefulness=(False,),
-        successor_modes=("object", "fast"),
-        min_workers=1,
-        max_workers=1,
-        auto_backend=False,
+#: Every engine, in resolution order: a plan runs on the first row that
+#: accepts all of its axes.  Every exhaustive loop and both samplers run
+#: over either state graph, so ``successors`` is never an engine identity;
+#: only DPOR, whose search is its own object-graph loop, is object-only.
+ENGINES: Tuple[Engine, ...] = (
+    Engine(
+        name="serial-dfs",
+        description="serial DFS; supports the stubborn-set reductions and "
+        "stateless mode",
+        run=_serial_dfs,
+        shape=("dfs",),
+        reduction=("none", "spor", "spor-net"),
+        backend=("serial",),
+        store=_STATEFUL_STORES + ("none",),
+        stateful=(True, False),
+        workers=SERIAL,
+        notes={
+            "workers": "the serial DFS runs in-process; request the "
+            "worksteal backend (or backend='auto') for workers > 1",
+        },
+    ),
+    Engine(
+        name="serial-bfs",
+        description="serial BFS; stateful only, finds shortest counterexamples",
+        run=_serial_bfs,
+        shape=("bfs",),
+        reduction=("none",),
+        backend=("serial",),
+        store=_STATEFUL_STORES,
+        stateful=(True,),
+        workers=SERIAL,
+        notes={
+            "reduction": _BFS_UNREDUCED,
+            "stateful": "breadth-first search deduplicates per level and is "
+            "inherently stateful",
+        },
+    ),
+    Engine(
+        name="frontier-bfs",
+        description="frontier-parallel BFS; shard-owning workers, "
+        "serial-exact counts",
+        run=_frontier_bfs,
+        shape=("bfs",),
+        reduction=("none",),
+        backend=("frontier",),
+        store=_STATEFUL_STORES,
+        stateful=(True,),
+        workers=PARALLEL,
+        notes={
+            "reduction": _BFS_UNREDUCED,
+            "workers": "one worker has no frontier to share; backend='auto' "
+            "picks the serial BFS instead",
+        },
+    ),
+    Engine(
+        name="worksteal-dfs",
+        description="work-stealing parallel DFS; drives the stubborn-set "
+        "reductions (dedup is fingerprint-based for every store)",
+        run=_worksteal_dfs,
+        shape=("dfs",),
+        reduction=("none", "spor", "spor-net"),
+        backend=("worksteal",),
+        store=_STATEFUL_STORES,
+        stateful=(True,),
+        workers=PARALLEL,
+        notes={
+            "store": "the shared claim table arbitrating worker expansions "
+            "is fingerprint-based regardless of the store kind (the exact "
+            "store has no shared-memory analogue), so store='full' keeps "
+            "the legacy semantics but carries the standard bit-state "
+            "collision trade-off; run workers=1 for exact-store dedup",
+            "stateful": "the work-stealing DFS deduplicates via a shared "
+            "claim table, which has no stateless mode; run stateless "
+            "searches with workers=1",
+            "reduction": "dynamic POR mutates backtrack sets up the serial "
+            "DFS stack, so its subtrees cannot be donated to other workers; "
+            "stubborn-set reductions are additionally refused on protocols "
+            "declaring cyclic_state_graph=True (the cross-worker ignoring "
+            "problem) — explore those unreduced or serially",
+            "workers": "one worker has nothing to steal from; backend='auto' "
+            "picks the serial DFS instead",
+        },
+    ),
+    Engine(
+        name="dpor",
+        description="stateless dynamic POR; serial by construction",
+        run=_dpor,
+        shape=("dfs",),
+        reduction=("dpor",),
+        backend=("serial",),
+        store=("none",),
+        stateful=(False,),
+        workers=SERIAL,
+        successors=("object",),
+        notes={
+            "workers": "dynamic POR mutates backtrack sets up the serial "
+            "DFS stack, so its subtrees cannot be donated to other workers; "
+            "run DPOR with workers=1, or choose reduction='spor' for a "
+            "work-stealing parallel search",
+            "stateful": "DPOR is unsound with stateful exploration "
+            "(Section III-A), so it always runs stateless",
+        },
+    ),
+    Engine(
+        name="serial-ndfs",
+        description="serial nested DFS for liveness goals; lasso (stem + "
+        "cycle) counterexamples, unreduced",
+        run=_serial_ndfs,
+        shape=("dfs",),
+        reduction=("none",),
+        backend=("serial",),
+        store=_STATEFUL_STORES,
+        stateful=(True,),
+        workers=SERIAL,
+        goal=("liveness",),
+        notes=_NDFS_NOTES,
+    ),
+    Engine(
+        name="swarm",
+        description="seeded random-walk sampler; conclusive on violations, "
+        "honestly inconclusive on exhausted walk budgets",
+        run=_swarm,
+        shape=("dfs",),
+        reduction=("none",),
+        backend=("swarm",),
+        store=("none",),
+        stateful=(False,),
+        workers=SERIAL,
         notes=dict(_SWARM_NOTES, workers="the serial walker runs "
                    "in-process; workers > 1 runs the parallel walker pool"),
-    )
-
-    def run(self, protocol, invariant, plan, observer=None, telemetry=None):
-        # Imported lazily: repro.swarm builds on the checker package.
-        from ..swarm.search import swarm_search
-
-        return swarm_search(protocol, invariant, plan, observer=observer,
-                            telemetry=telemetry)
-
-
-class ParallelSwarmEngine(Engine):
-    """Parallel walker pool: the same walks, partitioned by index across a
-    fork-based worker pool with a shared visited filter and early abort."""
-
-    name = "swarm-parallel"
-    description = ("parallel seeded walker pool; walk-index partition keeps "
-                   "results identical to the serial walker")
-    capabilities = Capabilities(
-        shapes=("dfs",),
-        reductions=("none",),
-        backends=("swarm",),
-        stores=("none",),
-        statefulness=(False,),
-        successor_modes=("object", "fast"),
-        min_workers=2,
-        max_workers=None,
-        requirements=("fork",),
-        auto_backend=False,
+    ),
+    Engine(
+        name="swarm-parallel",
+        description="parallel seeded walker pool; walk-index partition keeps "
+        "results identical to the serial walker",
+        run=_swarm_parallel,
+        shape=("dfs",),
+        reduction=("none",),
+        backend=("swarm",),
+        store=("none",),
+        stateful=(False,),
+        workers=PARALLEL,
         notes=dict(_SWARM_NOTES, workers="walks are embarrassingly "
                    "parallel; per-walk seeding keeps the violating walk "
                    "index independent of the worker count"),
-    )
-
-    def run(self, protocol, invariant, plan, observer=None, telemetry=None):
-        from ..swarm.search import parallel_swarm_search
-
-        return parallel_swarm_search(protocol, invariant, plan,
-                                     observer=observer, telemetry=telemetry)
-
-
-def builtin_engines():
-    """Fresh instances of every built-in engine, registration order.
-
-    Every exhaustive search loop — serial, frontier, work-stealing — and
-    the samplers run over either state graph (``successor_modes=("object",
-    "fast")``), so ``successors`` is never an engine identity; only DPOR,
-    whose search is its own object-graph loop, is object-only.
-    """
-    return (
-        SerialDfsEngine(),
-        SerialBfsEngine(),
-        FrontierBfsEngine(),
-        WorkstealDfsEngine(),
-        DporEngine(),
-        SerialNdfsEngine(),
-        SwarmEngine(),
-        ParallelSwarmEngine(),
-    )
+    ),
+)

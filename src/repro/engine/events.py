@@ -51,21 +51,19 @@ Event kinds (``EngineEvent.kind``):
 ``checkpoint-written``
     A level-barrier checkpoint was written; payload carries the depth,
     the visited count and the file path.
+``job-*``
+    The checking service's job lifecycle (:data:`JOB_EVENT_KINDS`,
+    documented in :mod:`repro.service.jobs`).
 
 Parallel engines emit coordinator-side events only: observers are plain
 Python objects and do not cross process boundaries.
 
-``emit`` validates event kinds against :data:`EVENT_KINDS` (plus any
-kinds added through :func:`register_event_kind`): unknown kinds raise by
-default so typos fail loudly under test, while production embedders can
-set ``REPRO_EVENT_VALIDATION=warn`` (or ``off``) to tolerate streams from
-newer emitters.
+``emit`` validates event kinds against :data:`EVENT_KINDS`: an unknown
+kind raises, so a typo fails loudly.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
@@ -73,7 +71,18 @@ from typing import Dict, Iterable, List, Optional
 #: States between two ``progress`` ticks of the serial engines.
 PROGRESS_INTERVAL = 1000
 
-#: Every event kind an engine may emit, for validation and documentation.
+#: Job-lifecycle kinds the checking service emits into per-job streams.
+JOB_EVENT_KINDS = (
+    "job-submitted",
+    "job-started",
+    "job-cache-hit",
+    "job-finished",
+    "job-failed",
+    "job-cancelled",
+)
+
+#: Every event kind an engine or the service may emit, for validation and
+#: documentation.
 EVENT_KINDS = (
     "search-started",
     "progress",
@@ -88,29 +97,9 @@ EVENT_KINDS = (
     "span-finished",
     "violation-found",
     "search-finished",
-)
+) + JOB_EVENT_KINDS
 
-#: Environment knob for unknown-kind handling: ``strict`` (default,
-#: raise), ``warn`` (``warnings.warn`` and deliver) or ``off`` (deliver).
-EVENT_VALIDATION_ENV = "REPRO_EVENT_VALIDATION"
-
-_known_kinds = set(EVENT_KINDS)
-
-
-def register_event_kind(kind: str) -> None:
-    """Allow an extension event kind through :func:`emit` validation.
-
-    Custom engines registered from outside the package can extend the
-    stream without patching :data:`EVENT_KINDS`.
-    """
-    if not kind or not isinstance(kind, str):
-        raise ValueError("event kind must be a non-empty string")
-    _known_kinds.add(kind)
-
-
-def known_event_kinds() -> frozenset:
-    """The currently accepted event kinds (built-in + registered)."""
-    return frozenset(_known_kinds)
+_known_kinds = frozenset(EVENT_KINDS)
 
 
 @dataclass(frozen=True)
@@ -127,10 +116,6 @@ class Observer:
 
     def on_event(self, event: EngineEvent) -> None:  # pragma: no cover - trivial
         pass
-
-
-#: Back-compat friendly alias: an explicitly do-nothing observer.
-NullObserver = Observer
 
 
 class MultiObserver(Observer):
@@ -266,29 +251,17 @@ class ProgressPrinter(Observer):
 def emit(observer: Optional[Observer], kind: str, **payload) -> None:
     """Deliver one event, tolerating ``observer=None`` (the common case).
 
-    Unknown kinds raise :class:`ValueError` unless the
-    :data:`EVENT_VALIDATION_ENV` environment variable says ``warn`` or
-    ``off``.  The ``observer is None`` early-out stays first: the no-sink
-    fast path costs one comparison, validation only runs when someone is
-    listening.
+    Kinds outside :data:`EVENT_KINDS` raise :class:`ValueError`.  The
+    ``observer is None`` early-out stays first: the no-sink fast path costs
+    one comparison, validation only runs when someone is listening.
     """
     if observer is None:
         return
     if kind not in _known_kinds:
-        mode = os.environ.get(EVENT_VALIDATION_ENV, "strict").lower()
-        if mode not in ("warn", "off", "0", "false"):
-            raise ValueError(
-                f"unknown event kind {kind!r}; known kinds: "
-                f"{', '.join(sorted(_known_kinds))} "
-                f"(register_event_kind() adds extensions, "
-                f"{EVENT_VALIDATION_ENV}=warn tolerates)"
-            )
-        if mode == "warn":
-            warnings.warn(
-                f"unknown event kind {kind!r} delivered unvalidated",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        raise ValueError(
+            f"unknown event kind {kind!r}; known kinds: "
+            f"{', '.join(sorted(_known_kinds))}"
+        )
     observer.on_event(EngineEvent(kind=kind, payload=payload))
 
 

@@ -5,8 +5,8 @@ that are independent of each other: how the state space is walked (*shape*),
 which partial-order reduction prunes it (*reduction*), how visited states
 are remembered (*store*), and which execution backend drives the walk
 (*backend*, with a *workers* count).  A plan names one point of that
-cross-product; the registry (:mod:`repro.engine.registry`) maps it to the
-engine implementing it — or raises a structured
+cross-product; plan resolution (:mod:`repro.engine.registry`) maps it to
+the engine implementing it — or raises a structured
 :class:`UnsupportedPlanError` naming the offending axis when no engine can.
 
 Plans are frozen and hashable, so they work as dictionary keys for sweeps
@@ -66,7 +66,7 @@ SEED_HEURISTICS = ("opposite-transaction", "transaction", "first", "fewest-depen
 #: cycles found by nested DFS).
 GOALS = ("invariant", "liveness")
 
-#: The orthogonal axes engine capabilities are declared over, in the order
+#: The orthogonal axes the engine table is declared over, in the order
 #: violations are reported (most identity-defining axis first).
 PLAN_AXES = ("goal", "reduction", "shape", "workers", "stateful",
              "successors", "backend", "store")

@@ -1,224 +1,172 @@
-"""Engine registry and plan resolution.
+"""Plan resolution: which row of the engine table runs a plan.
 
-The registry is the single place where "which engine runs this plan?" is
-answered.  Engines declare the axis combinations they support via
-:class:`~repro.engine.capabilities.Capabilities`; :meth:`EngineRegistry.resolve`
-matches a :class:`~repro.engine.plan.CheckPlan` against those descriptors,
-concretising ``backend="auto"`` (serial for one worker, frontier/worksteal
-above) and raising a structured
-:class:`~repro.engine.plan.UnsupportedPlanError` — offending axis, engine
-explanation, nearest supported alternative — when nothing matches.
-
-New axes land here as registry entries: a C-accelerated successor engine, a
-spawn-mode frontier or a new backend registers an engine with its
-capabilities and every consumer (cells runner, CLI, service, benchmarks)
-picks it up without edits.
+:func:`resolve` matches a :class:`~repro.engine.plan.CheckPlan` against
+:data:`~repro.engine.engines.ENGINES`, concretising ``backend="auto"``
+(serial for one worker, frontier/worksteal above) and raising a structured
+:class:`~repro.engine.plan.UnsupportedPlanError` — offending axis, the
+nearest row's explanation, a runnable nearest alternative — when no row
+accepts it.  :func:`run_plan` resolves and runs; every consumer (the cells
+runner, the CLI, the service) funnels through it.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Dict, Optional, Tuple
 
 from ..checker.property import Invariant, goal_of
 from ..checker.result import CheckResult
 from ..mp.protocol import Protocol
 from ..obs.telemetry import RunTelemetry
-from .capabilities import platform_requirements
-from .engines import Engine, builtin_engines
+from .engines import ENGINES, PARALLEL, Engine
 from .events import Observer, emit
 from .plan import CheckPlan, UnsupportedPlanError, strategy_label
 
+#: Weight of each axis when ranking "nearest" rows for diagnostics.  The
+#: most identity-defining axes dominate: a row matching the requested
+#: reduction is closer than one merely matching the store kind, and a
+#: mismatch on the explicitly requested worker count outranks statefulness
+#: (suggesting ``workers=1`` to someone who asked for parallelism would be
+#: the silent downgrade this layer exists to prevent).
+_AXIS_WEIGHTS = {
+    "goal": 64,
+    "reduction": 32,
+    "shape": 16,
+    "workers": 8,
+    "stateful": 4,
+    "successors": 3,
+    "backend": 2,
+    "store": 1,
+}
 
-class EngineRegistry:
-    """Ordered collection of engines keyed by name."""
 
-    def __init__(self, engines: Sequence[Engine] = ()) -> None:
-        self._engines: Dict[str, Engine] = {}
-        for engine in engines:
-            self.register(engine)
+def fork_available() -> bool:
+    """Whether this interpreter offers the ``fork`` start method.
 
-    def register(self, engine: Engine) -> Engine:
-        """Add an engine; names are unique, capabilities must be coherent.
+    The one place the platform rule lives: the multi-process rows (workers
+    :data:`~repro.engine.engines.PARALLEL`) inherit the unpicklable
+    protocol and the parent's hash seed through ``fork``, so :func:`resolve`
+    refuses them where it is missing.  Tests monkeypatch this to simulate
+    spawn-only platforms.
+    """
+    return "fork" in multiprocessing.get_all_start_methods()
 
-        Coherence check: a stateless plan's store axis is always ``"none"``
-        (normalised at plan construction), so an engine declaring stateless
-        support without the ``"none"`` store could never match a stateless
-        plan — its ``False`` statefulness would be dead and its diagnostics
-        misleading.  Rejected here, at registration, not at resolve time.
-        """
-        if not engine.name:
-            raise ValueError("engines must carry a non-empty name")
-        if engine.name in self._engines:
-            raise ValueError(f"engine {engine.name!r} is already registered")
-        capabilities = engine.capabilities
-        if False in capabilities.statefulness and "none" not in capabilities.stores:
-            raise ValueError(
-                f"engine {engine.name!r} declares stateless support "
-                "(False in statefulness) but not the 'none' store; stateless "
-                "plans always carry store='none', so add it to stores or "
-                "drop False from statefulness"
-            )
-        self._engines[engine.name] = engine
-        return engine
 
-    def engines(self) -> Tuple[Engine, ...]:
-        """Every registered engine, in registration order."""
-        return tuple(self._engines.values())
+def _match_score(row: Engine, plan: CheckPlan) -> int:
+    """Weighted count of the axes ``row`` accepts (for "nearest row").
 
-    def get(self, name: str) -> Engine:
-        """Look an engine up by name."""
-        try:
-            return self._engines[name]
-        except KeyError:
-            known = ", ".join(self._engines) or "none"
-            raise KeyError(f"unknown engine {name!r} (registered: {known})")
+    A swarm row is pushed behind every other row when ranking an auto
+    plan: suggesting "switch to sampling" to someone who asked for an
+    exhaustive search would be the semantic downgrade this layer exists to
+    prevent.
+    """
+    score = sum(weight for axis, weight in _AXIS_WEIGHTS.items()
+                if row.takes(plan, axis))
+    if plan.backend == "auto" and "swarm" in row.backend:
+        score -= sum(_AXIS_WEIGHTS.values()) + 1
+    return score
 
-    # ------------------------------------------------------------------ #
-    # Plan resolution
-    # ------------------------------------------------------------------ #
-    def resolve(self, plan: CheckPlan) -> Tuple[Engine, CheckPlan]:
-        """Pick the engine for ``plan``; never silently downgrades an axis.
 
-        Returns:
-            ``(engine, resolved_plan)`` where ``resolved_plan`` equals
-            ``plan`` except that ``backend="auto"`` is concretised to the
-            chosen engine's backend.
+def _nearest_plan(row: Engine, plan: CheckPlan) -> CheckPlan:
+    """``plan`` with every refused axis replaced by a value ``row`` accepts."""
+    changes: Dict[str, object] = {}
+    for axis in row.refused(plan):
+        if axis == "workers":
+            changes["workers"] = min(max(plan.workers, row.workers.start),
+                                     row.workers.stop - 1)
+        elif axis == "backend":
+            changes["backend"] = row.backend[0]
+            if plan.backend == "swarm" and changes["backend"] != "swarm":
+                # The walk-budget axes only exist on the sampling backend;
+                # an exhaustive plan would reject them.
+                changes["walks"] = None
+                changes["walk_seed"] = None
+        elif axis == "store":
+            changes["store"] = row.store[0]
+            if plan.stateful and changes["store"] == "none":
+                # A "none"-only row is stateless; follow it there.
+                changes["stateful"] = False
+            elif not plan.stateful and changes["store"] != "none":
+                # A stateless plan's store is always "none", so a real store
+                # can only be reached by turning statefulness back on
+                # (CheckPlan.__post_init__ would otherwise revert the store
+                # fix and the "alternative" would equal the refused plan).
+                changes["stateful"] = True
+        elif axis == "stateful":
+            changes["stateful"] = row.stateful[0]
+            if row.stateful[0] and plan.store == "none":
+                # Re-entering statefulness needs a real store again.
+                changes["store"] = next(kind for kind in row.store if kind != "none")
+        else:
+            changes[axis] = getattr(row, axis)[0]
+    return replace(plan, **changes)
 
-        Raises:
-            UnsupportedPlanError: When no registered engine supports the
-                combination.  The error names the offending axis, quotes the
-                nearest engine's explanation for the constraint, and carries
-                a runnable nearest-alternative plan.
-        """
-        if not self._engines:
-            raise ValueError("cannot resolve a plan against an empty registry")
-        supporting = [
-            engine
-            for engine in self._engines.values()
-            if engine.capabilities.supports(plan)
-        ]
-        available = platform_requirements()
-        runnable = [
-            engine
-            for engine in supporting
-            if not engine.capabilities.missing_requirements(available)
-        ]
-        if runnable:
-            engine = runnable[0]
-            resolved = plan
-            if plan.backend == "auto":
-                resolved = replace(plan, backend=engine.capabilities.backends[0])
-            return engine, resolved
-        if supporting:
-            # The axes are fine; the platform is not (e.g. a multi-process
-            # backend on a spawn-only interpreter).  Refusing here, with a
-            # runnable serial alternative, replaces the raw runtime error /
-            # silent serial fallback the parallel searches used to produce.
-            engine = supporting[0]
-            missing = engine.capabilities.missing_requirements(available)
-            if plan.backend == "swarm":
-                # Dropping to one worker keeps the plan on the serial
-                # walker; "auto" would reject the walk-budget axes.
-                alternative = replace(plan, workers=1)
-            else:
-                alternative = replace(plan, workers=1, backend="auto")
-            raise UnsupportedPlanError(
-                "backend",
-                plan.backend,
-                f"plan {plan.describe()} resolves to engine {engine.name}, "
-                f"which requires platform feature(s) "
-                f"{', '.join(map(repr, missing))} that this interpreter "
-                "does not provide (the multi-process backends inherit the "
-                "protocol and hash seed via the 'fork' start method); "
-                f"nearest supported alternative: {alternative.describe()}",
-                alternative=alternative,
-            )
 
-        nearest = max(
-            self._engines.values(), key=lambda e: e.capabilities.match_score(plan)
-        )
-        capabilities = nearest.capabilities
-        axis = capabilities.violations(plan)[0]
-        requested = plan.axes()[axis]
-        alternative = capabilities.nearest_plan(plan)
-        note = capabilities.notes.get(axis)
+def resolve(plan: CheckPlan) -> Tuple[Engine, CheckPlan]:
+    """Pick the engine for ``plan``; never silently downgrades an axis.
+
+    Returns:
+        ``(engine, resolved_plan)``: the first row of
+        :data:`~repro.engine.engines.ENGINES` accepting every axis, and
+        ``plan`` with ``backend="auto"`` concretised to that row's backend.
+
+    Raises:
+        UnsupportedPlanError: When no row accepts the combination, or the
+            row is multi-process and the platform lacks ``fork``.  The
+            error names the offending axis, quotes the nearest row's
+            explanation for the constraint, and carries a runnable
+            nearest-alternative plan.
+    """
+    for engine in ENGINES:
+        if engine.accepts(plan):
+            break
+    else:
+        nearest = max(ENGINES, key=lambda row: _match_score(row, plan))
+        axis = nearest.refused(plan)[0]
+        requested = getattr(plan, axis)
+        alternative = _nearest_plan(nearest, plan)
+        note = nearest.notes.get(axis)
         detail = f" ({note})" if note else ""
         raise UnsupportedPlanError(
             axis,
             requested,
             f"no registered engine supports plan {plan.describe()}: "
             f"axis {axis}={requested!r} is outside the nearest engine's "
-            f"support ({nearest.name}: {capabilities.supported_description(axis)})"
+            f"support ({nearest.name}: {nearest.describe(axis)})"
             f"{detail}; nearest supported alternative: {alternative.describe()}",
             alternative=alternative,
         )
-
-    def supported_plans(
-        self,
-        worker_counts: Sequence[int] = (1, 2, 4),
-        stores: Sequence[str] = ("full",),
-        successor_modes: Sequence[str] = ("object",),
-        goals: Sequence[str] = ("invariant",),
-    ) -> Iterator[Tuple[Engine, CheckPlan]]:
-        """Enumerate the (goal × shape × reduction × backend × workers ×
-        store × successors) grid the registry reports as supported.
-
-        This is what the conformance matrix iterates: every yielded plan is
-        guaranteed to resolve to the accompanying engine.  The default
-        enumerates the invariant-checking object-graph family only; pass
-        ``successor_modes=("object", "fast")`` and/or
-        ``goals=("invariant", "liveness")`` for the full grid.
-        """
-        from .plan import REDUCTIONS, SHAPES
-
-        seen = set()
-        for goal in goals:
-            for shape in SHAPES:
-                for reduction in REDUCTIONS:
-                    for store in stores:
-                        for workers in worker_counts:
-                            for successors in successor_modes:
-                                stateful = reduction != "dpor"
-                                try:
-                                    plan = CheckPlan(
-                                        shape=shape,
-                                        reduction=reduction,
-                                        store=store if stateful else "none",
-                                        workers=workers,
-                                        stateful=stateful,
-                                        successors=successors,
-                                        goal=goal,
-                                    )
-                                    engine, resolved = self.resolve(plan)
-                                except UnsupportedPlanError:
-                                    continue
-                                # Stateless plans collapse the store axis to
-                                # "none", so several grid points can
-                                # normalise to one plan.
-                                if resolved in seen:
-                                    continue
-                                seen.add(resolved)
-                                yield engine, resolved
+    if engine.workers == PARALLEL and not fork_available():
+        if plan.backend == "swarm":
+            # Dropping to one worker keeps the plan on the serial walker;
+            # "auto" would reject the walk-budget axes.
+            alternative = replace(plan, workers=1)
+        else:
+            alternative = replace(plan, workers=1, backend="auto")
+        raise UnsupportedPlanError(
+            "backend",
+            plan.backend,
+            f"plan {plan.describe()} resolves to engine {engine.name}, "
+            "which requires platform feature(s) 'fork' that this interpreter "
+            "does not provide (the multi-process backends inherit the "
+            "protocol and hash seed via the 'fork' start method); "
+            f"nearest supported alternative: {alternative.describe()}",
+            alternative=alternative,
+        )
+    if plan.backend == "auto":
+        return engine, replace(plan, backend=engine.backend[0])
+    return engine, plan
 
 
-#: The process-wide default registry, built lazily.
-_DEFAULT_REGISTRY: Optional[EngineRegistry] = None
+def default_registry() -> SimpleNamespace:
+    """``default_registry().resolve`` is :func:`resolve`.
 
-
-def default_registry() -> EngineRegistry:
-    """The shared registry holding every built-in engine."""
-    global _DEFAULT_REGISTRY
-    if _DEFAULT_REGISTRY is None:
-        _DEFAULT_REGISTRY = EngineRegistry(builtin_engines())
-    return _DEFAULT_REGISTRY
-
-
-def resolve(
-    plan: CheckPlan, registry: Optional[EngineRegistry] = None
-) -> Tuple[Engine, CheckPlan]:
-    """Module-level convenience: resolve against the default registry."""
-    return (registry or default_registry()).resolve(plan)
+    Kept only because the frozen benchmark ledger still calls it; it goes
+    when the ledger moves onto :func:`run_plan`.
+    """
+    return SimpleNamespace(resolve=resolve)
 
 
 def run_plan(
@@ -226,7 +174,6 @@ def run_plan(
     invariant: Invariant,
     plan: CheckPlan,
     observer: Optional[Observer] = None,
-    registry: Optional[EngineRegistry] = None,
     telemetry: Optional[RunTelemetry] = None,
 ) -> CheckResult:
     """Resolve ``plan``, run it, and wrap the outcome as a CheckResult.
@@ -254,7 +201,7 @@ def run_plan(
             "the mismatch is refused rather than silently reinterpreted",
             alternative=replace(plan, goal=required),
         )
-    engine, resolved = resolve(plan, registry)
+    engine, resolved = resolve(plan)
     if telemetry is None:
         telemetry = RunTelemetry(observer=observer)
     emit(

@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-import warnings
 from typing import Dict, List, Optional, Tuple
 
 from ..checker.counterexample import Counterexample
@@ -98,16 +97,15 @@ MAX_WORKER_RESTARTS = 3
 
 
 def default_mp_context():
-    """The ``fork`` multiprocessing context, or None when unavailable.
+    """The ``fork`` multiprocessing context.
 
     ``fork`` is required for two reasons: workers inherit the (unpicklable)
     protocol object, and forked children share the parent's hash seed so
     fingerprints — and with them the shard partition — agree across all
-    processes.
+    processes.  Plan resolution refuses multi-process plans on platforms
+    without it, so on those this raises :class:`ValueError`.
     """
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return None
+    return multiprocessing.get_context("fork")
 
 
 def parallel_bfs_search(
@@ -129,8 +127,7 @@ def parallel_bfs_search(
             The ``chaos`` / ``supervise`` / ``checkpoint_dir`` /
             ``checkpoint_every`` / ``resume_from`` knobs drive the fault
             tolerance documented in the module docstring.  Workers are
-            forked (without a fork-capable platform the search falls back
-            to serial), and the coordinator waits at each level barrier for
+            forked, and the coordinator waits at each level barrier for
             as long as every worker process is alive: an arbitrarily long
             level is progress, not a hang, and a crashed worker is detected
             through its process sentinel.  ``max_seconds`` budgets the
@@ -156,15 +153,6 @@ def parallel_bfs_search(
         return bfs_search(protocol, invariant, config, observer=observer,
                           telemetry=telemetry)
     context = default_mp_context()
-    if context is None:
-        warnings.warn(
-            "parallel_bfs_search requires a fork-capable platform; "
-            "falling back to serial bfs_search",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return bfs_search(protocol, invariant, config, observer=observer,
-                          telemetry=telemetry)
 
     # Imported here, not by ``import repro`` — and before the fork, so the
     # workers inherit it.

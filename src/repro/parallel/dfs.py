@@ -42,7 +42,7 @@ Equivalence to the serial search:
   ignoring-prevention condition.  Protocols that declare
   ``cyclic_state_graph=True`` in their metadata — the crash-recovery family
   — are therefore *refused* by the worksteal engines when combined with a
-  stubborn-set reduction: the registry raises a structured
+  stubborn-set reduction: the engine raises a structured
   ``UnsupportedPlanError`` pointing at the unreduced alternative instead of
   silently risking ignored transitions.  Acyclic protocols — transitions
   strictly consume trigger messages — are unaffected.)
@@ -68,8 +68,7 @@ and a thief calls ``graph.sync()`` before it resumes a stolen frame.
 
 Workers inherit the graph (and the pre-built reducer) via the ``fork``
 start method — transition guards and actions are closures and never pickle.
-Platforms without ``fork`` transparently fall back to the serial search,
-mirroring :func:`~repro.parallel.bfs.parallel_bfs_search`.
+Plan resolution refuses multi-process plans on platforms without ``fork``.
 
 Not supervised: a worker that dies ends the run as an honest incomplete
 outcome (``incomplete_reason="worker crash"``, partial statistics, the
@@ -84,7 +83,6 @@ from __future__ import annotations
 
 import time
 import traceback
-import warnings
 from typing import List, Optional, Set, Tuple
 
 from ..checker.counterexample import Counterexample
@@ -381,8 +379,7 @@ def parallel_dfs_search(
             :class:`ValueError` (see the module docstring).
         reducer: Optional partial-order reducer (e.g. a pre-built
             :class:`~repro.por.stubborn.StubbornSetProvider`'s ``reduce``),
-            inherited by every worker via ``fork`` (without a fork-capable
-            platform the search falls back to serial).
+            inherited by every worker via ``fork``.
         observer: Optional coordinator-side event observer; receives one
             ``worker-report`` event per worker (claimed states, steals-side
             counters) plus ``violation-found`` events.  When attached, the
@@ -413,15 +410,6 @@ def parallel_dfs_search(
         return dfs_search(protocol, invariant, config, reducer=reducer,
                           observer=observer, telemetry=telemetry)
     context = default_mp_context()
-    if context is None:
-        warnings.warn(
-            "parallel_dfs_search requires a fork-capable platform; "
-            "falling back to serial dfs_search",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return dfs_search(protocol, invariant, config, reducer=reducer,
-                          observer=observer, telemetry=telemetry)
 
     statistics = SearchStatistics()
     start_time = time.perf_counter()

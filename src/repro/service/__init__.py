@@ -16,13 +16,13 @@ The service layer turns the plan-layer entry point
 - :func:`run_jobs` — synchronous batch convenience for scripts.
 """
 
+from ..engine.events import JOB_EVENT_KINDS
 from .cache import CacheKey, ResultCache, protocol_fingerprint
 from .client import ServiceClient, ServiceClientError
 from .jobs import (
     CANCELLED,
     DONE,
     FAILED,
-    JOB_EVENT_KINDS,
     JOB_STATES,
     QUEUED,
     RUNNING,

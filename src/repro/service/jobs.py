@@ -11,7 +11,7 @@ Every job owns its own :class:`JobEventLog`: the engine's uniform event
 stream (PR 4) plus the job-lifecycle events below land there and nowhere
 else, so concurrent jobs never interleave their streams.
 
-Job-lifecycle event kinds (registered with the engine event vocabulary):
+Job-lifecycle event kinds (:data:`~repro.engine.events.JOB_EVENT_KINDS`):
 
 ``job-submitted``
     The job entered the bounded queue; payload carries the job id and the
@@ -40,23 +40,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ..checker.property import Invariant
 from ..checker.result import CheckResult
-from ..engine.events import EngineEvent, Observer, register_event_kind
+from ..engine.events import EngineEvent, Observer
 from ..engine.plan import CheckPlan
 from ..mp.protocol import Protocol
 from ..protocols.catalog import default_catalog, entry_by_key
-
-#: Lifecycle kinds the service adds to the engine event vocabulary.
-JOB_EVENT_KINDS = (
-    "job-submitted",
-    "job-started",
-    "job-cache-hit",
-    "job-finished",
-    "job-failed",
-    "job-cancelled",
-)
-
-for _kind in JOB_EVENT_KINDS:
-    register_event_kind(_kind)
 
 #: Job lifecycle states.
 QUEUED = "queued"

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional
 from ..checker.result import CheckResult
 from ..engine.events import EngineEvent, MultiObserver, Observer, emit
 from ..engine.plan import UnsupportedPlanError, strategy_label
-from ..engine.registry import EngineRegistry, resolve, run_plan
+from ..engine.registry import resolve, run_plan
 from ..obs.telemetry import MetricsRegistry
 from ..parallel.worksteal import WORKER_STALL_SECONDS, StallDetector
 from .cache import ResultCache
@@ -134,7 +134,7 @@ class _CancelGate(Observer):
 
 
 class CheckService:
-    """Async job service over the engine registry.
+    """Async job service over :func:`~repro.engine.registry.run_plan`.
 
     Args:
         workers: Concurrent job slots (each runs one engine at a time on
@@ -142,7 +142,6 @@ class CheckService:
         queue_limit: Bound of the submission queue; full means
             :class:`ServiceOverloadedError`.
         cache: Verdict cache; a fresh default-capacity one when omitted.
-        registry: Engine registry; the process default when omitted.
         stall_seconds: Heartbeat silence threshold of the health probe.
         clock: Monotonic time source — injectable for tests.
     """
@@ -152,7 +151,6 @@ class CheckService:
         workers: int = 2,
         queue_limit: int = 16,
         cache: Optional[ResultCache] = None,
-        registry: Optional[EngineRegistry] = None,
         stall_seconds: float = WORKER_STALL_SECONDS,
         clock=time.monotonic,
     ) -> None:
@@ -163,7 +161,6 @@ class CheckService:
         self.workers = workers
         self.queue_limit = queue_limit
         self.cache = cache if cache is not None else ResultCache()
-        self.registry = registry
         self.stall_seconds = stall_seconds
         self.metrics = MetricsRegistry()
         self._clock = clock
@@ -231,7 +228,7 @@ class CheckService:
         submission stays lenient and records the failure on the job.
         """
         request.resolve_workload()
-        resolve(request.effective_plan(), self.registry)
+        resolve(request.effective_plan())
 
     async def submit(self, request: JobRequest) -> Job:
         """Enqueue one job; returns immediately with the queued job.
@@ -394,9 +391,7 @@ class CheckService:
             else:
                 self._engine_runs += 1
                 self.metrics.counter("service.engine_runs").inc()
-                result = run_plan(
-                    protocol, prop, plan, observer=observer, registry=self.registry
-                )
+                result = run_plan(protocol, prop, plan, observer=observer)
                 self.cache.put(key, result)
             job.result = result
             job.status = DONE

@@ -403,10 +403,6 @@ def parallel_swarm_search(
 
     walks, workers = config.walks, config.workers
     context = default_mp_context()
-    if context is None:
-        raise RuntimeError(
-            "parallel swarm search requires the 'fork' start method"
-        )
     start_time = time.perf_counter()
     stats = SwarmOutcomeStats()
     graph = _walk_graph(protocol, config, telemetry)

@@ -8,12 +8,9 @@ import pytest
 
 from repro.engine.events import (
     EVENT_KINDS,
-    EVENT_VALIDATION_ENV,
     CollectingObserver,
     ProgressPrinter,
     emit,
-    known_event_kinds,
-    register_event_kind,
 )
 
 
@@ -24,59 +21,16 @@ class TestEmitValidation:
             emit(observer, kind)
         assert observer.kinds() == list(EVENT_KINDS)
 
-    def test_unknown_kind_raises_by_default(self, monkeypatch):
-        monkeypatch.delenv(EVENT_VALIDATION_ENV, raising=False)
+    def test_unknown_kind_raises(self):
         observer = CollectingObserver()
         with pytest.raises(ValueError, match="unknown event kind 'serach-started'"):
             emit(observer, "serach-started")
         assert observer.events == []
 
-    def test_the_error_names_the_escape_hatches(self, monkeypatch):
-        monkeypatch.delenv(EVENT_VALIDATION_ENV, raising=False)
-        with pytest.raises(ValueError, match="register_event_kind"):
-            emit(CollectingObserver(), "nope")
-        with pytest.raises(ValueError, match=EVENT_VALIDATION_ENV):
-            emit(CollectingObserver(), "nope")
-
-    def test_no_observer_skips_validation_entirely(self, monkeypatch):
+    def test_no_observer_skips_validation_entirely(self):
         # The ``observer is None`` early-out comes first: the no-sink hot
         # path must not pay for (or trip over) kind validation.
-        monkeypatch.delenv(EVENT_VALIDATION_ENV, raising=False)
         emit(None, "definitely-not-a-kind")  # must not raise
-
-    def test_warn_mode_delivers_with_a_runtime_warning(self, monkeypatch):
-        monkeypatch.setenv(EVENT_VALIDATION_ENV, "warn")
-        observer = CollectingObserver()
-        with pytest.warns(RuntimeWarning, match="unknown event kind"):
-            emit(observer, "from-the-future", value=1)
-        assert observer.kinds() == ["from-the-future"]
-
-    @pytest.mark.parametrize("mode", ["off", "OFF", "0", "false"])
-    def test_off_modes_deliver_silently(self, monkeypatch, mode):
-        monkeypatch.setenv(EVENT_VALIDATION_ENV, mode)
-        observer = CollectingObserver()
-        emit(observer, "from-the-future")
-        assert observer.kinds() == ["from-the-future"]
-
-    def test_registered_extension_kinds_pass_strict_validation(self, monkeypatch):
-        monkeypatch.delenv(EVENT_VALIDATION_ENV, raising=False)
-        register_event_kind("custom-engine-tick")
-        try:
-            observer = CollectingObserver()
-            emit(observer, "custom-engine-tick", value=3)
-            assert observer.kinds() == ["custom-engine-tick"]
-            assert "custom-engine-tick" in known_event_kinds()
-        finally:
-            from repro.engine import events
-
-            events._known_kinds.discard("custom-engine-tick")
-
-    def test_register_event_kind_rejects_empty(self):
-        with pytest.raises(ValueError):
-            register_event_kind("")
-
-    def test_known_kinds_cover_the_documented_tuple(self):
-        assert set(EVENT_KINDS) <= known_event_kinds()
 
 
 class TestProgressPrinterRendering:

@@ -85,3 +85,23 @@ def test_reducer_replay_samples_the_whole_cell(engine_kind):
     assert totals["states"] == unreduced.statistics.states_visited
     assert totals["executions"] == unreduced.statistics.transitions_executed
     assert 0 < totals["reduce_calls"] <= totals["states"]
+
+
+def test_resolve_timing_goes_through_the_default_registry_alias(monkeypatch):
+    import repro.engine.registry as registry
+
+    ops = [wl.op("contract.resolve.dfs", CELL, MODEL, shape="dfs",
+                 reduction="spor-net", successors="fast"),
+           wl.op("contract.resolve.bfs", CELL, MODEL, shape="bfs")]
+    resolved = []
+    resolve = registry.resolve
+
+    def recording(plan):
+        resolved.append(resolve(plan))
+        return resolved[-1]
+
+    monkeypatch.setattr(registry, "resolve", recording)
+    assert layers._resolve_us(ops, iterations=2) > 0
+    assert [engine.name for engine, _ in resolved] == [
+        "serial-dfs", "serial-bfs", "serial-dfs", "serial-bfs",
+    ]

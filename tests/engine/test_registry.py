@@ -1,111 +1,77 @@
-"""Unit tests for the engine registry and plan resolution."""
+"""Unit tests for the engine table and plan resolution."""
 
 from __future__ import annotations
+
+import multiprocessing
 
 import pytest
 
 from repro.engine import (
-    Capabilities,
+    ENGINES,
+    PARALLEL,
+    SERIAL,
     CheckPlan,
     Engine,
-    EngineRegistry,
     UnsupportedPlanError,
-    builtin_engines,
     default_registry,
+    fork_available,
     resolve,
 )
+from repro.engine.registry import _nearest_plan
+
+from ..plan_grid import supported_plans
 
 
-class TestRegistryBasics:
-    def test_default_registry_holds_every_builtin_engine(self):
-        names = [engine.name for engine in default_registry().engines()]
-        assert names == [
+class TestEngineTable:
+    def test_table_holds_every_engine_in_resolution_order(self):
+        assert [engine.name for engine in ENGINES] == [
             "serial-dfs", "serial-bfs", "frontier-bfs", "worksteal-dfs", "dpor",
             "serial-ndfs",
             "swarm", "swarm-parallel",
         ]
 
-    def test_default_registry_is_shared(self):
-        assert default_registry() is default_registry()
+    def test_names_are_unique(self):
+        names = [engine.name for engine in ENGINES]
+        assert all(names)
+        assert len(set(names)) == len(names)
 
-    def test_duplicate_names_rejected(self):
-        registry = EngineRegistry(builtin_engines())
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register(builtin_engines()[0])
+    def test_stateless_rows_accept_the_none_store(self):
+        # Stateless plans always carry store='none'; a row accepting
+        # stateful=False without that store could never match one.
+        for engine in ENGINES:
+            if False in engine.stateful:
+                assert "none" in engine.store, engine.name
 
-    def test_unnamed_engines_rejected(self):
-        with pytest.raises(ValueError, match="name"):
-            EngineRegistry().register(Engine())
+    def test_every_row_runs_one_worker_range(self):
+        for engine in ENGINES:
+            assert engine.workers in (SERIAL, PARALLEL), engine.name
 
-    def test_incoherent_stateless_capabilities_rejected_at_registration(self):
-        # Stateless plans always carry store='none'; an engine claiming
-        # stateless support without that store could never match one.
-        class IncoherentEngine(Engine):
-            name = "incoherent"
-            description = "stateless without the none store"
-            capabilities = Capabilities(
-                shapes=("dfs",),
-                reductions=("none",),
-                backends=("serial",),
-                stores=("full",),
-                statefulness=(True, False),
-            )
-
-        with pytest.raises(ValueError, match="store='none'"):
-            EngineRegistry().register(IncoherentEngine())
+    def test_default_registry_is_a_resolve_alias(self):
+        plan = CheckPlan(shape="bfs", workers=2)
+        assert default_registry().resolve(plan) == resolve(plan)
 
     def test_nearest_plan_survives_the_stateless_store_normalisation(self):
         # Fixing the store axis of a stateless plan must also flip
         # statefulness, or CheckPlan.__post_init__ reverts the fix and the
         # "alternative" equals the rejected plan.
-        caps = Capabilities(
-            shapes=("dfs",),
-            reductions=("none",),
-            backends=("serial",),
-            stores=("full",),
-            statefulness=(True, False),
+        row = Engine(
+            name="stateful-store-only",
+            description="accepts stateless plans but not the none store",
+            run=None,
+            shape=("dfs",),
+            reduction=("none",),
+            backend=("serial",),
+            store=("full",),
+            stateful=(True, False),
+            workers=SERIAL,
+            notes={},
         )
         plan = CheckPlan(stateful=False)
-        alternative = caps.nearest_plan(plan)
+        alternative = _nearest_plan(row, plan)
         assert alternative != plan
-        assert caps.supports(alternative)
+        assert row.accepts(alternative)
         assert alternative.stateful
         assert alternative.store == "full"
-
-    def test_get_unknown_engine(self):
-        with pytest.raises(KeyError, match="unknown engine"):
-            default_registry().get("quantum")
-
-    def test_empty_registry_cannot_resolve(self):
-        with pytest.raises(ValueError, match="empty registry"):
-            EngineRegistry().resolve(CheckPlan())
-
-    def test_custom_engines_resolve_without_facade_edits(self):
-        # The point of the registry: a new axis combination lands as one
-        # registration, no if-chain edits anywhere.  Reduced BFS is
-        # unsupported by every built-in engine; registering an engine that
-        # claims it makes the same plan resolve.
-        class ReducedBfsEngine(Engine):
-            name = "reduced-bfs"
-            description = "pretend reduced breadth-first engine"
-            capabilities = Capabilities(
-                shapes=("bfs",),
-                reductions=("none", "spor"),
-                backends=("serial",),
-                stores=("full", "fingerprint"),
-                statefulness=(True,),
-                min_workers=1,
-                max_workers=1,
-            )
-
-        plan = CheckPlan(shape="bfs", reduction="spor")
-        registry = EngineRegistry(builtin_engines())
-        with pytest.raises(UnsupportedPlanError):
-            registry.resolve(plan)
-        registry.register(ReducedBfsEngine())
-        engine, resolved = registry.resolve(plan)
-        assert engine.name == "reduced-bfs"
-        assert resolved.backend == "serial"
 
 
 class TestAutoBackendResolution:
@@ -177,16 +143,15 @@ class TestStructuredDiagnostics:
 
 class TestSupportedPlans:
     def test_every_reported_combination_resolves_to_its_engine(self):
-        registry = default_registry()
-        combinations = list(registry.supported_plans(worker_counts=(1, 2, 4)))
+        combinations = supported_plans(worker_counts=(1, 2, 4))
         assert combinations
         for engine, plan in combinations:
-            assert engine.capabilities.supports(plan)
-            resolved_engine, _ = registry.resolve(plan)
+            assert engine.accepts(plan)
+            resolved_engine, _ = resolve(plan)
             assert resolved_engine is engine
 
     def test_grid_covers_all_shapes_and_reductions(self):
-        combinations = list(default_registry().supported_plans())
+        combinations = supported_plans()
         shapes = {plan.shape for _, plan in combinations}
         reductions = {plan.reduction for _, plan in combinations}
         backends = {plan.backend for _, plan in combinations}
@@ -195,7 +160,7 @@ class TestSupportedPlans:
         assert backends == {"serial", "frontier", "worksteal"}
 
     def test_dpor_only_appears_serial(self):
-        for _, plan in default_registry().supported_plans(worker_counts=(1, 2, 4)):
+        for _, plan in supported_plans(worker_counts=(1, 2, 4)):
             if plan.reduction == "dpor":
                 assert plan.workers == 1
                 assert plan.backend == "serial"
@@ -205,7 +170,7 @@ class TestSupportedPlans:
         # would yield the same DPOR plan once per store kind.
         plans = [
             plan
-            for _, plan in default_registry().supported_plans(
+            for _, plan in supported_plans(
                 worker_counts=(1, 2),
                 stores=("full", "fingerprint", "sharded-fingerprint"),
             )
@@ -213,33 +178,23 @@ class TestSupportedPlans:
         assert len(plans) == len(set(plans))
 
 
-class TestPlatformRequirements:
-    """Satellite of the honest-verdicts PR: multi-process engines declare a
-    'fork' platform requirement, and resolution refuses (structured error,
-    runnable serial alternative) instead of raising a raw runtime error or
-    silently downgrading on spawn-only interpreters."""
+class TestForkRule:
+    """Multi-process rows (workers PARALLEL) need the 'fork' start method;
+    resolution refuses them on spawn-only interpreters with a structured
+    error and a runnable serial alternative, and it is the only place that
+    decides: no parallel search falls back to serial on its own."""
 
-    def test_parallel_engines_declare_the_fork_requirement(self):
-        for engine in builtin_engines():
-            # Multi-process engines are exactly those that cannot run with a
-            # single worker (the parallel backends and the walker pool).
-            if engine.capabilities.min_workers > 1:
-                assert "fork" in engine.capabilities.requirements, engine.name
-            else:
-                assert "fork" not in engine.capabilities.requirements, engine.name
+    def test_the_multi_process_rows_are_the_parallel_ones(self):
+        parallel = {engine.name for engine in ENGINES if engine.workers == PARALLEL}
+        assert parallel == {"frontier-bfs", "worksteal-dfs", "swarm-parallel"}
 
-    def test_missing_requirements_reads_the_platform(self):
-        capabilities = Capabilities(
-            shapes=("dfs",), reductions=("none",), backends=("serial",),
-            stores=("full",), requirements=("fork",),
+    def test_fork_available_reads_the_platform(self):
+        assert fork_available() == (
+            "fork" in multiprocessing.get_all_start_methods()
         )
-        assert capabilities.missing_requirements(frozenset()) == ("fork",)
-        assert capabilities.missing_requirements(frozenset({"fork"})) == ()
 
     def test_spawn_only_platform_refuses_parallel_plans(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.engine.registry.platform_requirements", frozenset
-        )
+        monkeypatch.setattr("repro.engine.registry.fork_available", lambda: False)
         with pytest.raises(UnsupportedPlanError) as excinfo:
             resolve(CheckPlan(workers=4))
         error = excinfo.value
@@ -252,17 +207,21 @@ class TestPlatformRequirements:
         engine, resolved = resolve(alternative)
         assert resolved.backend == "serial"
 
+    def test_spawn_only_platform_keeps_swarm_plans_on_the_walker(self, monkeypatch):
+        monkeypatch.setattr("repro.engine.registry.fork_available", lambda: False)
+        with pytest.raises(UnsupportedPlanError) as excinfo:
+            resolve(CheckPlan(backend="swarm", workers=2))
+        alternative = excinfo.value.alternative
+        assert (alternative.backend, alternative.workers) == ("swarm", 1)
+        engine, _ = resolve(alternative)
+        assert engine.name == "swarm"
+
     def test_spawn_only_platform_still_resolves_serial_plans(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.engine.registry.platform_requirements", frozenset
-        )
+        monkeypatch.setattr("repro.engine.registry.fork_available", lambda: False)
         engine, resolved = resolve(CheckPlan())
         assert resolved.backend == "serial"
 
     def test_fork_platform_resolves_parallel_plans(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.engine.registry.platform_requirements",
-            lambda: frozenset({"fork"}),
-        )
+        monkeypatch.setattr("repro.engine.registry.fork_available", lambda: True)
         engine, resolved = resolve(CheckPlan(workers=4))
         assert resolved.backend == "worksteal"

@@ -15,7 +15,7 @@ import multiprocessing
 import pytest
 
 from repro.engine import CheckPlan, CollectingObserver, run_plan
-from repro.engine.events import known_event_kinds
+from repro.engine.events import EVENT_KINDS
 from repro.protocols.catalog import crash_recovery_entry, multicast_entry
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -62,7 +62,7 @@ class TestStreamOrdering:
         assert kinds[-1] == "search-finished"
         assert kinds.count("search-started") == 1
         assert kinds.count("search-finished") == 1
-        assert set(kinds) <= known_event_kinds()
+        assert set(kinds) <= set(EVENT_KINDS)
         assert result.verified
 
     @pytest.mark.parametrize("plan", ALL_FAMILY_PLANS)
@@ -103,7 +103,7 @@ class TestStreamOrdering:
         kinds = observer.kinds()
         assert kinds[0] == "search-started"
         assert kinds[-1] == "search-finished"
-        assert set(kinds) <= known_event_kinds()
+        assert set(kinds) <= set(EVENT_KINDS)
         assert result.verified is not expect_violation
 
 
@@ -159,20 +159,20 @@ class TestPayloadSchemas:
 
 class TestJobScopedStreams:
     """The service layer wraps each engine stream in a per-job log; the
-    job-lifecycle kinds are registered extensions and each job's log obeys
-    the same grammar as a direct engine stream."""
+    job-lifecycle kinds are part of the event vocabulary and each job's log
+    obeys the same grammar as a direct engine stream."""
 
-    def test_job_event_kinds_are_registered(self):
+    def test_job_event_kinds_are_in_the_vocabulary(self):
         from repro.service import JOB_EVENT_KINDS
 
-        assert set(JOB_EVENT_KINDS) <= known_event_kinds()
+        assert set(JOB_EVENT_KINDS) <= set(EVENT_KINDS)
 
     def test_job_stream_wraps_one_engine_stream(self):
         from repro.service import JobRequest, run_jobs
 
         (job,) = run_jobs([JobRequest(cell="multicast-2-1-0-1")], workers=1)
         kinds = job.events.kinds()
-        assert set(kinds) <= known_event_kinds()
+        assert set(kinds) <= set(EVENT_KINDS)
         # Lifecycle brackets around exactly one engine bracket.
         assert kinds[0] == "job-submitted"
         assert kinds[-1] == "job-finished"

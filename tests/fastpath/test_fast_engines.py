@@ -12,9 +12,11 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import main
-from repro.engine import CheckPlan, UnsupportedPlanError, default_registry, run_plan
+from repro.engine import ENGINES, CheckPlan, UnsupportedPlanError, resolve, run_plan
 from repro.engine.plan import SUCCESSOR_MODES
 from repro.protocols.catalog import multicast_entry
+
+from ..plan_grid import supported_plans
 
 FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -48,18 +50,18 @@ class TestResolution:
         ),
     ])
     def test_fast_plans_resolve_to_the_unsuffixed_engines(self, plan, expected):
-        engine, resolved = default_registry().resolve(plan)
+        engine, resolved = resolve(plan)
         assert engine.name == expected
         assert resolved.backend != "auto"
         assert resolved.successors == "fast"
 
     def test_no_engine_is_named_for_its_state_graph(self):
-        names = {engine.name for engine in default_registry().engines()}
+        names = {engine.name for engine in ENGINES}
         assert len(names) == 8
         assert not [name for name in names if name.endswith("-fast")]
 
     def test_fast_plans_never_reach_object_only_engines(self):
-        grid = default_registry().supported_plans(
+        grid = supported_plans(
             stores=("full", "fingerprint"),
             successor_modes=("fast",),
         )
@@ -78,11 +80,11 @@ class TestResolution:
     def test_fast_dpor_is_rejected_not_downgraded(self):
         plan = CheckPlan(successors="fast", reduction="dpor")
         with pytest.raises(UnsupportedPlanError) as excinfo:
-            default_registry().resolve(plan)
+            resolve(plan)
         error = excinfo.value
         # The structured alternative is runnable and names a real engine.
         assert isinstance(error.alternative, CheckPlan)
-        engine, _ = default_registry().resolve(error.alternative)
+        engine, _ = resolve(error.alternative)
         assert engine.name in EITHER_GRAPH_NAMES | {"dpor"}
 
 

@@ -19,10 +19,11 @@ import multiprocessing
 import pytest
 
 from repro.checker import ndfs_search
-from repro.engine import CheckPlan, UnsupportedPlanError, default_registry, run_plan
-from repro.engine.registry import resolve
+from repro.engine import CheckPlan, UnsupportedPlanError, resolve, run_plan
 from repro.fastpath.search import fast_ndfs_search
 from repro.protocols.catalog import crash_recovery_entry
+
+from ..plan_grid import supported_plans
 
 pytestmark = pytest.mark.liveness
 
@@ -62,7 +63,7 @@ class TestEngineParity:
 
     @pytest.mark.parametrize("successors", ["object", "fast"])
     @pytest.mark.parametrize("entry", CYCLIC_CELLS)
-    def test_liveness_plans_route_through_the_registry(self, entry, successors):
+    def test_liveness_plans_route_through_the_engine_table(self, entry, successors):
         protocol = entry.quorum_model()
         result = run_plan(protocol, entry.liveness,
                           CheckPlan(goal="liveness", successors=successors))
@@ -171,11 +172,9 @@ class TestStructuredRefusals:
 
 class TestSupportedPlansGrid:
     def test_liveness_plans_appear_in_the_extended_grid(self):
-        combinations = list(
-            default_registry().supported_plans(
-                successor_modes=("object", "fast"),
-                goals=("invariant", "liveness"),
-            )
+        combinations = supported_plans(
+            successor_modes=("object", "fast"),
+            goals=("invariant", "liveness"),
         )
         liveness = [
             (engine, plan)
@@ -192,5 +191,5 @@ class TestSupportedPlansGrid:
             assert plan.workers == 1
 
     def test_default_grid_is_invariant_only(self):
-        for _, plan in default_registry().supported_plans():
+        for _, plan in supported_plans():
             assert plan.goal == "invariant"

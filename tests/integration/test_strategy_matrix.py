@@ -24,9 +24,11 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import main as cli_main
-from repro.engine import CheckPlan, UnsupportedPlanError, default_registry, run_plan
+from repro.engine import CheckPlan, UnsupportedPlanError, resolve, run_plan
 from repro.engine.plan import REDUCTIONS, SHAPES
 from repro.protocols.catalog import multicast_entry, paxos_entry, storage_entry
+
+from ..plan_grid import supported_plans
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -118,10 +120,10 @@ class TestReducedRunsStayBelowExhaustive:
 
 
 class TestPlanApiConformance:
-    """Every plan the registry reports as supported, run end to end.
+    """Every plan that resolves, run end to end.
 
-    Every (shape × reduction × backend × workers) combination the registry
-    reports as supported produces the cell's verdict — and, for the
+    Every (shape × reduction × backend × workers) combination that resolves
+    produces the cell's verdict — and, for the
     exhaustive engines, the pinned visited-state count; unsupported
     combinations raise :class:`UnsupportedPlanError` naming the axis; and
     ``repro check`` with the axis flags runs the same engine to the same
@@ -131,7 +133,7 @@ class TestPlanApiConformance:
     ENTRY = multicast_entry(2, 1, 0, 1)
 
     def supported(self):
-        return list(default_registry().supported_plans(worker_counts=WORKER_COUNTS))
+        return supported_plans(worker_counts=WORKER_COUNTS)
 
     def test_every_supported_combination_runs(self):
         entry = self.ENTRY
@@ -186,7 +188,6 @@ class TestPlanApiConformance:
             )
 
     def test_unsupported_combinations_raise_with_the_axis_named(self):
-        registry = default_registry()
         supported = {
             (plan.shape, plan.reduction, plan.backend, plan.workers)
             for _, plan in self.supported()
@@ -205,11 +206,11 @@ class TestPlanApiConformance:
                 stateful=stateful,
             )
             if (shape, reduction, backend, workers) in supported:
-                engine, _ = registry.resolve(plan)
-                assert engine.capabilities.supports(plan)
+                engine, _ = resolve(plan)
+                assert engine.accepts(plan)
             else:
                 with pytest.raises(UnsupportedPlanError) as excinfo:
-                    registry.resolve(plan)
+                    resolve(plan)
                 assert excinfo.value.axis in plan.axes()
 
 
@@ -283,12 +284,11 @@ class TestFastpathTwinConformance:
     def test_every_supported_fast_combination_matches_its_object_twin(self):
         """The full fast grid against the object grid, axis for axis."""
         entry = multicast_entry(2, 1, 0, 1)
-        registry = default_registry()
-        fast_grid = list(registry.supported_plans(
+        fast_grid = supported_plans(
             worker_counts=WORKER_COUNTS,
             stores=("full", "fingerprint"),
             successor_modes=("fast",),
-        ))
+        )
         assert fast_grid
         for engine, plan in fast_grid:
             twin = replace(plan, successors="object", backend="auto")

@@ -139,17 +139,6 @@ class TestEngineSemantics:
         assert delegated.statistics.states_visited == serial.statistics.states_visited
         assert delegated.statistics.max_depth == serial.statistics.max_depth
 
-    def test_fallback_to_serial_without_fork(self, monkeypatch):
-        import repro.parallel.dfs as dfs_module
-
-        monkeypatch.setattr(dfs_module, "default_mp_context", lambda: None)
-        entry = multicast_entry(2, 1, 0, 1)
-        with pytest.warns(RuntimeWarning, match="fork-capable"):
-            outcome = parallel_dfs_search(entry.quorum_model(), entry.invariant,
-                                          CheckPlan(workers=2))
-        assert outcome.verified
-        assert outcome.statistics.states_visited == 45
-
     def test_violated_initial_state_short_circuits(self):
         entry = multicast_entry(2, 1, 0, 1)
         never = Invariant(name="never", predicate=lambda _s, _p: False)

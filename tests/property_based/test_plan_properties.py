@@ -1,8 +1,8 @@
 """Property-based tests: plan resolution never silently downgrades.
 
-For *any* axis combination, resolving against the default registry either
+For *any* axis combination, resolving against the engine table either
 
-* returns an engine whose declared capabilities support the plan, with every
+* returns an engine row that accepts the plan, with every
   caller-pinned axis preserved verbatim (only ``backend="auto"`` is
   concretised), or
 * raises a structured :class:`UnsupportedPlanError` that names the offending
@@ -18,7 +18,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import CheckPlan, UnsupportedPlanError, default_registry
+from repro.engine import CheckPlan, UnsupportedPlanError, resolve
 from repro.engine.plan import BACKENDS, PLAN_AXES, REDUCTIONS, SHAPES, STORES
 
 plan_axes = st.fixed_dictionaries(
@@ -41,7 +41,6 @@ def build_plan(axes):
 @given(plan_axes)
 @settings(max_examples=300)
 def test_resolution_never_silently_downgrades(axes):
-    registry = default_registry()
     try:
         plan = build_plan(axes)
     except UnsupportedPlanError as error:
@@ -52,7 +51,7 @@ def test_resolution_never_silently_downgrades(axes):
         return
 
     try:
-        engine, resolved = registry.resolve(plan)
+        engine, resolved = resolve(plan)
     except UnsupportedPlanError as error:
         assert error.axis in PLAN_AXES
         assert error.axis in str(error)
@@ -60,12 +59,12 @@ def test_resolution_never_silently_downgrades(axes):
         assert error.value == plan.axes()[error.axis]
         # The nearest supported alternative is a runnable plan.
         assert isinstance(error.alternative, CheckPlan)
-        alt_engine, alt_resolved = registry.resolve(error.alternative)
-        assert alt_engine.capabilities.supports(alt_resolved)
+        alt_engine, alt_resolved = resolve(error.alternative)
+        assert alt_engine.accepts(alt_resolved)
         return
 
-    # Success: the engine genuinely supports the plan...
-    assert engine.capabilities.supports(resolved)
+    # Success: the engine genuinely accepts the plan...
+    assert engine.accepts(resolved)
     # ...and every axis the caller pinned survived resolution verbatim;
     # only the "auto" backend may have been concretised.
     for axis, requested in plan.axes().items():
@@ -78,24 +77,23 @@ def test_resolution_never_silently_downgrades(axes):
 @given(plan_axes)
 @settings(max_examples=200)
 def test_resolution_is_deterministic(axes):
-    registry = default_registry()
     try:
         plan = build_plan(axes)
     except UnsupportedPlanError:
         return
     try:
-        first = registry.resolve(plan)
+        first = resolve(plan)
     except UnsupportedPlanError as error:
         with_retry = None
         try:
-            registry.resolve(plan)
+            resolve(plan)
         except UnsupportedPlanError as second_error:
             with_retry = second_error
         assert with_retry is not None
         assert with_retry.axis == error.axis
         assert with_retry.alternative == error.alternative
         return
-    second = registry.resolve(plan)
+    second = resolve(plan)
     assert first[0] is second[0]
     assert first[1] == second[1]
 

@@ -1,4 +1,4 @@
-"""The swarm backend end to end: plans, capabilities, verdicts, telemetry."""
+"""The swarm backend end to end: plans, resolution, verdicts, telemetry."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from repro.engine.plan import (
     UnsupportedPlanError,
     strategy_label,
 )
-from repro.engine.registry import default_registry, run_plan
+from repro.engine.registry import resolve, run_plan
 from repro.protocols.catalog import entry_by_key
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -92,26 +92,22 @@ class TestSwarmPlanAxes:
         assert strategy_label(swarm_plan()) == "swarm"
 
 
-class TestSwarmCapabilities:
+class TestSwarmResolution:
     def test_reduction_refused(self):
-        registry = default_registry()
         with pytest.raises(UnsupportedPlanError) as excinfo:
-            registry.resolve(swarm_plan(reduction="spor"))
+            resolve(swarm_plan(reduction="spor"))
         assert excinfo.value.axis in ("reduction", "backend")
 
     def test_bfs_shape_refused(self):
-        registry = default_registry()
         with pytest.raises(UnsupportedPlanError):
-            registry.resolve(swarm_plan(shape="bfs"))
+            resolve(swarm_plan(shape="bfs"))
 
     def test_liveness_goal_refused(self):
-        registry = default_registry()
         with pytest.raises(UnsupportedPlanError):
-            registry.resolve(swarm_plan(goal="liveness"))
+            resolve(swarm_plan(goal="liveness"))
 
     def test_auto_never_picks_swarm(self):
-        registry = default_registry()
-        engine, resolved = registry.resolve(
+        engine, resolved = resolve(
             CheckPlan(shape="dfs", reduction="none", backend="auto",
                       stateful=False)
         )
@@ -119,16 +115,14 @@ class TestSwarmCapabilities:
         assert resolved.backend != "swarm"
 
     def test_serial_and_parallel_engines_resolve(self):
-        registry = default_registry()
-        engine, _ = registry.resolve(swarm_plan())
+        engine, _ = resolve(swarm_plan())
         assert engine.name == "swarm"
         if HAS_FORK:
-            engine, _ = registry.resolve(swarm_plan(workers=4))
+            engine, _ = resolve(swarm_plan(workers=4))
             assert engine.name == "swarm-parallel"
 
     def test_fast_successor_mode_resolves(self):
-        registry = default_registry()
-        engine, _ = registry.resolve(swarm_plan(successors="fast"))
+        engine, _ = resolve(swarm_plan(successors="fast"))
         assert engine.name == "swarm"
 
 
