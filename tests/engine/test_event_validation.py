@@ -6,8 +6,10 @@ import io
 
 import pytest
 
+from repro.engine import events
 from repro.engine.events import (
     EVENT_KINDS,
+    JOB_EVENT_KINDS,
     CollectingObserver,
     ProgressPrinter,
     emit,
@@ -26,6 +28,22 @@ class TestEmitValidation:
         with pytest.raises(ValueError, match="unknown event kind 'serach-started'"):
             emit(observer, "serach-started")
         assert observer.events == []
+
+    def test_the_error_lists_the_known_kinds(self):
+        with pytest.raises(ValueError) as excinfo:
+            emit(CollectingObserver(), "nope")
+        message = str(excinfo.value)
+        for kind in EVENT_KINDS:
+            assert kind in message
+
+    def test_every_kind_is_documented(self):
+        # The module docstring is the event reference; the job-* kinds are
+        # documented together under one ``job-*`` entry.
+        doc = events.__doc__
+        for kind in EVENT_KINDS:
+            if kind in JOB_EVENT_KINDS:
+                kind = "job-*"
+            assert f"``{kind}``" in doc, kind
 
     def test_no_observer_skips_validation_entirely(self):
         # The ``observer is None`` early-out comes first: the no-sink hot

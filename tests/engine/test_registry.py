@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 
 import pytest
@@ -17,9 +18,25 @@ from repro.engine import (
     fork_available,
     resolve,
 )
+from repro.engine.plan import (
+    BACKENDS,
+    GOALS,
+    PLAN_AXES,
+    REDUCTIONS,
+    SHAPES,
+    STORES,
+    SUCCESSOR_MODES,
+)
 from repro.engine.registry import _nearest_plan
 
 from ..plan_grid import supported_plans
+
+#: The values each row axis may list (workers is a range, checked apart).
+AXIS_VOCABULARY = {
+    "shape": SHAPES, "reduction": REDUCTIONS, "store": STORES,
+    "backend": BACKENDS, "stateful": (True, False),
+    "successors": SUCCESSOR_MODES, "goal": GOALS,
+}
 
 
 class TestEngineTable:
@@ -45,6 +62,53 @@ class TestEngineTable:
     def test_every_row_runs_one_worker_range(self):
         for engine in ENGINES:
             assert engine.workers in (SERIAL, PARALLEL), engine.name
+
+    def test_row_values_are_in_the_plan_vocabulary(self):
+        # A misspelt value would leave a row silently unable to run it.
+        for engine in ENGINES:
+            for axis, vocabulary in AXIS_VOCABULARY.items():
+                assert set(getattr(engine, axis)) <= set(vocabulary), (
+                    engine.name, axis)
+
+    def test_notes_are_keyed_by_plan_axes(self):
+        # resolve() quotes notes[axis]; a misspelt key would drop the
+        # explanation from every refusal on that axis.
+        for engine in ENGINES:
+            assert set(engine.notes) <= set(PLAN_AXES), engine.name
+            assert all(engine.notes.values()), engine.name
+
+    def test_every_row_resolves_some_plan(self):
+        # resolve() takes the first accepting row, so a row whose plans an
+        # earlier row already accepts would never run.
+        winners = set()
+        for shape, reduction, store, backend, workers, stateful, successors, goal in (
+            itertools.product(SHAPES, REDUCTIONS, STORES, BACKENDS, (1, 2),
+                              (True, False), SUCCESSOR_MODES, GOALS)
+        ):
+            try:
+                engine, _ = resolve(CheckPlan(
+                    shape=shape, reduction=reduction, store=store,
+                    backend=backend, workers=workers, stateful=stateful,
+                    successors=successors, goal=goal))
+            except UnsupportedPlanError:
+                continue
+            winners.add(engine.name)
+        assert winners == {engine.name for engine in ENGINES}
+
+    def test_auto_backend_skips_exactly_the_swarm_rows(self):
+        # Sampling is opt-in: backend="auto" never lands on a swarm row, and
+        # every exhaustive row takes it.
+        auto = CheckPlan()
+        for engine in ENGINES:
+            assert engine.takes(auto, "backend") == ("swarm" not in engine.backend), (
+                engine.name)
+
+    def test_a_resolved_plan_resolves_to_itself(self):
+        # CheckResult.plan re-runs on the same engine with no further change.
+        for plan in (CheckPlan(), CheckPlan(workers=4), CheckPlan(shape="bfs", workers=2),
+                     CheckPlan(reduction="dpor"), CheckPlan(goal="liveness")):
+            engine, resolved = resolve(plan)
+            assert resolve(resolved) == (engine, resolved)
 
     def test_default_registry_is_a_resolve_alias(self):
         plan = CheckPlan(shape="bfs", workers=2)
