@@ -1,16 +1,15 @@
 """Deterministic fault injection for the checking runtime itself.
 
-The paper's protocols are verified *under* fault models; this package
-applies the same medicine to the checker: a seeded, replayable
-:class:`FaultPlan` injects worker crashes, stalls and slow replies into
-the parallel worker loops so every recovery path (supervision, restart,
-checkpoint/resume, honest partial verdicts) is testable on demand — and
-completely absent from production runs unless explicitly opted in via the
-``REPRO_CHAOS`` environment variable or the plan's ``chaos`` knob.
+The paper's protocols are verified *under* crash faults; this package
+applies the same medicine to the checker: a replayable :class:`FaultPlan`
+crashes chosen workers of the supervised pools (the frontier BFS and the
+swarm walker pool) at chosen commands, so their restart path is testable
+on demand — and completely absent from production runs unless a plan's
+``chaos`` knob opts in.  Plan resolution refuses the knob on every other
+engine.
 """
 
 from .faults import (
-    CHAOS_ENV,
     ChaosHook,
     FaultInjection,
     FaultPlan,
@@ -19,7 +18,6 @@ from .faults import (
 )
 
 __all__ = [
-    "CHAOS_ENV",
     "ChaosHook",
     "FaultInjection",
     "FaultPlan",

@@ -1,25 +1,14 @@
-"""Seeded fault plans and the worker-side injection hook.
+"""Fault plans and the worker-side injection hook.
 
 A :class:`FaultPlan` is a deterministic list of :class:`FaultInjection`
-records — *which worker* suffers *which fault* at *which command* — with a
-compact string spelling so a plan travels as one hashable value through
-``CheckPlan.chaos``, the ``REPRO_CHAOS`` environment variable and the
-service wire format.
-
-Two spellings:
+records — *which worker* crashes at *which command* — with a compact
+string spelling so a plan travels as one hashable value in
+``CheckPlan.chaos``:
 
 ``"crash:1@3"``
-    Explicit injections, comma-separated: ``kind:worker@nth[:seconds]``.
-    Kind is ``crash`` (``os._exit`` — the hard death the OOM killer
-    delivers, never reaching Python cleanup), ``stall`` (sleep without
-    replying) or ``slow`` (sleep, then continue normally).
-
-``"seed:42:crash=1"``
-    Seeded derivation: ``crash=K`` injections are derived from the root
-    seed with the same splitmix64 stream discipline as the swarm walk
-    seeds, so a chaos run replays bit-identically from one integer.  The
-    derived workers/commands are resolved against the actual worker count
-    at hook-construction time.
+    Comma-separated injections ``crash:worker@nth``: worker ``worker``
+    dies with ``os._exit`` (the hard death the OOM killer delivers, never
+    reaching Python cleanup) when it receives its ``nth`` command.
 
 The worker loop calls :meth:`ChaosHook.on_command` once per protocol
 command (or per walk, for swarm workers); the hook counts commands and
@@ -30,198 +19,56 @@ loops pay nothing.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
-
-from ..swarm.seeds import GOLDEN_GAMMA
-
-#: Environment variable carrying a fault-plan spec into worker processes
-#: (inherited across ``fork``); the explicit ``chaos`` plan knob wins over
-#: it when both are set.
-CHAOS_ENV = "REPRO_CHAOS"
-
-#: Fault kinds a plan may inject.
-FAULT_KINDS = ("crash", "stall", "slow")
-
-#: Default sleep of ``stall`` injections, chosen to exceed every liveness
-#: poll/stall threshold in the runtime (2s poll, 5s stall detector).
-DEFAULT_STALL_SECONDS = 30.0
-
-#: Default sleep of ``slow`` injections: long enough to be observable,
-#: short enough not to dominate a test run.
-DEFAULT_SLOW_SECONDS = 0.2
-
-_MASK = (1 << 64) - 1
 
 
 class FaultPlanError(ValueError):
     """A fault-plan spec string does not parse."""
 
 
-def _splitmix64(state: int) -> Tuple[int, int]:
-    """One splitmix64 step: ``(new_state, output_word)``.
-
-    The same finaliser the swarm seed derivation uses, so seeded chaos
-    plans share the statistical discipline (and the replayability story)
-    of the walk seeds.
-    """
-    state = (state + GOLDEN_GAMMA) & _MASK
-    word = state
-    word = ((word ^ (word >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    word = ((word ^ (word >> 27)) * 0x94D049BB133111EB) & _MASK
-    return state, (word ^ (word >> 31)) & _MASK
-
-
 @dataclass(frozen=True)
 class FaultInjection:
-    """One planned fault: worker ``worker`` at its ``at_command``-th command.
+    """One planned crash: worker ``worker`` at its ``at_command``-th command.
 
     ``at_command`` counts from 1: the first command a worker receives is
-    command 1.  ``seconds`` is the sleep of stall/slow injections and
-    ignored by crashes.
+    command 1.
     """
 
-    kind: str
     worker: int
     at_command: int
-    seconds: Optional[float] = None
-
-    def spec(self) -> str:
-        base = f"{self.kind}:{self.worker}@{self.at_command}"
-        if self.seconds is not None:
-            return f"{base}:{self.seconds:g}"
-        return base
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A deterministic, replayable set of fault injections."""
+    """A deterministic, replayable set of worker crashes."""
 
     injections: Tuple[FaultInjection, ...] = ()
 
     @classmethod
-    def parse(cls, spec: Optional[str], workers: int = 1) -> Optional["FaultPlan"]:
+    def parse(cls, spec: Optional[str]) -> Optional["FaultPlan"]:
         """Build a plan from its string spelling; ``None``/empty means none.
 
-        ``workers`` resolves seeded derivations (``seed:S:crash=K``) to
-        concrete worker indices; explicit injections pass through verbatim
-        (injections naming workers outside the pool simply never fire).
+        Injections naming workers outside the pool simply never fire.
         """
         if not spec:
             return None
-        spec = spec.strip()
-        if spec.startswith("seed:"):
-            return cls.seeded_from_spec(spec, workers)
-        injections = []
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            injections.append(_parse_injection(part))
+        injections = tuple(
+            _parse_injection(part.strip())
+            for part in spec.split(",") if part.strip()
+        )
         if not injections:
             raise FaultPlanError(f"fault plan {spec!r} names no injections")
-        return cls(injections=tuple(injections))
-
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        workers: int,
-        crashes: int = 1,
-        stalls: int = 0,
-        slows: int = 0,
-        max_command: int = 8,
-    ) -> "FaultPlan":
-        """Derive a plan from one root seed, splitmix64-style.
-
-        Each injection draws its worker and command index from the seeded
-        stream, so the plan — like a swarm run — is a pure function of
-        ``(seed, workers, counts)`` and replays bit-identically.
-        """
-        state = seed & _MASK
-        injections = []
-        for kind, count, seconds in (
-            ("crash", crashes, None),
-            ("stall", stalls, DEFAULT_STALL_SECONDS),
-            ("slow", slows, DEFAULT_SLOW_SECONDS),
-        ):
-            for _ in range(max(0, count)):
-                state, word_a = _splitmix64(state)
-                state, word_b = _splitmix64(state)
-                injections.append(
-                    FaultInjection(
-                        kind=kind,
-                        worker=word_a % max(1, workers),
-                        at_command=1 + word_b % max(1, max_command),
-                        seconds=seconds,
-                    )
-                )
-        return cls(injections=tuple(injections))
-
-    @classmethod
-    def seeded_from_spec(cls, spec: str, workers: int) -> "FaultPlan":
-        """Parse ``seed:S[:crash=K][:stall=K][:slow=K]`` (default crash=1)."""
-        parts = spec.split(":")
-        if len(parts) < 2 or parts[0] != "seed":
-            raise FaultPlanError(f"seeded fault plan {spec!r} must start with 'seed:'")
-        try:
-            seed = int(parts[1])
-        except ValueError:
-            raise FaultPlanError(f"seeded fault plan {spec!r}: bad seed {parts[1]!r}") from None
-        counts = {"crash": 0, "stall": 0, "slow": 0}
-        extras = [part for part in parts[2:] if part]
-        if not extras:
-            counts["crash"] = 1
-        for part in extras:
-            if "=" not in part:
-                raise FaultPlanError(
-                    f"seeded fault plan {spec!r}: expected kind=count, got {part!r}"
-                )
-            kind, _, raw = part.partition("=")
-            if kind not in counts:
-                raise FaultPlanError(
-                    f"seeded fault plan {spec!r}: unknown kind {kind!r} "
-                    f"(expected one of {', '.join(FAULT_KINDS)})"
-                )
-            try:
-                counts[kind] = int(raw)
-            except ValueError:
-                raise FaultPlanError(
-                    f"seeded fault plan {spec!r}: bad count {raw!r}"
-                ) from None
-        return cls.seeded(
-            seed, workers,
-            crashes=counts["crash"], stalls=counts["stall"], slows=counts["slow"],
-        )
-
-    def spec(self) -> str:
-        """Round-trippable explicit spelling of the plan."""
-        return ",".join(injection.spec() for injection in self.injections)
-
-    def for_worker(self, worker: int) -> Tuple[FaultInjection, ...]:
-        """The injections targeting one worker, by command order."""
-        return tuple(
-            sorted(
-                (inj for inj in self.injections if inj.worker == worker),
-                key=lambda inj: inj.at_command,
-            )
-        )
+        return cls(injections=injections)
 
 
 def _parse_injection(part: str) -> FaultInjection:
-    pieces = part.split(":")
-    kind = pieces[0]
-    if kind not in FAULT_KINDS:
+    kind, _, target = part.partition(":")
+    worker_raw, at, command_raw = target.partition("@")
+    if kind != "crash" or not at:
         raise FaultPlanError(
-            f"unknown fault kind {kind!r} in {part!r} "
-            f"(expected one of {', '.join(FAULT_KINDS)})"
+            f"fault injection {part!r} must spell crash:worker@nth"
         )
-    if len(pieces) < 2 or "@" not in pieces[1]:
-        raise FaultPlanError(
-            f"fault injection {part!r} must spell kind:worker@nth[:seconds]"
-        )
-    worker_raw, _, command_raw = pieces[1].partition("@")
     try:
         worker = int(worker_raw)
         at_command = int(command_raw)
@@ -233,24 +80,11 @@ def _parse_injection(part: str) -> FaultInjection:
         raise FaultPlanError(
             f"fault injection {part!r}: worker must be >= 0 and command >= 1"
         )
-    seconds: Optional[float] = None
-    if len(pieces) > 2:
-        try:
-            seconds = float(pieces[2])
-        except ValueError:
-            raise FaultPlanError(
-                f"fault injection {part!r}: bad seconds {pieces[2]!r}"
-            ) from None
-    elif kind == "stall":
-        seconds = DEFAULT_STALL_SECONDS
-    elif kind == "slow":
-        seconds = DEFAULT_SLOW_SECONDS
-    return FaultInjection(kind=kind, worker=worker, at_command=at_command,
-                          seconds=seconds)
+    return FaultInjection(worker=worker, at_command=at_command)
 
 
 class ChaosHook:
-    """Worker-side injector: counts commands, fires planned faults.
+    """Worker-side injector: counts commands, fires planned crashes.
 
     Built once per worker process; ``on_command`` runs at the top of the
     worker's command loop.  Crashes use ``os._exit`` so no ``finally``
@@ -258,40 +92,20 @@ class ChaosHook:
     failure mode a supervised runtime must survive.
     """
 
-    def __init__(self, plan: FaultPlan, worker: int,
-                 sleep=time.sleep, exit=os._exit) -> None:
-        self.worker = worker
+    def __init__(self, plan: FaultPlan, worker: int, exit=os._exit) -> None:
         self.commands_seen = 0
-        self._pending = list(plan.for_worker(worker))
-        self._sleep = sleep
+        self._pending = {inj.at_command for inj in plan.injections
+                         if inj.worker == worker}
         self._exit = exit
-        self.fired: list = []
 
-    def on_command(self, label: str = "") -> None:
-        """Count one command; fire every injection planned for it."""
+    def on_command(self) -> None:
+        """Count one command; crash when an injection names it."""
         self.commands_seen += 1
-        while self._pending and self._pending[0].at_command == self.commands_seen:
-            injection = self._pending.pop(0)
-            self.fired.append(injection)
-            if injection.kind == "crash":
-                self._exit(1)
-            else:  # stall and slow both sleep; slow then continues.
-                self._sleep(injection.seconds or 0.0)
+        if self.commands_seen in self._pending:
+            self._exit(1)
 
 
-def chaos_hook_for_worker(
-    spec: Optional[str], worker: int, workers: int
-) -> Optional[ChaosHook]:
-    """The worker's hook for a spec (falling back to ``REPRO_CHAOS``).
-
-    Returns ``None`` — zero overhead — when neither the explicit spec nor
-    the environment names a plan.  Invalid environment specs raise
-    loudly; silently ignoring a typo'd fault plan would make a chaos test
-    pass vacuously.
-    """
-    if spec is None:
-        spec = os.environ.get(CHAOS_ENV) or None
-    plan = FaultPlan.parse(spec, workers)
-    if plan is None:
-        return None
-    return ChaosHook(plan, worker)
+def chaos_hook_for_worker(spec: Optional[str], worker: int) -> Optional[ChaosHook]:
+    """The worker's hook for a spec; ``None`` — zero overhead — without one."""
+    plan = FaultPlan.parse(spec)
+    return None if plan is None else ChaosHook(plan, worker)

@@ -36,7 +36,7 @@ import os
 import pickle
 import tempfile
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..mp.state import GlobalState
 from .result import SearchStatistics
@@ -128,6 +128,35 @@ def write_checkpoint(checkpoint: Checkpoint, directory: str) -> str:
     return final_path
 
 
+def write_level(
+    directory: str,
+    depth: int,
+    statistics: SearchStatistics,
+    states: List[GlobalState],
+    keys: Sequence[Hashable],
+    parent: Callable[[Hashable], Optional[Tuple[Hashable, int]]],
+    frontier: Iterable[Hashable],
+    meta: dict,
+) -> str:
+    """Write one level barrier of a breadth-first search; returns its path.
+
+    The one place the on-disk edges and frontier indices are built, from
+    the search's own table: ``states`` is every visited state in discovery
+    order (object form) and ``keys`` their keys in that table,
+    ``parent(key)`` is ``None`` for the initial state or ``(parent key,
+    execution index)``, and ``frontier`` lists the frontier's keys.
+    """
+    index_of = {key: index for index, key in enumerate(keys)}
+    edges = [None if edge is None else (index_of[edge[0]], edge[1])
+             for edge in map(parent, keys)]
+    return write_checkpoint(
+        Checkpoint(depth=depth, statistics=statistics, states=states,
+                   edges=edges, frontier=[index_of[key] for key in frontier],
+                   meta=meta),
+        directory,
+    )
+
+
 def latest_checkpoint(directory: str) -> Optional[str]:
     """Path of the deepest checkpoint in a directory, or ``None``."""
     try:
@@ -180,3 +209,21 @@ def load_checkpoint(path: str) -> Checkpoint:
         )
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"checkpoint {path!r} is malformed: {exc}") from exc
+
+
+def resume_checkpoint(path: str, initial: GlobalState) -> Checkpoint:
+    """Load the checkpoint a run starting at ``initial`` resumes from.
+
+    Raises:
+        CheckpointError: As :func:`load_checkpoint`, or the checkpoint's
+            initial state is not ``initial`` (object form) — it was written
+            for a different model.
+    """
+    checkpoint = load_checkpoint(path)
+    if not checkpoint.states or checkpoint.states[0] != initial:
+        raise CheckpointError(
+            f"cannot resume from {path!r}: its initial state does not match "
+            "the protocol under check (was the checkpoint written for a "
+            "different model?)"
+        )
+    return checkpoint

@@ -21,7 +21,8 @@ Every loop here is written once, over the
 graph — interned objects or packed words — the loop runs over.  Every one
 of them is configured by the frozen :class:`~repro.engine.plan.CheckPlan`
 itself (its ``config`` argument): the loops read the store, budgets and
-checkpoint knobs straight off the plan.
+checkpoint knobs straight off the plan.  Which engine honours which fault
+knob is decided once, by plan resolution; the loops never refuse one.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "bfs_search",
     "dfs_search",
     "ndfs_search",
-    "reject_checkpoint_knobs",
     "run_bfs",
     "run_dfs",
     "run_ndfs",
@@ -105,17 +105,6 @@ def _path_from_stack(graph: StateGraph, stack: List[_Frame], final,
                           property_name=property_name, cycle_start=cycle_start)
 
 
-def reject_checkpoint_knobs(config: CheckPlan, engine_name: str) -> None:
-    """Depth-first engines have no level barrier to serialise; reject the
-    checkpoint knobs loudly instead of silently not checkpointing."""
-    if config.checkpoint_dir is not None or config.resume_from is not None:
-        raise ValueError(
-            f"{engine_name} does not support checkpoint/resume: only "
-            "breadth-first searches have the level barrier the checkpoint "
-            "format captures (use shape='bfs' or 'frontier')"
-        )
-
-
 def dfs_search(
     protocol: Protocol,
     invariant: Invariant,
@@ -159,7 +148,6 @@ def run_dfs(
     telemetry=None,
 ) -> SearchOutcome:
     """The depth-first loop of :func:`dfs_search`, over any graph."""
-    reject_checkpoint_knobs(config, "dfs_search")
     statistics = SearchStatistics()
     start_time = time.perf_counter()
 
@@ -332,15 +320,9 @@ def run_bfs(
     # order is deterministic, so ``rebuild`` recomputes the execution on
     # demand and executions never need storing or pickling.
     if config.resume_from is not None:
-        from .checkpoint import CheckpointError, load_checkpoint
+        from .checkpoint import resume_checkpoint
 
-        resumed = load_checkpoint(config.resume_from)
-        if not resumed.states or resumed.states[0] != decode(initial):
-            raise CheckpointError(
-                f"cannot resume from {config.resume_from!r}: its initial "
-                "state does not match the protocol under check (was the "
-                "checkpoint written for a different model?)"
-            )
+        resumed = resume_checkpoint(config.resume_from, decode(initial))
         discovered = [graph.encode(state) for state in resumed.states]
         parents = {}
         for state, edge in zip(discovered, resumed.edges):
@@ -370,24 +352,18 @@ def run_bfs(
     checkpoint_interval = max(1, config.checkpoint_every or 1)
 
     def write_level_checkpoint() -> None:
-        from .checkpoint import Checkpoint, write_checkpoint
+        from .checkpoint import write_level
 
-        index_of = {key(state): index for index, state in enumerate(discovered)}
-        edges = []
-        for state in discovered:
-            edge = parents[key(state)]
-            edges.append(None if edge is None else (index_of[key(edge[0])], edge[1]))
+        def parent(state_key):
+            edge = parents[state_key]
+            return None if edge is None else (key(edge[0]), edge[1])
+
         statistics.elapsed_seconds = time.perf_counter() - start_time
-        path = write_checkpoint(
-            Checkpoint(
-                depth=depth,
-                statistics=statistics,
-                states=[decode(state) for state in discovered],
-                edges=edges,
-                frontier=[index_of[key(state)] for state in frontier],
-                meta={"property": invariant.name, "engine": "bfs"},
-            ),
-            config.checkpoint_dir,
+        path = write_level(
+            config.checkpoint_dir, depth, statistics,
+            [decode(state) for state in discovered],
+            [key(state) for state in discovered], parent,
+            map(key, frontier), {"property": invariant.name, "engine": "bfs"},
         )
         emit(observer, "checkpoint-written", depth=depth,
              states_visited=statistics.states_visited, path=path)
@@ -539,7 +515,6 @@ def run_ndfs(
     ``"full"`` store and ``graph.fingerprint`` for the fingerprint kinds;
     only the violating lasso is decoded.
     """
-    reject_checkpoint_knobs(config, "ndfs_search")
     if not config.stateful:
         raise ValueError(
             "nested DFS is stateful by construction (the blue/red marks "

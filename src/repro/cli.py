@@ -125,7 +125,6 @@ def _plan_from_args(args, workers: int) -> CheckPlan:
         walks=option("walks"),
         walk_seed=option("seed"),
         chaos=option("chaos"),
-        supervise=option("supervise", True),
         checkpoint_dir=option("checkpoint_dir"),
         checkpoint_every=option("checkpoint_every"),
         resume_from=option("resume"),
@@ -473,15 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "the whole run replay bit-identically from it "
                             "(default 0)")
     check.add_argument("--chaos", default=None, metavar="PLAN",
-                       help="fault-injection plan for the search workers, "
-                            "e.g. 'crash:1@3' or 'seed:42:crash=1' "
-                            "(see repro.chaos; testing only)")
-    check.add_argument("--supervise", action="store_true", default=True,
-                       help="restart crashed search workers and re-execute "
-                            "their lost work (default)")
-    check.add_argument("--no-supervise", action="store_false", dest="supervise",
-                       help="fail fast on a crashed worker with an honest "
-                            "'Inconclusive (worker crash)' verdict")
+                       help="crash plan for the frontier or swarm pool's "
+                            "workers, e.g. 'crash:1@3' (see repro.chaos; "
+                            "testing only)")
     check.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                        help="write a resumable checkpoint at level barriers "
                             "of BFS-shaped searches")

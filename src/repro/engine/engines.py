@@ -87,6 +87,13 @@ def make_reducer(protocol: Protocol, plan: CheckPlan) -> Optional[Reducer]:
     return provider.reduce
 
 
+#: The plan's fault-tolerance knobs.  A plan may set one only on a row
+#: that lists it in :attr:`Engine.knobs`; resolution refuses it elsewhere.
+FAULT_KNOBS = ("checkpoint_dir", "resume_from", "chaos")
+
+#: The knobs of the level-barrier checkpoint format.
+_CHECKPOINTS = ("checkpoint_dir", "resume_from")
+
 #: Worker counts of an in-process row and of a multi-process one.  Plan
 #: resolution refuses every PARALLEL row on platforms without ``fork``.
 SERIAL = range(1, 2)
@@ -112,6 +119,9 @@ class Engine:
         workers: :data:`SERIAL` or :data:`PARALLEL`.
         notes: Per-axis explanation of *why* a constraint exists, quoted
             verbatim in the :class:`UnsupportedPlanError` message.
+        knobs: The :data:`FAULT_KNOBS` this row honours: the checkpoint
+            knobs on the breadth-first rows (the level barrier is what a
+            checkpoint captures), ``chaos`` on the supervised pools.
     """
 
     name: str
@@ -126,6 +136,7 @@ class Engine:
     notes: Dict[str, str]
     successors: Tuple[str, ...] = ("object", "fast")
     goal: Tuple[str, ...] = ("invariant",)
+    knobs: Tuple[str, ...] = ()
 
     def takes(self, plan: CheckPlan, axis: str) -> bool:
         """True when ``plan``'s value of ``axis`` is one this row runs."""
@@ -278,6 +289,7 @@ ENGINES: Tuple[Engine, ...] = (
             "stateful": "breadth-first search deduplicates per level and is "
             "inherently stateful",
         },
+        knobs=_CHECKPOINTS,
     ),
     Engine(
         name="frontier-bfs",
@@ -295,6 +307,7 @@ ENGINES: Tuple[Engine, ...] = (
             "workers": "one worker has no frontier to share; backend='auto' "
             "picks the serial BFS instead",
         },
+        knobs=_CHECKPOINTS + ("chaos",),
     ),
     Engine(
         name="worksteal-dfs",
@@ -387,5 +400,6 @@ ENGINES: Tuple[Engine, ...] = (
         notes=dict(_SWARM_NOTES, workers="walks are embarrassingly "
                    "parallel; per-walk seeding keeps the violating walk "
                    "index independent of the worker count"),
+        knobs=("chaos",),
     ),
 )

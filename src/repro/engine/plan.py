@@ -79,7 +79,9 @@ class UnsupportedPlanError(ValueError):
     bad-argument error it is.
 
     Attributes:
-        axis: Name of the offending axis (one of :data:`PLAN_AXES`).
+        axis: Name of the offending axis (one of :data:`PLAN_AXES`), or
+            of the fault knob (``checkpoint_dir``, ``resume_from``,
+            ``chaos``) the resolved engine does not honour.
         value: The requested value of that axis.
         alternative: The nearest supported alternative — a :class:`CheckPlan`
             that resolves, or a plain axis value when no full plan applies
@@ -154,21 +156,19 @@ class CheckPlan:
             stream is derived from ``(walk_seed, walk_index)`` via the
             splitmix64 mixer, so a run is bit-reproducible from this one
             number (defaulted to 0 on swarm plans; rejected elsewhere).
-        chaos: Optional fault-plan spec (:mod:`repro.chaos`) injected into
-            the parallel/swarm worker loops — deterministic worker
-            crashes/stalls/slowdowns for exercising the recovery paths.
-            ``None`` (the default) injects nothing; like the budgets this
-            is a run knob, not a capability axis.
-        supervise: Restart crashed parallel/swarm workers and re-execute
-            their lost work deterministically.  ``False`` turns a worker
-            death into a structured ``WorkerCrashError`` → honest
-            ``Inconclusive (worker crash)`` instead.
+        chaos: Optional fault-plan spec (:mod:`repro.chaos`, e.g.
+            ``"crash:1@3"``) crashing chosen workers of the supervised
+            pools (frontier BFS, swarm walker pool) to exercise their
+            restart path.  ``None`` (the default) injects nothing; plan
+            resolution refuses it on every other engine.
         checkpoint_dir: Directory receiving level-barrier checkpoints
-            (breadth-first shapes only).
+            (the breadth-first engines only; resolution refuses it
+            elsewhere).
         checkpoint_every: Checkpoint every N completed levels (defaults to
             every level when ``checkpoint_dir`` is set).
         resume_from: Checkpoint file (or directory → deepest checkpoint)
-            to resume a breadth-first run from.
+            to resume a breadth-first run from (refused like
+            ``checkpoint_dir``).
     """
 
     shape: str = "dfs"
@@ -187,7 +187,6 @@ class CheckPlan:
     walks: Optional[int] = None
     walk_seed: Optional[int] = None
     chaos: Optional[str] = None
-    supervise: bool = True
     checkpoint_dir: Optional[str] = None
     checkpoint_every: Optional[int] = None
     resume_from: Optional[str] = None

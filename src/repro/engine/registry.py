@@ -5,8 +5,10 @@
 (serial for one worker, frontier/worksteal above) and raising a structured
 :class:`~repro.engine.plan.UnsupportedPlanError` — offending axis, the
 nearest row's explanation, a runnable nearest alternative — when no row
-accepts it.  :func:`run_plan` resolves and runs; every consumer (the cells
-runner, the CLI, the service) funnels through it.
+accepts it.  It is also the one place the fault knobs are decided: a plan
+may set ``checkpoint_dir`` / ``resume_from`` / ``chaos`` only on a row
+listing it in ``Engine.knobs``.  :func:`run_plan` resolves and runs; every
+consumer (the cells runner, the CLI, the service) funnels through it.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from dataclasses import replace
 from types import SimpleNamespace
 from typing import Dict, Optional, Tuple
 
+from ..chaos import FaultPlan, FaultPlanError
 from ..checker.property import Invariant, goal_of
 from ..checker.result import CheckResult
 from ..mp.protocol import Protocol
 from ..obs.telemetry import RunTelemetry
-from .engines import ENGINES, PARALLEL, Engine
+from .engines import ENGINES, FAULT_KNOBS, PARALLEL, Engine
 from .events import Observer, emit
 from .plan import CheckPlan, UnsupportedPlanError, strategy_label
 
@@ -104,6 +107,45 @@ def _nearest_plan(row: Engine, plan: CheckPlan) -> CheckPlan:
     return replace(plan, **changes)
 
 
+#: Why a knob is honoured only where it is, quoted in its refusal.
+_KNOB_REASONS = {
+    "checkpoint_dir": "a checkpoint captures a breadth-first level barrier",
+    "resume_from": "a checkpoint captures a breadth-first level barrier",
+    "chaos": "only a supervised pool has workers to crash and restart",
+}
+
+
+def _check_fault_knobs(engine: Engine, plan: CheckPlan) -> None:
+    """Refuse a fault knob ``engine`` does not honour, or a bad chaos spec.
+
+    The alternative is ``plan`` without the offending knob.
+    """
+    for knob in FAULT_KNOBS:
+        value = getattr(plan, knob)
+        if value is None or knob in engine.knobs:
+            continue
+        honouring = ", ".join(row.name for row in ENGINES if knob in row.knobs)
+        raise UnsupportedPlanError(
+            knob,
+            value,
+            f"plan {plan.describe()} resolves to engine {engine.name}, which "
+            f"does not honour {knob}={value!r} (only {honouring} do: "
+            f"{_KNOB_REASONS[knob]}); nearest supported alternative: the "
+            f"same plan without {knob}",
+            alternative=replace(plan, **{knob: None}),
+        )
+    try:
+        FaultPlan.parse(plan.chaos)
+    except FaultPlanError as error:
+        raise UnsupportedPlanError(
+            "chaos",
+            plan.chaos,
+            f"{error}; nearest supported alternative: the same plan "
+            "without chaos",
+            alternative=replace(plan, chaos=None),
+        ) from None
+
+
 def resolve(plan: CheckPlan) -> Tuple[Engine, CheckPlan]:
     """Pick the engine for ``plan``; never silently downgrades an axis.
 
@@ -113,10 +155,11 @@ def resolve(plan: CheckPlan) -> Tuple[Engine, CheckPlan]:
         ``plan`` with ``backend="auto"`` concretised to that row's backend.
 
     Raises:
-        UnsupportedPlanError: When no row accepts the combination, or the
-            row is multi-process and the platform lacks ``fork``.  The
-            error names the offending axis, quotes the nearest row's
-            explanation for the constraint, and carries a runnable
+        UnsupportedPlanError: When no row accepts the combination, the
+            row does not honour a fault knob the plan sets (or the chaos
+            spec does not parse), or the row is multi-process and the
+            platform lacks ``fork``.  The error names the offending axis
+            or knob, explains the constraint, and carries a runnable
             nearest-alternative plan.
     """
     for engine in ENGINES:
@@ -138,6 +181,7 @@ def resolve(plan: CheckPlan) -> Tuple[Engine, CheckPlan]:
             f"{detail}; nearest supported alternative: {alternative.describe()}",
             alternative=alternative,
         )
+    _check_fault_knobs(engine, plan)
     if engine.workers == PARALLEL and not fork_available():
         if plan.backend == "swarm":
             # Dropping to one worker keeps the plan on the serial walker;

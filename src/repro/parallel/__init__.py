@@ -41,9 +41,10 @@ reduced runs.  A full table sweep should default to cell-parallelism and
 reserve the in-cell engines for the cells dominating the wall clock.
 """
 
-from .bfs import default_mp_context, parallel_bfs_search
+from .bfs import parallel_bfs_search
 from .cells import CellSpec, run_cell, run_cells, specs_for_sweep
 from .dfs import parallel_dfs_search
+from .worker import default_mp_context
 from .worksteal import StolenFrame, StripedClaimTable, WorkStealingDeques
 
 __all__ = [

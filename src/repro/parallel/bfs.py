@@ -36,11 +36,11 @@ Guarantees relative to serial BFS:
   level barriers, so a run stopped mid-search may count the remainder of
   the level the serial search would have abandoned mid-way through.
 
-Fault tolerance, on either graph: the coordinator supervises its pool.  A
-worker that dies without replying (SIGKILL, the OOM killer, an injected
-:mod:`repro.chaos` crash) is detected through its process sentinel inside
-:func:`~repro.parallel.worker.collect_replies`; under supervision (the
-default) the coordinator restarts it on a fresh queue and sends it the
+Fault tolerance, on either graph: a
+:class:`~repro.parallel.worker.Supervisor` watches the pool.  A worker
+that dies without replying (SIGKILL, the OOM killer, an injected
+:mod:`repro.chaos` crash) is detected through its process sentinel; the
+coordinator restarts it on a fresh queue and sends it the
 same ``restore`` message a checkpoint resume sends — its shard keys from
 the coordinator's table, its frontier as object-form states the
 coordinator rebuilds by replaying their paths over its own graph —
@@ -50,30 +50,32 @@ surviving workers' replies intact.  Visited and transition counts are
 identical to an uncrashed run because every barrier is a deterministic
 function of the restored state.  (Under ``store="full"`` the rebuilt shard
 is exact up to a 64-bit fingerprint collision in the coordinator's table.)
-With supervision off (or the restart budget exhausted) the crash surfaces
-as a structured :class:`~repro.parallel.worker.WorkerCrashError` and the
-search returns an honest incomplete outcome with partial statistics, never
-a hang or a bare traceback.
+Once the restart budget is spent the crash surfaces as a structured
+:class:`~repro.parallel.worker.WorkerCrashError` and the search returns an
+honest incomplete outcome with partial statistics, never a hang or a bare
+traceback.
 
 Checkpointing rides the same barrier: with ``config.checkpoint_dir`` set
 — and only then — owners add their new frontier in object form to the
 absorb reply, and every ``config.checkpoint_every`` levels the coordinator
 writes the graph-neutral :mod:`repro.checker.checkpoint` file (object
-states + execution-index edges).  A killed run resumes via
-``config.resume_from``, at any worker count and over either graph, with
-verdict and visited count identical to an uninterrupted run.
+states + execution-index edges) with that module's level writer.  A killed
+run resumes via ``config.resume_from``, at any worker count and over
+either graph, with verdict and visited count identical to an
+uninterrupted run.
 
 The workers inherit the graph via the ``fork`` start method (transition
-guards and actions are closures and never pickle).  On platforms without
-``fork`` the function transparently falls back to the serial search.
+guards and actions are closures and never pickle).  Plan resolution
+refuses multi-process plans on platforms without ``fork``; called
+directly there, the search raises :class:`ValueError`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from typing import Dict, List, Optional, Tuple
 
+from ..chaos import chaos_hook_for_worker
 from ..checker.counterexample import Counterexample
 from ..checker.property import Invariant
 from ..checker.result import SearchStatistics
@@ -85,27 +87,12 @@ from ..engine.plan import CheckPlan
 from ..mp.protocol import Protocol
 from ..mp.state import GlobalState
 from .worker import (
+    Supervisor,
     WorkerCrashError,
-    collect_replies,
+    default_mp_context,
     frontier_worker,
     shutdown_processes,
 )
-
-#: Total worker restarts the supervisor attempts before giving up and
-#: surfacing the crash; bounds flapping when the fault is not transient.
-MAX_WORKER_RESTARTS = 3
-
-
-def default_mp_context():
-    """The ``fork`` multiprocessing context.
-
-    ``fork`` is required for two reasons: workers inherit the (unpicklable)
-    protocol object, and forked children share the parent's hash seed so
-    fingerprints — and with them the shard partition — agree across all
-    processes.  Plan resolution refuses multi-process plans on platforms
-    without it, so on those this raises :class:`ValueError`.
-    """
-    return multiprocessing.get_context("fork")
 
 
 def parallel_bfs_search(
@@ -124,11 +111,11 @@ def parallel_bfs_search(
             "full"`` dedups shards by exact states, every other kind by
             fingerprints, and ``workers`` is the worker process count (=
             shard count; 1 delegates to the serial :func:`bfs_search`).
-            The ``chaos`` / ``supervise`` / ``checkpoint_dir`` /
-            ``checkpoint_every`` / ``resume_from`` knobs drive the fault
-            tolerance documented in the module docstring.  Workers are
-            forked, and the coordinator waits at each level barrier for
-            as long as every worker process is alive: an arbitrarily long
+            The ``chaos`` / ``checkpoint_dir`` / ``checkpoint_every`` /
+            ``resume_from`` knobs drive the fault tolerance documented in
+            the module docstring.  Workers are forked, and the
+            coordinator waits at each level barrier for as long as every
+            worker process is alive: an arbitrarily long
             level is progress, not a hang, and a crashed worker is detected
             through its process sentinel.  ``max_seconds`` budgets the
             search as a whole.
@@ -153,11 +140,6 @@ def parallel_bfs_search(
         return bfs_search(protocol, invariant, config, observer=observer,
                           telemetry=telemetry)
     context = default_mp_context()
-
-    # Imported here, not by ``import repro`` — and before the fork, so the
-    # workers inherit it.
-    from ..chaos import chaos_hook_for_worker
-
     statistics = SearchStatistics()
     start_time = time.perf_counter()
     exact = config.store == "full"
@@ -205,15 +187,9 @@ def parallel_bfs_search(
         return rebuilt
 
     if config.resume_from is not None:
-        from ..checker.checkpoint import CheckpointError, load_checkpoint
+        from ..checker.checkpoint import resume_checkpoint
 
-        resumed = load_checkpoint(config.resume_from)
-        if not resumed.states or resumed.states[0] != decode(initial):
-            raise CheckpointError(
-                f"cannot resume from {config.resume_from!r}: its initial "
-                "state does not match the protocol under check (was the "
-                "checkpoint written for a different model?)"
-            )
+        resumed = resume_checkpoint(config.resume_from, decode(initial))
         # Fingerprints are recomputed here: they are per-process values, and
         # equal across graphs, so the file fits any graph and worker count.
         fingerprints = [state.fingerprint() for state in resumed.states]
@@ -258,7 +234,7 @@ def parallel_bfs_search(
             target=frontier_worker,
             args=(worker_id, workers, graph, invariant, exact, checkpointing,
                   task_queues[worker_id], result_queue,
-                  chaos_hook_for_worker(chaos, worker_id, workers)),
+                  chaos_hook_for_worker(chaos, worker_id)),
             daemon=True,
         )
         process.start()
@@ -288,96 +264,33 @@ def parallel_bfs_search(
     checkpoint_interval = max(1, config.checkpoint_every or 1)
 
     def write_level_checkpoint() -> None:
-        from ..checker.checkpoint import Checkpoint, write_checkpoint
+        from ..checker.checkpoint import write_level
 
-        index_of = {
-            state.fingerprint(): index for index, state in enumerate(discovered)
-        }
-        edges = []
-        for state in discovered:
-            edge = parents[state.fingerprint()]
-            edges.append(None if edge is None else (index_of[edge[0]], edge[1]))
         statistics.elapsed_seconds = time.perf_counter() - start_time
-        path = write_checkpoint(
-            Checkpoint(
-                depth=depth + 1,
-                statistics=statistics,
-                states=discovered,
-                edges=edges,
-                frontier=[index_of[fp] for held in frontier_fps for fp in held],
-                meta={"property": invariant.name, "engine": "frontier-bfs",
-                      "workers": workers},
-            ),
-            config.checkpoint_dir,
+        path = write_level(
+            config.checkpoint_dir, depth + 1, statistics, discovered,
+            [state.fingerprint() for state in discovered], parents.__getitem__,
+            (fp for held in frontier_fps for fp in held),
+            {"property": invariant.name, "engine": "frontier-bfs",
+             "workers": workers},
         )
         emit(observer, "checkpoint-written", depth=depth + 1,
              states_visited=statistics.states_visited, path=path)
 
-    restarts_used = 0
-    crash_counter = restart_counter = None
-    if telemetry is not None:
-        crash_counter = telemetry.metrics.counter(
-            "worker_crashes", "worker processes that died without replying"
-        )
-        restart_counter = telemetry.metrics.counter(
-            "worker_restarts", "crashed workers restarted by the supervisor"
-        )
-
     processes = [spawn_worker(worker_id, config.chaos) for worker_id in range(workers)]
+    supervisor = Supervisor(result_queue, processes, observer, telemetry)
 
-    def supervised_collect(phase: str, recover):
-        """Collect a barrier, restarting crashed workers under supervision.
-
-        ``recover(worker_id)`` restores the replacement to the state the
-        lost command found and re-enqueues that command; surviving workers'
-        replies carry over between attempts via the partial-reply list on
-        the crash error.
-        """
-        nonlocal restarts_used
-        replies = None
-        while True:
-            try:
-                return collect_replies(
-                    result_queue, workers, phase, None, processes,
-                    replies,
-                )
-            except WorkerCrashError as crash:
-                for worker_id in crash.workers:
-                    emit(observer, "worker-crashed", worker=worker_id,
-                         phase=phase)
-                    if crash_counter is not None:
-                        crash_counter.inc()
-                if (
-                    not config.supervise
-                    or restarts_used + len(crash.workers) > MAX_WORKER_RESTARTS
-                ):
-                    crash.attempts = restarts_used
-                    raise
-                replies = crash.replies
-                for worker_id in crash.workers:
-                    restarts_used += 1
-                    processes[worker_id].join(timeout=0.1)  # reap the corpse
-                    # Fresh queue: the dead worker may have consumed — or
-                    # left behind — commands on the old one.
-                    task_queues[worker_id] = context.Queue()
-                    # The replacement runs without the fault plan: the plan
-                    # describes faults of the original incarnation, and
-                    # re-arming it would crash every replacement too.
-                    processes[worker_id] = spawn_worker(worker_id, None)
-                    recover(worker_id)
-                    emit(observer, "worker-restarted", worker=worker_id,
-                         attempt=restarts_used)
-                    if restart_counter is not None:
-                        restart_counter.inc()
-
-    def redo_expand(worker_id: int) -> None:
-        restore(worker_id)
-        task_queues[worker_id].put(("expand", None))
-
-    def redo_absorb(worker_id: int) -> None:
-        # The dead worker held the children of its own shard it had kept.
-        restore(worker_id, expanded=True)
-        task_queues[worker_id].put(("absorb", routed[worker_id]))
+    def respawn(worker_id: int, command: str, payload):
+        """A replacement for ``worker_id`` on a fresh queue (the dead worker
+        may have consumed — or left behind — commands on the old one),
+        restored to the state the lost command found, with that command
+        re-sent."""
+        task_queues[worker_id] = context.Queue()
+        process = spawn_worker(worker_id, None)
+        # An absorb finds the children of its own shard the dead worker kept.
+        restore(worker_id, expanded=command == "absorb")
+        task_queues[worker_id].put((command, payload))
+        return process
 
     verified = True
     complete = True
@@ -402,7 +315,8 @@ def parallel_bfs_search(
             # Expand: every worker walks the frontier it owns.
             for queue in task_queues:
                 queue.put(("expand", None))
-            expanded = supervised_collect("expanded", redo_expand)
+            expanded = supervisor.collect(
+                "expanded", lambda worker_id: respawn(worker_id, "expand", None))
             level_deltas = 0
             for (reply_worker, _blobs, shipped, expansions, transitions,
                  revisits) in expanded:
@@ -430,7 +344,9 @@ def parallel_bfs_search(
             ]
             for destination in range(workers):
                 task_queues[destination].put(("absorb", routed[destination]))
-            absorbed = supervised_collect("absorbed", redo_absorb)
+            absorbed = supervisor.collect(
+                "absorbed",
+                lambda worker_id: respawn(worker_id, "absorb", routed[worker_id]))
 
             level_new = 0
             level_violations: List[int] = []

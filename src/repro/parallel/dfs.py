@@ -73,10 +73,9 @@ Plan resolution refuses multi-process plans on platforms without ``fork``.
 Not supervised: a worker that dies ends the run as an honest incomplete
 outcome (``incomplete_reason="worker crash"``, partial statistics, the
 survivors wound down) — restarting a member of a work-stealing pool is
-ROADMAP item 6.  ``config.chaos`` is therefore rejected, like
-``config.checkpoint_dir`` / ``config.resume_from`` (which every
-depth-first engine rejects): a fault plan that injects nothing would be
-false confidence.
+ROADMAP item 6.  Plan resolution therefore refuses ``chaos`` here, like
+``checkpoint_dir`` / ``resume_from`` (there is no level barrier to
+capture): a fault plan that injects nothing would be false confidence.
 """
 
 from __future__ import annotations
@@ -88,18 +87,17 @@ from typing import List, Optional, Set, Tuple
 from ..checker.counterexample import Counterexample
 from ..checker.property import Invariant
 from ..checker.result import SearchStatistics
-from ..checker.search import (
-    Reducer,
-    SearchOutcome,
-    reject_checkpoint_knobs,
-    dfs_search,
-)
+from ..checker.search import Reducer, SearchOutcome, dfs_search
 from ..checker.stategraph import StateGraph, make_graph, replay_path
 from ..engine.events import PROGRESS_INTERVAL, Observer, emit, maybe_span
 from ..engine.plan import CheckPlan
 from ..mp.protocol import Protocol
-from .bfs import default_mp_context
-from .worker import WorkerCrashError, collect_replies, shutdown_processes
+from .worker import (
+    WorkerCrashError,
+    collect_replies,
+    default_mp_context,
+    shutdown_processes,
+)
 from .worksteal import (
     HEARTBEAT_EVERY,
     BatchedCounter,
@@ -374,9 +372,8 @@ def parallel_dfs_search(
             reducer, so worker sweeps include an exact serial baseline).
             The parallel engine is always stateful and deduplicates by
             fingerprint (``store`` is not consulted; the exact-store
-            option has no shared-memory analogue).  ``chaos``,
-            ``checkpoint_dir`` and ``resume_from`` raise
-            :class:`ValueError` (see the module docstring).
+            option has no shared-memory analogue).  Plan resolution
+            refuses the fault knobs here (see the module docstring).
         reducer: Optional partial-order reducer (e.g. a pre-built
             :class:`~repro.por.stubborn.StubbornSetProvider`'s ``reduce``),
             inherited by every worker via ``fork``.
@@ -397,14 +394,6 @@ def parallel_dfs_search(
         path, making the reported trace deterministic given the set of
         discovered violations.
     """
-    reject_checkpoint_knobs(config, "parallel_dfs_search")
-    if config.chaos is not None:
-        raise ValueError(
-            "parallel_dfs_search does not support chaos: fault plans are "
-            "injected at the frontier workers' barrier commands, which a "
-            "work-stealing pool does not have (use shape='bfs' with "
-            "backend='frontier', or backend='swarm')"
-        )
     workers = config.workers
     if workers <= 1:
         return dfs_search(protocol, invariant, config, reducer=reducer,

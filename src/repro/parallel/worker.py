@@ -56,14 +56,33 @@ fire and gets a structured :class:`WorkerCrashError`.
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import time
 import traceback
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..checker.property import Invariant
 from ..checker.stategraph import StateGraph
 from ..checker.statestore import shard_of
+from ..engine.events import Observer, emit
+
+#: Total worker restarts a :class:`Supervisor` attempts before giving up
+#: and surfacing the crash; bounds flapping when the fault is not transient.
+MAX_WORKER_RESTARTS = 3
+
+
+def default_mp_context():
+    """The ``fork`` multiprocessing context.
+
+    ``fork`` is required for two reasons: workers inherit the (unpicklable)
+    protocol object, and forked children share the parent's hash seed so
+    fingerprints — and with them the shard partition — agree across all
+    processes.  Plan resolution refuses multi-process plans on platforms
+    without it, so on those this raises :class:`ValueError`.
+    """
+    return multiprocessing.get_context("fork")
+
 
 #: What an owner reports per state its shard accepted: ``(fingerprint,
 #: parent fingerprint, execution index, invariant holds)``.
@@ -73,9 +92,8 @@ Accepted = Tuple[int, int, int, bool]
 class WorkerCrashError(RuntimeError):
     """A worker process died without sending its barrier reply.
 
-    Subclasses :class:`RuntimeError` so pre-supervision call sites keep
-    working, but carries structure the supervisor needs to recover instead
-    of aborting:
+    Subclasses :class:`RuntimeError`, but carries the structure the
+    :class:`Supervisor` needs to recover instead of aborting:
 
     Attributes:
         phase: The reply phase the collector was waiting for.
@@ -83,8 +101,6 @@ class WorkerCrashError(RuntimeError):
         replies: The partial reply list (one slot per worker, ``None``
             where outstanding) so surviving workers' barrier replies are
             not lost across a restart.
-        attempts: Restart attempts already spent when a supervisor
-            re-raises after giving up (0 when unsupervised).
     """
 
     def __init__(
@@ -92,7 +108,6 @@ class WorkerCrashError(RuntimeError):
         phase: str,
         workers: Sequence[int] = (),
         replies: Optional[list] = None,
-        attempts: int = 0,
     ) -> None:
         names = ", ".join(str(worker) for worker in workers) or "?"
         super().__init__(
@@ -102,7 +117,6 @@ class WorkerCrashError(RuntimeError):
         self.phase = phase
         self.workers = tuple(workers)
         self.replies = replies
-        self.attempts = attempts
 
 
 def frontier_worker(
@@ -180,7 +194,7 @@ def frontier_worker(
         while True:
             command, payload = task_queue.get()
             if hook is not None:
-                hook.on_command(command)
+                hook.on_command()
             if command == "stop":
                 return
             if command == "restore":
@@ -244,9 +258,9 @@ def collect_replies(
         processes: Worker processes, indexed by worker id (so liveness can
             be checked only for workers whose reply is still outstanding).
         replies: Optional partially-filled reply list from a previous,
-            crash-interrupted collection (the supervisor passes the
-            ``replies`` attribute of the :class:`WorkerCrashError` back in
-            after restarting the dead workers, so surviving workers'
+            crash-interrupted collection (the :class:`Supervisor` passes
+            the ``replies`` attribute of the :class:`WorkerCrashError` back
+            in after restarting the dead workers, so surviving workers'
             replies are never re-awaited).
 
     Raises:
@@ -299,6 +313,73 @@ def collect_replies(
             collected += 1
         replies[reply[1]] = reply[1:]
     return replies
+
+
+class Supervisor:
+    """The one restart loop of the supervised pools (frontier BFS, swarm).
+
+    :meth:`collect` gathers one reply phase like :func:`collect_replies`.
+    When workers die without replying it reaps each one and calls the
+    caller's ``respawn(worker_id)``, which starts a replacement — without
+    the fault plan, which describes the original incarnation (re-arming it
+    would crash every replacement too) — re-sends it the command its
+    predecessor lost and returns the new process; the collection then
+    resumes with the survivors' replies intact.  Each crash emits
+    ``worker-crashed`` and counts ``worker_crashes``, each restart emits
+    ``worker-restarted`` and counts ``worker_restarts``; once
+    :data:`MAX_WORKER_RESTARTS` is spent the :class:`WorkerCrashError` is
+    re-raised for the pool to end the run honestly incomplete.
+
+    ``processes`` is the pool's own list, indexed by worker id; restarts
+    replace its entries in place.
+    """
+
+    def __init__(self, result_queue, processes: list,
+                 observer: Optional[Observer] = None, telemetry=None) -> None:
+        self.result_queue = result_queue
+        self.processes = processes
+        self.observer = observer
+        self.restarts = 0
+        self.crash_counter = self.restart_counter = None
+        if telemetry is not None:
+            self.crash_counter = telemetry.metrics.counter(
+                "worker_crashes", "worker processes that died without replying"
+            )
+            self.restart_counter = telemetry.metrics.counter(
+                "worker_restarts", "crashed workers restarted by the supervisor"
+            )
+
+    def collect(self, phase: str, respawn: Callable[[int], object],
+                wait: Optional[Callable[[], None]] = None) -> list:
+        """One ``phase`` reply per worker, restarting the dead.
+
+        ``wait``, when given, runs before every collection attempt (the
+        swarm pool streams progress from it while its walkers run).
+        """
+        replies = None
+        while True:
+            if wait is not None:
+                wait()
+            try:
+                return collect_replies(self.result_queue, len(self.processes),
+                                       phase, None, self.processes, replies)
+            except WorkerCrashError as crash:
+                for worker_id in crash.workers:
+                    emit(self.observer, "worker-crashed", worker=worker_id,
+                         phase=phase)
+                    if self.crash_counter is not None:
+                        self.crash_counter.inc()
+                if self.restarts + len(crash.workers) > MAX_WORKER_RESTARTS:
+                    raise
+                replies = crash.replies
+                for worker_id in crash.workers:
+                    self.restarts += 1
+                    self.processes[worker_id].join(timeout=0.1)  # reap it
+                    self.processes[worker_id] = respawn(worker_id)
+                    emit(self.observer, "worker-restarted", worker=worker_id,
+                         attempt=self.restarts)
+                    if self.restart_counter is not None:
+                        self.restart_counter.inc()
 
 
 #: Grace given to a worker at each escalation rung of the shutdown ladder.

@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..chaos import chaos_hook_for_worker
 from ..checker.result import SearchStatistics
 from ..checker.search import SearchOutcome
 from ..checker.stategraph import StateGraph, make_graph, replay_path
@@ -307,10 +308,8 @@ def _swarm_worker(
     an identical set of violating walk indices.
     """
     try:
-        from ..chaos import chaos_hook_for_worker
-
         workers, walks, walk_seed = config.workers, config.walks, config.walk_seed
-        hook = chaos_hook_for_worker(chaos, worker_id, workers)
+        hook = chaos_hook_for_worker(chaos, worker_id)
         stats = SwarmOutcomeStats()
         graph = _walk_graph(protocol, config)
         holds = graph.invariant_checker(invariant)
@@ -336,7 +335,7 @@ def _swarm_worker(
                 truncated = True
                 break
             if hook is not None:
-                hook.on_command("walk")
+                hook.on_command()
             path = _run_one_walk(
                 graph, holds, walk_index, walk_seed, max_depth, visited, stats
             )
@@ -384,20 +383,20 @@ def parallel_swarm_search(
     violation is the globally minimal violating walk index — identical to
     the serial walker's, at any worker count.
 
-    Fault tolerance: under ``config.supervise`` (the default) a worker
-    that dies without reporting is replaced by a fresh process re-running
-    its entire residue class — walks are pure in ``(walk_seed,
-    walk_index)``, so the verdict is identical to an uncrashed run (the
-    shared visited filter keeps the dead worker's additions, so the
-    distinct-state *estimate* may dip; the verdict never does).  With
-    supervision off or the restart budget exhausted, the run returns an
-    honest partial outcome (``incomplete_reason="worker crash"``) built
-    from the reports that did arrive.
+    Fault tolerance: a :class:`~repro.parallel.worker.Supervisor` replaces
+    a worker that dies without reporting by a fresh process re-running its
+    entire residue class — walks are pure in ``(walk_seed, walk_index)``,
+    so the verdict is identical to an uncrashed run (the shared visited
+    filter keeps the dead worker's additions, so the distinct-state
+    *estimate* may dip; the verdict never does).  Once the restart budget
+    is spent, the run returns an honest partial outcome
+    (``incomplete_reason="worker crash"``) built from the reports that did
+    arrive.
     """
-    from ..parallel.bfs import MAX_WORKER_RESTARTS, default_mp_context
     from ..parallel.worker import (
+        Supervisor,
         WorkerCrashError,
-        collect_replies,
+        default_mp_context,
         shutdown_processes,
     )
 
@@ -437,68 +436,40 @@ def parallel_swarm_search(
         process.start()
         return process
 
+    next_progress = PROGRESS_INTERVAL
+
+    def stream_progress() -> None:
+        """Emit ``progress`` ticks until every walker has exited."""
+        nonlocal next_progress
+        while any(process.is_alive() for process in processes):
+            time.sleep(0.05)
+            completed = walks_counter.value
+            if completed >= next_progress:
+                next_progress = (
+                    completed - completed % PROGRESS_INTERVAL
+                    + PROGRESS_INTERVAL
+                )
+                emit(observer, "progress", walks_completed=completed,
+                     violations=0, unique_fingerprints=0, states_visited=0)
+
     try:
         with maybe_span(telemetry, "walk-batch", batch_start=0,
                         batch_size=walks, workers=workers):
             for worker_id in range(workers):
                 processes.append(spawn(worker_id, config.chaos))
-
-            next_progress = PROGRESS_INTERVAL
-            replies = None
-            restarts_used = 0
-            while True:
-                while any(process.is_alive() for process in processes):
-                    time.sleep(0.05)
-                    completed = walks_counter.value
-                    if completed >= next_progress:
-                        next_progress = (
-                            completed - completed % PROGRESS_INTERVAL
-                            + PROGRESS_INTERVAL
-                        )
-                        emit(observer, "progress", walks_completed=completed,
-                             violations=0, unique_fingerprints=0,
-                             states_visited=0)
-                try:
-                    replies = collect_replies(
-                        result_queue, workers, "report", None,
-                        processes, replies,
-                    )
-                    break
-                except WorkerCrashError as crash:
-                    for worker_id in crash.workers:
-                        emit(observer, "worker-crashed", worker=worker_id,
-                             phase="report")
-                        if telemetry is not None:
-                            telemetry.metrics.counter(
-                                "worker_crashes",
-                                "worker processes that died without replying",
-                            ).inc()
-                    if (
-                        not config.supervise
-                        or restarts_used + len(crash.workers) > MAX_WORKER_RESTARTS
-                    ):
-                        # Honest partial outcome from the reports that did
-                        # arrive; never a hang or a bare traceback.
-                        replies = [
-                            reply for reply in (crash.replies or [])
-                            if reply is not None
-                        ]
-                        incomplete_reason = "worker crash"
-                        break
-                    replies = crash.replies
-                    for worker_id in crash.workers:
-                        restarts_used += 1
-                        processes[worker_id].join(timeout=0.1)
-                        # Replacements re-run the whole residue class from
-                        # scratch (walks are pure), without the fault plan.
-                        processes[worker_id] = spawn(worker_id, None)
-                        emit(observer, "worker-restarted", worker=worker_id,
-                             attempt=restarts_used)
-                        if telemetry is not None:
-                            telemetry.metrics.counter(
-                                "worker_restarts",
-                                "crashed workers restarted by the supervisor",
-                            ).inc()
+            # Replacements re-run the whole residue class from scratch
+            # (walks are pure), so there is no command to re-send.
+            supervisor = Supervisor(result_queue, processes, observer, telemetry)
+            try:
+                replies = supervisor.collect(
+                    "report", lambda worker_id: spawn(worker_id, None),
+                    wait=stream_progress,
+                )
+            except WorkerCrashError as crash:
+                # Honest partial outcome from the reports that did arrive;
+                # never a hang or a bare traceback.
+                replies = [reply for reply in crash.replies if reply is not None]
+                incomplete_reason = "worker crash"
         all_violations: List[Tuple[int, Tuple[int, ...]]] = []
         for reply in replies:
             worker_id, worker_stats, worker_violations, _truncated = reply

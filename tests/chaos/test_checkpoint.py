@@ -26,10 +26,10 @@ from repro.checker.checkpoint import (
     latest_checkpoint,
     load_checkpoint,
 )
-from repro.checker.search import bfs_search, dfs_search, ndfs_search
-from repro.engine import CheckPlan
+from repro.checker.search import bfs_search
+from repro.engine import CheckPlan, UnsupportedPlanError, resolve, run_plan
 from repro.engine.events import CollectingObserver
-from repro.parallel import parallel_bfs_search, parallel_dfs_search
+from repro.parallel import parallel_bfs_search
 from repro.protocols.catalog import paxos_entry, storage_entry
 
 needs_fork = pytest.mark.skipif(
@@ -305,8 +305,6 @@ class TestParallelResume:
         # Fails at the parent: the packed frontier ignored checkpoint_dir.
         import pickle
 
-        from repro.engine import run_plan
-
         protocol, invariant = cell
         run_plan(protocol, invariant, CheckPlan(
             shape="bfs", backend="frontier", workers=2, successors="fast",
@@ -320,7 +318,7 @@ class TestParallelResume:
 
 
 class TestCheckpointKnobRejection:
-    """Engines without level barriers refuse the knobs loudly."""
+    """Plan resolution refuses the knobs on engines without level barriers."""
 
     @pytest.mark.parametrize("knob", [
         {"checkpoint_dir": "/tmp/nope"},
@@ -328,10 +326,11 @@ class TestCheckpointKnobRejection:
     ])
     def test_dfs_rejects(self, cell, knob):
         protocol, invariant = cell
-        with pytest.raises(ValueError, match="checkpoint"):
-            dfs_search(protocol, invariant, CheckPlan(**knob))
+        with pytest.raises(UnsupportedPlanError) as excinfo:
+            run_plan(protocol, invariant, CheckPlan(**knob))
+        assert excinfo.value.axis == next(iter(knob))
+        assert excinfo.value.alternative == CheckPlan()
 
-    @needs_fork
     @pytest.mark.parametrize("graph", ["object", "fast"])
     @pytest.mark.parametrize("knob", [
         {"checkpoint_dir": "/tmp/nope"},
@@ -340,16 +339,12 @@ class TestCheckpointKnobRejection:
     def test_worksteal_rejects(self, cell, knob, graph):
         # Fails at the parent: both work-stealing twins ignored the knobs.
         protocol, invariant = cell
-        with pytest.raises(ValueError, match="checkpoint"):
-            parallel_dfs_search(
-                protocol, invariant,
-                CheckPlan(successors=graph, workers=2, **knob),
-            )
+        with pytest.raises(UnsupportedPlanError, match="worksteal-dfs") as excinfo:
+            run_plan(protocol, invariant,
+                     CheckPlan(successors=graph, workers=2, **knob))
+        assert excinfo.value.axis == next(iter(knob))
 
-    def test_ndfs_rejects(self, cell):
-        protocol, invariant = cell
-        with pytest.raises(ValueError, match="checkpoint"):
-            ndfs_search(
-                protocol, invariant,
-                CheckPlan(checkpoint_dir="/tmp/nope"),
-            )
+    def test_ndfs_rejects(self):
+        with pytest.raises(UnsupportedPlanError, match="serial-ndfs") as excinfo:
+            resolve(CheckPlan(goal="liveness", checkpoint_dir="/tmp/nope"))
+        assert excinfo.value.axis == "checkpoint_dir"

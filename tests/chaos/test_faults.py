@@ -1,9 +1,8 @@
 """Fault plans and the worker-side chaos hook.
 
-The plan layer's promise is determinism: an explicit spec round-trips
-through its string spelling, a seeded spec is a pure function of the root
-seed, and the hook fires exactly the injections the plan names — at the
-command indices it names — with nothing left to timing.
+The plan layer's promise is determinism: a spec parses to exactly the
+crashes it spells, and the hook crashes exactly the worker the plan names
+— at the command index it names — with nothing left to timing.
 """
 
 from __future__ import annotations
@@ -11,13 +10,12 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos import (
-    CHAOS_ENV,
     ChaosHook,
+    FaultInjection,
     FaultPlan,
     FaultPlanError,
     chaos_hook_for_worker,
 )
-from repro.chaos.faults import DEFAULT_SLOW_SECONDS, DEFAULT_STALL_SECONDS
 
 
 class TestFaultPlanParse:
@@ -27,27 +25,13 @@ class TestFaultPlanParse:
 
     def test_explicit_crash(self):
         plan = FaultPlan.parse("crash:1@3")
-        assert len(plan.injections) == 1
-        injection = plan.injections[0]
-        assert (injection.kind, injection.worker, injection.at_command) == (
-            "crash", 1, 3
-        )
-        assert injection.seconds is None
+        assert plan.injections == (FaultInjection(worker=1, at_command=3),)
 
-    def test_stall_and_slow_default_seconds(self):
-        plan = FaultPlan.parse("stall:0@2,slow:2@5")
-        stall, slow = plan.injections
-        assert stall.seconds == DEFAULT_STALL_SECONDS
-        assert slow.seconds == DEFAULT_SLOW_SECONDS
-
-    def test_explicit_seconds(self):
-        plan = FaultPlan.parse("stall:0@2:7.5")
-        assert plan.injections[0].seconds == 7.5
-
-    def test_round_trip_through_spec(self):
-        spec = "crash:1@3,stall:0@2:30,slow:2@5:0.2"
-        plan = FaultPlan.parse(spec)
-        assert FaultPlan.parse(plan.spec()) == plan
+    def test_several_injections_in_order(self):
+        plan = FaultPlan.parse("crash:1@3, crash:0@2,crash:2@5")
+        assert [(inj.worker, inj.at_command) for inj in plan.injections] == [
+            (1, 3), (0, 2), (2, 5),
+        ]
 
     @pytest.mark.parametrize(
         "bad",
@@ -57,112 +41,66 @@ class TestFaultPlanParse:
             "crash:x@3",          # non-integer worker
             "crash:1@0",          # commands count from 1
             "crash:-1@3",         # negative worker
-            "stall:0@2:soon",     # bad seconds
+            "crash:1@3:30",       # no seconds suffix
+            "stall:0@2:soon",     # only crashes are injected
             ",",                  # no injections
-            "seed:abc",           # bad seed
-            "seed:1:boom=2",      # unknown seeded kind
-            "seed:1:crash",       # missing =count
+            "seed:abc",           # no seeded spelling
+            "seed:1:boom=2",
+            "seed:1:crash",
         ],
     )
     def test_bad_specs_raise(self, bad):
         with pytest.raises(FaultPlanError):
-            FaultPlan.parse(bad, workers=4)
-
-
-class TestSeededPlans:
-    def test_seeded_is_deterministic(self):
-        assert FaultPlan.seeded(42, workers=4) == FaultPlan.seeded(42, workers=4)
-
-    def test_different_seeds_differ(self):
-        # Not guaranteed for every pair in principle, but pinned for these
-        # two so a broken derivation (constant output) cannot pass.
-        assert FaultPlan.seeded(1, workers=4) != FaultPlan.seeded(2, workers=4)
-
-    def test_seeded_spec_defaults_to_one_crash(self):
-        plan = FaultPlan.parse("seed:42", workers=4)
-        assert len(plan.injections) == 1
-        assert plan.injections[0].kind == "crash"
-
-    def test_seeded_spec_counts(self):
-        plan = FaultPlan.parse("seed:7:crash=2:stall=1", workers=4)
-        kinds = sorted(injection.kind for injection in plan.injections)
-        assert kinds == ["crash", "crash", "stall"]
-
-    def test_seeded_workers_in_range(self):
-        plan = FaultPlan.seeded(123, workers=3, crashes=8)
-        assert all(0 <= injection.worker < 3 for injection in plan.injections)
-        assert all(injection.at_command >= 1 for injection in plan.injections)
-
-    def test_for_worker_sorted_by_command(self):
-        plan = FaultPlan.parse("slow:1@5,crash:1@2,stall:0@1")
-        mine = plan.for_worker(1)
-        assert [injection.at_command for injection in mine] == [2, 5]
-        assert plan.for_worker(3) == ()
+            FaultPlan.parse(bad)
 
 
 class TestChaosHook:
     def test_crash_fires_at_exact_command(self):
-        exits, sleeps = [], []
-        hook = ChaosHook(
-            FaultPlan.parse("crash:0@3"), worker=0,
-            sleep=sleeps.append, exit=exits.append,
-        )
-        hook.on_command("a")
-        hook.on_command("b")
+        exits = []
+        hook = ChaosHook(FaultPlan.parse("crash:0@3"), worker=0, exit=exits.append)
+        hook.on_command()
+        hook.on_command()
         assert exits == []
-        hook.on_command("c")
+        hook.on_command()
         assert exits == [1]
-        assert [injection.kind for injection in hook.fired] == ["crash"]
 
     def test_other_workers_injections_never_fire(self):
         exits = []
-        hook = ChaosHook(
-            FaultPlan.parse("crash:1@1"), worker=0,
-            sleep=lambda _s: None, exit=exits.append,
-        )
+        hook = ChaosHook(FaultPlan.parse("crash:1@1"), worker=0, exit=exits.append)
         for _ in range(5):
             hook.on_command()
         assert exits == []
 
-    def test_stall_and_slow_sleep(self):
-        sleeps = []
+    def test_each_planned_command_crashes(self):
+        exits = []
         hook = ChaosHook(
-            FaultPlan.parse("stall:0@1:9,slow:0@2:0.5"), worker=0,
-            sleep=sleeps.append, exit=lambda _c: None,
+            FaultPlan.parse("crash:0@4,crash:1@3,crash:0@2"), worker=0,
+            exit=exits.append,
         )
-        hook.on_command()
-        hook.on_command()
-        assert sleeps == [9.0, 0.5]
+        for _ in range(5):
+            hook.on_command()
+        assert exits == [1, 1]
 
     def test_multiple_injections_same_command(self):
-        sleeps = []
+        exits = []
         hook = ChaosHook(
-            FaultPlan.parse("slow:0@2:0.1,slow:0@2:0.2"), worker=0,
-            sleep=sleeps.append, exit=lambda _c: None,
+            FaultPlan.parse("crash:0@2,crash:0@2"), worker=0, exit=exits.append,
         )
         hook.on_command()
         hook.on_command()
-        assert sleeps == [0.1, 0.2]
+        assert exits == [1]
 
 
 class TestHookConstruction:
-    def test_no_spec_no_env_means_none(self, monkeypatch):
-        monkeypatch.delenv(CHAOS_ENV, raising=False)
-        assert chaos_hook_for_worker(None, 0, 4) is None
+    def test_no_spec_means_none(self):
+        assert chaos_hook_for_worker(None, 0) is None
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(CHAOS_ENV, "crash:2@4")
-        hook = chaos_hook_for_worker(None, 2, 4)
+    def test_spec_arms_the_named_worker(self):
+        hook = chaos_hook_for_worker("crash:2@4", 2)
         assert hook is not None
-        assert hook._pending[0].at_command == 4
+        assert hook._pending == {4}
 
-    def test_explicit_spec_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(CHAOS_ENV, "crash:0@1")
-        hook = chaos_hook_for_worker("crash:0@9", 0, 4)
-        assert hook._pending[0].at_command == 9
-
-    def test_invalid_env_spec_raises(self, monkeypatch):
+    def test_invalid_spec_raises(self):
         # A typo'd plan must fail loudly, not make chaos tests pass vacuously.
-        monkeypatch.setenv(CHAOS_ENV, "kaboom:0@1")
         with pytest.raises(FaultPlanError):
-            chaos_hook_for_worker(None, 0, 4)
+            chaos_hook_for_worker("kaboom:0@1", 0)

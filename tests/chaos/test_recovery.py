@@ -1,15 +1,16 @@
 """Worker crash detection and supervised recovery.
 
-The contract under test, at both ends of the supervision switch:
+The contract under test, on both supervised pools (frontier BFS, swarm):
 
-* ``supervise=False``: an injected hard worker death (``os._exit``, the
-  same shape as a SIGKILL or the OOM killer) surfaces promptly as a
-  structured :class:`WorkerCrashError` inside the engine and as an honest
+* within the restart budget, an injected hard worker death (``os._exit``,
+  the same shape as a SIGKILL or the OOM killer) is detected at once, the
+  dead worker is restarted, its lost work re-executed deterministically,
+  and the run's verdict *and exact counts* equal the uninterrupted serial
+  run's;
+* past the budget, the crash surfaces as a structured
+  :class:`WorkerCrashError` inside the engine and as an honest
   ``Inconclusive (worker crash)`` outcome outside it — never a hang,
   never a bare traceback.
-* ``supervise=True`` (the default): the dead worker is restarted, its
-  lost work re-executed deterministically, and the run's verdict *and
-  exact counts* equal the uninterrupted serial run's.
 """
 
 from __future__ import annotations
@@ -278,40 +279,44 @@ class TestFrontierRecovery:
             assert len(recovered.counterexample.steps) == level
             recovered.counterexample.replay(protocol)
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_unsupervised_run_fails_honestly(self, workers, graph):
+    def test_restart_budget_exhaustion_gives_up(self, graph):
+        # One crash per worker at MAX_WORKER_RESTARTS + 1 workers: the
+        # supervisor must stop restarting and report honestly.  Each
+        # restarted worker runs without the fault plan, so distinct workers
+        # must crash to spend the budget.
+        from repro.parallel.worker import MAX_WORKER_RESTARTS
+
+        workers = MAX_WORKER_RESTARTS + 1
         entry = storage_entry(3, 1)
         observer = CollectingObserver()
         outcome = parallel_bfs_search(
             entry.single_model(), entry.invariant,
-            CheckPlan(chaos="crash:1@3", supervise=False,
+            CheckPlan(chaos=",".join(f"crash:{w}@3" for w in range(workers)),
                       successors=graph, workers=workers),
             observer=observer,
         )
         assert outcome.complete is False
         assert outcome.incomplete_reason == "worker crash"
         assert outcome.verified is True  # no violation seen — inconclusive
-        assert observer.counts().get("worker-crashed") == 1
-        assert "worker-restarted" not in observer.counts()
+        counts = observer.counts()
+        assert counts.get("worker-crashed") == workers
+        assert counts.get("worker-restarted", 0) < workers
 
-    def test_restart_budget_exhaustion_gives_up(self, graph):
-        # More planned crashes than MAX_WORKER_RESTARTS allows: the
-        # supervisor must stop restarting and report honestly.  Each
-        # restarted worker gets chaos=None, so distinct workers must crash
-        # to spend the budget.
-        from repro.parallel.bfs import MAX_WORKER_RESTARTS
-
+    def test_the_environment_injects_nothing(self, graph, monkeypatch):
+        # Fails at the parent: the pool read the spec from this variable,
+        # and so did every replacement, which crashed again until the
+        # restart budget was spent.
+        monkeypatch.setenv("REPRO_CHAOS", "crash:1@3")
         entry = storage_entry(3, 1)
-        spec = ",".join(
-            f"crash:{worker}@3" for worker in range(MAX_WORKER_RESTARTS + 1)
-        )
+        serial = bfs_search(entry.single_model(), entry.invariant)
+        observer = CollectingObserver()
         outcome = parallel_bfs_search(
             entry.single_model(), entry.invariant,
-            CheckPlan(chaos=spec, successors=graph,
-                      workers=MAX_WORKER_RESTARTS + 1),
+            CheckPlan(successors=graph, workers=2), observer=observer,
         )
-        assert outcome.complete is False
-        assert outcome.incomplete_reason == "worker crash"
+        assert outcome.complete
+        assert_same_statistics(outcome, serial)
+        assert "worker-crashed" not in observer.counts()
 
 
 class TestSwarmRecovery:
@@ -332,12 +337,20 @@ class TestSwarmRecovery:
         assert counts.get("worker-crashed") == 1
         assert counts.get("worker-restarted") == 1
 
-    def test_unsupervised_swarm_reports_crash(self):
+    def test_restart_budget_exhaustion_gives_up(self):
+        from repro.parallel.worker import MAX_WORKER_RESTARTS
+
+        workers = MAX_WORKER_RESTARTS + 1
         entry = storage_entry(3, 1)
+        observer = CollectingObserver()
         outcome = parallel_swarm_search(
             entry.single_model(), entry.invariant,
-            CheckPlan(backend="swarm", walks=200, walk_seed=7, workers=4,
-                      chaos="crash:2@5", supervise=False),
+            CheckPlan(backend="swarm", walks=200, walk_seed=7, workers=workers,
+                      chaos=",".join(f"crash:{w}@5" for w in range(workers))),
+            observer=observer,
         )
         assert outcome.incomplete_reason == "worker crash"
         assert outcome.complete is False
+        counts = observer.counts()
+        assert counts.get("worker-crashed") == workers
+        assert counts.get("worker-restarted", 0) < workers

@@ -56,8 +56,8 @@ class TestSurface:
             "shape", "reduction", "store", "backend", "workers", "stateful",
             "successors", "seed_heuristic", "max_depth", "max_states",
             "max_seconds", "stop_at_first_violation", "goal", "walks",
-            "walk_seed", "chaos", "supervise", "checkpoint_dir",
-            "checkpoint_every", "resume_from",
+            "walk_seed", "chaos", "checkpoint_dir", "checkpoint_every",
+            "resume_from",
         ]
 
     def test_the_wire_format_sets_only_plan_fields(self):

@@ -108,11 +108,10 @@ class TestFlagsLandOnTheirAxes:
         assert excinfo.value.axis == "backend"
 
     def test_fault_knobs_carry_over(self, tmp_path):
-        plan = plan_for("--shape", "bfs", "--chaos", "crash:1@3", "--no-supervise",
+        plan = plan_for("--shape", "bfs", "--chaos", "crash:1@3",
                         "--checkpoint-dir", str(tmp_path), "--checkpoint-every", "2",
                         "--resume", str(tmp_path))
         assert plan.chaos == "crash:1@3"
-        assert plan.supervise is False
         assert plan.checkpoint_dir == str(tmp_path)
         assert plan.checkpoint_every == 2
         assert plan.resume_from == str(tmp_path)

@@ -51,6 +51,16 @@ class TestEngines:
         assert output == ENGINES_OUTPUT
 
 
+class TestFaultKnobs:
+    def test_chaos_on_the_serial_bfs_is_refused(self):
+        # One worker resolves to serial-bfs, which has no pool to crash.
+        code, output = run_cli(["check", "storage-3-1", "--model", "single",
+                                "--shape", "bfs", "--chaos", "crash:0@1"])
+        assert code == 2
+        assert output.startswith("error: ")
+        assert "does not honour chaos='crash:0@1'" in output
+
+
 class TestCheckPlanAxes:
     def test_default_plan_is_the_spor_axes(self, tmp_path):
         by_default = tmp_path / "default.json"

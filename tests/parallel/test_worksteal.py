@@ -182,8 +182,8 @@ GRAPHS = ["object", "fast"]
 
 @pytest.mark.parametrize("graph", GRAPHS)
 class TestFaults:
-    """The pool is not supervised: a death is an honest verdict, and a fault
-    plan that could inject nothing is refused."""
+    """The pool is not supervised: a death is an honest verdict, and plan
+    resolution refuses a fault plan that could inject nothing."""
 
     def test_dead_worker_is_a_verdict_not_a_traceback(self, graph, monkeypatch):
         # Fails at the parent: run_plan raised WorkerCrashError.
@@ -223,17 +223,22 @@ class TestFaults:
         assert crashes == [{"worker": 1, "phase": "report"}]
 
     def test_chaos_is_rejected(self, graph):
-        # Fails at the parent: the plan ran and "verified" with no fault
-        # injected anywhere.
-        from repro.engine import CheckPlan, run_plan
+        # Plan resolution refuses it before any worker starts: the pool has
+        # no supervisor, so a fault plan would inject nothing.
+        from repro.engine import CheckPlan, UnsupportedPlanError, run_plan
+        from repro.engine.events import CollectingObserver
 
         entry = storage_entry(3, 1)
-        with pytest.raises(ValueError, match="does not support chaos"):
+        observer = CollectingObserver()
+        with pytest.raises(UnsupportedPlanError, match="worksteal-dfs") as excinfo:
             run_plan(
                 entry.single_model(), entry.invariant,
                 CheckPlan(shape="dfs", backend="worksteal", workers=2,
                           successors=graph, chaos="crash:1@3"),
+                observer=observer,
             )
+        assert excinfo.value.axis == "chaos"
+        assert observer.events == []
 
 
 class TestStripedClaimTable:
