@@ -91,9 +91,6 @@ def make_reducer(protocol: Protocol, plan: CheckPlan) -> Optional[Reducer]:
 #: that lists it in :attr:`Engine.knobs`; resolution refuses it elsewhere.
 FAULT_KNOBS = ("checkpoint_dir", "resume_from", "chaos")
 
-#: The knobs of the level-barrier checkpoint format.
-_CHECKPOINTS = ("checkpoint_dir", "resume_from")
-
 #: Worker counts of an in-process row and of a multi-process one.  Plan
 #: resolution refuses every PARALLEL row on platforms without ``fork``.
 SERIAL = range(1, 2)
@@ -289,7 +286,7 @@ ENGINES: Tuple[Engine, ...] = (
             "stateful": "breadth-first search deduplicates per level and is "
             "inherently stateful",
         },
-        knobs=_CHECKPOINTS,
+        knobs=("checkpoint_dir", "resume_from"),
     ),
     Engine(
         name="frontier-bfs",
@@ -307,7 +304,7 @@ ENGINES: Tuple[Engine, ...] = (
             "workers": "one worker has no frontier to share; backend='auto' "
             "picks the serial BFS instead",
         },
-        knobs=_CHECKPOINTS + ("chaos",),
+        knobs=FAULT_KNOBS,
     ),
     Engine(
         name="worksteal-dfs",

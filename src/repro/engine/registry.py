@@ -18,7 +18,6 @@ from dataclasses import replace
 from types import SimpleNamespace
 from typing import Dict, Optional, Tuple
 
-from ..chaos import FaultPlan, FaultPlanError
 from ..checker.property import Invariant, goal_of
 from ..checker.result import CheckResult
 from ..mp.protocol import Protocol
@@ -134,6 +133,11 @@ def _check_fault_knobs(engine: Engine, plan: CheckPlan) -> None:
             f"same plan without {knob}",
             alternative=replace(plan, **{knob: None}),
         )
+    if plan.chaos is None:
+        return
+    # Imported here: only a chaos plan needs the parser.
+    from ..chaos import FaultPlan, FaultPlanError
+
     try:
         FaultPlan.parse(plan.chaos)
     except FaultPlanError as error:

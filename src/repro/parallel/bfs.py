@@ -75,7 +75,6 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..chaos import chaos_hook_for_worker
 from ..checker.counterexample import Counterexample
 from ..checker.property import Invariant
 from ..checker.result import SearchStatistics
@@ -140,6 +139,11 @@ def parallel_bfs_search(
         return bfs_search(protocol, invariant, config, observer=observer,
                           telemetry=telemetry)
     context = default_mp_context()
+
+    # Imported here, not by ``import repro`` — and before the fork, so the
+    # workers inherit it.
+    from ..chaos import chaos_hook_for_worker
+
     statistics = SearchStatistics()
     start_time = time.perf_counter()
     exact = config.store == "full"

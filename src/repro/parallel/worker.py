@@ -339,15 +339,12 @@ class Supervisor:
         self.result_queue = result_queue
         self.processes = processes
         self.observer = observer
+        self.telemetry = telemetry
         self.restarts = 0
-        self.crash_counter = self.restart_counter = None
-        if telemetry is not None:
-            self.crash_counter = telemetry.metrics.counter(
-                "worker_crashes", "worker processes that died without replying"
-            )
-            self.restart_counter = telemetry.metrics.counter(
-                "worker_restarts", "crashed workers restarted by the supervisor"
-            )
+
+    def _count(self, name: str, description: str) -> None:
+        if self.telemetry is not None:
+            self.telemetry.metrics.counter(name, description).inc()
 
     def collect(self, phase: str, respawn: Callable[[int], object],
                 wait: Optional[Callable[[], None]] = None) -> list:
@@ -367,8 +364,8 @@ class Supervisor:
                 for worker_id in crash.workers:
                     emit(self.observer, "worker-crashed", worker=worker_id,
                          phase=phase)
-                    if self.crash_counter is not None:
-                        self.crash_counter.inc()
+                    self._count("worker_crashes",
+                                "worker processes that died without replying")
                 if self.restarts + len(crash.workers) > MAX_WORKER_RESTARTS:
                     raise
                 replies = crash.replies
@@ -378,8 +375,8 @@ class Supervisor:
                     self.processes[worker_id] = respawn(worker_id)
                     emit(self.observer, "worker-restarted", worker=worker_id,
                          attempt=self.restarts)
-                    if self.restart_counter is not None:
-                        self.restart_counter.inc()
+                    self._count("worker_restarts",
+                                "crashed workers restarted by the supervisor")
 
 
 #: Grace given to a worker at each escalation rung of the shutdown ladder.

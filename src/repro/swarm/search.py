@@ -35,7 +35,6 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..chaos import chaos_hook_for_worker
 from ..checker.result import SearchStatistics
 from ..checker.search import SearchOutcome
 from ..checker.stategraph import StateGraph, make_graph, replay_path
@@ -308,6 +307,8 @@ def _swarm_worker(
     an identical set of violating walk indices.
     """
     try:
+        from ..chaos import chaos_hook_for_worker
+
         workers, walks, walk_seed = config.workers, config.walks, config.walk_seed
         hook = chaos_hook_for_worker(chaos, worker_id)
         stats = SwarmOutcomeStats()
