@@ -17,8 +17,9 @@ model gets independence from later senders that it is not entitled to (a
 further candidate message gives the transition a new execution).  That
 independence is exactly what quorum-split exists to make sound, so the split
 column pays for soundness the unsplit column skips.  ROADMAP item 1 has the
-reproduction and the repair; ``tests/por/test_soundness_toys.py`` pins the
-toy protocols that expose it.
+reproduction and the repair; the toy protocols that expose it live in
+``tests/toys.py`` and run, as strict xfails, in the engine harness
+(``tests/integration/test_engine_harness.py``).
 """
 
 from __future__ import annotations

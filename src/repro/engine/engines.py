@@ -12,7 +12,7 @@ exploration lives in :mod:`repro.checker.search`, :mod:`repro.parallel`,
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..checker.search import (
@@ -23,43 +23,10 @@ from ..checker.search import (
     ndfs_search,
 )
 from ..mp.protocol import Protocol
-from .plan import PLAN_AXES, CheckPlan, UnsupportedPlanError
+from .plan import PLAN_AXES, CheckPlan
 
 #: Store kinds a genuinely stateful engine can use.
 _STATEFUL_STORES = ("full", "fingerprint", "sharded-fingerprint")
-
-
-def _reject_cyclic_worksteal_reduction(protocol: Protocol, plan: CheckPlan) -> None:
-    """Refuse stubborn-set reduction on protocols with cyclic state graphs.
-
-    The serial cycle proviso (por/stubborn.py) is a property of one DFS
-    stack: on any cycle of the reduced graph, the first state popped saw a
-    cycle successor still on its stack and expanded fully.  The
-    work-stealing search has no such stack — a stolen frame's ancestor
-    fingerprints cover only its own access path, and a cycle whose states
-    are claimed by *different* workers is on no worker's path, so the
-    ignoring problem could silently drop behaviours.  Protocols whose
-    builders declare ``cyclic_state_graph=True`` in their metadata are
-    therefore rejected (no silent unsoundness); unreduced work-stealing
-    exploration is fine on cycles — the claim table deduplicates globally —
-    which is exactly the alternative raised here.
-    """
-    if plan.reduction not in ("spor", "spor-net"):
-        return
-    if not protocol.metadata.get("cyclic_state_graph"):
-        return
-    raise UnsupportedPlanError(
-        "reduction",
-        plan.reduction,
-        f"protocol {protocol.name!r} declares a cyclic state graph "
-        "(metadata cyclic_state_graph=True), and the work-stealing DFS "
-        "cannot enforce the stubborn-set ignoring-prevention proviso "
-        "across workers (a cycle claimed by several workers is on no "
-        "worker's stack); run the reduction serially (workers=1) or "
-        "explore unreduced in parallel; nearest supported alternative: "
-        "reduction='none'",
-        alternative=replace(plan, reduction="none"),
-    )
 
 
 def make_reducer(protocol: Protocol, plan: CheckPlan) -> Optional[Reducer]:
@@ -177,7 +144,6 @@ def _frontier_bfs(protocol, invariant, plan, observer, telemetry):
 
 
 def _worksteal_dfs(protocol, invariant, plan, observer, telemetry):
-    _reject_cyclic_worksteal_reduction(protocol, plan)
     from ..parallel.dfs import parallel_dfs_search
 
     return parallel_dfs_search(protocol, invariant, plan,

@@ -208,6 +208,34 @@ def resolve(plan: CheckPlan) -> Tuple[Engine, CheckPlan]:
     return engine, plan
 
 
+def check_protocol(engine: Engine, plan: CheckPlan, protocol: Protocol) -> None:
+    """Refuse a resolved plan that ``engine`` cannot run soundly on ``protocol``.
+
+    The stubborn-set cycle proviso (por/stubborn.py) holds on one DFS stack.
+    A multi-process row has none: a cycle whose states different workers
+    claim is on no worker's path, so a stubborn-set reduction on a protocol
+    declaring ``cyclic_state_graph=True`` could silently drop behaviours.
+    Unreduced parallel exploration is fine on cycles, which is the
+    alternative raised.  :func:`run_plan` calls this before it emits
+    anything, and the service before it queues a job.
+    """
+    if (engine.workers != PARALLEL or plan.reduction not in ("spor", "spor-net")
+            or not protocol.metadata.get("cyclic_state_graph")):
+        return
+    raise UnsupportedPlanError(
+        "reduction",
+        plan.reduction,
+        f"protocol {protocol.name!r} declares a cyclic state graph "
+        f"(metadata cyclic_state_graph=True), and engine {engine.name} "
+        "cannot enforce the stubborn-set ignoring-prevention proviso "
+        "across workers (a cycle claimed by several workers is on no "
+        "worker's stack); run the reduction serially (workers=1) or "
+        "explore unreduced in parallel; nearest supported alternative: "
+        "reduction='none'",
+        alternative=replace(plan, reduction="none"),
+    )
+
+
 def default_registry() -> SimpleNamespace:
     """``default_registry().resolve`` is :func:`resolve`.
 
@@ -250,6 +278,7 @@ def run_plan(
             alternative=replace(plan, goal=required),
         )
     engine, resolved = resolve(plan)
+    check_protocol(engine, resolved, protocol)
     if telemetry is None:
         telemetry = RunTelemetry(observer=observer)
     emit(

@@ -78,7 +78,7 @@ from typing import Dict, List, Optional, Tuple
 from ..checker.counterexample import Counterexample
 from ..checker.property import Invariant
 from ..checker.result import SearchStatistics
-from ..checker.search import SearchOutcome, bfs_search
+from ..checker.search import SearchOutcome
 from ..checker.stategraph import make_graph, replay_path
 from ..checker.statestore import shard_of
 from ..engine.events import Observer, emit
@@ -109,7 +109,8 @@ def parallel_bfs_search(
         config: The plan.  ``successors`` picks the state graph, ``store ==
             "full"`` dedups shards by exact states, every other kind by
             fingerprints, and ``workers`` is the worker process count (=
-            shard count; 1 delegates to the serial :func:`bfs_search`).
+            shard count, at least 2: plan resolution sends one worker to
+            the serial BFS).
             The ``chaos`` / ``checkpoint_dir`` / ``checkpoint_every`` /
             ``resume_from`` knobs drive the fault tolerance documented in
             the module docstring.  Workers are forked, and the
@@ -135,9 +136,6 @@ def parallel_bfs_search(
         A :class:`SearchOutcome`, shaped exactly like the serial one.
     """
     workers = config.workers
-    if workers <= 1:
-        return bfs_search(protocol, invariant, config, observer=observer,
-                          telemetry=telemetry)
     context = default_mp_context()
 
     # Imported here, not by ``import repro`` — and before the fork, so the

@@ -72,8 +72,9 @@ Plan resolution refuses multi-process plans on platforms without ``fork``.
 
 Not supervised: a worker that dies ends the run as an honest incomplete
 outcome (``incomplete_reason="worker crash"``, partial statistics, the
-survivors wound down) — restarting a member of a work-stealing pool is
-ROADMAP item 6.  Plan resolution therefore refuses ``chaos`` here, like
+survivors wound down) — nothing restarts a member of a work-stealing pool,
+since its private stack is lost with it.  Plan resolution therefore refuses
+``chaos`` here, like
 ``checkpoint_dir`` / ``resume_from`` (there is no level barrier to
 capture): a fault plan that injects nothing would be false confidence.
 """
@@ -87,7 +88,7 @@ from typing import List, Optional, Set, Tuple
 from ..checker.counterexample import Counterexample
 from ..checker.property import Invariant
 from ..checker.result import SearchStatistics
-from ..checker.search import Reducer, SearchOutcome, dfs_search
+from ..checker.search import Reducer, SearchOutcome
 from ..checker.stategraph import StateGraph, make_graph, replay_path
 from ..engine.events import PROGRESS_INTERVAL, Observer, emit, maybe_span
 from ..engine.plan import CheckPlan
@@ -367,9 +368,8 @@ def parallel_dfs_search(
         protocol: The protocol instance to explore.
         invariant: The invariant to check in every claimed state.
         config: The plan.  ``successors`` picks the state graph, and
-            ``workers`` is the worker process count (1 delegates to the
-            serial :func:`~repro.checker.search.dfs_search` with the same
-            reducer, so worker sweeps include an exact serial baseline).
+            ``workers`` is the worker process count (at least 2: plan
+            resolution sends one worker to the serial DFS).
             The parallel engine is always stateful and deduplicates by
             fingerprint (``store`` is not consulted; the exact-store
             option has no shared-memory analogue).  Plan resolution
@@ -395,9 +395,6 @@ def parallel_dfs_search(
         discovered violations.
     """
     workers = config.workers
-    if workers <= 1:
-        return dfs_search(protocol, invariant, config, reducer=reducer,
-                          observer=observer, telemetry=telemetry)
     context = default_mp_context()
 
     statistics = SearchStatistics()

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional
 from ..checker.result import CheckResult
 from ..engine.events import EngineEvent, MultiObserver, Observer, emit
 from ..engine.plan import UnsupportedPlanError, strategy_label
-from ..engine.registry import resolve, run_plan
+from ..engine.registry import check_protocol, resolve, run_plan
 from ..obs.telemetry import MetricsRegistry
 from ..parallel.worksteal import WORKER_STALL_SECONDS, StallDetector
 from .cache import ResultCache
@@ -227,8 +227,8 @@ class CheckService:
         ``ok: false`` instead of a queued-then-failed job; in-process
         submission stays lenient and records the failure on the job.
         """
-        request.resolve_workload()
-        resolve(request.effective_plan())
+        protocol, _ = request.resolve_workload()
+        check_protocol(*resolve(request.effective_plan()), protocol)
 
     async def submit(self, request: JobRequest) -> Job:
         """Enqueue one job; returns immediately with the queued job.

@@ -238,10 +238,10 @@ class TestParallelResume:
         first = sorted(tmp_path.iterdir())[0]
         assert load_checkpoint(str(first)).meta["engine"] == "frontier-bfs"
         for workers in (1, 2, 3):
-            resumed = parallel_bfs_search(
+            resumed = run_plan(
                 protocol, invariant,
-                CheckPlan(resume_from=str(first), successors=resumer,
-                          workers=workers),
+                CheckPlan(shape="bfs", resume_from=str(first),
+                          successors=resumer, workers=workers),
             )
             assert resumed.verified == base.verified
             assert resumed.complete

@@ -5,9 +5,7 @@ import pytest
 from repro.checker.property import Invariant, always_true
 from repro.engine import CheckPlan, run_plan
 
-from ..conftest import build_ping_pong, build_vote_collection
-
-REDUCTIONS = ("none", "spor", "spor-net", "dpor")
+from ..conftest import build_vote_collection
 
 
 def pongs_below(limit):
@@ -15,43 +13,6 @@ def pongs_below(limit):
         name=f"pongs<{limit}",
         predicate=lambda state, _protocol: state.local("ping").pongs < limit,
     )
-
-
-class TestStrategies:
-    @pytest.mark.parametrize("reduction", REDUCTIONS)
-    def test_all_strategies_verify_trivial_property(self, reduction):
-        protocol = build_vote_collection(voters=3, quorum=2)
-        result = run_plan(protocol, always_true(), CheckPlan(reduction=reduction))
-        assert result.verified
-        assert result.strategy == ("unreduced" if reduction == "none" else reduction)
-
-    @pytest.mark.parametrize("reduction", REDUCTIONS)
-    def test_all_strategies_find_violation(self, reduction):
-        protocol = build_ping_pong(rounds=2)
-        result = run_plan(protocol, pongs_below(2), CheckPlan(reduction=reduction))
-        assert not result.verified
-        assert result.counterexample is not None
-
-    def test_spor_explores_no_more_than_unreduced(self):
-        protocol = build_vote_collection(voters=3, quorum=2)
-        unreduced = run_plan(protocol, always_true(), CheckPlan())
-        reduced = run_plan(protocol, always_true(), CheckPlan(reduction="spor-net"))
-        assert (
-            reduced.statistics.states_visited
-            <= unreduced.statistics.states_visited
-        )
-
-    def test_default_plan_is_unreduced(self):
-        protocol = build_ping_pong(rounds=1)
-        result = run_plan(protocol, always_true(), CheckPlan())
-        assert result.strategy == "unreduced"
-        assert result.engine == "serial-dfs"
-        assert result.stateful
-
-    def test_dpor_is_stateless(self):
-        protocol = build_ping_pong(rounds=1)
-        result = run_plan(protocol, always_true(), CheckPlan(reduction="dpor"))
-        assert not result.stateful
 
 
 class TestOptions:
@@ -87,3 +48,13 @@ class TestResultContents:
     def test_summary_mentions_states(self, ping_pong):
         result = run_plan(ping_pong, always_true(), CheckPlan())
         assert "states" in result.summary()
+
+    def test_default_plan_is_unreduced(self, ping_pong):
+        result = run_plan(ping_pong, always_true(), CheckPlan())
+        assert result.strategy == "unreduced"
+        assert result.engine == "serial-dfs"
+        assert result.stateful
+
+    def test_dpor_is_stateless(self, ping_pong):
+        result = run_plan(ping_pong, always_true(), CheckPlan(reduction="dpor"))
+        assert not result.stateful

@@ -29,8 +29,6 @@ from repro.engine.plan import (
 )
 from repro.engine.registry import _nearest_plan
 
-from ..plan_grid import supported_plans
-
 #: The values each row axis may list (workers is a range, checked apart).
 AXIS_VOCABULARY = {
     "shape": SHAPES, "reduction": REDUCTIONS, "store": STORES,
@@ -203,43 +201,6 @@ class TestStructuredDiagnostics:
         assert "workers" in message
         assert "dpor" in message
         assert "nearest supported alternative" in message
-
-
-class TestSupportedPlans:
-    def test_every_reported_combination_resolves_to_its_engine(self):
-        combinations = supported_plans(worker_counts=(1, 2, 4))
-        assert combinations
-        for engine, plan in combinations:
-            assert engine.accepts(plan)
-            resolved_engine, _ = resolve(plan)
-            assert resolved_engine is engine
-
-    def test_grid_covers_all_shapes_and_reductions(self):
-        combinations = supported_plans()
-        shapes = {plan.shape for _, plan in combinations}
-        reductions = {plan.reduction for _, plan in combinations}
-        backends = {plan.backend for _, plan in combinations}
-        assert shapes == {"dfs", "bfs"}
-        assert reductions == {"none", "spor", "spor-net", "dpor"}
-        assert backends == {"serial", "frontier", "worksteal"}
-
-    def test_dpor_only_appears_serial(self):
-        for _, plan in supported_plans(worker_counts=(1, 2, 4)):
-            if plan.reduction == "dpor":
-                assert plan.workers == 1
-                assert plan.backend == "serial"
-
-    def test_grid_never_yields_duplicate_plans(self):
-        # Stateless plans collapse the store axis, so a naive store loop
-        # would yield the same DPOR plan once per store kind.
-        plans = [
-            plan
-            for _, plan in supported_plans(
-                worker_counts=(1, 2),
-                stores=("full", "fingerprint", "sharded-fingerprint"),
-            )
-        ]
-        assert len(plans) == len(set(plans))
 
 
 class TestForkRule:

@@ -14,7 +14,7 @@ import multiprocessing
 
 import pytest
 
-from repro.engine import CheckPlan, CollectingObserver, run_plan
+from repro.engine import CheckPlan, CollectingObserver, UnsupportedPlanError, run_plan
 from repro.engine.events import EVENT_KINDS
 from repro.protocols.catalog import crash_recovery_entry, multicast_entry
 
@@ -105,6 +105,20 @@ class TestStreamOrdering:
         assert kinds[-1] == "search-finished"
         assert set(kinds) <= set(EVENT_KINDS)
         assert result.verified is not expect_violation
+
+
+class TestRefusals:
+    @needs_fork
+    def test_a_plan_refused_for_its_protocol_emits_nothing(self):
+        # Work stealing cannot keep the stubborn-set cycle proviso across
+        # workers, so a reduced parallel plan on a cyclic protocol is
+        # refused before search-started, never between it and the finish.
+        observer = CollectingObserver()
+        with pytest.raises(UnsupportedPlanError) as excinfo:
+            run_plan(LIVENESS.quorum_model(), LIVENESS.invariant,
+                     CheckPlan(reduction="spor", workers=2), observer=observer)
+        assert excinfo.value.axis == "reduction"
+        assert observer.events == []
 
 
 class TestPayloadSchemas:

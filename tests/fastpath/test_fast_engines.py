@@ -6,23 +6,15 @@ named for its state graph."""
 from __future__ import annotations
 
 import io
-import multiprocessing
-from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
-from repro.engine import ENGINES, CheckPlan, UnsupportedPlanError, resolve, run_plan
+from repro.engine import ENGINES, CheckPlan, UnsupportedPlanError, resolve
 from repro.engine.plan import SUCCESSOR_MODES
-from repro.protocols.catalog import multicast_entry
 
-from ..plan_grid import supported_plans
-
-FORK = "fork" in multiprocessing.get_all_start_methods()
-
-#: Invariant-checking engines that run over either graph / objects only.
+#: Invariant-checking engines that run over either graph.
 EITHER_GRAPH_NAMES = {"serial-dfs", "serial-bfs", "frontier-bfs", "worksteal-dfs"}
-OBJECT_ONLY_NAMES = {"dpor"}
 
 
 class TestResolution:
@@ -60,18 +52,6 @@ class TestResolution:
         assert len(names) == 8
         assert not [name for name in names if name.endswith("-fast")]
 
-    def test_fast_plans_never_reach_object_only_engines(self):
-        grid = supported_plans(
-            stores=("full", "fingerprint"),
-            successor_modes=("fast",),
-        )
-        names = set()
-        for engine, plan in grid:
-            assert plan.successors == "fast"
-            names.add(engine.name)
-        assert names == EITHER_GRAPH_NAMES
-        assert not names & OBJECT_ONLY_NAMES
-
     def test_unknown_successor_mode_suggests_the_vocabulary(self):
         with pytest.raises(UnsupportedPlanError) as excinfo:
             CheckPlan(successors="turbo")
@@ -86,46 +66,6 @@ class TestResolution:
         assert isinstance(error.alternative, CheckPlan)
         engine, _ = resolve(error.alternative)
         assert engine.name in EITHER_GRAPH_NAMES | {"dpor"}
-
-
-class TestRunPlan:
-    ENTRY = multicast_entry(2, 1, 0, 1)
-
-    def test_fast_serial_plan_runs_with_identical_counts(self):
-        slow = run_plan(self.ENTRY.quorum_model(), self.ENTRY.invariant,
-                        CheckPlan())
-        fast = run_plan(self.ENTRY.quorum_model(), self.ENTRY.invariant,
-                        CheckPlan(successors="fast"))
-        assert fast.engine == slow.engine == "serial-dfs"
-        assert fast.verified == slow.verified
-        assert (
-            fast.statistics.states_visited == slow.statistics.states_visited
-        )
-        assert fast.plan.successors == "fast"
-
-    @pytest.mark.skipif(not FORK, reason="parallel engines need fork")
-    def test_fast_worksteal_plan_runs_with_identical_counts(self):
-        slow = run_plan(self.ENTRY.quorum_model(), self.ENTRY.invariant,
-                        CheckPlan(workers=2))
-        fast = run_plan(self.ENTRY.quorum_model(), self.ENTRY.invariant,
-                        CheckPlan(successors="fast", workers=2))
-        assert fast.engine == slow.engine == "worksteal-dfs"
-        assert fast.plan.successors == "fast"
-        assert (
-            fast.statistics.states_visited == slow.statistics.states_visited
-        )
-
-    @pytest.mark.skipif(not FORK, reason="parallel engines need fork")
-    def test_fast_frontier_full_store_is_accepted_and_count_identical(self):
-        plan = CheckPlan(shape="bfs", workers=2, store="full")
-        slow = run_plan(self.ENTRY.quorum_model(), self.ENTRY.invariant, plan)
-        fast = run_plan(self.ENTRY.quorum_model(), self.ENTRY.invariant,
-                        replace(plan, successors="fast"))
-        assert fast.engine == slow.engine == "frontier-bfs"
-        assert fast.plan.successors == "fast"
-        slow_stats = replace(slow.statistics, elapsed_seconds=0.0)
-        fast_stats = replace(fast.statistics, elapsed_seconds=0.0)
-        assert fast_stats == slow_stats
 
 
 class TestCli:

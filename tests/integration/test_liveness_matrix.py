@@ -1,12 +1,12 @@
-"""Liveness conformance matrix over the cyclic crash-recovery family.
+"""Liveness conformance rows over the cyclic crash-recovery family.
 
-Extends the cross-strategy matrix with the rows the liveness layer adds:
+The engine harness (``tests/integration/test_engine_harness.py``) runs the
+crash-recovery cells through every row; what stays here is what a cyclic
+protocol adds to plan resolution:
 
-* the two nested-DFS engines (object-graph and packed) agree on verdicts,
-  trace lengths and lasso shape for every cyclic catalog cell;
-* stubborn-set reduction on the *cyclic* protocol stays sound — the
-  cycle-aware proviso keeps the verdict identical while visiting at most
-  the exhaustive state count (pinned);
+* liveness plans route to the nested-DFS row over either state graph;
+* stubborn-set reduction across work-stealing workers is refused on a
+  cyclic protocol (and only there);
 * every unsupported goal x reduction x backend combination is refused with
   a structured :class:`UnsupportedPlanError` whose suggested alternative is
   itself runnable — no silent unsoundness, no dead-end diagnostics.
@@ -18,12 +18,8 @@ import multiprocessing
 
 import pytest
 
-from repro.checker import ndfs_search
 from repro.engine import CheckPlan, UnsupportedPlanError, resolve, run_plan
-from repro.fastpath.search import fast_ndfs_search
 from repro.protocols.catalog import crash_recovery_entry
-
-from ..plan_grid import supported_plans
 
 pytestmark = pytest.mark.liveness
 
@@ -35,32 +31,13 @@ CYCLIC_CELLS = [
     ),
 ]
 
-#: Exhaustive reachable-set sizes of the crash-recovery (2,1) cells.
-EXPECTED_STATES = {"quorum": 18, "single": 30}
-
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the parallel engines require the fork start method",
 )
 
 
-class TestEngineParity:
-    @pytest.mark.parametrize("entry", CYCLIC_CELLS)
-    @pytest.mark.parametrize("model", ["quorum", "single"])
-    def test_object_and_packed_ndfs_agree(self, entry, model):
-        protocol = (
-            entry.quorum_model() if model == "quorum" else entry.single_model()
-        )
-        slow = ndfs_search(protocol, entry.liveness)
-        fast = fast_ndfs_search(protocol, entry.liveness)
-        assert slow.verified == fast.verified
-        assert slow.verified == (not entry.expect_liveness_violation)
-        assert slow.statistics.states_visited == fast.statistics.states_visited
-        if entry.expect_liveness_violation:
-            assert len(slow.counterexample.steps) == len(fast.counterexample.steps)
-            assert slow.counterexample.cycle_start == fast.counterexample.cycle_start
-            assert slow.counterexample.is_lasso
-
+class TestEngineRouting:
     @pytest.mark.parametrize("successors", ["object", "fast"])
     @pytest.mark.parametrize("entry", CYCLIC_CELLS)
     def test_liveness_plans_route_through_the_engine_table(self, entry, successors):
@@ -73,33 +50,7 @@ class TestEngineParity:
 
 
 class TestCycleAwareReduction:
-    """SPOR on the cyclic state graph: sound, and still a reduction."""
-
-    @pytest.mark.parametrize("model", ["quorum", "single"])
-    def test_spor_matches_the_exhaustive_verdict_with_fewer_states(self, model):
-        entry = crash_recovery_entry(2, 1)
-        build = entry.quorum_model if model == "quorum" else entry.single_model
-        exhaustive = run_plan(build(), entry.invariant, CheckPlan())
-        reduced = run_plan(build(), entry.invariant, CheckPlan(reduction="spor"))
-        assert exhaustive.verified and reduced.verified
-        assert exhaustive.statistics.states_visited == EXPECTED_STATES[model]
-        # The cycle-aware proviso (full expansion on stack revisit) may cost
-        # states relative to a blithely unsound proviso, but never more than
-        # the exhaustive closure.
-        assert (
-            reduced.statistics.states_visited
-            <= exhaustive.statistics.states_visited
-        )
-
-    @needs_fork
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_unreduced_parallel_runs_agree_on_the_cyclic_cell(self, workers):
-        entry = crash_recovery_entry(2, 1)
-        result = run_plan(
-            entry.quorum_model(), entry.invariant, CheckPlan(workers=workers)
-        )
-        assert result.verified
-        assert result.statistics.states_visited == EXPECTED_STATES["quorum"]
+    """SPOR on the cyclic state graph: refused where it cannot be sound."""
 
     @needs_fork
     @pytest.mark.parametrize("workers", [2, 4])
@@ -168,28 +119,3 @@ class TestStructuredRefusals:
         assert alternative is not None
         engine, _ = resolve(alternative)
         assert engine is not None
-
-
-class TestSupportedPlansGrid:
-    def test_liveness_plans_appear_in_the_extended_grid(self):
-        combinations = supported_plans(
-            successor_modes=("object", "fast"),
-            goals=("invariant", "liveness"),
-        )
-        liveness = [
-            (engine, plan)
-            for engine, plan in combinations
-            if plan.goal == "liveness"
-        ]
-        assert liveness
-        names = {engine.name for engine, _ in liveness}
-        assert names == {"serial-ndfs"}
-        assert {plan.successors for _, plan in liveness} == {"object", "fast"}
-        for _, plan in liveness:
-            assert plan.shape == "dfs"
-            assert plan.reduction == "none"
-            assert plan.workers == 1
-
-    def test_default_grid_is_invariant_only(self):
-        for _, plan in supported_plans():
-            assert plan.goal == "invariant"

@@ -8,6 +8,8 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.engine import CheckPlan, run_plan
+from repro.protocols.catalog import entry_by_key
 
 
 def run_cli(argv):
@@ -114,6 +116,33 @@ class TestCheckPlanAxes:
         assert record["store"] == store
         assert record["stateful"] is (store != "none")
         assert record["workers"] == workers
+
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    @pytest.mark.parametrize(
+        "flags, axes",
+        [
+            (["--shape", "dfs"], {}),
+            (["--reduction", "spor"], {"reduction": "spor"}),
+            (["--reduction", "spor-net"], {"reduction": "spor-net"}),
+            (["--shape", "bfs"], {"shape": "bfs"}),
+        ],
+        ids=["dfs", "spor", "spor-net", "bfs"],
+    )
+    def test_cli_and_plan_api_agree(self, tmp_path, flags, axes, workers):
+        entry = entry_by_key("multicast-2-1-0-1")
+        target = tmp_path / "check.json"
+        code, _ = run_cli(["check", entry.key, *flags, "--workers", str(workers),
+                           "--json", str(target)])
+        assert code == 0
+        record = json.loads(target.read_text())["results"][0]
+        direct = run_plan(entry.quorum_model(), entry.invariant,
+                          CheckPlan(workers=workers, **axes))
+        assert record["verified"] is direct.verified
+        assert record["strategy"] == direct.strategy
+        assert record["engine"] == direct.engine
+        assert record["workers"] == direct.plan.workers == workers
+        if direct.plan.reduction == "none":
+            assert record["states_visited"] == direct.statistics.states_visited
 
     def test_progress_streams_the_event_feed(self):
         code, output = run_cli(

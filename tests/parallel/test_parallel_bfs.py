@@ -1,11 +1,9 @@
-"""Serial/parallel parity of the frontier-parallel breadth-first search.
+"""The frontier-parallel breadth-first search beyond the engine harness.
 
-The coordinator promises that on every run that completes its levels the
-visited set equals the serial BFS closure exactly — same state counts, same
-transition counts, same revisit counts, same depth.  These tests pin that
-promise across worker counts on toy protocols and a sample of Table-I
-cells, plus the verdict/counterexample-depth parity on violating cells
-(where serial BFS stops mid-level, so raw counts are not comparable).
+The harness (``tests/integration/test_engine_harness.py``) holds every
+frontier run to the serial closure; these tests cover what it does not
+run: depth-bounded runs, the owner-expands partition, counterexample
+rebuilds and the plan plumbing.
 """
 
 from __future__ import annotations
@@ -17,21 +15,12 @@ import pytest
 from repro.checker.search import bfs_search
 from repro.engine import CheckPlan, run_plan
 from repro.parallel import default_mp_context, parallel_bfs_search
-from repro.protocols.catalog import multicast_entry, paxos_entry, storage_entry
+from repro.protocols.catalog import multicast_entry, storage_entry
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="frontier-parallel search requires the fork start method",
 )
-
-#: Verified Table-I cells small enough for exhaustive parity runs.
-VERIFIED_ENTRIES = (
-    paxos_entry(2, 2, 1),
-    multicast_entry(3, 0, 1, 1),
-    multicast_entry(2, 1, 0, 1),
-    storage_entry(3, 1),
-)
-ENTRY_IDS = [entry.key for entry in VERIFIED_ENTRIES]
 
 
 def assert_exact_parity(serial, parallel):
@@ -50,34 +39,7 @@ def assert_exact_parity(serial, parallel):
     )
 
 
-class TestVerifiedCellParity:
-    @pytest.mark.parametrize("entry", VERIFIED_ENTRIES, ids=ENTRY_IDS)
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_quorum_cell_counts_identical(self, entry, workers):
-        invariant = entry.invariant
-        serial = bfs_search(entry.quorum_model(), invariant)
-        parallel = parallel_bfs_search(
-            entry.quorum_model(), invariant, CheckPlan(workers=workers)
-        )
-        assert_exact_parity(serial, parallel)
-
-    @pytest.mark.parametrize("store", ["full", "fingerprint", "sharded-fingerprint"])
-    def test_store_kinds_agree(self, store):
-        entry = multicast_entry(2, 1, 0, 1)
-        config = CheckPlan(store=store, workers=2)
-        serial = bfs_search(entry.quorum_model(), entry.invariant, config)
-        parallel = parallel_bfs_search(entry.quorum_model(), entry.invariant, config)
-        assert_exact_parity(serial, parallel)
-
-    def test_toy_protocol_parity(self, ping_pong_two_rounds, vote_collection):
-        from repro.checker.property import always_true
-
-        for protocol in (ping_pong_two_rounds, vote_collection):
-            serial = bfs_search(protocol, always_true())
-            parallel = parallel_bfs_search(protocol, always_true(),
-                                           CheckPlan(workers=3))
-            assert_exact_parity(serial, parallel)
-
+class TestBoundedRuns:
     def test_depth_bound_parity(self):
         # Depth bounds apply at level barriers in both engines, so bounded
         # runs are count-exact too.
@@ -92,16 +54,6 @@ class TestVerifiedCellParity:
 class TestOwnerExpands:
     """Every worker dedups, checks and expands exactly its own shard, on
     either graph and under either kind of shard key."""
-
-    @pytest.mark.parametrize("graph", ["object", "fast"])
-    @pytest.mark.parametrize("store", ["full", "fingerprint"])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_grid_matches_serial(self, workers, store, graph):
-        entry = storage_entry(3, 1)
-        config = CheckPlan(store=store, successors=graph, workers=workers)
-        serial = bfs_search(entry.quorum_model(), entry.invariant, config)
-        parallel = parallel_bfs_search(entry.quorum_model(), entry.invariant, config)
-        assert_exact_parity(serial, parallel)
 
     @pytest.mark.parametrize("graph", ["object", "fast"])
     def test_expansion_is_balanced_by_the_partition(self, graph):
@@ -125,19 +77,6 @@ class TestOwnerExpands:
 
 
 class TestViolatingCellParity:
-    def test_verdict_and_counterexample_depth(self):
-        entry = multicast_entry(2, 1, 2, 1)
-        serial = bfs_search(entry.quorum_model(), entry.invariant)
-        parallel = parallel_bfs_search(
-            entry.quorum_model(), entry.invariant, CheckPlan(workers=2)
-        )
-        assert not serial.verified and not parallel.verified
-        assert serial.counterexample is not None
-        assert parallel.counterexample is not None
-        # BFS counterexamples are depth-minimal, so both have the same length
-        # even though the violating state itself may differ within the level.
-        assert len(parallel.counterexample.steps) == len(serial.counterexample.steps)
-
     def test_counterexample_is_a_real_path(self):
         from repro.mp.semantics import apply_execution
 

@@ -126,6 +126,21 @@ class TestWireErrors:
         assert error.axis is not None
         assert error.alternative is not None
 
+    def test_a_plan_refused_for_its_protocol_is_refused_at_the_door(self):
+        # The protocol-aware refusal (no stubborn sets across work-stealing
+        # workers on a cyclic protocol) answers ok: false instead of
+        # queueing a job that is bound to fail.
+        def driver(client):
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.submit("crashrecovery-2-1", wait=False,
+                              plan={"reduction": "spor", "workers": 2})
+            return excinfo.value
+
+        error = with_server(driver)
+        assert error.kind == "UnsupportedPlanError"
+        assert error.axis == "reduction"
+        assert error.alternative is not None
+
     def test_unknown_plan_field_is_refused(self):
         def driver(client):
             with pytest.raises(ServiceClientError) as excinfo:

@@ -1,4 +1,4 @@
-"""The two protocols on which SPOR is unsound (ROADMAP item 1), as cells.
+"""The two protocols on which SPOR is unsound (ROADMAP item 1).
 
 An *enabled* transition gains executions when a further candidate message
 arrives, so it is not the one deterministic event step 2 of the closure in
@@ -6,17 +6,13 @@ arrives, so it is not the one deterministic event step 2 of the closure in
 seeded before the last ``GO_<s>`` (ties between seeds break in name order —
 the ``A_`` prefix matters), the execution consuming that sender's ``VAL`` is
 never explored, and the reduced search says ``Verified`` where the unreduced
-one and DPOR find the counterexample.
-
-The reduced cells are ``xfail(strict=True)``: the repair flips them by
-deleting the marker, and an accidental "fix" cannot pass unnoticed.
+one and DPOR find the counterexample.  The engine harness
+(``tests/integration/test_engine_harness.py``) runs them as two of its
+cells.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro import CheckPlan, run_plan
 from repro.checker.property import Invariant
 from repro.mp import LporAnnotation, ProtocolBuilder, SendSpec, exact_quorum
 from repro.mp.message import DRIVER
@@ -71,51 +67,14 @@ def never_records(bad):
     )
 
 
+#: name -> (protocol factory, invariant); both invariants are violated.
 TOYS = {
     "quorum": (lambda: build_toy(("s1", "s2", "s3"), "A_COLLECT", quorum=2),
                never_records(("s1", "s3"))),
     "first-wins": (lambda: build_toy(("s1", "s2"), "A_FIRST", quorum=None),
                    never_records("s2")),
 }
-#: ``fewest-dependents`` happens to seed a ``GO_<s>`` first and finds both.
+#: The seed heuristics under which the stubborn-set reductions miss both
+#: counterexamples; ``fewest-dependents`` happens to seed a ``GO_<s>`` first
+#: and finds both.
 UNSOUND_SEEDS = ("opposite-transaction", "transaction", "first")
-
-
-def check(toy, **axes):
-    build, invariant = TOYS[toy]
-    return run_plan(build(), invariant, CheckPlan(**axes))
-
-
-@pytest.mark.parametrize("toy", TOYS)
-class TestTheCounterexampleExists:
-    # DPOR runs on object states only (the registry refuses ``dpor`` x ``fast``).
-    @pytest.mark.parametrize("reduction, successors", [
-        ("none", "object"), ("none", "fast"), ("dpor", "object"),
-    ])
-    def test_sound_searches_find_it(self, toy, reduction, successors):
-        result = check(toy, reduction=reduction, successors=successors)
-        assert not result.verified
-        assert result.counterexample is not None
-
-    @pytest.mark.parametrize("engine, axes", [
-        ("serial-dfs", {}),
-        ("serial-bfs", {"shape": "bfs"}),
-        ("worksteal-dfs", {"workers": 2}),
-        ("frontier-bfs", {"shape": "bfs", "workers": 2}),
-        ("dpor", {"reduction": "dpor"}),
-    ])
-    def test_exploring_past_it_is_complete(self, toy, engine, axes):
-        # Every engine that explores the whole space says so, DPOR included.
-        result = check(toy, stop_at_first_violation=False, **axes)
-        assert result.engine == engine
-        assert not result.verified
-        assert result.complete
-
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-    @pytest.mark.parametrize("successors", ["object", "fast"])
-    @pytest.mark.parametrize("seed", UNSOUND_SEEDS)
-    @pytest.mark.parametrize("reduction", ["spor", "spor-net"])
-    def test_stubborn_sets_find_it(self, toy, reduction, seed, successors):
-        result = check(
-            toy, reduction=reduction, seed_heuristic=seed, successors=successors)
-        assert not result.verified
