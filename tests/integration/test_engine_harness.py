@@ -30,8 +30,11 @@ fields make:
 * a plan refused for its protocol is refused before its first event, and
   only on a cyclic cell; its alternative is held to the claims instead.
 
-On the toys the stubborn-set plans run every seed heuristic; the seeds on
-which they miss the counterexample are strict xfails (ROADMAP item 1).
+The claims are three tests over the same memoised runs — verdict and
+counterexample, counts against the reference, and the two state graphs — so
+a failure names the claim it breaks.  On the toys the stubborn-set plans run
+every seed heuristic; the seeds on which they miss the counterexample are
+strict xfails of the verdict test (ROADMAP item 1).
 
 A new row, or a new axis value on a row, is covered without editing this
 file; :func:`test_every_row_contributes_a_case` fails if a row is not.
@@ -296,15 +299,14 @@ def case_id(row, cell: Cell, plan: CheckPlan) -> str:
     return "-".join(parts)
 
 
-def case(row, cell: Cell, plan: CheckPlan):
-    marks = []
-    if cell.slow:
-        marks.append(pytest.mark.slow)
-    if row.workers == PARALLEL:
-        marks.append(NEEDS_FORK)
-    if cell.toy and plan.reduction in STUBBORN and plan.seed_heuristic in UNSOUND_SEEDS:
-        marks.append(pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))
-    return pytest.param(row, cell, plan, id=case_id(row, cell, plan), marks=marks)
+def misses_the_violation(cell: Cell, plan: CheckPlan) -> bool:
+    """A stubborn-set plan on a toy whose seed hides the counterexample."""
+    return (cell.toy and plan.reduction in STUBBORN
+            and plan.seed_heuristic in UNSOUND_SEEDS)
+
+
+def stealing(row, plan: CheckPlan) -> bool:
+    return row.workers == PARALLEL and plan.shape == "dfs"
 
 
 def _cases():
@@ -314,16 +316,45 @@ def _cases():
         for index, cell in enumerate(CELLS):
             for plan in row_plans(row, index, cell):
                 first = first or (cell, plan)
-                cases.append(case(row, cell, plan))
+                cases.append((row, cell, plan))
         if row.workers == PARALLEL and first is not None:
             cell, plan = first
             for successors in row.successors:
-                cases.append(case(row, cell, dataclasses.replace(
+                cases.append((row, cell, dataclasses.replace(
                     plan, workers=4, successors=successors)))
     return cases
 
 
 CASES = _cases()
+
+
+def cases(claim, misses=False):
+    """The ``CASES`` that ``claim(row, cell, plan)`` holds for, as pytest
+    parameters; ``misses`` marks the plans that miss a toy's violation as
+    strict xfails (ROADMAP item 1)."""
+    params = []
+    for row, cell, plan in CASES:
+        if not claim(row, cell, plan):
+            continue
+        marks = []
+        if cell.slow:
+            marks.append(pytest.mark.slow)
+        if row.workers == PARALLEL:
+            marks.append(NEEDS_FORK)
+        if misses and misses_the_violation(cell, plan):
+            marks.append(pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))
+        params.append(pytest.param(row, cell, plan, id=case_id(row, cell, plan),
+                                   marks=marks))
+    return params
+
+
+def settle(outcome, cell: Cell, plan: CheckPlan):
+    """``(protocol, result)`` of ``plan``, or of the alternative its refusal
+    names (the verdict test checks the refusal itself)."""
+    try:
+        return outcome(cell, plan)
+    except UnsupportedPlanError as refusal:
+        return outcome(cell, refusal.alternative)
 
 
 def counters(result, skip=()):
@@ -352,8 +383,11 @@ def assert_twins(result, twin) -> None:
         assert result.counterexample.cycle_start == twin.counterexample.cycle_start
 
 
-@pytest.mark.parametrize("row, cell, plan", CASES)
-def test_row_agrees_with_the_reference(row, cell, plan, outcome, reference):
+@pytest.mark.parametrize("row, cell, plan", cases(lambda *_: True, misses=True))
+def test_verdict_and_counterexample(row, cell, plan, outcome, reference):
+    """The run resolves to its row, keeps the reference's verdict (a
+    sampling row claims no proof and finds only real violations) and returns
+    a counterexample that replays, no shorter than the shortest."""
     expected = reference(cell)
     pin = PINS[cell.id]
     try:
@@ -385,40 +419,52 @@ def test_row_agrees_with_the_reference(row, cell, plan, outcome, reference):
     assert (result.counterexample is None) == result.verified
     if not plan.stop_at_first_violation:
         assert result.complete
-    stealing = row.workers == PARALLEL and plan.shape == "dfs"
-    if result.plan.reduction == "none" and plan.stateful and expected.verified:
-        assert result.complete
-        skip = []
-        if stealing:
-            skip.append("enabled_set_computations")
-            assert (result.statistics.enabled_set_computations
-                    >= expected.statistics.enabled_set_computations)
-        if cell.cyclic and (stealing or plan.shape == "bfs"):
-            # Not graded: the depth a state is first reached at depends on
-            # the path that reached it, so the levels of a serial BFS bound
-            # it instead.
-            skip.append("max_depth")
-            _, levels = outcome(cell, dataclasses.replace(
-                reference_plan(cell), shape="bfs"))
-            deepest = levels.statistics.max_depth
-            if stealing:
-                assert (deepest <= result.statistics.max_depth
-                        < result.statistics.states_visited)
-            else:
-                assert result.statistics.max_depth == deepest
-        assert counters(result, skip) == counters(expected, skip)
-    elif plan.stateful and expected.verified:
-        assert result.complete
-        assert result.statistics.states_visited <= expected.statistics.states_visited
 
-    first = row.successors[0]
-    if not stealing and plan.successors != first:
-        _, twin = outcome(cell, dataclasses.replace(plan, successors=first))
-        assert_twins(result, twin)
+
+@pytest.mark.parametrize("row, cell, plan", cases(
+    lambda row, cell, plan: not sampling(row) and plan.stateful and cell.verified))
+def test_counts_against_the_reference(row, cell, plan, outcome, reference):
+    """On a verified cell a stateful exhaustive run counts what the reference
+    counts, and a reduced one visits no more states."""
+    expected = reference(cell)
+    _, result = settle(outcome, cell, plan)
+    assert result.complete
+    if result.plan.reduction != "none":
+        assert result.statistics.states_visited <= expected.statistics.states_visited
+        return
+    skip = []
+    if stealing(row, plan):
+        skip.append("enabled_set_computations")
+        assert (result.statistics.enabled_set_computations
+                >= expected.statistics.enabled_set_computations)
+    if cell.cyclic and (stealing(row, plan) or plan.shape == "bfs"):
+        # Not graded: the depth a state is first reached at depends on the
+        # path that reached it, so the levels of a serial BFS bound it instead.
+        skip.append("max_depth")
+        _, levels = outcome(cell, dataclasses.replace(
+            reference_plan(cell), shape="bfs"))
+        deepest = levels.statistics.max_depth
+        if stealing(row, plan):
+            assert (deepest <= result.statistics.max_depth
+                    < result.statistics.states_visited)
+        else:
+            assert result.statistics.max_depth == deepest
+    assert counters(result, skip) == counters(expected, skip)
+
+
+@pytest.mark.parametrize("row, cell, plan", cases(
+    lambda row, cell, plan: not (sampling(row) or stealing(row, plan))
+    and plan.successors != row.successors[0]))
+def test_state_graphs_agree(row, cell, plan, outcome):
+    """A deterministic row gives the same run over either state graph."""
+    _, result = settle(outcome, cell, plan)
+    _, twin = settle(outcome, cell, dataclasses.replace(
+        plan, successors=row.successors[0]))
+    assert_twins(result, twin)
 
 
 def test_every_row_contributes_a_case():
-    assert {case.values[0].name for case in CASES} == {row.name for row in ENGINES}
+    assert {row.name for row, _, _ in CASES} == {row.name for row in ENGINES}
 
 
 def test_every_cell_is_pinned():
