@@ -23,7 +23,7 @@ from ..checker.search import (
     ndfs_search,
 )
 from ..mp.protocol import Protocol
-from .plan import PLAN_AXES, CheckPlan
+from .plan import PLAN_AXES, STUBBORN_REDUCTIONS, CheckPlan
 
 #: Store kinds a genuinely stateful engine can use.
 _STATEFUL_STORES = ("full", "fingerprint", "sharded-fingerprint")
@@ -36,7 +36,7 @@ def make_reducer(protocol: Protocol, plan: CheckPlan) -> Optional[Reducer]:
     so ``reduction="dpor"`` also returns None; the DPOR engine drives
     :class:`repro.por.dpor.DporSearch` directly.
     """
-    if plan.reduction not in ("spor", "spor-net"):
+    if plan.reduction not in STUBBORN_REDUCTIONS:
         return None
     # Imported lazily to keep the layering acyclic (por depends on mp only).
     from ..por.dependence import DependenceRelation

@@ -29,6 +29,9 @@ SHAPES = ("dfs", "bfs")
 #: Partial-order reductions (``"none"`` is the unreduced baseline).
 REDUCTIONS = ("none", "spor", "spor-net", "dpor")
 
+#: The stubborn-set reductions: the ones :mod:`repro.por.stubborn` prunes by.
+STUBBORN_REDUCTIONS = ("spor", "spor-net")
+
 #: Visited-state store kinds.  Deliberately a literal rather than an import
 #: of ``repro.checker.statestore.STORE_KINDS`` (that import would cycle
 #: through ``repro.checker.__init__`` back into this module);

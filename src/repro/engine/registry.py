@@ -24,7 +24,7 @@ from ..mp.protocol import Protocol
 from ..obs.telemetry import RunTelemetry
 from .engines import ENGINES, FAULT_KNOBS, PARALLEL, Engine
 from .events import Observer, emit
-from .plan import CheckPlan, UnsupportedPlanError, strategy_label
+from .plan import STUBBORN_REDUCTIONS, CheckPlan, UnsupportedPlanError, strategy_label
 
 #: Weight of each axis when ranking "nearest" rows for diagnostics.  The
 #: most identity-defining axes dominate: a row matching the requested
@@ -216,10 +216,12 @@ def check_protocol(engine: Engine, plan: CheckPlan, protocol: Protocol) -> None:
     claim is on no worker's path, so a stubborn-set reduction on a protocol
     declaring ``cyclic_state_graph=True`` could silently drop behaviours.
     Unreduced parallel exploration is fine on cycles, which is the
-    alternative raised.  :func:`run_plan` calls this before it emits
-    anything, and the service before it queues a job.
+    alternative raised.  The rule reads the row's ``workers`` field and
+    :data:`STUBBORN_REDUCTIONS`, never the row's name.  :func:`run_plan`
+    calls this before it emits anything, and the service before it queues
+    a job.
     """
-    if (engine.workers != PARALLEL or plan.reduction not in ("spor", "spor-net")
+    if (engine.workers != PARALLEL or plan.reduction not in STUBBORN_REDUCTIONS
             or not protocol.metadata.get("cyclic_state_graph")):
         return
     raise UnsupportedPlanError(

@@ -2,8 +2,8 @@
 stream (fork platforms only).
 
 Statistics identity against the serial run and the object graph — every
-store, 1/2/4 workers, reduced and unreduced — lives in the parallel axis of
-``tests/checker/test_stategraph.py``; crash recovery and checkpointing over
+store, 2/4 workers, reduced and unreduced — lives in the engine harness
+(``tests/integration/test_engine_harness.py``); crash recovery and checkpointing over
 either graph in ``tests/chaos``.
 """
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import multiprocessing
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import pytest
 
@@ -58,7 +58,7 @@ from repro.engine import (
     UnsupportedPlanError,
     run_plan,
 )
-from repro.engine.plan import SEED_HEURISTICS
+from repro.engine.plan import SEED_HEURISTICS, SHAPES, STUBBORN_REDUCTIONS
 from repro.mp.protocol import Protocol
 from repro.protocols.catalog import (
     crash_recovery_entry,
@@ -70,7 +70,6 @@ from repro.protocols.catalog import (
 
 from ..toys import TOYS, UNSOUND_SEEDS
 
-STUBBORN = ("spor", "spor-net")
 #: Walk budget and seed of the sampling rows.
 WALKS, WALK_SEED = 32, 7
 NEEDS_FORK = pytest.mark.skipif(
@@ -82,25 +81,25 @@ NEEDS_FORK = pytest.mark.skipif(
 class Cell:
     """One protocol and property every row is run on.
 
+    ``slow`` names the shapes whose runs on the cell are marked ``slow``:
+    every shape on the two heavy violating cells, and breadth-first search
+    on the single-message cells where it stores about 60,000 states before
+    it finds the violation (12-18 s per object-graph run on a 2-vCPU box).
     ``stateless`` and ``dpor`` name the cells small enough for a storeless
-    search; ``breadth`` is False where a breadth-first search stores 9,000
-    or more states before it finds the violation (2-17 s per object-graph
-    run on a 2-vCPU box); ``multiprocess`` is False on the
-    single-message cells, which run on the in-process rows only, as they
-    always have (a multi-process run pays about 0.1 s of start-up whatever
-    the cell).  A ``toy`` cell runs every seed heuristic under the
-    stubborn-set reductions, and every other exhaustive plan a second time,
-    past its first violation.
+    search; ``multiprocess`` is False on the single-message cells, which
+    run on the in-process rows only, as they always have (a multi-process
+    run pays about 0.1 s of start-up whatever the cell).  A ``toy`` cell
+    runs every seed heuristic under the stubborn-set reductions, and every
+    other exhaustive plan a second time, past its first violation.
     """
 
     id: str
     build: Callable[[], Protocol]
     prop: object
     verified: bool
-    slow: bool = False
+    slow: Tuple[str, ...] = ()
     stateless: bool = False
     dpor: bool = False
-    breadth: bool = True
     multiprocess: bool = True
     toy: bool = False
 
@@ -109,17 +108,19 @@ class Cell:
         return bool(self.build().metadata.get("cyclic_state_graph"))
 
 
-def _catalog_cells():
-    """The small catalog on the quorum model; the violating cells that were
-    always ``slow`` stay so."""
+def _quorum_cells():
+    """The small catalog, and both storage-2-1 entries, on the quorum model;
+    the violating cells that were always ``slow`` stay so."""
     stateless = ("paxos-2-2-1", "multicast-2-1-0-1", "multicast-2-1-2-1")
     slow = ("faulty-paxos-2-3-1", "storage-3-2-wrong")
-    wide = ("faulty-paxos-2-3-1", "multicast-2-1-2-1-lossy")
+    entries = default_catalog("small") + (
+        storage_entry(2, 1), storage_entry(2, 1, wrong_specification=True))
     return [
         Cell(entry.key, entry.quorum_model, entry.invariant,
-             not entry.expect_violation, slow=entry.key in slow,
-             stateless=entry.key in stateless, breadth=entry.key not in wide)
-        for entry in default_catalog("small")
+             not entry.expect_violation,
+             slow=SHAPES if entry.key in slow else (),
+             stateless=entry.key in stateless)
+        for entry in entries
     ]
 
 
@@ -137,7 +138,7 @@ def _single_message_cells():
     return [
         Cell(f"{entry.key}-single", entry.single_model, entry.invariant,
              not entry.expect_violation, dpor=entry.key in dpor,
-             breadth=entry.key not in wide, multiprocess=False)
+             slow=("bfs",) if entry.key in wide else (), multiprocess=False)
         for entry in entries
     ]
 
@@ -156,7 +157,7 @@ def _toy_cells():
             for name, (build, invariant) in TOYS.items()]
 
 
-CELLS = _catalog_cells() + _single_message_cells() + _liveness_cells() + _toy_cells()
+CELLS = _quorum_cells() + _single_message_cells() + _liveness_cells() + _toy_cells()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -184,6 +185,8 @@ PINS = {
     "storage-3-2-wrong": Pin(10767, 34827, 24061, 15, shortest=8),
     "crashrecovery-2-1": Pin(18, 34, 17, 6),
     "crashrecovery-2-1-starved": Pin(18, 34, 17, 6),
+    "storage-2-1": Pin(61, 103, 43, 8),
+    "storage-2-1-wrong": Pin(47, 71, 25, 8, shortest=8),
     "paxos-2-2-1-single": Pin(500, 1252, 753, 18),
     "faulty-paxos-2-3-1-single": Pin(75, 155, 81, 24, shortest=18),
     "multicast-3-0-1-1-single": Pin(307, 1003, 697, 14),
@@ -255,8 +258,6 @@ def row_plans(row, index: int, cell: Cell):
     """
     if goal_of(cell.prop) not in row.goal:
         return
-    if "bfs" in row.shape and not cell.breadth:
-        return
     if row.workers == PARALLEL and not cell.multiprocess:
         return
     stores = [store for store in row.store if store != "none"]
@@ -284,7 +285,7 @@ def variants(row, cell: Cell, reduction: str):
         return [{"walks": WALKS, "walk_seed": WALK_SEED}]
     if not cell.toy:
         return [{}]
-    if reduction in STUBBORN:
+    if reduction in STUBBORN_REDUCTIONS:
         return [{"seed_heuristic": seed} for seed in SEED_HEURISTICS]
     return [{}, {"stop_at_first_violation": False}]
 
@@ -292,7 +293,7 @@ def variants(row, cell: Cell, reduction: str):
 def case_id(row, cell: Cell, plan: CheckPlan) -> str:
     parts = [row.name, cell.id, plan.reduction, plan.store, plan.successors,
              f"{plan.workers}w"]
-    if cell.toy and plan.reduction in STUBBORN:
+    if cell.toy and plan.reduction in STUBBORN_REDUCTIONS:
         parts.append(plan.seed_heuristic)
     if not plan.stop_at_first_violation:
         parts.append("past")
@@ -301,7 +302,7 @@ def case_id(row, cell: Cell, plan: CheckPlan) -> str:
 
 def misses_the_violation(cell: Cell, plan: CheckPlan) -> bool:
     """A stubborn-set plan on a toy whose seed hides the counterexample."""
-    return (cell.toy and plan.reduction in STUBBORN
+    return (cell.toy and plan.reduction in STUBBORN_REDUCTIONS
             and plan.seed_heuristic in UNSOUND_SEEDS)
 
 
@@ -337,7 +338,7 @@ def cases(claim, misses=False):
         if not claim(row, cell, plan):
             continue
         marks = []
-        if cell.slow:
+        if plan.shape in cell.slow:
             marks.append(pytest.mark.slow)
         if row.workers == PARALLEL:
             marks.append(NEEDS_FORK)

@@ -1,7 +1,7 @@
 """Work-stealing parallel DFS: engine semantics, plumbing and determinism.
 
-The exhaustive count parity across worker counts lives in the conformance
-matrix (``tests/integration/test_strategy_matrix.py``); this module covers
+The exhaustive count parity across worker counts lives in the engine
+harness (``tests/integration/test_engine_harness.py``); this module covers
 the engine's own contract: the deque/termination protocol, counterexample
 rebuild determinism, budget handling, the serial fallbacks, and the wiring
 through ``run_plan`` / ``CellSpec`` / the CLI.
