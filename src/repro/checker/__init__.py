@@ -1,9 +1,11 @@
 """Explicit-state model checking engine.
 
 This package is the substrate the paper builds on (the JPF/Basset analogue):
-state-space search (stateful and stateless), visited-state stores, invariant
-properties, counterexamples and run statistics.  A run is named by a
-:class:`repro.engine.CheckPlan` and executed by
+state-space search (stateful and stateless), the one visited-state store
+(:class:`StateStore`, a set of keys: exact states or fingerprints, as
+:meth:`~repro.checker.stategraph.StateGraph.store_key` decides per store
+kind), invariant properties, counterexamples and run statistics.  A run is
+named by a :class:`repro.engine.CheckPlan` and executed by
 :func:`repro.engine.run_plan`.
 """
 
@@ -33,10 +35,6 @@ from .search import (
 )
 from .statestore import (
     STORE_KINDS,
-    FingerprintStore,
-    FullStateStore,
-    NullStateStore,
-    ShardedFingerprintStore,
     StateStore,
     make_state_store,
     mix_fingerprint,
@@ -50,16 +48,12 @@ __all__ = [
     "outcome_of",
     "Counterexample",
     "Eventually",
-    "FingerprintStore",
-    "FullStateStore",
     "Invariant",
-    "NullStateStore",
     "ReductionContext",
     "Reducer",
     "STORE_KINDS",
     "SearchOutcome",
     "SearchStatistics",
-    "ShardedFingerprintStore",
     "StateStore",
     "Step",
     "always_true",

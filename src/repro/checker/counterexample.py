@@ -78,13 +78,6 @@ class Counterexample:
         return self.steps[index - 1].state
 
     @property
-    def stem_steps(self) -> Tuple[Step, ...]:
-        """The stem of a lasso (everything before the cycle)."""
-        if self.cycle_start is None:
-            return self.steps
-        return self.steps[: self.cycle_start]
-
-    @property
     def cycle_steps(self) -> Tuple[Step, ...]:
         """The cycle of a lasso; empty for a stuttering terminal state."""
         if self.cycle_start is None:
@@ -102,6 +95,7 @@ class Counterexample:
     def replay(self, protocol) -> Tuple[GlobalState, ...]:
         """Re-execute the counterexample from the initial state.
 
+        ``protocol`` may be any build of the model that produced the trace.
         Returns the full state sequence (initial state first).  Raises
         :class:`ValueError` if any recorded execution is not enabled where
         the trace claims it fired, if a reached state differs from the
@@ -115,12 +109,20 @@ class Counterexample:
         states = [self.initial_state]
         for index, step in enumerate(self.steps):
             current = states[-1]
-            if step.execution not in engine.enabled(current):
+            # By name and consumed messages: a rebuilt protocol's transitions
+            # are equal in both, but their guard and action closures are not.
+            recorded = (step.execution.transition.name, step.execution.messages)
+            execution = next(
+                (candidate for candidate in engine.enabled(current)
+                 if (candidate.transition.name, candidate.messages) == recorded),
+                None,
+            )
+            if execution is None:
                 raise ValueError(
                     f"replay diverged at step {index + 1}: "
                     f"{step.execution.describe()} is not enabled"
                 )
-            successor = engine.successor(current, step.execution)
+            successor = engine.successor(current, execution)
             if successor != step.state:
                 raise ValueError(
                     f"replay diverged at step {index + 1}: reached a state "

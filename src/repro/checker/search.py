@@ -38,8 +38,15 @@ from ..mp.protocol import Protocol
 from .counterexample import Counterexample, Step
 from .property import Invariant
 from .result import SearchStatistics
-from .stategraph import ReductionContext, Reducer, StateGraph, make_graph
-from .statestore import NullStateStore
+from .stategraph import (
+    ReductionContext,
+    Reducer,
+    StateGraph,
+    make_graph,
+    replay_parents,
+    replay_path,
+)
+from .statestore import identity
 
 __all__ = [
     "ReductionContext",
@@ -152,16 +159,17 @@ def run_dfs(
     start_time = time.perf_counter()
 
     stateful = config.stateful
-    store = graph.make_store(config.store) if stateful else NullStateStore()
+    store = graph.make_store(config.store) if stateful else None
     holds = graph.invariant_checker(invariant)
     enabled_of, successor_of, key = graph.enabled, graph.successor, graph.exact_key
-    store_add = store.add
     max_seconds, max_states, max_depth = (
         config.max_seconds, config.max_states, config.max_depth
     )
 
     initial = graph.initial
-    store_add(initial)
+    if stateful:
+        store_add = store.add
+        store_add(initial)
     statistics.states_visited = 1
 
     counterexample: Optional[Counterexample] = None
@@ -233,7 +241,7 @@ def run_dfs(
             if not store_add(successor):
                 statistics.revisits += 1
                 continue
-            statistics.states_visited = len(store)
+            statistics.states_visited += 1
         else:
             if key(successor) in on_stack:
                 statistics.revisits += 1
@@ -299,7 +307,13 @@ def run_bfs(
 ) -> SearchOutcome:
     """The breadth-first loop of :func:`bfs_search`, over any graph.
 
-    Checkpoints are written in the graph-neutral format of
+    Its one table is the frontier engine's: ``parents`` maps the store key
+    (:meth:`~repro.checker.stategraph.StateGraph.store_key`) of every
+    visited state to ``None`` (the initial state) or ``(parent key,
+    execution index)``.  It is the visited set, the checkpoint's parent
+    edges and, through :func:`~repro.checker.stategraph.replay_parents`,
+    the counterexample, so a fingerprint store keeps no state beyond the
+    frontier.  Checkpoints are written in the graph-neutral format of
     :mod:`repro.checker.checkpoint` (object states + execution-index
     edges, through ``graph.decode`` / ``graph.encode``), so a run may be
     resumed over a different graph than the one that wrote it.
@@ -307,41 +321,39 @@ def run_bfs(
     statistics = SearchStatistics()
     start_time = time.perf_counter()
 
-    store = graph.make_store(config.store)
+    key = graph.store_key(config.store)
+    # A state that is its own key is looked up as it is, with no call.
+    keyed = key is not identity
     holds = graph.invariant_checker(invariant)
-    enabled_of, successor_of, key = graph.enabled, graph.successor, graph.exact_key
-    decode = graph.decode
-    store_add = store.add
+    enabled_of, successor_of, decode = graph.enabled, graph.successor, graph.decode
     initial = graph.initial
     checkpointing = config.checkpoint_dir is not None
 
-    # Parent edges: exact key -> None (initial) or (predecessor state,
-    # index of the execution in the predecessor's enabled order).  Enabled
-    # order is deterministic, so ``rebuild`` recomputes the execution on
-    # demand and executions never need storing or pickling.
     if config.resume_from is not None:
         from .checkpoint import resume_checkpoint
 
         resumed = resume_checkpoint(config.resume_from, decode(initial))
-        discovered = [graph.encode(state) for state in resumed.states]
-        parents = {}
-        for state, edge in zip(discovered, resumed.edges):
-            store_add(state)
-            parents[key(state)] = (
-                None if edge is None else (discovered[edge[0]], edge[1])
-            )
+        states = [graph.encode(state) for state in resumed.states]
+        keys = [key(state) for state in states]
+        parents = {
+            state_key: None if edge is None else (keys[edge[0]], edge[1])
+            for state_key, edge in zip(keys, resumed.edges)
+        }
+        frontier = [states[index] for index in resumed.frontier]
+        # Every visited state, in discovery order; kept only for checkpoints.
+        discovered = states if checkpointing else []
         statistics = resumed.statistics
-        statistics.states_visited = len(store)
-        frontier = [discovered[index] for index in resumed.frontier]
+        statistics.states_visited = len(parents)
         depth = resumed.depth
         # Shift the clock back so elapsed/budget accounting spans the
         # whole run, not just the resumed leg.
         start_time = time.perf_counter() - statistics.elapsed_seconds
+        # The loaded object-form states are not needed past this point.
+        del resumed, states, keys
     else:
-        store_add(initial)
         statistics.states_visited = 1
-        discovered = [initial]
         parents = {key(initial): None}
+        discovered = [initial]
         frontier = [initial]
         depth = 0
 
@@ -354,15 +366,11 @@ def run_bfs(
     def write_level_checkpoint() -> None:
         from .checkpoint import write_level
 
-        def parent(state_key):
-            edge = parents[state_key]
-            return None if edge is None else (key(edge[0]), edge[1])
-
         statistics.elapsed_seconds = time.perf_counter() - start_time
         path = write_level(
             config.checkpoint_dir, depth, statistics,
             [decode(state) for state in discovered],
-            [key(state) for state in discovered], parent,
+            [key(state) for state in discovered], parents.__getitem__,
             map(key, frontier), {"property": invariant.name, "engine": "bfs"},
         )
         emit(observer, "checkpoint-written", depth=depth,
@@ -371,7 +379,7 @@ def run_bfs(
     def finish() -> SearchOutcome:
         statistics.elapsed_seconds = time.perf_counter() - start_time
         if telemetry is not None:
-            telemetry.record_store(store)
+            telemetry.record_store(parents)
             graph.record(telemetry)
             telemetry.metrics.gauge(
                 "frontier_peak", "largest BFS frontier level"
@@ -379,23 +387,10 @@ def run_bfs(
         return SearchOutcome(verified=verified, complete=complete,
                              counterexample=counterexample, statistics=statistics)
 
-    def rebuild(state) -> Counterexample:
-        steps = []
-        cursor = state
-        while parents[key(cursor)] is not None:
-            predecessor, exec_index = parents[key(cursor)]
-            execution = enabled_of(predecessor)[exec_index]
-            steps.append(Step(execution=graph.execution_of(execution),
-                              state=decode(cursor)))
-            cursor = predecessor
-        steps.reverse()
-        return Counterexample(initial_state=decode(initial), steps=tuple(steps),
-                              property_name=invariant.name)
-
     if config.resume_from is None and not holds(initial):
         emit(observer, "violation-found", states_visited=1, depth=0)
         verified = complete = False
-        counterexample = rebuild(initial)
+        counterexample = replay_path(graph, (), invariant.name)
         return finish()
 
     while frontier:
@@ -408,20 +403,25 @@ def run_bfs(
             break
         next_frontier = []
         for state in frontier:
+            state_key = key(state) if keyed else state
             enabled = enabled_of(state)
             statistics.enabled_set_computations += 1
             statistics.full_expansions += 1
             for exec_index, execution in enumerate(enabled):
                 successor = successor_of(state, execution)
                 statistics.transitions_executed += 1
-                if not store_add(successor):
+                successor_key = key(successor) if keyed else successor
+                if successor_key in parents:
                     statistics.revisits += 1
                     continue
-                statistics.states_visited = len(store)
-                parents[key(successor)] = (state, exec_index)
+                parents[successor_key] = (state_key, exec_index)
+                statistics.states_visited += 1
                 if not holds(successor):
                     verified = False
-                    counterexample = rebuild(successor)
+                    # The first violation found is on the shallowest level.
+                    if counterexample is None:
+                        counterexample = replay_parents(
+                            graph, parents, successor_key, invariant.name)
                     emit(observer, "violation-found",
                          states_visited=statistics.states_visited, depth=depth + 1)
                     if config.stop_at_first_violation:
@@ -511,9 +511,9 @@ def run_ndfs(
 ) -> SearchOutcome:
     """The nested-DFS loops of :func:`ndfs_search`, over any graph.
 
-    The blue/cyan/red marks are kept over ``graph.exact_key`` for the
-    ``"full"`` store and ``graph.fingerprint`` for the fingerprint kinds;
-    only the violating lasso is decoded.
+    The blue/cyan/red marks are kept over the store kind's key
+    (:meth:`~repro.checker.stategraph.StateGraph.store_key`); only the
+    violating lasso is decoded.
     """
     if not config.stateful:
         raise ValueError(
@@ -531,7 +531,7 @@ def run_ndfs(
     accepting = graph.predicate(
         lambda state: prop.accepting(state, protocol), network_sensitive
     )
-    key = graph.exact_key if config.store == "full" else graph.fingerprint
+    key = graph.store_key(config.store)
     enabled_of, successor_of = graph.enabled, graph.successor
 
     def expand(state):
@@ -553,9 +553,7 @@ def run_ndfs(
         statistics.elapsed_seconds = time.perf_counter() - start_time
         if telemetry is not None:
             graph.record(telemetry)
-            telemetry.metrics.gauge(
-                "state_store_size", "visited states/fingerprints held"
-            ).set(len(discovered))
+            telemetry.record_store(discovered)
             telemetry.metrics.gauge(
                 "ndfs_red_states", "states marked red by the nested search"
             ).set(len(red))

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..engine.events import maybe_span
 from ..engine.plan import CheckPlan
@@ -41,7 +41,7 @@ from ..mp.semantics import SuccessorEngine
 from ..mp.state import GlobalState
 from ..mp.transition import Execution
 from .counterexample import Counterexample, Step
-from .statestore import make_state_store
+from .statestore import StateStore, identity
 
 
 @dataclass
@@ -82,10 +82,6 @@ class ReductionContext:
 Reducer = Callable[[ReductionContext], Tuple]
 
 
-def _identity(value):
-    return value
-
-
 class StateGraph:
     """What a search loop needs from one state representation.
 
@@ -96,7 +92,7 @@ class StateGraph:
         enabled: ``state -> tuple of executions``, deterministic order.
         successor: ``(state, execution) -> state``.
         exact_key: ``state -> hashable`` identifying the state exactly
-            (stack membership, exact stores, parent maps).
+            (stack membership, the ``"full"`` store).
         fingerprint: ``state -> int``; equal across graphs for equal states.
         decode / encode: To and from the object-graph ``GlobalState``.
         execution_of: This graph's execution as an object-graph
@@ -127,9 +123,23 @@ class StateGraph:
             getattr(prop, "network_sensitive", True),
         )
 
-    def make_store(self, kind: str):
-        """A visited-state store (``add`` / ``len``) over this graph's states."""
-        raise NotImplementedError
+    @classmethod
+    def store_key(cls, kind: str) -> Callable[[object], Hashable]:
+        """The key a visited set of store ``kind`` deduplicates by, decided
+        here and nowhere else: ``exact_key`` for ``"full"``, ``fingerprint``
+        for ``"fingerprint"`` and ``"sharded-fingerprint"`` (one 64-bit hash
+        per state; distinct states may collide).  Both are class attributes
+        of either graph, so a store needs no graph instance."""
+        if kind == "full":
+            return cls.exact_key
+        if kind in ("fingerprint", "sharded-fingerprint"):
+            return cls.fingerprint
+        raise ValueError(f"store kind {kind!r} names no visited set")
+
+    @classmethod
+    def make_store(cls, kind: str) -> StateStore:
+        """The visited set of store ``kind`` over this graph's states."""
+        return StateStore(cls.store_key(kind))
 
     def make_reduce(self, reducer: Reducer, on_stack: set,
                     by_fingerprint: bool = False):
@@ -186,9 +196,8 @@ class ObjectGraph(StateGraph):
     random walker) revisits constantly and gets the caching one.
     """
 
-    decode = encode = execution_of = exact_key = staticmethod(_identity)
+    decode = encode = execution_of = exact_key = staticmethod(identity)
     fingerprint = staticmethod(GlobalState.fingerprint)
-    make_store = staticmethod(make_state_store)
 
     def __init__(self, protocol: Protocol, engine: Optional[SuccessorEngine] = None,
                  stateful: bool = True) -> None:
@@ -260,11 +269,6 @@ class PackedGraph(StateGraph):
 
         return _memoised_predicate(self.engine, evaluate, network_sensitive)
 
-    def make_store(self, kind):
-        from ..fastpath.search import _PackedStore
-
-        return _PackedStore(kind)
-
     def record(self, telemetry) -> None:
         telemetry.record_fastpath(self.engine)
 
@@ -275,6 +279,21 @@ def make_graph(protocol: Protocol, config: CheckPlan, engine=None, telemetry=Non
     if config.successors == "fast":
         return PackedGraph(protocol, engine, telemetry)
     return ObjectGraph(protocol, engine, stateful)
+
+
+def replay_parents(graph: StateGraph, parents: Dict, key: Hashable,
+                   property_name: str) -> Counterexample:
+    """Rebuild the counterexample reaching ``key`` from a breadth-first
+    search's parent map (``key -> None`` for the initial state, else
+    ``(parent key, execution index)``), through :func:`replay_path`."""
+    path: List[int] = []
+    edge = parents[key]
+    while edge is not None:
+        key, index = edge
+        path.append(index)
+        edge = parents[key]
+    path.reverse()
+    return replay_path(graph, path, property_name)
 
 
 def replay_path(graph: StateGraph, path: Sequence[int],

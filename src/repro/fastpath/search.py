@@ -18,70 +18,25 @@ reduction adds none), both off the hot path:
 * **counterexamples** — only the violating path is decoded (by the loop,
   through ``graph.decode``).
 
-Store semantics (:class:`_PackedStore`) match the object engine's:
-``"full"`` deduplicates exact packed words (interning is injective, so word
-equality is state equality), the fingerprint kinds deduplicate the packed
-fingerprint, which is bit-identical to ``GlobalState.fingerprint()``.
+The store is the object graph's too
+(:meth:`~repro.checker.stategraph.StateGraph.make_store`): ``"full"`` keys
+by the exact packed words (interning is injective, so word equality is
+state equality), the fingerprint kinds by the packed fingerprint, which is
+bit-identical to ``GlobalState.fingerprint()``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..checker.property import Invariant
 from ..checker.search import SearchOutcome, run_bfs, run_dfs, run_ndfs
 from ..checker.stategraph import PackedGraph, Reducer
-from ..checker.statestore import ShardedFingerprintStore
 from ..engine.events import Observer
 from ..engine.plan import CheckPlan
 from ..mp.protocol import Protocol
 from ..mp.state import GlobalState
 from .compiler import FastSuccessorEngine, PackedState
-
-
-class _PackedStore:
-    """Visited-set over packed states with the serial stores' semantics."""
-
-    __slots__ = ("kind", "_words", "_fingerprints", "_sharded")
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self._words: Set[Tuple[int, ...]] = set()
-        self._fingerprints: Set[int] = set()
-        self._sharded: Optional[ShardedFingerprintStore] = None
-        if kind == "sharded-fingerprint":
-            self._sharded = ShardedFingerprintStore()
-        elif kind not in ("full", "fingerprint"):
-            raise ValueError(f"unknown packed store kind: {kind!r}")
-
-    def add(self, packed: PackedState) -> bool:
-        if self.kind == "full":
-            words = packed[0]
-            if words in self._words:
-                return False
-            self._words.add(words)
-            return True
-        if self._sharded is not None:
-            return self._sharded.add_fingerprint(packed[3])
-        fingerprint = packed[3]
-        if fingerprint in self._fingerprints:
-            return False
-        self._fingerprints.add(fingerprint)
-        return True
-
-    def __len__(self) -> int:
-        if self.kind == "full":
-            return len(self._words)
-        if self._sharded is not None:
-            return len(self._sharded)
-        return len(self._fingerprints)
-
-    def shard_sizes(self):
-        """Per-shard occupancy when sharded, else None (duck-typed to match
-        :meth:`ShardedFingerprintStore.shard_sizes` for telemetry)."""
-        if self._sharded is not None:
-            return self._sharded.shard_sizes()
-        return None
 
 
 def _memoised_predicate(

@@ -59,11 +59,6 @@ class QuorumSpec:
         """True if the transition may consume messages from more than one sender."""
         return self.kind is QuorumKind.EXACT and self.size > 1
 
-    @property
-    def is_exact(self) -> bool:
-        """True if the number of senders is fixed (Definition 2: exact quorum)."""
-        return True  # both supported kinds fix the number of senders
-
 
 def single_message() -> QuorumSpec:
     """Quorum specification of an ordinary single-message transition."""

@@ -14,8 +14,8 @@ Design constraints, in order:
   already keep (``SearchStatistics``, memo tables, claim stripes).
 * **Labels without a dependency.**  Each instrument keys its series by a
   sorted ``(key, value)`` tuple of string labels, Prometheus-style, so a
-  single ``fingerprint_store_shard_size`` gauge can carry one series per
-  shard.
+  single ``claim_table_stripe_size`` gauge can carry one series per
+  stripe.
 * **JSON all the way down.**  ``snapshot()`` output round-trips through
   ``json.dumps`` untouched.
 """

@@ -107,24 +107,12 @@ class RunTelemetry:
                 "reduction_ratio", "reduced expansions / all expansions"
             ).set(reduced / total)
 
-    def record_store(self, store, name: str = "state_store") -> None:
-        """Record visited-store occupancy (per shard when sharded)."""
-        if store is None:
-            return
-        shard_sizes = getattr(store, "shard_sizes", None)
-        if callable(shard_sizes):
-            sizes = shard_sizes()
-            if sizes:  # unsharded packed stores report None
-                gauge = self.metrics.gauge(
-                    f"{name}_shard_size", "fingerprints per store shard"
-                )
-                for shard, size in enumerate(sizes):
-                    gauge.set(size, shard=shard)
-        try:
-            size = len(store)
-        except TypeError:
-            return
-        self.metrics.gauge(f"{name}_size", "visited states/fingerprints held").set(size)
+    def record_store(self, store) -> None:
+        """Record visited-store occupancy (a stateless search has none)."""
+        if store is not None:
+            self.metrics.gauge(
+                "state_store_size", "visited states/fingerprints held"
+            ).set(len(store))
 
     def record_fastpath(self, engine) -> None:
         """Record packed fast-path table occupancy and memo behaviour."""

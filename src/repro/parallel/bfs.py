@@ -24,8 +24,9 @@ blobs to their owners without decoding them; each owner deduplicates what
 arrived and replies with ``(fingerprint, parent fingerprint, execution
 index, holds)`` for the states its shard accepted this level — which are
 its next frontier.  The coordinator's only table is ``fingerprint ->
-(parent fingerprint, execution index)``; counterexamples come from
-:func:`~repro.checker.stategraph.replay_path`.
+(parent fingerprint, execution index)``, serial BFS's parent map keyed by
+fingerprint whatever the store; counterexamples come from
+:func:`~repro.checker.stategraph.replay_parents`.
 
 Guarantees relative to serial BFS:
 
@@ -79,7 +80,7 @@ from ..checker.counterexample import Counterexample
 from ..checker.property import Invariant
 from ..checker.result import SearchStatistics
 from ..checker.search import SearchOutcome
-from ..checker.stategraph import make_graph, replay_path
+from ..checker.stategraph import make_graph, replay_parents
 from ..checker.statestore import shard_of
 from ..engine.events import Observer, emit
 from ..engine.plan import CheckPlan
@@ -106,9 +107,10 @@ def parallel_bfs_search(
     Args:
         protocol: The protocol instance to explore.
         invariant: The invariant to check in every reachable state.
-        config: The plan.  ``successors`` picks the state graph, ``store ==
-            "full"`` dedups shards by exact states, every other kind by
-            fingerprints, and ``workers`` is the worker process count (=
+        config: The plan.  ``successors`` picks the state graph, ``store``
+            the key the shards deduplicate by
+            (:meth:`~repro.checker.stategraph.StateGraph.store_key`), and
+            ``workers`` is the worker process count (=
             shard count, at least 2: plan resolution sends one worker to
             the serial BFS).
             The ``chaos`` / ``checkpoint_dir`` / ``checkpoint_every`` /
@@ -144,7 +146,6 @@ def parallel_bfs_search(
 
     statistics = SearchStatistics()
     start_time = time.perf_counter()
-    exact = config.store == "full"
     checkpointing = config.checkpoint_dir is not None
 
     # Built and shared before forking: every worker inherits the graph
@@ -152,6 +153,9 @@ def parallel_bfs_search(
     # its states mean the same in all of them.
     graph = make_graph(protocol, config, telemetry=telemetry)
     graph.share()
+    # The table is keyed by fingerprint: a shard keyed otherwise is
+    # restored from states, rebuilt by replay.
+    exact = graph.store_key(config.store) is not graph.fingerprint
     enabled_of, successor_of, decode = graph.enabled, graph.successor, graph.decode
     initial = graph.initial
     initial_fp = graph.fingerprint(initial)
@@ -234,7 +238,7 @@ def parallel_bfs_search(
     def spawn_worker(worker_id: int, chaos: Optional[str]):
         process = context.Process(
             target=frontier_worker,
-            args=(worker_id, workers, graph, invariant, exact, checkpointing,
+            args=(worker_id, workers, graph, invariant, config.store, checkpointing,
                   task_queues[worker_id], result_queue,
                   chaos_hook_for_worker(chaos, worker_id)),
             daemon=True,
@@ -251,17 +255,6 @@ def parallel_bfs_search(
             (object_states(owned) if exact else owned,
              object_states(frontier_fps[worker_id]), expanded),
         ))
-
-    def rebuild(violating_fp: int) -> Counterexample:
-        """Replay the parent chain; executions never cross a process
-        boundary, the deterministic enabled order recomputes them."""
-        path: List[int] = []
-        cursor = violating_fp
-        while parents[cursor] is not None:
-            cursor, exec_index = parents[cursor]
-            path.append(exec_index)
-        path.reverse()
-        return replay_path(graph, path, invariant.name)
 
     checkpoint_interval = max(1, config.checkpoint_every or 1)
 
@@ -368,7 +361,12 @@ def parallel_bfs_search(
 
             if level_violations:
                 verified = False
-                counterexample = rebuild(level_violations[0])
+                # Executions never cross a process boundary: the replay of
+                # the parent chain recomputes them.  The first level's
+                # counterexample is the shortest; later ones do not replace it.
+                if counterexample is None:
+                    counterexample = replay_parents(
+                        graph, parents, level_violations[0], invariant.name)
                 emit(observer, "violation-found",
                      states_visited=statistics.states_visited, depth=depth + 1)
                 if config.stop_at_first_violation:

@@ -22,8 +22,8 @@ queue per worker, one shared result queue):
 
 ``("restore", (shard_keys, frontier_states, expanded))``
     Set the worker's whole state: the shard becomes ``shard_keys``
-    (fingerprints, or object-form states when the shard deduplicates
-    exactly), the frontier the (object-form) ``frontier_states``; with
+    (fingerprints, or object-form states when the shard is not keyed by
+    fingerprint), the frontier the (object-form) ``frontier_states``; with
     ``expanded`` the frontier is expanded again, silently, so the children
     it kept are held once more.  Starts every run (a fresh search is the
     restore of a one-state table), every resume from a checkpoint, and
@@ -124,7 +124,7 @@ def frontier_worker(
     num_workers: int,
     graph: StateGraph,
     invariant: Invariant,
-    exact: bool,
+    store: str,
     checkpointing: bool,
     task_queue,
     result_queue,
@@ -139,8 +139,9 @@ def frontier_worker(
             coordinator and inherited via ``fork`` (transition closures and
             compiled tables never need to pickle).
         invariant: The invariant checked in every state the shard accepts.
-        exact: Deduplicate by ``graph.exact_key`` (exact, mirrors the
-            serial full store) instead of by fingerprint.
+        store: The plan's store kind; the shard deduplicates by its key
+            (:meth:`~repro.checker.stategraph.StateGraph.store_key`), as
+            the serial store does.
         checkpointing: Reply to ``absorb`` with the new frontier in object
             form, for the coordinator's checkpoint.
         task_queue: This worker's command queue.
@@ -153,7 +154,10 @@ def frontier_worker(
         holds = graph.invariant_checker(invariant)
         enabled_of, successor_of = graph.enabled, graph.successor
         fingerprint, encode = graph.fingerprint, graph.encode
-        key_of = graph.exact_key if exact else fingerprint
+        key_of = graph.store_key(store)
+        # A fingerprint-keyed shard is restored from its keys, any other
+        # from its states.
+        exact = key_of is not fingerprint
         known: set = set()  # keys of the shard
         frontier: list = []
         #: The next frontier and its report, filled by expand then absorb.

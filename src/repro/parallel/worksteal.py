@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..checker.statestore import mix_fingerprint, shard_of
-from ..mp.state import GlobalState
 
 __all__ = [
     "BatchedCounter",
@@ -147,11 +146,9 @@ _ZERO_SURROGATE = 0x9E3779B97F4A7C15
 class StripedClaimTable:
     """Lock-striped shared-memory fingerprint set for cross-worker claims.
 
-    Presents the claim half of the
-    :class:`~repro.checker.statestore.ShardedFingerprintStore` interface
-    (``add_fingerprint`` / ``contains_fingerprint`` / ``len``) over
-    ``multiprocessing`` shared memory: stripes are routed by the same
-    :func:`~repro.checker.statestore.shard_of` partition, each stripe is an
+    A set of fingerprints (``add_fingerprint`` / ``contains_fingerprint`` /
+    ``len``) over ``multiprocessing`` shared memory: stripes are routed by
+    the :func:`~repro.checker.statestore.shard_of` partition, each stripe is an
     open-addressing region of 64-bit slots guarded by its own lock, and the
     table is created before forking so every worker addresses the same
     memory.
@@ -251,20 +248,13 @@ class StripedClaimTable:
             _, occupied = self._probe(stripe, key)
             return occupied
 
-    def add(self, state: GlobalState) -> bool:
-        """State-level convenience mirroring the serial stores."""
-        return self.add_fingerprint(state.fingerprint())
-
-    def __contains__(self, state: GlobalState) -> bool:
-        return self.contains_fingerprint(state.fingerprint())
-
     def __len__(self) -> int:
         """Total claims.  Exact at quiescence; a momentary lower bound while
         other workers are actively claiming (used only for budget checks)."""
         return sum(self._counts)
 
     def stripe_sizes(self) -> Tuple[int, ...]:
-        """Claims per stripe, for balance diagnostics (mirrors shard_sizes)."""
+        """Claims per stripe, for balance diagnostics."""
         return tuple(self._counts)
 
 

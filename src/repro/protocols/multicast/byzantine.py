@@ -18,8 +18,6 @@ only when the number of Byzantine receivers exceeds the assumed threshold.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from ...mp.transition import ActionContext
 from .config import ByzantineInitiatorState, ByzantineReceiverState, MulticastConfig
 
@@ -128,8 +126,3 @@ def make_byz_receiver_init_action(config: MulticastConfig):
         return local
 
     return action
-
-
-def partition_labels() -> Tuple[str, str]:
-    """The two labels used for a Byzantine initiator's conflicting messages."""
-    return ("X", "Y")

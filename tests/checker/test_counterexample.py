@@ -4,6 +4,7 @@ from repro.checker.counterexample import Counterexample, Step
 from repro.checker.property import Invariant
 from repro.checker.result import CheckResult, SearchStatistics
 from repro.engine import CheckPlan, run_plan
+from repro.protocols.catalog import paxos_entry
 
 from ..conftest import build_ping_pong
 
@@ -42,6 +43,15 @@ class TestCounterexample:
         )
         assert counterexample.violating_state == protocol.initial_state()
         assert counterexample.length == 0
+
+    def test_replays_on_a_second_build_of_the_cell(self):
+        # Each build makes new guard and action closures, so the replay
+        # matches executions by transition name and consumed messages.
+        entry = paxos_entry(2, 3, 1, faulty=True)
+        result = run_plan(entry.quorum_model(), entry.invariant, CheckPlan())
+        states = result.counterexample.replay(entry.quorum_model())
+        assert len(states) == result.counterexample.length + 1
+        assert states[-1] == result.counterexample.violating_state
 
     def test_format_without_states(self):
         _, result = violation_result()

@@ -407,7 +407,7 @@ def test_verdict_and_counterexample(row, cell, plan, outcome, reference):
         assert_counterexample_is_real(cell, protocol, result)
         if pin.shortest is not None:
             assert result.counterexample.length >= pin.shortest
-            if plan.shape == "bfs" and plan.stop_at_first_violation:
+            if plan.shape == "bfs":
                 assert result.counterexample.length == pin.shortest
 
     if sampling(row):

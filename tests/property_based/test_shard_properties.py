@@ -2,21 +2,15 @@
 
 The parallel search is sound only if shard routing is a *partition*: every
 fingerprint maps to exactly one shard, the same shard every time, in every
-process (pickling a store or a state must not silently re-route anything).
+process.
 """
 
 from __future__ import annotations
 
-import pickle
-
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.checker.statestore import (
-    ShardedFingerprintStore,
-    mix_fingerprint,
-    shard_of,
-)
+from repro.checker.statestore import StateStore, identity, mix_fingerprint, shard_of
 
 #: Python hashes: arbitrary signed machine-word-ish integers.
 fingerprints = st.integers(min_value=-(2 ** 63), max_value=2 ** 64 - 1)
@@ -43,33 +37,16 @@ def test_mixer_is_a_64_bit_value(fingerprint):
     assert mix_fingerprint(fingerprint + 2 ** 64) == mixed
 
 
-@given(st.lists(fingerprints, max_size=50), shard_counts)
-def test_every_fingerprint_lives_in_exactly_one_shard(values, num_shards):
-    store = ShardedFingerprintStore(num_shards=num_shards)
-    for value in values:
-        store.add_fingerprint(value)
-    for value in values:
-        holders = [
-            index
-            for index in range(num_shards)
-            if value in store.shard_contents(index)
-        ]
-        assert holders == [store.shard_of(value)]
-    assert sum(store.shard_sizes()) == len(store) == len(set(values))
+@given(st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1), max_size=50))
+def test_mixing_keeps_distinct_fingerprints_distinct(values):
+    # The finaliser is a bijection on 64-bit values, so routing by the mixed
+    # value loses no information about which fingerprints are equal.
+    assert len({mix_fingerprint(value) for value in values}) == len(set(values))
 
 
-@given(st.lists(fingerprints, max_size=50), shard_counts)
-def test_store_survives_pickle_round_trip(values, num_shards):
-    store = ShardedFingerprintStore(num_shards=num_shards)
-    for value in values:
-        store.add_fingerprint(value)
-    restored = pickle.loads(pickle.dumps(store))
-    assert restored.num_shards == store.num_shards
-    assert restored.shard_sizes() == store.shard_sizes()
-    for value in values:
-        assert restored.contains_fingerprint(value)
-        # Routing must be identical on both sides of the round trip.
-        assert restored.shard_of(value) == store.shard_of(value)
-    # Re-adding a restored fingerprint must report "seen before".
-    for value in values:
-        assert not restored.add_fingerprint(value)
+@given(st.lists(fingerprints, max_size=50))
+def test_a_store_reports_each_key_new_exactly_once(values):
+    store = StateStore(identity)
+    reported = [store.add(value) for value in values]
+    assert reported == [value not in values[:i] for i, value in enumerate(values)]
+    assert len(store) == len(set(values))
